@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import ChannelFamily, DomainError, Unitality, svd3, validate
+from .bloch import ChannelFamily, DomainError, Unitality, validate
 from .config import ConfigError, family_from_config, parse_config_text
 from .expr import ExprError
 from .protocols import (
@@ -103,7 +103,6 @@ class RunConfig:
     out: str | None = None
     fmt: str = "csv"
     jobs: int = 1
-    fd_step: float = 1e-5
     eps: float | None = None
     max_order: int = 4
     dir_grid: int = 20
@@ -116,8 +115,8 @@ class RunConfig:
         for name, grid in (("lambda", self.lams), ("purity", self.purities)):
             if grid is not None and len(grid) == 0:
                 raise ConfigError(f"{name} grid is empty")
-        for name, val in (("jobs", self.jobs), ("fd-step", self.fd_step),
-                          ("max-order", self.max_order), ("dir-grid", self.dir_grid)):
+        for name, val in (("jobs", self.jobs), ("max-order", self.max_order),
+                          ("dir-grid", self.dir_grid)):
             if val is not None and val <= 0:
                 raise ConfigError(f"{name} must be positive, got {val}")
         if self.eps is not None and self.eps <= 0:
@@ -135,14 +134,6 @@ def _build_family(channel_cfg: dict) -> ChannelFamily:
     return family_from_config(section, channel_cfg.get("params", {}))
 
 
-def _default_directions(family: ChannelFamily, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    ch = family.eval(lam)
-    if family.unitality is Unitality.UNITAL:
-        return canonical_directions(ch)
-    dec = svd3(ch.dM)
-    return dec.B[0].copy(), dec.B[1].copy()
-
-
 # ---------------------------------------------------------------------------
 # cell workers (top level so they survive pickling under --jobs)
 # ---------------------------------------------------------------------------
@@ -157,7 +148,7 @@ def _cell_name(lam: float, r: float | None, n: int) -> str:
 
 def _spec_for(family: ChannelFamily, lam: float, r: float, n: int,
               c: tuple | None, r0: tuple | None):
-    c_vec, r0_vec = _default_directions(family, lam)
+    c_vec, r0_vec = canonical_directions(family.eval(lam))
     if r0 is not None:
         r0_vec = np.asarray(r0)
     if c is not None:
@@ -186,7 +177,7 @@ def _measure_cell(payload: dict) -> list:
         if n < 2:
             raise ValueError("measurement command needs correlated protocols (n >= 2)")
         spec = _spec_for(family, lam, r, n, payload["c"], payload["r0"])
-        rec = local_measurement_sim(spec, h=payload["fd_step"])
+        rec = local_measurement_sim(spec)
         qfi = protocol_qfi(spec, K=min(n, payload["max_order"]),
                            eps=payload["eps"]).exact
         ratio = rec.cfi / qfi if qfi > 1e-300 else float("nan")
@@ -299,8 +290,7 @@ def run_measure(cfg: RunConfig) -> tuple[list[str], list[list]]:
     header = ["n", "lambda", "r", "cfi", "qfi", "ratio"]
     payloads = [
         {"channel": cfg.channel, "lam": lam, "r": r, "n": n, "c": cfg.c,
-         "r0": cfg.r0, "eps": cfg.eps, "fd_step": cfg.fd_step,
-         "max_order": cfg.max_order}
+         "r0": cfg.r0, "eps": cfg.eps, "max_order": cfg.max_order}
         for lam in lams for r in purities for n in ns
     ]
     return header, _map_cells(_measure_cell, payloads, cfg.jobs)
@@ -434,7 +424,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), help="output format")
     p.add_argument("--jobs", type=int, help="parallel workers over grid cells")
-    p.add_argument("--fd-step", type=float, help="finite-difference step")
     p.add_argument("--eps", type=float, help="eigenvalue-pair cutoff for the SLD sum")
     p.add_argument("--max-order", type=int, help="highest purity order K")
     p.add_argument("--dir-grid", type=int, help="direction-grid size for bounds")
@@ -454,10 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _RUN_KEYS = {
     "lambda": "lam_grid", "purity": "purity", "n": "n", "c": "c", "r0": "r0",
-    "out": "out", "format": "format", "jobs": "jobs", "fd_step": "fd_step",
-    "fd-step": "fd_step", "eps": "eps", "max_order": "max_order",
-    "max-order": "max_order", "dir_grid": "dir_grid", "dir-grid": "dir_grid",
-    "channel": "channel",
+    "out": "out", "format": "format", "jobs": "jobs", "eps": "eps",
+    "max_order": "max_order", "max-order": "max_order", "dir_grid": "dir_grid",
+    "dir-grid": "dir_grid", "channel": "channel",
 }
 
 
@@ -523,7 +511,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         out=pick(args.out, "out"),
         fmt=pick(args.format, "format") or "csv",
         jobs=num(args.jobs, "jobs", int, 1),
-        fd_step=num(args.fd_step, "fd_step", float, 1e-5),
         eps=num(args.eps, "eps", float, None),
         max_order=num(args.max_order, "max_order", int, 4),
         dir_grid=num(args.dir_grid, "dir_grid", int, 20),

@@ -27,6 +27,7 @@ from .fisher import ProbModel, cfi, qfi_exact
 from .mstate import (
     PauliState,
     _check_dense_cap,
+    _unit_vector,
     apply_channel,
     apply_channel_derivative,
     initial_state,
@@ -69,15 +70,6 @@ __all__ = [
 ]
 
 
-def _unit(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a unit 3-vector")
-    v = v.copy()
-    v.flags.writeable = False
-    return v
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Everything needed to build one pre-measurement state."""
@@ -99,13 +91,16 @@ class ProtocolSpec:
             raise ValueError("correlated protocol requires n >= 2")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"purity must lie in [0, 1], got {self.r}")
-        object.__setattr__(self, "r0", _unit(self.r0, "r0"))
-        if self.kind == "correlated":
-            if self.c is None:
-                raise ValueError("correlated protocol requires a control direction c")
-            object.__setattr__(self, "c", _unit(self.c, "c"))
-        elif self.c is not None:
+        if self.kind == "correlated" and self.c is None:
+            raise ValueError("correlated protocol requires a control direction c")
+        if self.kind == "sqsc" and self.c is not None:
             raise ValueError("single-qubit protocol takes no control direction")
+        for name in ("r0", "c"):
+            v = getattr(self, name)
+            if v is not None:
+                v = _unit_vector(v, name).copy()  # a read-only copy of its own
+                v.flags.writeable = False
+                object.__setattr__(self, name, v)
 
 
 def sqsc(family: ChannelFamily, lam: float, r: float, r0) -> ProtocolSpec:
@@ -179,12 +174,18 @@ def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
 # local measurement scheme for the correlated protocol
 # ---------------------------------------------------------------------------
 
-def _measured_state(spec: ProtocolSpec, lam: float) -> PauliState:
-    ch = spec.family.eval(lam)
-    state = initial_state(spec.n, spec.r, spec.r0)
-    state = prep_conjugate(state, spec.c)
-    state = apply_channel(state, ch, 0)
-    return prep_conjugate(state, spec.c)  # the preparation is self-inverse
+def _measured_states(spec: ProtocolSpec) -> tuple[PauliState, PauliState]:
+    """The measured state and its exact lam derivative.
+
+    The preparation and the input do not depend on lam and the channel acts
+    affinely, so the derivative is the derivative channel pass between the
+    same two preparations.
+    """
+    ch = spec.family.eval(spec.lam)
+    state = prep_conjugate(initial_state(spec.n, spec.r, spec.r0), spec.c)
+    # the preparation is self-inverse
+    return (prep_conjugate(apply_channel(state, ch, 0), spec.c),
+            prep_conjugate(apply_channel_derivative(state, ch, 0), spec.c))
 
 
 def _outcome_tensor(state: PauliState, axis: np.ndarray) -> np.ndarray:
@@ -197,9 +198,8 @@ def _outcome_tensor(state: PauliState, axis: np.ndarray) -> np.ndarray:
     return t
 
 
-def _grouped_probs(spec: ProtocolSpec, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    joint = _outcome_tensor(_measured_state(spec, lam), spec.r0)
-    n = spec.n
+def _grouped(joint: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum joint outcomes by qubit 0's sign and the + count among the rest."""
     flat = joint.reshape(2, -1)
     rest = np.arange(flat.shape[1], dtype=np.uint64)
     k_plus = (n - 1) - np.bitwise_count(rest).astype(int)
@@ -222,22 +222,18 @@ class MeasurementRecord:
     cfi: float
 
 
-def local_measurement_sim(spec: ProtocolSpec, h: float = 1e-5) -> MeasurementRecord:
+def local_measurement_sim(spec: ProtocolSpec) -> MeasurementRecord:
     """Simulate the correlated protocol's local measurement scheme.
 
     After the channel the preparation is applied again and every qubit is
-    measured along r0.  Outcome derivatives come from a central difference
-    in the channel parameter.
+    measured along r0.  Outcome derivatives are exact: they are the grouped
+    outcomes of the measured state's lam derivative.
     """
     if spec.kind != "correlated":
         raise ValueError("the local measurement scheme is defined for correlated specs")
-    if h <= 0.0:
-        raise ValueError("fd step must be positive")
-    p_plus, p_minus = _grouped_probs(spec, spec.lam)
-    pp_hi, pm_hi = _grouped_probs(spec, spec.lam + h)
-    pp_lo, pm_lo = _grouped_probs(spec, spec.lam - h)
-    dp_plus = (pp_hi - pp_lo) / (2.0 * h)
-    dp_minus = (pm_hi - pm_lo) / (2.0 * h)
+    state, dstate = _measured_states(spec)
+    p_plus, p_minus = _grouped(_outcome_tensor(state, spec.r0), spec.n)
+    dp_plus, dp_minus = _grouped(_outcome_tensor(dstate, spec.r0), spec.n)
     model = ProbModel(np.concatenate([p_plus, p_minus]),
                       np.concatenate([dp_plus, dp_minus]))
     return MeasurementRecord(p_plus=p_plus, p_minus=p_minus,
@@ -245,14 +241,13 @@ def local_measurement_sim(spec: ProtocolSpec, h: float = 1e-5) -> MeasurementRec
                              cfi=cfi(model))
 
 
-def local_measurement_cfi_ungrouped(spec: ProtocolSpec, h: float = 1e-5) -> float:
+def local_measurement_cfi_ungrouped(spec: ProtocolSpec) -> float:
     """CFI of the same scheme over all 2^n raw outcomes (no grouping)."""
     if spec.kind != "correlated":
         raise ValueError("the local measurement scheme is defined for correlated specs")
-    p = _outcome_tensor(_measured_state(spec, spec.lam), spec.r0).reshape(-1)
-    hi = _outcome_tensor(_measured_state(spec, spec.lam + h), spec.r0).reshape(-1)
-    lo = _outcome_tensor(_measured_state(spec, spec.lam - h), spec.r0).reshape(-1)
-    return cfi(ProbModel(p, (hi - lo) / (2.0 * h)))
+    state, dstate = _measured_states(spec)
+    return cfi(ProbModel(_outcome_tensor(state, spec.r0).reshape(-1),
+                         _outcome_tensor(dstate, spec.r0).reshape(-1)))
 
 
 def measurement_cfi_lowest_order(ch: BlochChannel, n: int, c, r0) -> float:
@@ -264,8 +259,8 @@ def measurement_cfi_lowest_order(ch: BlochChannel, n: int, c, r0) -> float:
     require_unital(ch)
     if n < 2:
         raise ValueError("correlated protocol needs n >= 2")
-    c = _unit(c, "c")
-    r0 = _unit(r0, "r0")
+    c = _unit_vector(c, "c")
+    r0 = _unit_vector(r0, "r0")
     dec = svd3(ch.dM)
     if abs(abs(float(c @ dec.B[0])) - 1.0) > 1e-9 or \
             abs(abs(float(r0 @ dec.B[1])) - 1.0) > 1e-9:
@@ -278,8 +273,8 @@ def measurement_cfi_lowest_order_general(ch: BlochChannel, n: int, c, r0) -> flo
     require_unital(ch)
     if n < 2:
         raise ValueError("correlated protocol needs n >= 2")
-    c = _unit(c, "c")
-    r0 = _unit(r0, "r0")
+    c = _unit_vector(c, "c")
+    r0 = _unit_vector(r0, "r0")
     return float((r0 @ ch.dM @ r0) ** 2 + (n - 1) * (c @ ch.dM @ c) ** 2)
 
 

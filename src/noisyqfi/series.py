@@ -10,9 +10,13 @@ Matching powers in the SLD defining equation gives, for each order k,
     L^(k) rho^(0) + rho^(0) L^(k)
         = 2 d(rho^(k))/dlam - sum_{j=1..k} (L^(k-j) rho^(j) + rho^(j) L^(k-j)),
 
-a Sylvester-type equation solved in the eigenbasis of rho^(0) (which must be
-positive definite: I/2^n for unital channels, (I + d.sigma)/2 with |d| < 1
-for a single qubit behind a non-unital channel).  The QFI orders follow from
+a Sylvester-type equation.  Every protocol here leaves the zeroth order in
+the product form rho^(0) = h (x) I/2^(n-1), where h = (I + d.sigma)/2 is the
+qubit-0 factor (h = I/2 for unital channels), so the equation is solved in
+the 2x2 eigensystem of h: the change of basis, the division by the
+eigenvalue sums and the change back act on the qubit-0 slot only, and the
+one matrix product per purity term is the only cubic work.  h must be
+positive definite (|d| < 1).  The QFI orders follow from
 H^(j) = sum_k Tr[d(rho^(j-k))/dlam L^(k)].
 
 The closed-form lowest orders implemented below, with Mdot = dM/dlam and
@@ -38,7 +42,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochChannel, ChannelFamily, classify_unitality, svd3
-from .mstate import OrderedState, apply_channel, apply_channel_derivative, to_dense
+from .mstate import (
+    OrderedState,
+    _unit_vector,
+    apply_channel,
+    apply_channel_derivative,
+    to_dense,
+)
 
 __all__ = [
     "BranchError",
@@ -142,36 +152,74 @@ def channel_output_orders(input_orders: OrderedState, ch: BlochChannel,
     return StateOrders(tuple(rho), tuple(drho))
 
 
-def sld_orders(orders: StateOrders, K: int) -> SldSeries:
-    """Solve the order-by-order SLD equations up to order K."""
-    rho0 = orders.rho[0]
-    q, V = np.linalg.eigh(rho0)
-    if q[0] <= 1e-14:
+def _zeroth_order_inverse(rho0: np.ndarray) -> np.ndarray:
+    """The map R -> X solving X rho0 + rho0 X = R, on the qubit-0 blocks.
+
+    rho0 must factor as h (x) I/m with m = dim/2.  In the eigenbasis
+    h = V diag(q) V^dagger the solution is X~_ab = R~_ab m / (q_a + q_b),
+    so with every block indexed by its qubit-0 row and column,
+    X[x, y] = sum_{z, w} T[x, y, z, w] R[z, w] for the returned 2x2x2x2 T.
+    """
+    dim = rho0.shape[0]
+    m = dim // 2
+    if dim % 2:
+        raise ValueError("zeroth-order state must have even dimension 2^n")
+    # trace over qubits 1..n-1; the contiguous copy makes the sum pairwise,
+    # which keeps h exact when the diagonal entries are equal
+    diag = np.ascontiguousarray(rho0.reshape(2, m, 2, m).diagonal(axis1=1, axis2=3))
+    h = diag.sum(axis=-1)
+    if np.max(np.abs(rho0 - np.kron(h, np.eye(m) / m))) > 1e-12:
+        raise ValueError(
+            "zeroth-order state does not factor as h (x) I/2^(n-1); the "
+            "order-by-order SLD solve needs a qubit-0 state times the "
+            "maximally mixed rest")
+    q, V = np.linalg.eigh(h)
+    if q[0] / m <= 1e-14:
         raise ValueError(
             "zeroth-order state is singular; the order-by-order SLD "
             "equations need a positive definite rho^(0)")
-    denom = q[:, None] + q[None, :]
-    dim = rho0.shape[0]
-    zero = np.zeros((dim, dim), dtype=complex)
+    scale = m / (q[:, None] + q[None, :])
+    return np.einsum("xa,za,ab,yb,wb->xyzw", V, V.conj(), scale, V.conj(), V)
 
-    def rho_at(j: int) -> np.ndarray:
-        return orders.rho[j] if j <= orders.max_order else zero
 
-    def drho_at(j: int) -> np.ndarray:
-        return orders.drho[j] if j <= orders.max_order else zero
+def sld_orders(orders: StateOrders, K: int) -> SldSeries:
+    """Solve the order-by-order SLD equations up to order K.
 
+    The zeroth order must be rho^(0) = h (x) I/2^(n-1); the solve then needs
+    only the 2x2 eigensystem of h.  Order k takes the right-hand side
+    R = 2 d(rho^(k))/dlam - (Y + Y^dagger) with Y = sum_j L^(k-j) rho^(j),
+    one matrix product per term (terms with an all-zero L^(k-j), such as
+    L^(0) of a unital channel, are skipped), and maps it through the 2x2
+    inverse on the qubit-0 blocks.
+    """
+    T = _zeroth_order_inverse(orders.rho[0])
+    dim = orders.rho[0].shape[0]
+    m = dim // 2
     L: list[np.ndarray] = []
     for k in range(K + 1):
-        R = 2.0 * drho_at(k).astype(complex)
-        for j in range(1, k + 1):
-            R -= L[k - j] @ rho_at(j) + rho_at(j) @ L[k - j]
-        Rt = V.conj().T @ R @ V
-        L.append(V @ (Rt / denom) @ V.conj().T)
+        if k <= orders.max_order:
+            R = 2.0 * orders.drho[k].astype(complex)
+        else:
+            R = np.zeros((dim, dim), dtype=complex)
+        Y = None
+        for j in range(1, min(k, orders.max_order) + 1):
+            if not L[k - j].any():
+                continue
+            term = L[k - j] @ orders.rho[j]
+            Y = term if Y is None else Y + term
+        if Y is not None:
+            R -= Y + Y.conj().T
+        X = np.tensordot(T, R.reshape(2, m, 2, m), axes=([2, 3], [0, 2]))
+        L.append(X.transpose(0, 2, 1, 3).reshape(dim, dim))
     return SldSeries(tuple(L))
 
 
 def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
-    """QFI purity orders H^(j) = sum_k Tr[d(rho^(j-k))/dlam L^(k)]."""
+    """QFI purity orders H^(j) = sum_k Tr[d(rho^(j-k))/dlam L^(k)].
+
+    d(rho)/dlam is Hermitian, so each trace is the elementwise inner product
+    vdot(d(rho)/dlam, L).
+    """
     if K > len(sld.orders) - 1:
         raise ValueError(f"SLD series only carries orders up to {len(sld.orders) - 1}")
     H = np.zeros(K + 1)
@@ -179,7 +227,7 @@ def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
         total = 0.0
         for k in range(j + 1):
             if j - k <= orders.max_order:
-                total += float(np.trace(orders.drho[j - k] @ sld.orders[k]).real)
+                total += float(np.vdot(orders.drho[j - k], sld.orders[k]).real)
         H[j] = total
     return QfiSeries(orders=H, K=K)
 
@@ -250,20 +298,13 @@ def sqsc_nonunital_const_h2(ch: BlochChannel, r0) -> float:
 # symmetric pairwise correlated protocol, unital channels
 # ---------------------------------------------------------------------------
 
-def _unit(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a unit 3-vector")
-    return v
-
-
 def corr_h2(ch: BlochChannel, n: int, c, r0) -> float:
     """Lowest-order correlated-protocol QFI coefficient (of r^2)."""
     require_unital(ch)
     if n < 2:
         raise ValueError("correlated protocol needs n >= 2")
-    c = _unit(c, "c")
-    r0 = _unit(r0, "r0")
+    c = _unit_vector(c, "c")
+    r0 = _unit_vector(r0, "r0")
     G = ch.dM.T @ ch.dM
     Pc = np.outer(c, c)
     Q = np.eye(3) - Pc
@@ -319,8 +360,8 @@ def corr_h3_h4(ch: BlochChannel, n: int, c, r0) -> tuple[float, float]:
     require_unital(ch)
     if n < 3:
         raise ValueError("closed-form fourth order needs n >= 3; use the generic solver")
-    c = _unit(c, "c")
-    r0 = _unit(r0, "r0")
+    c = _unit_vector(c, "c")
+    r0 = _unit_vector(r0, "r0")
     if abs(float(c @ r0)) > 1e-9:
         raise ValueError("closed-form higher orders require c perpendicular to r0")
     Md, M = ch.dM, ch.M

@@ -113,3 +113,35 @@ def fit_exact_orders(family, lam, n, c, r0, rs, orders=(2, 3, 4)):
         spec = sqsc(family, lam, r, r0) if n == 1 else correlated(family, lam, n, r, c, r0)
         qs.append(exact_qfi_of_spec(spec))
     return fit_qfi_orders(np.asarray(rs), np.asarray(qs), orders=orders)
+
+
+# Generic order-by-order SLD solver in the full 2^n eigenbasis of rho^(0):
+# the differential oracle for noisyqfi.series.sld_orders / qfi_orders.
+
+def oracle_sld_orders(orders, K: int) -> list[np.ndarray]:
+    rho0 = orders.rho[0]
+    q, V = np.linalg.eigh(rho0)
+    if q[0] <= 1e-14:
+        raise ValueError("zeroth-order state is singular")
+    denom = q[:, None] + q[None, :]
+    zero = np.zeros_like(rho0, dtype=complex)
+
+    def at(seq, j):
+        return seq[j] if j <= orders.max_order else zero
+
+    L: list[np.ndarray] = []
+    for k in range(K + 1):
+        R = 2.0 * at(orders.drho, k).astype(complex)
+        for j in range(1, k + 1):
+            R -= L[k - j] @ at(orders.rho, j) + at(orders.rho, j) @ L[k - j]
+        Rt = V.conj().T @ R @ V
+        L.append(V @ (Rt / denom) @ V.conj().T)
+    return L
+
+
+def oracle_qfi_orders(orders, L, K: int) -> np.ndarray:
+    H = np.zeros(K + 1)
+    for j in range(K + 1):
+        H[j] = sum(float(np.trace(orders.drho[j - k] @ L[k]).real)
+                   for k in range(j + 1) if j - k <= orders.max_order)
+    return H

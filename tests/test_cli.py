@@ -227,12 +227,22 @@ class TestMainExitCodes:
         assert "unital" in capsys.readouterr().err
 
     def test_numeric_failure_names_cell(self, capsys):
-        # the measurement derivative steps outside the channel domain
-        code = main(["measure", "--channel", "phase_flip", "--lambda", "1.0",
-                     "--purity", "0.001", "--n", "2"])
+        # a Bloch matrix of 3 I maps the state outside the Bloch ball, so the
+        # measured outcome distribution has a negative entry
+        code = main(["measure", "--channel", "custom_diag", "--param", "mx=3",
+                     "--param", "my=3", "--param", "mz=3", "--lambda", "0.5",
+                     "--purity", "0.5", "--n", "2"])
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "numeric failure" in err and "lambda=1" in err
+        assert "numeric failure" in err and "lambda=0.5" in err
+
+    def test_measure_at_domain_end(self, capsys):
+        # the outcome derivative is exact, so the domain end lambda = 1 works
+        code = main(["measure", "--channel", "phase_flip", "--lambda", "1.0",
+                     "--purity", "0.001", "--n", "2"])
+        assert code == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert abs(float(row[-1]) - 1.0) <= 1e-12
 
     def test_bad_param_syntax(self, capsys):
         assert main(["qfi", "--channel", "gad", "--param", "p:1"]) == EXIT_CONFIG

@@ -9,6 +9,7 @@ from noisyqfi.protocols import build_state, correlated, sqsc
 from noisyqfi.series import (
     BranchError,
     GridMax,
+    StateOrders,
     canonical_directions,
     channel_output_orders,
     corr_bounds,
@@ -32,7 +33,10 @@ from noisyqfi.series import (
 from support import (
     exact_qfi_of_spec,
     fit_exact_orders,
+    oracle_qfi_orders,
+    oracle_sld_orders,
     perpendicular_pair,
+    random_state,
     random_unit,
     random_unital_family,
 )
@@ -103,6 +107,56 @@ class TestSldOrders:
         orders = final_orders(fam, 0.5, 1, None, np.array([1.0, 0, 0]), 1)
         with pytest.raises(ValueError, match="singular"):
             sld_orders(orders, 1)
+
+    def test_unfactored_zero_order_rejected(self):
+        rho0 = random_state(np.random.default_rng(46), 2)
+        orders = StateOrders((rho0,), (np.zeros_like(rho0),))
+        with pytest.raises(ValueError, match=r"does not factor as h \(x\) I/2\^\(n-1\)"):
+            sld_orders(orders, 1)
+
+
+DIFFERENTIAL_FAMILIES = {
+    "phase_shift": builtin("phase_shift"),
+    "phase_flip": builtin("phase_flip"),
+    "depolarizing": builtin("depolarizing"),
+    "pauli": builtin("pauli", lam_on="z", px=0.02, py=0.05),
+    "gad_p0.5": builtin("gad", p=0.5),
+    "gad_p0.8": builtin("gad", p=0.8),
+    "gad_p1": builtin("gad", p=1.0),
+    "random_unital": random_unital_family(np.random.default_rng(47)),
+}
+
+
+class TestDenseSolverAgreement:
+    """The 2x2 qubit-0 solve against the generic 2^n eigenbasis solver."""
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_FAMILIES)
+    def test_matches_dense_eigenbasis_solver(self, name):
+        fam = DIFFERENTIAL_FAMILIES[name]
+        rng = np.random.default_rng(48)
+        lo, hi = fam.domain
+        lam = lo + 0.37 * (hi - lo)
+        ch = fam.eval(lam)
+        for n in range(1, 9):
+            for c, r0 in (canonical_directions(ch), (random_unit(rng), random_unit(rng))):
+                full = final_orders(fam, lam, n, c, r0, 4)
+                L_ref = oracle_sld_orders(full, 4)
+                H_ref = oracle_qfi_orders(full, L_ref, 4)
+                L_max = max(np.max(np.abs(L)) for L in L_ref)
+                for K in range(5):
+                    top = min(n, K) + 1
+                    orders = StateOrders(full.rho[:top], full.drho[:top])
+                    sld = sld_orders(orders, K)
+                    for k, (got, want) in enumerate(zip(sld.orders, L_ref)):
+                        scale = np.max(np.abs(want))
+                        if scale < 1e-9 * L_max:
+                            # an order that vanishes analytically holds only
+                            # rounding noise; measure it against the largest
+                            scale = L_max
+                        assert np.max(np.abs(got - want)) <= 1e-12 * scale, (n, K, k)
+                    H = qfi_orders(orders, sld, K).orders
+                    scale = np.max(np.abs(H_ref[:K + 1]))
+                    assert np.max(np.abs(H - H_ref[:K + 1])) <= 1e-12 * scale, (n, K)
 
 
 class TestQfiOrders:
