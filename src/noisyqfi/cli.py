@@ -21,18 +21,22 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import ChannelFamily, DomainError, Unitality, validate
 from .config import ConfigError, family_from_config, parse_config_text
 from .expr import ExprError
+from .fisher import qfi_exact
 from .protocols import (
+    channel_output,
     correlated,
     escher_phase_flip_demo,
     local_measurement_sim,
     protocol_qfi,
+    purity_orders,
+    qfi_series,
     sqsc,
 )
 from .series import (
@@ -97,7 +101,7 @@ class RunConfig:
     channel: dict                      # {"name": ..., "params": {...}, "lambda_domain": ...}
     lams: list[float] | None = None
     purities: list[float] | None = None
-    ns: list[int] = field(default_factory=lambda: [1])
+    ns: list[int] | None = None        # None: the command's default
     c: tuple[float, float, float] | None = None
     r0: tuple[float, float, float] | None = None
     out: str | None = None
@@ -121,10 +125,19 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive, got {val}")
         if self.eps is not None and self.eps <= 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
-        if not self.ns:
+        if self.ns is not None and not self.ns:
             raise ConfigError("n list is empty")
-        if any(n < 1 for n in self.ns):
+        least = min(self.qubit_counts())
+        if least < 1:
             raise ConfigError(f"qubit counts must be >= 1, got {self.ns}")
+        if self.command == "measure" and least < 2:
+            raise ConfigError(f"measure needs correlated protocols (n >= 2), got n={least}")
+
+    def qubit_counts(self) -> list[int]:
+        """The n list, or the command's default when none was given."""
+        if self.ns is not None:
+            return self.ns
+        return [2] if self.command == "measure" else [1]
 
 
 def _build_family(channel_cfg: dict) -> ChannelFamily:
@@ -174,16 +187,12 @@ def _measure_cell(payload: dict) -> list:
     family = _build_family(payload["channel"])
     lam, r, n = payload["lam"], payload["r"], payload["n"]
     try:
-        if n < 2:
-            raise ValueError("measurement command needs correlated protocols (n >= 2)")
         spec = _spec_for(family, lam, r, n, payload["c"], payload["r0"])
-        rec = local_measurement_sim(spec)
-        qfi = protocol_qfi(spec, K=min(n, payload["max_order"]),
-                           eps=payload["eps"]).exact
+        output = channel_output(spec)
+        qfi = qfi_exact(output.rho, output.drho, payload["eps"])
+        rec = local_measurement_sim(spec, output)
         ratio = rec.cfi / qfi if qfi > 1e-300 else float("nan")
         return [n, lam, r, rec.cfi, qfi, ratio]
-    except NumericError:
-        raise
     except Exception as exc:
         raise NumericError(f"cell {_cell_name(lam, r, n)}: {exc}") from exc
 
@@ -198,13 +207,14 @@ def _fit_cell(payload: dict) -> list[list]:
         verify_family_flag(family, ch)
         if family.unitality is not Unitality.UNITAL:
             raise BranchError("order fitting is defined for unital channels")
+        specs = [_spec_for(family, lam, float(r), n, payload["c"], payload["r0"])
+                 for r in rs]
+        # one series per cell: the purity orders do not depend on r
+        series = qfi_series(purity_orders(specs[-1], K), K)
         qfis = []
-        series = None
-        for r in rs:
-            spec = _spec_for(family, lam, float(r), n, payload["c"], payload["r0"])
-            res = protocol_qfi(spec, K=K, eps=payload["eps"])
-            qfis.append(res.exact)
-            series = res.series
+        for spec in specs:
+            output = channel_output(spec)
+            qfis.append(qfi_exact(output.rho, output.drho, payload["eps"]))
         fit = fit_qfi_orders(rs, np.asarray(qfis), orders=tuple(range(2, K + 2)))
         if fit.cond > _MAX_FIT_COND:
             raise NumericError(
@@ -248,13 +258,14 @@ def _warn_validity(purities, ns) -> None:
 def run_qfi(cfg: RunConfig) -> tuple[list[str], list[list]]:
     lams = cfg.lams if cfg.lams is not None else [0.5]
     purities = cfg.purities if cfg.purities is not None else [1e-3]
-    _warn_validity(purities, cfg.ns)
+    ns = cfg.qubit_counts()
+    _warn_validity(purities, ns)
     header = ["lambda", "r", "n", "exact", "series",
               *[f"h{j}" for j in range(cfg.max_order + 1)]]
     payloads = [
         {"channel": cfg.channel, "lam": lam, "r": r, "n": n, "c": cfg.c,
          "r0": cfg.r0, "eps": cfg.eps, "max_order": cfg.max_order}
-        for lam in lams for r in purities for n in cfg.ns
+        for lam in lams for r in purities for n in ns
     ]
     return header, _map_cells(_qfi_cell, payloads, cfg.jobs)
 
@@ -266,7 +277,7 @@ def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
             f"bounds need a unital channel; {family.name!r} is "
             f"{family.unitality.value} (use the single-qubit closed forms instead)")
     lams = cfg.lams if cfg.lams is not None else [0.5]
-    ns = [n for n in cfg.ns if n >= 2] or [2]
+    ns = [n for n in cfg.qubit_counts() if n >= 2] or [2]
     header = ["n", "lambda", "lower", "canonical", "grid_max", "upper", "status"]
     rows = []
     for lam in lams:
@@ -285,12 +296,12 @@ def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
 def run_measure(cfg: RunConfig) -> tuple[list[str], list[list]]:
     lams = cfg.lams if cfg.lams is not None else [0.5]
     purities = cfg.purities if cfg.purities is not None else [1e-3]
-    ns = cfg.ns if cfg.ns != [1] else [2]
+    ns = cfg.qubit_counts()
     _warn_validity(purities, ns)
     header = ["n", "lambda", "r", "cfi", "qfi", "ratio"]
     payloads = [
         {"channel": cfg.channel, "lam": lam, "r": r, "n": n, "c": cfg.c,
-         "r0": cfg.r0, "eps": cfg.eps, "max_order": cfg.max_order}
+         "r0": cfg.r0, "eps": cfg.eps}
         for lam in lams for r in purities for n in ns
     ]
     return header, _map_cells(_measure_cell, payloads, cfg.jobs)
@@ -316,7 +327,7 @@ def run_fit_orders(cfg: RunConfig) -> tuple[list[str], list[list]]:
     payloads = [
         {"channel": cfg.channel, "lam": lam, "n": n, "rs": rs, "c": cfg.c,
          "r0": cfg.r0, "eps": cfg.eps, "max_order": cfg.max_order}
-        for lam in lams for n in cfg.ns
+        for lam in lams for n in cfg.qubit_counts()
     ]
     rows: list[list] = []
     for chunk in _map_cells(_fit_cell, payloads, cfg.jobs):
@@ -505,7 +516,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         channel=channel,
         lams=parse_grid(lam_grid) if lam_grid else None,
         purities=parse_grid(purity) if purity else None,
-        ns=parse_int_list(n_text) if n_text else [1],
+        ns=parse_int_list(n_text) if n_text else None,
         c=tuple(parse_vec3(c_text)) if c_text else None,
         r0=tuple(parse_vec3(r0_text)) if r0_text else None,
         out=pick(args.out, "out"),

@@ -25,17 +25,30 @@ control direction c,
 
     U_c = (I8I + I8(c.sigma) + (c.sigma)8I - (c.sigma)8(c.sigma)) / 2,
 
-is Hermitian, self-inverse, and its conjugation action closes on the
-two-slot Pauli coefficients, so the full preparation (one U_c per qubit
-pair; the factors commute) is applied as a sequence of sparse 16x16 passes
-rather than a 2^n x 2^n matrix product.  The dense matrix path is kept as a
+is Hermitian and self-inverse.  It is the controlled-Z gate in a frame whose
+z axis is c, U_c = V8V CZ V+8V+ with V sigma_z V+ = c.sigma, so the full
+preparation (one U_c per qubit pair; the factors commute) is V^(8n) times
+the complete-graph CZ circuit times V+^(8n).  That circuit is a Clifford
+conjugation: X_i -> X_i prod_{j!=i} Z_j, Z_i -> Z_i, so it sends every Pauli
+string to plus or minus one Pauli string (Hein, Eisert & Briegel, PRA 69,
+062311 (2004); Aaronson & Gottesman, PRA 70, 052328 (2004)).  With w the
+number of X or Y letters of a string:
+
+* w even: every X becomes Y and every Y becomes -X; I and Z stay;
+* w odd:  every I becomes Z and every Z becomes I; X and Y stay, and the
+  string takes the sign (-1)^((w-1)/2).
+
+``prep_conjugate`` therefore rotates the letter axis of every slot into the
+frame of c (two slots per matrix product), applies this map as one signed
+gather of the 4^n array, and rotates back.  The gather table depends only on
+n and is cached, one per qubit count.  The dense matrix path is kept as a
 test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -57,7 +70,6 @@ __all__ = [
     "u_prep",
     "conjugate",
     "prep_conjugate",
-    "pair_transfer",
     "apply_channel",
     "apply_channel_derivative",
     "permute_qubits",
@@ -171,7 +183,7 @@ def initial_state(n: int, r: float, r0) -> PauliState:
     slot = 0.5 * np.array([1.0, r * r0[0], r * r0[1], r * r0[2]])
     coeffs = np.array([1.0])
     for _ in range(n):
-        coeffs = np.kron(coeffs, slot)
+        coeffs = np.multiply.outer(coeffs, slot).ravel()
     return PauliState(n, coeffs)
 
 
@@ -197,9 +209,9 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
         for j in range(min(len(polys), max_order) + 1):
             term = np.zeros(len(polys[0]) * 4)
             if j < len(polys):
-                term += np.kron(polys[j], slot_i)
+                term += np.multiply.outer(polys[j], slot_i).ravel()
             if 0 <= j - 1 < len(polys):
-                term += np.kron(polys[j - 1], slot_r)
+                term += np.multiply.outer(polys[j - 1], slot_r).ravel()
             grown.append(term)
         polys = grown
     while len(polys) < max_order + 1:
@@ -275,8 +287,9 @@ def u_prep(n: int, c) -> np.ndarray:
     _check_dense_cap(n)
     gate = u_c(c)
     full = np.eye(2 ** n, dtype=complex)
-    for i, j in combinations(range(n), 2):
-        full = _mul_two_qubit(gate, full, n, i, j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            full = _mul_two_qubit(gate, full, n, i, j)
     return full
 
 
@@ -306,84 +319,88 @@ def conjugate(state: State, U: np.ndarray) -> State:
     return out
 
 
-def pair_transfer(c) -> np.ndarray:
-    """16x16 real matrix of the U_c conjugation on a two-slot Pauli pair.
+def _frame(c) -> np.ndarray:
+    """A rotation with columns (u, v, c): it takes z to c.
 
-    Index = 4 * left_letter + right_letter.  Built from the closed-form
-    conjugation rules of the preparation gate:
-
-        U_c (a.sigma 8 I) U_c = a.sigma 8 c.sigma
-                                + (a.c) (c.sigma 8 I - c.sigma 8 c.sigma)
-        U_c (a.sigma 8 b.sigma) U_c = (a x c).sigma 8 (b x c).sigma
-                                + (a.c) I 8 b.sigma + (b.c) a.sigma 8 I
-                                + (a.c)(b.c) (c.sigma 8 c.sigma
-                                              - c.sigma 8 I - I 8 c.sigma)
-
-    with the mirror rule for I 8 a.sigma (the gate is swap-symmetric).
+    u is the coordinate axis least aligned with c, made orthogonal to it, so
+    for c along a coordinate axis the rotation is a signed permutation and
+    the preparation stays exact.
     """
     c = _unit_vector(c, "c")
-    R = np.zeros((16, 16))
-    R[0, 0] = 1.0
-    eye3 = np.eye(3)
-    for a in range(3):
-        ea = eye3[a]
-        ca = c[a]
-        col = np.zeros(16)
-        # a.sigma 8 I
-        for j in range(3):
-            col[(a + 1) * 4 + (j + 1)] += c[j]
-        for i in range(3):
-            col[(i + 1) * 4 + 0] += ca * c[i]
-            for j in range(3):
-                col[(i + 1) * 4 + (j + 1)] -= ca * c[i] * c[j]
-        R[:, (a + 1) * 4 + 0] = col
-        # I 8 a.sigma (mirror)
-        col = np.zeros(16)
-        for i in range(3):
-            col[(i + 1) * 4 + (a + 1)] += c[i]
-        for j in range(3):
-            col[0 * 4 + (j + 1)] += ca * c[j]
-            for i in range(3):
-                col[(i + 1) * 4 + (j + 1)] -= ca * c[i] * c[j]
-        R[:, 0 * 4 + (a + 1)] = col
-    for a in range(3):
-        for b in range(3):
-            ua = np.cross(eye3[a], c)
-            vb = np.cross(eye3[b], c)
-            s = c[a] * c[b]
-            col = np.zeros(16)
-            for i in range(3):
-                for j in range(3):
-                    col[(i + 1) * 4 + (j + 1)] += ua[i] * vb[j] + s * c[i] * c[j]
-            col[0 * 4 + (b + 1)] += c[a]
-            col[(a + 1) * 4 + 0] += c[b]
-            for i in range(3):
-                col[(i + 1) * 4 + 0] -= s * c[i]
-                col[0 * 4 + (i + 1)] -= s * c[i]
-            R[:, (a + 1) * 4 + (b + 1)] = col
-    R.flags.writeable = False
-    return R
+    a = int(np.argmin(np.abs(c)))
+    u = -c[a] * c
+    u[a] += 1.0
+    u /= np.linalg.norm(u)
+    return np.column_stack([u, np.cross(c, u), c])
 
 
-def _apply_pair(coeffs: np.ndarray, n: int, R4: np.ndarray, q1: int, q2: int) -> np.ndarray:
-    t = coeffs.reshape((4,) * n)
-    t = np.moveaxis(t, (q1, q2), (0, 1))
-    t = np.tensordot(R4, t, axes=([2, 3], [0, 1]))
-    t = np.moveaxis(t, (0, 1), (q1, q2))
-    return t.reshape(4 ** n)
+def _slot_maps(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The letter map I -> I, a.sigma -> (M a).sigma on one slot and on two."""
+    F = np.eye(4)
+    F[1:, 1:] = M
+    return F, np.kron(F, F)
+
+
+def _rotate_letters(x: np.ndarray, n: int, maps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Apply a letter map to every slot of a 4^n array.
+
+    Two slots at a time: one product of the 16x16 two-slot map with the
+    array viewed as (leading slots, slot pair, trailing slots).
+    """
+    done = 0
+    while done < n:
+        width = min(2, n - done)
+        F = maps[width - 1]
+        v = x.reshape(4 ** done, 4 ** width, -1)
+        # the last slots as one 2-D product: a stack of 16x1 products is slower
+        x = v.reshape(-1, 4 ** width) @ F.T if v.shape[2] == 1 else np.matmul(F, v)
+        done += width
+    return x.reshape(4 ** n)
+
+
+@lru_cache(maxsize=None)
+def _cz_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table of the complete-graph CZ conjugation on n slots.
+
+    out[P] = sign[P] * in[index[P]].  Letters I, X, Y, Z are the codes
+    0..3, so X <-> Y and I <-> Z are both the XOR of a letter with 3: an
+    even-w string flips its X/Y slots, an odd-w string flips its I/Z
+    slots.  The map is an involution, so index[P] is also the image of P
+    and sign[P] is its sign: (-1)^(number of Y) for even w, (-1)^((w-1)/2)
+    for odd w.  Built one slot at a time, with no (n, 4^n) temporaries;
+    the cache holds at most one table per qubit count.
+    """
+    xy = np.array([0, 1, 1, 0], dtype=np.int8)
+    is_y = np.array([0, 0, 1, 0], dtype=np.int8)
+    flip = np.zeros(1, dtype=np.int32)    # 3 on every X/Y slot
+    w = np.zeros(1, dtype=np.int8)        # number of X/Y letters
+    ny = np.zeros(1, dtype=np.int8)       # number of Y letters
+    for _ in range(n):
+        flip = (4 * flip[:, None] + 3 * xy).ravel()
+        w = (w[:, None] + xy).ravel()
+        ny = (ny[:, None] + is_y).ravel()
+    odd = (w & 1).astype(bool)
+    index = np.arange(4 ** n, dtype=np.int32) ^ flip
+    index[odd] ^= 4 ** n - 1
+    negative = np.where(odd, (w & 3) == 3, (ny & 1) == 1)
+    sign = np.where(negative, -1, 1).astype(np.int8)
+    index.flags.writeable = False
+    sign.flags.writeable = False
+    return index, sign
 
 
 def prep_conjugate(state: State, c) -> State:
-    """Conjugate by the full preparation unitary, pairwise in the Pauli basis."""
-    R4 = pair_transfer(c).reshape(4, 4, 4, 4)
+    """Conjugate by the full preparation unitary: rotate, signed gather, rotate back."""
+    R = _frame(c)
+    into, back = _slot_maps(R.T), _slot_maps(R)
 
     def one(st: PauliState) -> PauliState:
         if st.n < 2:
             raise ValueError("preparation needs at least two qubits")
-        coeffs = st.coeffs
-        for i, j in combinations(range(st.n), 2):
-            coeffs = _apply_pair(coeffs, st.n, R4, i, j)
-        return PauliState(st.n, coeffs)
+        index, sign = _cz_table(st.n)
+        x = np.take(_rotate_letters(st.coeffs, st.n, into), index)
+        x *= sign
+        return PauliState(st.n, _rotate_letters(x, st.n, back))
 
     return _map_orders(state, one)
 

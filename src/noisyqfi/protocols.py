@@ -7,18 +7,21 @@ Two protocol shapes are supported:
   state, the pairwise preparation gate applied to every qubit pair, then one
   channel invocation on qubit 0.
 
-Each protocol yields the pre-measurement state both numerically (dense, at
-fixed purity) and as purity orders, so the exact eigendecomposition QFI and
-the series coefficients come from the same construction.  The local
-measurement scheme re-applies the preparation after the channel and measures
-every qubit along the initial direction; outcomes are grouped by the sign of
-qubit 0 and the number of + results among the rest, which is lossless
-because the state is symmetric under any permutation of qubits 1..n-1.
+Each protocol yields the pre-measurement state from two builders over the
+same construction: ``channel_output`` at fixed purity (Pauli and dense, for
+the exact eigendecomposition QFI and the measurement) and ``purity_orders``
+(for the series coefficients, which do not depend on the purity).  The
+local measurement scheme re-applies the preparation after the channel and
+measures every qubit along the initial direction; outcomes are grouped by
+the sign of qubit 0 and the number of + results among the rest, which is
+lossless because the state is symmetric under any permutation of qubits
+1..n-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,13 +55,16 @@ __all__ = [
     "ProtocolSpec",
     "sqsc",
     "correlated",
+    "ChannelOutput",
+    "channel_output",
+    "purity_orders",
+    "qfi_series",
     "PreparedState",
     "build_state",
     "ProtocolQfi",
     "protocol_qfi",
     "MeasurementRecord",
     "local_measurement_sim",
-    "local_measurement_cfi_ungrouped",
     "measurement_cfi_lowest_order",
     "measurement_cfi_lowest_order_general",
     "GainReport",
@@ -113,6 +119,58 @@ def correlated(family: ChannelFamily, lam: float, n: int, r: float, c, r0) -> Pr
 
 
 @dataclass(frozen=True)
+class ChannelOutput:
+    """The channel output at the spec's fixed purity and its lam derivative.
+
+    The dense matrices are formed on first use, so a Pauli-only consumer
+    (the measurement simulation) is not held to the dense qubit cap.
+    """
+
+    channel: BlochChannel
+    pauli: PauliState
+    dpauli: PauliState
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return to_dense(self.pauli)
+
+    @cached_property
+    def drho(self) -> np.ndarray:
+        return to_dense(self.dpauli)
+
+
+def channel_output(spec: ProtocolSpec) -> ChannelOutput:
+    """Initial product state -> preparation (correlated only) -> channel on qubit 0.
+
+    The input does not depend on lam and the channel acts affinely, so the
+    derivative is the derivative channel pass on the same prepared input.
+    """
+    ch = spec.family.eval(spec.lam)
+    state = initial_state(spec.n, spec.r, spec.r0)
+    if spec.kind == "correlated":
+        state = prep_conjugate(state, spec.c)
+    return ChannelOutput(ch, apply_channel(state, ch, 0),
+                         apply_channel_derivative(state, ch, 0))
+
+
+def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
+    """Dense purity orders of the channel output, up to min(n, max_order).
+
+    They depend on the spec's channel, n and directions but not on its purity.
+    """
+    _check_dense_cap(spec.n)  # fail before any large allocation
+    ordered = initial_state_orders(spec.n, spec.r0, max_order=min(spec.n, max_order))
+    if spec.kind == "correlated":
+        ordered = prep_conjugate(ordered, spec.c)
+    return channel_output_orders(ordered, spec.family.eval(spec.lam), 0)
+
+
+def qfi_series(orders: StateOrders, K: int) -> QfiSeries:
+    """Purity-series QFI coefficients up to order K from the state orders."""
+    return qfi_orders(orders, sld_orders(orders, K), K)
+
+
+@dataclass(frozen=True)
 class PreparedState:
     """Dense pre-measurement state, its derivative, and its purity orders."""
 
@@ -132,20 +190,13 @@ def build_state(spec: ProtocolSpec, max_order: int | None = None) -> PreparedSta
     if max_order is None:
         max_order = min(spec.n, DEFAULT_MAX_ORDER)
     _check_dense_cap(spec.n)  # fail before any large allocation
-    ch = spec.family.eval(spec.lam)
-    state = initial_state(spec.n, spec.r, spec.r0)
-    ordered = initial_state_orders(spec.n, spec.r0, max_order=min(spec.n, max_order))
-    if spec.kind == "correlated":
-        state = prep_conjugate(state, spec.c)
-        ordered = prep_conjugate(ordered, spec.c)
-    final = apply_channel(state, ch, 0)
-    dfinal = apply_channel_derivative(state, ch, 0)
+    out = channel_output(spec)
     return PreparedState(
-        channel=ch,
-        rho=to_dense(final),
-        drho=to_dense(dfinal),
-        pauli=final,
-        orders=channel_output_orders(ordered, ch, 0),
+        channel=out.channel,
+        rho=out.rho,
+        drho=out.drho,
+        pauli=out.pauli,
+        orders=purity_orders(spec, max_order),
     )
 
 
@@ -165,7 +216,9 @@ def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
     """
     prep = build_state(spec, max_order=min(spec.n, K))
     exact = qfi_exact(prep.rho, prep.drho, eps)
-    series = qfi_orders(prep.orders, sld_orders(prep.orders, K), K)
+    orders = prep.orders
+    del prep  # the dense pair is not needed while the series is solved
+    series = qfi_series(orders, K)
     return ProtocolQfi(exact=exact, series_estimate=series.evaluate(spec.r),
                        series=series)
 
@@ -174,18 +227,14 @@ def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
 # local measurement scheme for the correlated protocol
 # ---------------------------------------------------------------------------
 
-def _measured_states(spec: ProtocolSpec) -> tuple[PauliState, PauliState]:
+def _measured_states(spec: ProtocolSpec,
+                     output: ChannelOutput) -> tuple[PauliState, PauliState]:
     """The measured state and its exact lam derivative.
 
-    The preparation and the input do not depend on lam and the channel acts
-    affinely, so the derivative is the derivative channel pass between the
-    same two preparations.
+    The preparation does not depend on lam, so the derivative is the second
+    preparation applied to the channel output's derivative.
     """
-    ch = spec.family.eval(spec.lam)
-    state = prep_conjugate(initial_state(spec.n, spec.r, spec.r0), spec.c)
-    # the preparation is self-inverse
-    return (prep_conjugate(apply_channel(state, ch, 0), spec.c),
-            prep_conjugate(apply_channel_derivative(state, ch, 0), spec.c))
+    return prep_conjugate(output.pauli, spec.c), prep_conjugate(output.dpauli, spec.c)
 
 
 def _outcome_tensor(state: PauliState, axis: np.ndarray) -> np.ndarray:
@@ -222,16 +271,18 @@ class MeasurementRecord:
     cfi: float
 
 
-def local_measurement_sim(spec: ProtocolSpec) -> MeasurementRecord:
+def local_measurement_sim(spec: ProtocolSpec,
+                          output: ChannelOutput | None = None) -> MeasurementRecord:
     """Simulate the correlated protocol's local measurement scheme.
 
     After the channel the preparation is applied again and every qubit is
     measured along r0.  Outcome derivatives are exact: they are the grouped
-    outcomes of the measured state's lam derivative.
+    outcomes of the measured state's lam derivative.  ``output`` is the
+    spec's ``channel_output`` when the caller has already built it.
     """
     if spec.kind != "correlated":
         raise ValueError("the local measurement scheme is defined for correlated specs")
-    state, dstate = _measured_states(spec)
+    state, dstate = _measured_states(spec, channel_output(spec) if output is None else output)
     p_plus, p_minus = _grouped(_outcome_tensor(state, spec.r0), spec.n)
     dp_plus, dp_minus = _grouped(_outcome_tensor(dstate, spec.r0), spec.n)
     model = ProbModel(np.concatenate([p_plus, p_minus]),
@@ -239,15 +290,6 @@ def local_measurement_sim(spec: ProtocolSpec) -> MeasurementRecord:
     return MeasurementRecord(p_plus=p_plus, p_minus=p_minus,
                              dp_plus=dp_plus, dp_minus=dp_minus,
                              cfi=cfi(model))
-
-
-def local_measurement_cfi_ungrouped(spec: ProtocolSpec) -> float:
-    """CFI of the same scheme over all 2^n raw outcomes (no grouping)."""
-    if spec.kind != "correlated":
-        raise ValueError("the local measurement scheme is defined for correlated specs")
-    state, dstate = _measured_states(spec)
-    return cfi(ProbModel(_outcome_tensor(state, spec.r0).reshape(-1),
-                         _outcome_tensor(dstate, spec.r0).reshape(-1)))
 
 
 def measurement_cfi_lowest_order(ch: BlochChannel, n: int, c, r0) -> float:

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: random geometry, Kraus oracles, fits."""
+"""Shared helpers for the test suite: random geometry, Kraus oracles, fits,
+and the slower reference paths that the library's fast paths are checked against."""
 
 from __future__ import annotations
 
@@ -6,8 +7,16 @@ import numpy as np
 
 from noisyqfi import bloch, builtin
 from noisyqfi.bloch import ChannelFamily, Unitality
-from noisyqfi.protocols import build_state, correlated, sqsc
-from noisyqfi.fisher import qfi_exact
+from noisyqfi.mstate import OrderedState, PauliState, _unit_vector
+from noisyqfi.protocols import (
+    _measured_states,
+    _outcome_tensor,
+    build_state,
+    channel_output,
+    correlated,
+    sqsc,
+)
+from noisyqfi.fisher import ProbModel, cfi, qfi_exact
 from noisyqfi.series import fit_qfi_orders
 
 PAULI = {
@@ -145,3 +154,101 @@ def oracle_qfi_orders(orders, L, K: int) -> np.ndarray:
         H[j] = sum(float(np.trace(orders.drho[j - k] @ L[k]).real)
                    for k in range(j + 1) if j - k <= orders.max_order)
     return H
+
+
+# Pairwise preparation in the Pauli basis: one 16x16 transfer pass per qubit
+# pair.  The differential oracle for noisyqfi.mstate.prep_conjugate.
+
+def pair_transfer(c) -> np.ndarray:
+    """16x16 real matrix of the U_c conjugation on a two-slot Pauli pair.
+
+    Index = 4 * left_letter + right_letter.  Built from the closed-form
+    conjugation rules of the preparation gate:
+
+        U_c (a.sigma 8 I) U_c = a.sigma 8 c.sigma
+                                + (a.c) (c.sigma 8 I - c.sigma 8 c.sigma)
+        U_c (a.sigma 8 b.sigma) U_c = (a x c).sigma 8 (b x c).sigma
+                                + (a.c) I 8 b.sigma + (b.c) a.sigma 8 I
+                                + (a.c)(b.c) (c.sigma 8 c.sigma
+                                              - c.sigma 8 I - I 8 c.sigma)
+
+    with the mirror rule for I 8 a.sigma (the gate is swap-symmetric).
+    """
+    c = _unit_vector(c, "c")
+    R = np.zeros((16, 16))
+    R[0, 0] = 1.0
+    eye3 = np.eye(3)
+    for a in range(3):
+        ca = c[a]
+        col = np.zeros(16)
+        # a.sigma 8 I
+        for j in range(3):
+            col[(a + 1) * 4 + (j + 1)] += c[j]
+        for i in range(3):
+            col[(i + 1) * 4 + 0] += ca * c[i]
+            for j in range(3):
+                col[(i + 1) * 4 + (j + 1)] -= ca * c[i] * c[j]
+        R[:, (a + 1) * 4 + 0] = col
+        # I 8 a.sigma (mirror)
+        col = np.zeros(16)
+        for i in range(3):
+            col[(i + 1) * 4 + (a + 1)] += c[i]
+        for j in range(3):
+            col[0 * 4 + (j + 1)] += ca * c[j]
+            for i in range(3):
+                col[(i + 1) * 4 + (j + 1)] -= ca * c[i] * c[j]
+        R[:, 0 * 4 + (a + 1)] = col
+    for a in range(3):
+        for b in range(3):
+            ua = np.cross(eye3[a], c)
+            vb = np.cross(eye3[b], c)
+            s = c[a] * c[b]
+            col = np.zeros(16)
+            for i in range(3):
+                for j in range(3):
+                    col[(i + 1) * 4 + (j + 1)] += ua[i] * vb[j] + s * c[i] * c[j]
+            col[0 * 4 + (b + 1)] += c[a]
+            col[(a + 1) * 4 + 0] += c[b]
+            for i in range(3):
+                col[(i + 1) * 4 + 0] -= s * c[i]
+                col[0 * 4 + (i + 1)] -= s * c[i]
+            R[:, (a + 1) * 4 + (b + 1)] = col
+    R.flags.writeable = False
+    return R
+
+
+def _apply_pair(coeffs: np.ndarray, n: int, R4: np.ndarray, q1: int, q2: int) -> np.ndarray:
+    t = coeffs.reshape((4,) * n)
+    t = np.moveaxis(t, (q1, q2), (0, 1))
+    t = np.tensordot(R4, t, axes=([2, 3], [0, 1]))
+    t = np.moveaxis(t, (0, 1), (q1, q2))
+    return t.reshape(4 ** n)
+
+
+def oracle_prep_conjugate(state, c):
+    """Conjugate by the full preparation unitary, one pair pass per qubit pair."""
+    R4 = pair_transfer(c).reshape(4, 4, 4, 4)
+
+    def one(st: PauliState) -> PauliState:
+        coeffs = st.coeffs
+        for i in range(st.n):
+            for j in range(i + 1, st.n):
+                coeffs = _apply_pair(coeffs, st.n, R4, i, j)
+        return PauliState(st.n, coeffs)
+
+    if isinstance(state, OrderedState):
+        return OrderedState(state.n, tuple(one(st) for st in state.orders))
+    return one(state)
+
+
+def local_measurement_cfi_ungrouped(spec) -> float:
+    """CFI of the local measurement scheme over all 2^n raw outcomes.
+
+    No grouping by qubit 0's sign and the + count: the oracle for the
+    grouping in noisyqfi.protocols.local_measurement_sim.
+    """
+    if spec.kind != "correlated":
+        raise ValueError("the local measurement scheme is defined for correlated specs")
+    state, dstate = _measured_states(spec, channel_output(spec))
+    return cfi(ProbModel(_outcome_tensor(state, spec.r0).reshape(-1),
+                         _outcome_tensor(dstate, spec.r0).reshape(-1)))

@@ -43,7 +43,6 @@ from noisyqfi.protocols import (
     compare,
     correlated,
     escher_phase_flip_demo,
-    local_measurement_cfi_ungrouped,
     local_measurement_sim,
     nonunital_corr_equals_sqsc_check,
     sqsc,
@@ -64,6 +63,7 @@ from support import (
     PAULI,
     exact_qfi_of_spec,
     fit_exact_orders,
+    local_measurement_cfi_ungrouped,
     random_state,
     random_unit,
     random_unital_family,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from noisyqfi import cli
+from noisyqfi import builtin, cli, protocols
 from noisyqfi.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -19,6 +19,8 @@ from noisyqfi.cli import (
     run_qfi,
 )
 from noisyqfi.config import ConfigError, family_from_config, parse_config_text
+from noisyqfi.protocols import correlated, protocol_qfi
+from noisyqfi.series import canonical_directions, default_fit_purities, fit_qfi_orders
 
 
 class TestParsing:
@@ -261,6 +263,89 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "lambda,status,violations"
         assert "fail" not in out
+
+
+class TestMeasureQubitCounts:
+    ARGS = ["measure", "--channel", "phase_flip", "--lambda", "0.3", "--purity", "1e-3"]
+
+    def test_single_qubit_is_config_error(self, capsys):
+        assert main(self.ARGS + ["--n", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "n=1" in err
+
+    def test_single_qubit_in_list_is_config_error(self, capsys):
+        assert main(self.ARGS + ["--n", "1,3"]) == EXIT_CONFIG
+        assert "n=1" in capsys.readouterr().err
+
+    def test_default_is_two_qubits(self, capsys):
+        assert main(self.ARGS) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2"]
+
+    def test_config_file_n(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[run]\ncommand = measure\nn = 3\n")
+        assert main(self.ARGS + ["--config", str(cfgfile)]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["3"]
+        cfgfile.write_text("[run]\ncommand = measure\nn = 1\n")
+        assert main(self.ARGS + ["--config", str(cfgfile)]) == EXIT_CONFIG
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWorkPerCell:
+    def test_fit_orders_solves_one_series_per_cell(self, monkeypatch, capsys):
+        sld = _count_calls(monkeypatch, protocols, "sld_orders")
+        prep = _count_calls(monkeypatch, protocols, "prep_conjugate")
+        code = main(["fit-orders", "--channel", "depolarizing", "--lambda", "0.25,0.5",
+                     "--n", "2,3"])
+        assert code == EXIT_OK
+        assert len(sld) == 4
+        # per cell: one preparation per purity, one for the purity orders
+        assert len(prep) == 4 * (len(default_fit_purities()) + 1)
+
+    def test_measure_solves_no_series(self, monkeypatch, capsys):
+        sld = _count_calls(monkeypatch, protocols, "sld_orders")
+        prep = _count_calls(monkeypatch, protocols, "prep_conjugate")
+        code = main(["measure", "--channel", "phase_flip", "--lambda", "0.3",
+                     "--purity", "1e-3", "--n", "2,3"])
+        assert code == EXIT_OK
+        assert len(sld) == 0
+        assert len(prep) == 3 * 2
+
+    def test_fit_rows_equal_one_protocol_qfi_per_purity(self):
+        lam, n, K = 0.5, 3, 4
+        cfg = RunConfig(command="fit-orders",
+                        channel={"name": "depolarizing", "params": {}},
+                        lams=[lam], ns=[n], max_order=K)
+        _, rows = run_fit_orders(cfg)
+
+        family = builtin("depolarizing")
+        c, r0 = canonical_directions(family.eval(lam))
+        rs = [float(x) for x in default_fit_purities()]
+        results = [protocol_qfi(correlated(family, lam, n, r, c, r0), K=K) for r in rs]
+        fit = fit_qfi_orders(np.asarray(rs), np.asarray([q.exact for q in results]),
+                             orders=tuple(range(2, K + 2)))
+        series = results[-1].series
+        scale = max(max(abs(float(h)) for h in series.orders), 1e-12)
+        want = []
+        for j in range(2, K + 1):
+            closed = float(series.orders[j])
+            fitted = fit.coeffs[j]
+            want.append([n, lam, j, fitted, closed,
+                         abs(fitted - closed) / max(abs(closed), 1e-6 * scale)])
+        assert rows == want
 
 
 class TestDeterminism:

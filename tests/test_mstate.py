@@ -5,6 +5,7 @@ import pytest
 
 from noisyqfi import builtin, mstate as ms
 from noisyqfi.mstate import (
+    OrderedState,
     PauliState,
     apply_channel,
     apply_channel_derivative,
@@ -29,6 +30,8 @@ from support import (
     kraus_depolarizing,
     kraus_gad,
     kraus_phase_flip,
+    oracle_prep_conjugate,
+    pair_transfer,
     perpendicular_pair,
     random_unit,
     sigma,
@@ -158,7 +161,7 @@ class TestPairGate:
         for _ in range(20):
             c = random_unit(rng)
             st = PauliState(2, rng.normal(size=16))
-            got = prep_conjugate(st, c)
+            got = PauliState(2, pair_transfer(c) @ st.coeffs)
             U = u_c(c)
             want = from_dense(U @ to_dense(st) @ U.conj().T)
             np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-12)
@@ -208,6 +211,82 @@ class TestPrepUnitary:
             got = prep_conjugate(st, c)
             want = conjugate(st, u_prep(n, c))
             np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-11)
+
+
+def _directions(rng) -> list[np.ndarray]:
+    axes = [sign * np.eye(3)[k] for k in range(3) for sign in (1.0, -1.0)]
+    return [random_unit(rng), random_unit(rng)] + axes
+
+
+def _random_ordered(rng, n: int, orders: int = 3) -> OrderedState:
+    return OrderedState(n, tuple(PauliState(n, rng.normal(size=4 ** n))
+                                 for _ in range(orders)))
+
+
+class TestCliffordGather:
+    """prep_conjugate (rotate, signed gather, rotate back) against the pair passes."""
+
+    @staticmethod
+    def _assert_matches(got, want):
+        got_rows = got.orders if isinstance(got, OrderedState) else (got,)
+        want_rows = want.orders if isinstance(want, OrderedState) else (want,)
+        assert len(got_rows) == len(want_rows)
+        for g, w in zip(got_rows, want_rows):
+            scale = float(np.max(np.abs(w.coeffs)))
+            assert float(np.max(np.abs(g.coeffs - w.coeffs))) <= 1e-13 * scale
+
+    def test_matches_pair_passes(self):
+        rng = np.random.default_rng(19)
+        for n in range(2, 9):
+            for c in _directions(rng):
+                for state in (PauliState(n, rng.normal(size=4 ** n)),
+                              _random_ordered(rng, n)):
+                    self._assert_matches(prep_conjugate(state, c),
+                                         oracle_prep_conjugate(state, c))
+            # c parallel to r0, on the physical purity orders
+            r0 = random_unit(rng)
+            ordered = initial_state_orders(n, r0, max_order=min(n, 4))
+            self._assert_matches(prep_conjugate(ordered, r0),
+                                 oracle_prep_conjugate(ordered, r0))
+
+    def test_matches_pair_passes_at_ten_qubits(self):
+        rng = np.random.default_rng(20)
+        c = random_unit(rng)
+        for state in (PauliState(10, rng.normal(size=4 ** 10)),
+                      _random_ordered(rng, 10, orders=2)):
+            self._assert_matches(prep_conjugate(state, c),
+                                 oracle_prep_conjugate(state, c))
+
+    def test_axis_directions_are_exact(self):
+        # a signed-permutation frame keeps the preparation free of rounding
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 5):
+            state = PauliState(n, rng.normal(size=4 ** n))
+            for c in _directions(rng)[2:]:
+                got = prep_conjugate(state, c).coeffs
+                want = oracle_prep_conjugate(state, c).coeffs
+                assert np.array_equal(got, want)
+
+    def test_table_follows_weight_rule(self):
+        # w = number of X/Y letters.  Even w: X -> Y, Y -> -X.  Odd w: I <-> Z
+        # and the string takes the sign (-1)^((w-1)/2).
+        for n in (1, 2, 3, 4):
+            index, sign = ms._cz_table(n)
+            for p in range(4 ** n):
+                label = pauli_label(p, n)
+                w = sum(ch in "XY" for ch in label)
+                if w % 2 == 0:
+                    image = label.translate(str.maketrans("XY", "YX"))
+                    s = (-1) ** label.count("Y")
+                else:
+                    image = label.translate(str.maketrans("IZ", "ZI"))
+                    s = (-1) ** ((w - 1) // 2)
+                q = pauli_index(image)
+                assert index[q] == p and sign[q] == s, (label, image)
+
+    def test_needs_two_qubits(self):
+        with pytest.raises(ValueError, match="two qubits"):
+            prep_conjugate(PauliState(1, np.array([0.5, 0.1, 0.0, 0.0])), [0, 0, 1])
 
 
 class TestConjugate:

@@ -11,7 +11,6 @@ from noisyqfi.protocols import (
     compare,
     correlated,
     escher_phase_flip_demo,
-    local_measurement_cfi_ungrouped,
     local_measurement_sim,
     measurement_cfi_lowest_order,
     measurement_cfi_lowest_order_general,
@@ -21,7 +20,7 @@ from noisyqfi.protocols import (
 )
 from noisyqfi.series import BranchError, canonical_directions, corr_bounds
 
-from support import perpendicular_pair, random_unit
+from support import local_measurement_cfi_ungrouped, perpendicular_pair, random_unit
 
 PF = builtin("phase_flip")
 DEPOL = builtin("depolarizing")
