@@ -22,20 +22,16 @@ from .bloch import (
     svd3,
     validate,
 )
-from .fisher import ProbModel, SldResult, cfi, qfi_exact, qfi_numeric_derivative, sld_exact
+from .fisher import ProbModel, SldResult, cfi, qfi_exact, sld_exact
 from .mstate import (
     OrderedState,
     PauliState,
     apply_channel,
     apply_channel_derivative,
-    conjugate,
-    from_dense,
     initial_state,
     initial_state_orders,
     prep_conjugate,
     to_dense,
-    u_c,
-    u_prep,
 )
 from .protocols import (
     GainReport,

@@ -116,14 +116,18 @@ def validate(channel: BlochChannel, tol: float = DEFAULT_TOL) -> ValidationRepor
     return ValidationReport(passed=not failures, failures=tuple(failures))
 
 
+def _unit_vector(v, name: str = "direction") -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"{name} must be a unit 3-vector, got {v!r}")
+    return v
+
+
 def apply_bloch(channel: BlochChannel, r: float, r_i: np.ndarray) -> np.ndarray:
     """Map a Bloch vector of purity r and unit direction r_i through the channel."""
-    r_i = np.asarray(r_i, dtype=float)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"purity must lie in [0, 1], got {r}")
-    if abs(np.linalg.norm(r_i) - 1.0) > DEFAULT_TOL:
-        raise ValueError(f"r_i must be a unit vector, |r_i| = {np.linalg.norm(r_i)}")
-    return r * (channel.M @ r_i) + channel.d
+    return r * (channel.M @ _unit_vector(r_i, "r_i")) + channel.d
 
 
 @dataclass(frozen=True)
@@ -132,17 +136,14 @@ class SvdDecomp:
 
     S is sorted descending; the sign ambiguity is resolved by forcing the
     largest-magnitude entry of each right-singular vector (row of B) to be
-    positive.  e1, e2, e3 are the canonical axes carrying s1, s2, s3 in the
-    diagonal frame, so the principal input direction for s1 is B.T @ e1 and
-    the corresponding output direction is A @ e1.
+    positive.  With e1, e2, e3 the axes carrying s1, s2, s3 in the diagonal
+    frame, the principal input direction for s1 is B.T @ e1 and the
+    corresponding output direction is A @ e1.
     """
 
     A: np.ndarray
     S: np.ndarray
     B: np.ndarray
-    e1: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-    e2: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
-    e3: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def reconstruct(self) -> np.ndarray:
         return self.A @ np.diag(self.S) @ self.B

@@ -30,7 +30,7 @@ from .config import ConfigError, family_from_config, parse_config_text
 from .expr import ExprError
 from .fisher import qfi_exact
 from .protocols import (
-    channel_output,
+    build_state,
     correlated,
     escher_phase_flip_demo,
     local_measurement_sim,
@@ -55,6 +55,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _COMMANDS = ("qfi", "bounds", "measure", "escher", "fit-orders", "validate-channel")
+_CORRELATED_ONLY = ("bounds", "measure")  # n < 2 is a configuration error
 _MAX_FIT_COND = 1e12
 
 
@@ -130,14 +131,15 @@ class RunConfig:
         least = min(self.qubit_counts())
         if least < 1:
             raise ConfigError(f"qubit counts must be >= 1, got {self.ns}")
-        if self.command == "measure" and least < 2:
-            raise ConfigError(f"measure needs correlated protocols (n >= 2), got n={least}")
+        if self.command in _CORRELATED_ONLY and least < 2:
+            raise ConfigError(
+                f"{self.command} needs correlated protocols (n >= 2), got n={least}")
 
     def qubit_counts(self) -> list[int]:
         """The n list, or the command's default when none was given."""
         if self.ns is not None:
             return self.ns
-        return [2] if self.command == "measure" else [1]
+        return [2] if self.command in _CORRELATED_ONLY else [1]
 
 
 def _build_family(channel_cfg: dict) -> ChannelFamily:
@@ -188,9 +190,9 @@ def _measure_cell(payload: dict) -> list:
     lam, r, n = payload["lam"], payload["r"], payload["n"]
     try:
         spec = _spec_for(family, lam, r, n, payload["c"], payload["r0"])
-        output = channel_output(spec)
-        qfi = qfi_exact(output.rho, output.drho, payload["eps"])
-        rec = local_measurement_sim(spec, output)
+        prep = build_state(spec)
+        qfi = qfi_exact(prep.rho, prep.drho, payload["eps"])
+        rec = local_measurement_sim(spec, prep)
         ratio = rec.cfi / qfi if qfi > 1e-300 else float("nan")
         return [n, lam, r, rec.cfi, qfi, ratio]
     except Exception as exc:
@@ -213,8 +215,8 @@ def _fit_cell(payload: dict) -> list[list]:
         series = qfi_series(purity_orders(specs[-1], K), K)
         qfis = []
         for spec in specs:
-            output = channel_output(spec)
-            qfis.append(qfi_exact(output.rho, output.drho, payload["eps"]))
+            prep = build_state(spec)
+            qfis.append(qfi_exact(prep.rho, prep.drho, payload["eps"]))
         fit = fit_qfi_orders(rs, np.asarray(qfis), orders=tuple(range(2, K + 2)))
         if fit.cond > _MAX_FIT_COND:
             raise NumericError(
@@ -277,14 +279,13 @@ def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
             f"bounds need a unital channel; {family.name!r} is "
             f"{family.unitality.value} (use the single-qubit closed forms instead)")
     lams = cfg.lams if cfg.lams is not None else [0.5]
-    ns = [n for n in cfg.qubit_counts() if n >= 2] or [2]
     header = ["n", "lambda", "lower", "canonical", "grid_max", "upper", "status"]
     rows = []
     for lam in lams:
         ch = family.eval(lam)
         verify_family_flag(family, ch)
         c_star, r0_star = canonical_directions(ch)
-        for n in ns:
+        for n in cfg.qubit_counts():
             lower, upper = corr_bounds(ch, n)
             canon = corr_h2(ch, n, c_star, r0_star)
             gmax = corr_h2_grid_max(ch, n, grid=cfg.dir_grid).value

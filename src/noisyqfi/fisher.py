@@ -21,9 +21,7 @@ __all__ = [
     "ProbModel",
     "sld_exact",
     "qfi_exact",
-    "qfi_numeric_derivative",
     "cfi",
-    "sld_eigen_measurement",
 ]
 
 _HERM_TOL = 1e-8
@@ -95,17 +93,6 @@ def qfi_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> fl
     return sld_exact(rho, drho, eps).qfi
 
 
-def qfi_numeric_derivative(state_at, lam0: float, h: float = 1e-6,
-                           eps: float | None = None) -> float:
-    """QFI with drho built by central difference from a lam -> rho map."""
-    if h <= 0.0:
-        raise ValueError("fd step must be positive")
-    rho = np.asarray(state_at(lam0), dtype=complex)
-    drho = (np.asarray(state_at(lam0 + h), dtype=complex)
-            - np.asarray(state_at(lam0 - h), dtype=complex)) / (2.0 * h)
-    return qfi_exact(rho, drho, eps)
-
-
 @dataclass(frozen=True)
 class ProbModel:
     """Outcome probabilities and their parameter derivatives."""
@@ -135,13 +122,3 @@ def cfi(model: ProbModel, eps: float = 1e-14) -> float:
     model.validate()
     keep = model.p >= eps
     return float(np.sum(model.dp[keep] ** 2 / model.p[keep]))
-
-
-def sld_eigen_measurement(sld: SldResult) -> list[np.ndarray]:
-    """Rank-one projectors onto the SLD eigenbasis (a QCRB-saturating measurement).
-
-    Degenerate eigenspaces are resolved by the deterministic ordering of the
-    eigensolver, so repeated calls on identical input give identical projectors.
-    """
-    _, vecs = np.linalg.eigh(sld.L)
-    return [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(vecs.shape[1])]

@@ -41,19 +41,19 @@ number of X or Y letters of a string:
 ``prep_conjugate`` therefore rotates the letter axis of every slot into the
 frame of c (two slots per matrix product), applies this map as one signed
 gather of the 4^n array, and rotates back.  The gather table depends only on
-n and is cached, one per qubit count.  The dense matrix path is kept as a
-test oracle.
+n and is cached, one per qubit count.  The dense preparation path (U_c and
+the full unitary as matrices) is the test oracle in tests/support.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
-from .bloch import BlochChannel
+from .bloch import BlochChannel, _unit_vector
 
 __all__ = [
     "PauliState",
@@ -65,16 +65,9 @@ __all__ = [
     "initial_state",
     "initial_state_orders",
     "to_dense",
-    "from_dense",
-    "u_c",
-    "u_prep",
-    "conjugate",
     "prep_conjugate",
     "apply_channel",
     "apply_channel_derivative",
-    "permute_qubits",
-    "state_to_doc",
-    "state_from_doc",
 ]
 
 MAX_QUBITS_PAULI = 14   # 4^n coefficient array
@@ -103,13 +96,6 @@ def _check_dense_cap(n: int) -> None:
         raise ValueError(
             f"qubit count {n} outside supported range 1..{MAX_QUBITS_DENSE} "
             "for dense-matrix operations")
-
-
-def _unit_vector(v, name: str = "direction") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a unit 3-vector, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -231,68 +217,6 @@ def to_dense(state: PauliState) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(perm)).reshape(2 ** n, 2 ** n)
 
 
-def from_dense(mat: np.ndarray, imag_tol: float = 1e-10) -> PauliState:
-    """Expand a Hermitian matrix over the Pauli basis.
-
-    Raises if any coefficient has an imaginary part above imag_tol, which is
-    the ingestion check that the operator really is Hermitian.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    dim = mat.shape[0]
-    if mat.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
-        raise ValueError(f"matrix must be square with power-of-two size, got {mat.shape}")
-    n = dim.bit_length() - 1
-    _check_dense_cap(n)
-    t = mat.reshape((2,) * (2 * n))
-    perm = []
-    for k in range(n):
-        perm += [k, n + k]
-    t = t.transpose(perm)
-    contract = PAULI_MATS  # P[a][j, i]; contract row axis with i, column with j
-    for _ in range(n):
-        t = np.tensordot(t, contract, axes=([0, 1], [2, 1]))
-    coeffs = t.reshape(4 ** n) / (2 ** n)
-    worst = float(np.max(np.abs(coeffs.imag)))
-    if worst > imag_tol:
-        raise ValueError(f"matrix is not Hermitian: Pauli coefficient imag part {worst:.3e}")
-    return PauliState(n, coeffs.real.copy())
-
-
-def u_c(c) -> np.ndarray:
-    """The pairwise preparation gate for control direction c (4x4, dense).
-
-    Hermitian and self-inverse; for c = z this is the controlled-Z gate.
-    """
-    c = _unit_vector(c, "c")
-    sig_c = np.tensordot(c, PAULI_MATS[1:], axes=([0], [0]))
-    eye = np.eye(2, dtype=complex)
-    return 0.5 * (np.kron(eye, eye) + np.kron(eye, sig_c)
-                  + np.kron(sig_c, eye) - np.kron(sig_c, sig_c))
-
-
-def _mul_two_qubit(gate4: np.ndarray, mat: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Left-multiply mat by gate4 embedded on qubits (i, j)."""
-    dim = 2 ** n
-    t = mat.reshape((2,) * n + (dim,))
-    t = np.moveaxis(t, (i, j), (0, 1))
-    t = np.tensordot(gate4.reshape(2, 2, 2, 2), t, axes=([2, 3], [0, 1]))
-    t = np.moveaxis(t, (0, 1), (i, j))
-    return t.reshape(dim, dim)
-
-
-def u_prep(n: int, c) -> np.ndarray:
-    """Dense preparation unitary: one U_c factor per qubit pair."""
-    if n < 2:
-        raise ValueError("preparation needs at least two qubits")
-    _check_dense_cap(n)
-    gate = u_c(c)
-    full = np.eye(2 ** n, dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            full = _mul_two_qubit(gate, full, n, i, j)
-    return full
-
-
 State = Union[PauliState, OrderedState]
 
 
@@ -300,23 +224,6 @@ def _map_orders(state: State, fn) -> State:
     if isinstance(state, OrderedState):
         return OrderedState(state.n, tuple(fn(st) for st in state.orders))
     return fn(state)
-
-
-def conjugate(state: State, U: np.ndarray) -> State:
-    """Conjugate by a dense unitary: rho -> U rho U+ (each order separately)."""
-    U = np.asarray(U, dtype=complex)
-
-    def one(st: PauliState) -> PauliState:
-        if U.shape != (2 ** st.n, 2 ** st.n):
-            raise ValueError(f"unitary shape {U.shape} does not match n={st.n}")
-        return from_dense(U @ to_dense(st) @ U.conj().T)
-
-    out = _map_orders(state, one)
-    if isinstance(state, OrderedState):
-        # the zero-order term is proportional to the identity string and must
-        # be fixed by any unitary
-        assert np.allclose(out.orders[0].coeffs, state.orders[0].coeffs, atol=1e-12)
-    return out
 
 
 def _frame(c) -> np.ndarray:
@@ -430,38 +337,3 @@ def apply_channel_derivative(state: State, ch: BlochChannel, qubit: int = 0) -> 
     identity pass-through.
     """
     return _map_orders(state, lambda st: _channel_pass(st, qubit, ch.dM, ch.dd, False))
-
-
-def permute_qubits(state: State, perm: Iterable[int]) -> State:
-    """Reorder tensor slots: new slot k holds old slot perm[k]."""
-    perm = tuple(perm)
-
-    def one(st: PauliState) -> PauliState:
-        if sorted(perm) != list(range(st.n)):
-            raise ValueError(f"perm {perm} is not a permutation of 0..{st.n - 1}")
-        t = st.coeffs.reshape((4,) * st.n).transpose(perm)
-        return PauliState(st.n, np.ascontiguousarray(t).reshape(4 ** st.n))
-
-    return _map_orders(state, one)
-
-
-def state_to_doc(state: PauliState, tol: float = 0.0) -> dict:
-    """JSON-ready document listing the nonzero Pauli coefficients."""
-    entries = [
-        {"pauli": pauli_label(i, state.n), "value": float(v)}
-        for i, v in enumerate(state.coeffs)
-        if abs(v) > tol
-    ]
-    return {"n": state.n, "convention": "coeff = Tr[rho P]/2^n", "entries": entries}
-
-
-def state_from_doc(doc: dict) -> PauliState:
-    n = int(doc["n"])
-    _check_pauli_cap(n)
-    coeffs = np.zeros(4 ** n)
-    for entry in doc["entries"]:
-        label = entry["pauli"]
-        if len(label) != n or any(ch not in _LETTERS for ch in label):
-            raise ValueError(f"bad Pauli label {label!r} for n={n}")
-        coeffs[pauli_index(label)] = float(entry["value"])
-    return PauliState(n, coeffs)

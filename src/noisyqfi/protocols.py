@@ -8,9 +8,9 @@ Two protocol shapes are supported:
   channel invocation on qubit 0.
 
 Each protocol yields the pre-measurement state from two builders over the
-same construction: ``channel_output`` at fixed purity (Pauli and dense, for
-the exact eigendecomposition QFI and the measurement) and ``purity_orders``
-(for the series coefficients, which do not depend on the purity).  The
+same construction: ``build_state`` at fixed purity (Pauli and dense, for the
+exact eigendecomposition QFI and the measurement) and ``purity_orders`` (for
+the series coefficients, which do not depend on the purity).  The
 local measurement scheme re-applies the preparation after the channel and
 measures every qubit along the initial direction; outcomes are grouped by
 the sign of qubit 0 and the number of + results among the rest, which is
@@ -25,12 +25,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import BlochChannel, ChannelFamily, Unitality, svd3
+from .bloch import BlochChannel, ChannelFamily, Unitality, _unit_vector, svd3
 from .fisher import ProbModel, cfi, qfi_exact
 from .mstate import (
     PauliState,
     _check_dense_cap,
-    _unit_vector,
     apply_channel,
     apply_channel_derivative,
     initial_state,
@@ -44,6 +43,7 @@ from .series import (
     QfiSeries,
     StateOrders,
     channel_output_orders,
+    corr_gain_ratio,
     qfi_orders,
     require_unital,
     sld_orders,
@@ -55,12 +55,10 @@ __all__ = [
     "ProtocolSpec",
     "sqsc",
     "correlated",
-    "ChannelOutput",
-    "channel_output",
-    "purity_orders",
-    "qfi_series",
     "PreparedState",
     "build_state",
+    "purity_orders",
+    "qfi_series",
     "ProtocolQfi",
     "protocol_qfi",
     "MeasurementRecord",
@@ -119,7 +117,7 @@ def correlated(family: ChannelFamily, lam: float, n: int, r: float, c, r0) -> Pr
 
 
 @dataclass(frozen=True)
-class ChannelOutput:
+class PreparedState:
     """The channel output at the spec's fixed purity and its lam derivative.
 
     The dense matrices are formed on first use, so a Pauli-only consumer
@@ -139,7 +137,7 @@ class ChannelOutput:
         return to_dense(self.dpauli)
 
 
-def channel_output(spec: ProtocolSpec) -> ChannelOutput:
+def build_state(spec: ProtocolSpec) -> PreparedState:
     """Initial product state -> preparation (correlated only) -> channel on qubit 0.
 
     The input does not depend on lam and the channel acts affinely, so the
@@ -149,7 +147,7 @@ def channel_output(spec: ProtocolSpec) -> ChannelOutput:
     state = initial_state(spec.n, spec.r, spec.r0)
     if spec.kind == "correlated":
         state = prep_conjugate(state, spec.c)
-    return ChannelOutput(ch, apply_channel(state, ch, 0),
+    return PreparedState(ch, apply_channel(state, ch, 0),
                          apply_channel_derivative(state, ch, 0))
 
 
@@ -171,36 +169,6 @@ def qfi_series(orders: StateOrders, K: int) -> QfiSeries:
 
 
 @dataclass(frozen=True)
-class PreparedState:
-    """Dense pre-measurement state, its derivative, and its purity orders."""
-
-    channel: BlochChannel
-    rho: np.ndarray
-    drho: np.ndarray
-    pauli: PauliState
-    orders: StateOrders
-
-
-def build_state(spec: ProtocolSpec, max_order: int | None = None) -> PreparedState:
-    """Prepare the channel output for a protocol spec.
-
-    Runs initial product state -> preparation (correlated only) -> channel on
-    qubit 0, once at the spec's fixed purity and once per purity order.
-    """
-    if max_order is None:
-        max_order = min(spec.n, DEFAULT_MAX_ORDER)
-    _check_dense_cap(spec.n)  # fail before any large allocation
-    out = channel_output(spec)
-    return PreparedState(
-        channel=out.channel,
-        rho=out.rho,
-        drho=out.drho,
-        pauli=out.pauli,
-        orders=purity_orders(spec, max_order),
-    )
-
-
-@dataclass(frozen=True)
 class ProtocolQfi:
     exact: float
     series_estimate: float
@@ -214,11 +182,11 @@ def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
     Both numbers are per channel invocation; every protocol here invokes the
     channel exactly once.
     """
-    prep = build_state(spec, max_order=min(spec.n, K))
+    _check_dense_cap(spec.n)  # fail before any large allocation
+    prep = build_state(spec)
     exact = qfi_exact(prep.rho, prep.drho, eps)
-    orders = prep.orders
     del prep  # the dense pair is not needed while the series is solved
-    series = qfi_series(orders, K)
+    series = qfi_series(purity_orders(spec, K), K)
     return ProtocolQfi(exact=exact, series_estimate=series.evaluate(spec.r),
                        series=series)
 
@@ -228,13 +196,13 @@ def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
 # ---------------------------------------------------------------------------
 
 def _measured_states(spec: ProtocolSpec,
-                     output: ChannelOutput) -> tuple[PauliState, PauliState]:
+                     prep: PreparedState) -> tuple[PauliState, PauliState]:
     """The measured state and its exact lam derivative.
 
     The preparation does not depend on lam, so the derivative is the second
     preparation applied to the channel output's derivative.
     """
-    return prep_conjugate(output.pauli, spec.c), prep_conjugate(output.dpauli, spec.c)
+    return prep_conjugate(prep.pauli, spec.c), prep_conjugate(prep.dpauli, spec.c)
 
 
 def _outcome_tensor(state: PauliState, axis: np.ndarray) -> np.ndarray:
@@ -272,17 +240,17 @@ class MeasurementRecord:
 
 
 def local_measurement_sim(spec: ProtocolSpec,
-                          output: ChannelOutput | None = None) -> MeasurementRecord:
+                          prep: PreparedState | None = None) -> MeasurementRecord:
     """Simulate the correlated protocol's local measurement scheme.
 
     After the channel the preparation is applied again and every qubit is
     measured along r0.  Outcome derivatives are exact: they are the grouped
-    outcomes of the measured state's lam derivative.  ``output`` is the
-    spec's ``channel_output`` when the caller has already built it.
+    outcomes of the measured state's lam derivative.  ``prep`` is
+    ``build_state(spec)`` when the caller has already built it.
     """
     if spec.kind != "correlated":
         raise ValueError("the local measurement scheme is defined for correlated specs")
-    state, dstate = _measured_states(spec, channel_output(spec) if output is None else output)
+    state, dstate = _measured_states(spec, build_state(spec) if prep is None else prep)
     p_plus, p_minus = _grouped(_outcome_tensor(state, spec.r0), spec.n)
     dp_plus, dp_minus = _grouped(_outcome_tensor(dstate, spec.r0), spec.n)
     model = ProbModel(np.concatenate([p_plus, p_minus]),
@@ -383,11 +351,10 @@ def compare(spec_a: ProtocolSpec, spec_b: ProtocolSpec,
     gain_lo = gain_hi = None
     if spec_a.kind == "correlated" and spec_b.kind == "sqsc" \
             and spec_a.family.unitality is Unitality.UNITAL:
-        ch = spec_a.family.eval(spec_a.lam)
-        s = svd3(ch.dM).S
-        if s[0] > 0.0:
-            gain_lo = spec_a.n - (1.0 - float(s[1] ** 2) / float(s[0] ** 2))
-            gain_hi = float(spec_a.n)
+        try:
+            gain_lo, gain_hi = corr_gain_ratio(spec_a.family.eval(spec_a.lam), spec_a.n)
+        except BranchError:  # s1 = 0: the channel carries no information
+            pass
 
     if qb.exact <= 1e-30:
         return GainReport("undefined", None, None, gain_lo, gain_hi, (),

@@ -37,18 +37,12 @@ s1 >= s2 >= s3 its singular values:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochChannel, ChannelFamily, classify_unitality, svd3
-from .mstate import (
-    OrderedState,
-    _unit_vector,
-    apply_channel,
-    apply_channel_derivative,
-    to_dense,
-)
+from .bloch import BlochChannel, ChannelFamily, _unit_vector, classify_unitality, svd3
+from .mstate import OrderedState, apply_channel, apply_channel_derivative, to_dense
 
 __all__ = [
     "BranchError",
@@ -67,7 +61,6 @@ __all__ = [
     "corr_bounds",
     "corr_gain_ratio",
     "corr_h3_h4",
-    "saturating_basis_lowest_order",
     "canonical_directions",
     "sphere_directions",
     "corr_h2_grid_max",
@@ -129,8 +122,6 @@ class SldSeries:
 @dataclass(frozen=True)
 class QfiSeries:
     orders: np.ndarray
-    K: int
-    meta: dict = field(default_factory=dict)
 
     def evaluate(self, r: float) -> float:
         return float(sum(h * r ** j for j, h in enumerate(self.orders)))
@@ -229,7 +220,7 @@ def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
             if j - k <= orders.max_order:
                 total += float(np.vdot(orders.drho[j - k], sld.orders[k]).real)
         H[j] = total
-    return QfiSeries(orders=H, K=K)
+    return QfiSeries(H)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +230,7 @@ def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
 def sqsc_unital_h2(ch: BlochChannel, r0) -> float:
     """Lowest-order QFI coefficient (of r^2) for a unital single-qubit run."""
     require_unital(ch)
-    r0 = np.asarray(r0, dtype=float)
-    if abs(np.linalg.norm(r0) - 1.0) > 1e-9:
-        raise ValueError("r0 must be a unit vector")
-    v = ch.dM @ r0
+    v = ch.dM @ _unit_vector(r0, "r0")
     return float(v @ v)
 
 
@@ -286,10 +274,7 @@ def sqsc_nonunital_const_h2(ch: BlochChannel, r0) -> float:
         raise BranchError("shift vector vanishes; the channel is unital")
     if dnorm > 1.0 - 1e-9:
         raise BranchError("|d| = 1 forces M = 0 and leaves no parameter dependence")
-    r0 = np.asarray(r0, dtype=float)
-    if abs(np.linalg.norm(r0) - 1.0) > 1e-9:
-        raise ValueError("r0 must be a unit vector")
-    v = ch.dM @ r0
+    v = ch.dM @ _unit_vector(r0, "r0")
     proj = float(ch.d @ v) / dnorm  # component of Mdot r0 along the shift axis
     return float(v @ v) + dnorm ** 2 / (1.0 - dnorm ** 2) * proj ** 2
 
@@ -379,16 +364,6 @@ def corr_h3_h4(ch: BlochChannel, n: int, c, r0) -> tuple[float, float]:
         - (n - 1) * (n - 2) * float((Md @ c) @ (Md @ c))
     )
     return 0.0, h4
-
-
-def saturating_basis_lowest_order(drho1: np.ndarray) -> list[np.ndarray]:
-    """Eigenprojectors of d(rho^(1))/dlam: the lowest-order QCRB-saturating basis."""
-    mat = np.asarray(drho1, dtype=complex)
-    worst = float(np.max(np.abs(mat - mat.conj().T)))
-    if worst > 1e-8:
-        raise ValueError(f"operator is not Hermitian: max asymmetry {worst:.3e}")
-    _, vecs = np.linalg.eigh(mat)
-    return [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(vecs.shape[1])]
 
 
 def canonical_directions(ch: BlochChannel) -> tuple[np.ndarray, np.ndarray]:

@@ -6,17 +6,23 @@ from __future__ import annotations
 import numpy as np
 
 from noisyqfi import bloch, builtin
-from noisyqfi.bloch import ChannelFamily, Unitality
-from noisyqfi.mstate import OrderedState, PauliState, _unit_vector
+from noisyqfi.bloch import ChannelFamily, Unitality, _unit_vector
+from noisyqfi.mstate import (
+    PAULI_MATS,
+    OrderedState,
+    PauliState,
+    _check_dense_cap,
+    _map_orders,
+    to_dense,
+)
 from noisyqfi.protocols import (
     _measured_states,
     _outcome_tensor,
     build_state,
-    channel_output,
     correlated,
     sqsc,
 )
-from noisyqfi.fisher import ProbModel, cfi, qfi_exact
+from noisyqfi.fisher import ProbModel, SldResult, cfi, qfi_exact
 from noisyqfi.series import fit_qfi_orders
 
 PAULI = {
@@ -111,7 +117,7 @@ def kraus_apply(rho: np.ndarray, ks: list[np.ndarray], n: int, qubit: int) -> np
 
 
 def exact_qfi_of_spec(spec) -> float:
-    prep = build_state(spec, max_order=0)
+    prep = build_state(spec)
     return qfi_exact(prep.rho, prep.drho)
 
 
@@ -236,9 +242,135 @@ def oracle_prep_conjugate(state, c):
                 coeffs = _apply_pair(coeffs, st.n, R4, i, j)
         return PauliState(st.n, coeffs)
 
+    return _map_orders(state, one)
+
+
+# The dense preparation path: U_c and the full preparation unitary as
+# matrices, and conjugation through the dense matrix of a Pauli state.  The
+# differential oracle for the Clifford gather of noisyqfi.mstate.prep_conjugate.
+
+def from_dense(mat: np.ndarray, imag_tol: float = 1e-10) -> PauliState:
+    """Expand a Hermitian matrix over the Pauli basis.
+
+    Raises if any coefficient has an imaginary part above imag_tol, which is
+    the check that the operator really is Hermitian.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    dim = mat.shape[0]
+    if mat.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+        raise ValueError(f"matrix must be square with power-of-two size, got {mat.shape}")
+    n = dim.bit_length() - 1
+    _check_dense_cap(n)
+    t = mat.reshape((2,) * (2 * n))
+    t = t.transpose([axis for k in range(n) for axis in (k, n + k)])
+    for _ in range(n):
+        # PAULI_MATS[a][j, i]: contract the row axis with i, the column with j
+        t = np.tensordot(t, PAULI_MATS, axes=([0, 1], [2, 1]))
+    coeffs = t.reshape(4 ** n) / (2 ** n)
+    worst = float(np.max(np.abs(coeffs.imag)))
+    if worst > imag_tol:
+        raise ValueError(f"matrix is not Hermitian: Pauli coefficient imag part {worst:.3e}")
+    return PauliState(n, coeffs.real.copy())
+
+
+def u_c(c) -> np.ndarray:
+    """The pairwise preparation gate for control direction c (4x4, dense).
+
+    Hermitian and self-inverse; for c = z this is the controlled-Z gate.
+    """
+    c = _unit_vector(c, "c")
+    sig_c = np.tensordot(c, PAULI_MATS[1:], axes=([0], [0]))
+    eye = np.eye(2, dtype=complex)
+    return 0.5 * (np.kron(eye, eye) + np.kron(eye, sig_c)
+                  + np.kron(sig_c, eye) - np.kron(sig_c, sig_c))
+
+
+def _mul_two_qubit(gate4: np.ndarray, mat: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """Left-multiply mat by gate4 embedded on qubits (i, j)."""
+    dim = 2 ** n
+    t = np.moveaxis(mat.reshape((2,) * n + (dim,)), (i, j), (0, 1))
+    t = np.tensordot(gate4.reshape(2, 2, 2, 2), t, axes=([2, 3], [0, 1]))
+    return np.moveaxis(t, (0, 1), (i, j)).reshape(dim, dim)
+
+
+def u_prep(n: int, c) -> np.ndarray:
+    """Dense preparation unitary: one U_c factor per qubit pair."""
+    if n < 2:
+        raise ValueError("preparation needs at least two qubits")
+    _check_dense_cap(n)
+    gate = u_c(c)
+    full = np.eye(2 ** n, dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            full = _mul_two_qubit(gate, full, n, i, j)
+    return full
+
+
+def conjugate(state, U: np.ndarray):
+    """Conjugate by a dense unitary: rho -> U rho U+ (each order separately)."""
+    U = np.asarray(U, dtype=complex)
+
+    def one(st: PauliState) -> PauliState:
+        if U.shape != (2 ** st.n, 2 ** st.n):
+            raise ValueError(f"unitary shape {U.shape} does not match n={st.n}")
+        return from_dense(U @ to_dense(st) @ U.conj().T)
+
+    out = _map_orders(state, one)
     if isinstance(state, OrderedState):
-        return OrderedState(state.n, tuple(one(st) for st in state.orders))
-    return one(state)
+        # the zero-order term is proportional to the identity string and must
+        # be fixed by any unitary
+        assert np.allclose(out.orders[0].coeffs, state.orders[0].coeffs, atol=1e-12)
+    return out
+
+
+def permute_qubits(state, perm):
+    """Reorder tensor slots: new slot k holds old slot perm[k]."""
+    perm = tuple(perm)
+
+    def one(st: PauliState) -> PauliState:
+        if sorted(perm) != list(range(st.n)):
+            raise ValueError(f"perm {perm} is not a permutation of 0..{st.n - 1}")
+        t = st.coeffs.reshape((4,) * st.n).transpose(perm)
+        return PauliState(st.n, np.ascontiguousarray(t).reshape(4 ** st.n))
+
+    return _map_orders(state, one)
+
+
+# Dense QFI and measurement oracles.
+
+def qfi_numeric_derivative(state_at, lam0: float, h: float = 1e-6,
+                           eps: float | None = None) -> float:
+    """QFI with drho built by central difference from a lam -> rho map."""
+    if h <= 0.0:
+        raise ValueError("fd step must be positive")
+    rho = np.asarray(state_at(lam0), dtype=complex)
+    drho = (np.asarray(state_at(lam0 + h), dtype=complex)
+            - np.asarray(state_at(lam0 - h), dtype=complex)) / (2.0 * h)
+    return qfi_exact(rho, drho, eps)
+
+
+def eigenprojectors(mat: np.ndarray) -> list[np.ndarray]:
+    """Rank-one projectors onto the eigenbasis of a Hermitian matrix.
+
+    Degenerate eigenspaces are resolved by the deterministic ordering of the
+    eigensolver, so repeated calls on identical input give identical projectors.
+    """
+    _, vecs = np.linalg.eigh(mat)
+    return [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(vecs.shape[1])]
+
+
+def sld_eigen_measurement(sld: SldResult) -> list[np.ndarray]:
+    """Projectors onto the SLD eigenbasis (a QCRB-saturating measurement)."""
+    return eigenprojectors(sld.L)
+
+
+def saturating_basis_lowest_order(drho1: np.ndarray) -> list[np.ndarray]:
+    """Eigenprojectors of d(rho^(1))/dlam: the lowest-order QCRB-saturating basis."""
+    mat = np.asarray(drho1, dtype=complex)
+    worst = float(np.max(np.abs(mat - mat.conj().T)))
+    if worst > 1e-8:
+        raise ValueError(f"operator is not Hermitian: max asymmetry {worst:.3e}")
+    return eigenprojectors(mat)
 
 
 def local_measurement_cfi_ungrouped(spec) -> float:
@@ -249,6 +381,6 @@ def local_measurement_cfi_ungrouped(spec) -> float:
     """
     if spec.kind != "correlated":
         raise ValueError("the local measurement scheme is defined for correlated specs")
-    state, dstate = _measured_states(spec, channel_output(spec))
+    state, dstate = _measured_states(spec, build_state(spec))
     return cfi(ProbModel(_outcome_tensor(state, spec.r0).reshape(-1),
                          _outcome_tensor(dstate, spec.r0).reshape(-1)))

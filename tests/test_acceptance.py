@@ -28,15 +28,10 @@ from noisyqfi.fisher import ProbModel, cfi, qfi_exact, sld_exact
 from noisyqfi.mstate import (
     PauliState,
     apply_channel,
-    conjugate,
-    from_dense,
     initial_state,
     initial_state_orders,
-    permute_qubits,
     prep_conjugate,
     to_dense,
-    u_c,
-    u_prep,
 )
 from noisyqfi.protocols import (
     build_state,
@@ -61,13 +56,18 @@ from noisyqfi.series import (
 
 from support import (
     PAULI,
+    conjugate,
     exact_qfi_of_spec,
     fit_exact_orders,
+    from_dense,
     local_measurement_cfi_ungrouped,
+    permute_qubits,
     random_state,
     random_unit,
     random_unital_family,
     sigma,
+    u_c,
+    u_prep,
 )
 
 
@@ -482,7 +482,7 @@ def _prop_permutation_symmetry(rng, failures):
         spec = correlated(fam, float(rng.uniform(0.1, 0.8)), n,
                           float(rng.uniform(0.0, 0.5)), random_unit(rng),
                           random_unit(rng))
-        prep = build_state(spec, max_order=0)
+        prep = build_state(spec)
         perms = list(itertools.permutations(range(1, n)))[1:4]
         for perm in perms:
             moved = permute_qubits(prep.pauli, (0,) + perm)

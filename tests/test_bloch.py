@@ -17,6 +17,7 @@ from noisyqfi.bloch import (
     svd3,
     validate,
 )
+from noisyqfi.series import sqsc_nonunital_const_h2, sqsc_unital_h2
 
 from support import random_unit
 
@@ -79,8 +80,13 @@ class TestApplyBloch:
 
     def test_non_unit_direction_rejected(self):
         ch = builtin("depolarizing").eval(0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unit 3-vector"):
             apply_bloch(ch, 0.5, [1, 1, 0])
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            sqsc_unital_h2(ch, [1, 1, 0])
+        shifted = BlochChannel(0.5 * np.eye(3), [0.0, 0.0, 0.3], np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            sqsc_nonunital_const_h2(shifted, [1, 1, 0])
 
     def test_contraction_over_builtins(self):
         rng = np.random.default_rng(11)

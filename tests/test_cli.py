@@ -266,7 +266,13 @@ class TestMainExitCodes:
 
 
 class TestMeasureQubitCounts:
-    ARGS = ["measure", "--channel", "phase_flip", "--lambda", "0.3", "--purity", "1e-3"]
+    """The n rule of the correlated-only commands; subclasses rerun it per command."""
+
+    COMMAND = "measure"
+
+    @property
+    def ARGS(self):
+        return [self.COMMAND, "--channel", "phase_flip", "--lambda", "0.3", "--purity", "1e-3"]
 
     def test_single_qubit_is_config_error(self, capsys):
         assert main(self.ARGS + ["--n", "1"]) == EXIT_CONFIG
@@ -284,12 +290,16 @@ class TestMeasureQubitCounts:
 
     def test_config_file_n(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("[run]\ncommand = measure\nn = 3\n")
+        cfgfile.write_text(f"[run]\ncommand = {self.COMMAND}\nn = 3\n")
         assert main(self.ARGS + ["--config", str(cfgfile)]) == EXIT_OK
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["3"]
-        cfgfile.write_text("[run]\ncommand = measure\nn = 1\n")
+        cfgfile.write_text(f"[run]\ncommand = {self.COMMAND}\nn = 1\n")
         assert main(self.ARGS + ["--config", str(cfgfile)]) == EXIT_CONFIG
+
+
+class TestBoundsQubitCounts(TestMeasureQubitCounts):
+    COMMAND = "bounds"
 
 
 def _count_calls(monkeypatch, module, name) -> list:

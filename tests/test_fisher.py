@@ -2,22 +2,21 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin
-from noisyqfi.fisher import (
-    ProbModel,
-    cfi,
-    qfi_exact,
-    qfi_numeric_derivative,
-    sld_exact,
-    sld_eigen_measurement,
-)
+from noisyqfi.fisher import ProbModel, cfi, qfi_exact, sld_exact
 from noisyqfi.protocols import build_state, sqsc
 
-from support import PAULI, random_state, sigma
+from support import (
+    PAULI,
+    qfi_numeric_derivative,
+    random_state,
+    sigma,
+    sld_eigen_measurement,
+)
 
 
 def phase_flip_state(lam: float, r: float, r0=(1.0, 0.0, 0.0)):
     spec = sqsc(builtin("phase_flip"), lam, r, np.asarray(r0))
-    prep = build_state(spec, max_order=0)
+    prep = build_state(spec)
     return prep.rho, prep.drho
 
 
@@ -39,7 +38,7 @@ class TestSldExact:
         # rotation about z on |+><+|: unit information at every angle
         lam = 0.42
         spec = sqsc(builtin("phase_shift"), lam, 1.0, [1, 0, 0])
-        prep = build_state(spec, max_order=0)
+        prep = build_state(spec)
         assert qfi_exact(prep.rho, prep.drho) == pytest.approx(1.0, rel=1e-8)
 
     def test_result_invariants(self):
@@ -107,7 +106,7 @@ class TestNumericDerivative:
 
         def state_at(lam):
             spec = sqsc(fam, lam, r, r0)
-            return build_state(spec, max_order=0).rho
+            return build_state(spec).rho
 
         lam = 0.3
         want = 4.0 * r ** 2 / (1.0 - (1.0 - 2.0 * lam) ** 2 * r ** 2)

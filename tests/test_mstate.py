@@ -9,32 +9,31 @@ from noisyqfi.mstate import (
     PauliState,
     apply_channel,
     apply_channel_derivative,
-    conjugate,
-    from_dense,
     initial_state,
     initial_state_orders,
     pauli_index,
     pauli_label,
-    permute_qubits,
     prep_conjugate,
-    state_from_doc,
-    state_to_doc,
     to_dense,
-    u_c,
-    u_prep,
 )
 
 from support import (
     PAULI,
+    _mul_two_qubit,
+    conjugate,
+    from_dense,
     kraus_apply,
     kraus_depolarizing,
     kraus_gad,
     kraus_phase_flip,
     oracle_prep_conjugate,
     pair_transfer,
+    permute_qubits,
     perpendicular_pair,
     random_unit,
     sigma,
+    u_c,
+    u_prep,
 )
 
 
@@ -194,9 +193,9 @@ class TestPrepUnitary:
         backward = np.eye(2 ** n, dtype=complex)
         pairs = list(itertools.combinations(range(n), 2))
         for i, j in pairs:
-            forward = ms._mul_two_qubit(gate, forward, n, i, j)
+            forward = _mul_two_qubit(gate, forward, n, i, j)
         for i, j in reversed(pairs):
-            backward = ms._mul_two_qubit(gate, backward, n, i, j)
+            backward = _mul_two_qubit(gate, backward, n, i, j)
         np.testing.assert_allclose(forward, backward, atol=1e-12)
 
     def test_needs_two_qubits(self):
@@ -474,20 +473,6 @@ class TestPermutation:
         t = to_dense(st).reshape((2,) * 6)
         want = t.transpose(perm + tuple(3 + p for p in perm)).reshape(8, 8)
         np.testing.assert_allclose(got, want, atol=1e-13)
-
-
-class TestSerialization:
-    def test_doc_round_trip(self):
-        st = initial_state(2, 0.3, [0, 1, 0])
-        doc = state_to_doc(st)
-        assert doc["convention"] == "coeff = Tr[rho P]/2^n"
-        assert all(entry["value"] != 0.0 for entry in doc["entries"])
-        back = state_from_doc(doc)
-        np.testing.assert_allclose(back.coeffs, st.coeffs, atol=1e-15)
-
-    def test_bad_label_rejected(self):
-        with pytest.raises(ValueError):
-            state_from_doc({"n": 2, "entries": [{"pauli": "XQ", "value": 1.0}]})
 
 
 class TestCaps:

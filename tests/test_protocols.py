@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin
-from noisyqfi.mstate import permute_qubits
 from noisyqfi.protocols import (
     ProtocolSpec,
     build_state,
@@ -16,11 +15,17 @@ from noisyqfi.protocols import (
     measurement_cfi_lowest_order_general,
     nonunital_corr_equals_sqsc_check,
     protocol_qfi,
+    purity_orders,
     sqsc,
 )
 from noisyqfi.series import BranchError, canonical_directions, corr_bounds
 
-from support import local_measurement_cfi_ungrouped, perpendicular_pair, random_unit
+from support import (
+    local_measurement_cfi_ungrouped,
+    permute_qubits,
+    perpendicular_pair,
+    random_unit,
+)
 
 PF = builtin("phase_flip")
 DEPOL = builtin("depolarizing")
@@ -76,8 +81,7 @@ class TestBuildState:
         r0 = np.array([1.0, 0.0, 0.0])
         lam = 0.5
         spec = correlated(DEPOL, lam, 2, 0.2, c, r0)
-        prep = build_state(spec, max_order=1)
-        rho1 = prep.orders.rho[1]
+        rho1 = purity_orders(spec, 1).rho[1]
         from support import sigma
         want = lam * (np.kron(sigma(r0), sigma(c)) + np.kron(sigma(c), sigma(r0))) / 4.0
         np.testing.assert_allclose(rho1, want, atol=1e-13)
@@ -91,10 +95,14 @@ class TestBuildState:
             np.testing.assert_allclose(moved.coeffs, prep.pauli.coeffs, atol=1e-12)
 
     def test_caps_propagate(self):
+        # the dense cap applies at the first dense use, not to the Pauli state
         rng = np.random.default_rng(61)
         spec = correlated(PF, 0.3, 11, 0.1, random_unit(rng), random_unit(rng))
+        prep = build_state(spec)
         with pytest.raises(ValueError, match="1..10"):
-            build_state(spec)
+            prep.rho
+        with pytest.raises(ValueError, match="1..10"):
+            protocol_qfi(spec)
 
 
 class TestProtocolQfi:
@@ -221,6 +229,15 @@ class TestScale:
         rec = local_measurement_sim(spec)
         assert rec.cfi / r ** 2 == pytest.approx(40.0, rel=2e-2)
 
+    def test_measurement_beyond_dense_cap(self):
+        # the measurement is Pauli-only, so n = 11 runs past the dense cap
+        lam, r = 0.3, 1e-3
+        ch = PF.eval(lam)
+        c, r0 = canonical_directions(ch)
+        rec = local_measurement_sim(correlated(PF, lam, 11, r, c, r0))
+        assert rec.p_plus.sum() + rec.p_minus.sum() == pytest.approx(1.0, abs=1e-12)
+        assert rec.cfi / r ** 2 == pytest.approx(44.0, rel=2e-2)
+
     def test_rank_one_measurement_example(self):
         fam = builtin("custom_diag", mx="0", my="0", mz="1-2*l")
         lam, n, r = 0.3, 4, 1e-3
@@ -298,6 +315,7 @@ class TestCompare:
                       sqsc(fam, 0.5, 1e-3, [1, 0, 0]))
         assert rep.status == "undefined"
         assert rep.ratio_exact is None
+        assert rep.gain_lo is None and rep.gain_hi is None
 
     def test_report_serializes(self):
         import json

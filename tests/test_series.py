@@ -20,7 +20,6 @@ from noisyqfi.series import (
     default_fit_purities,
     fit_qfi_orders,
     qfi_orders,
-    saturating_basis_lowest_order,
     sld_orders,
     sphere_directions,
     sqsc_nonunital_const_h2,
@@ -39,6 +38,7 @@ from support import (
     random_state,
     random_unit,
     random_unital_family,
+    saturating_basis_lowest_order,
 )
 
 UNITAL_BUILTINS = [
@@ -504,7 +504,7 @@ class TestSaturatingBasis:
         orders = final_orders(fam, lam, n, c, r0, 1)
         projs = saturating_basis_lowest_order(orders.drho[1])
         spec = correlated(fam, lam, n, r, c, r0)
-        prep = build_state(spec, max_order=0)
+        prep = build_state(spec)
         p = np.array([np.trace(P @ prep.rho).real for P in projs])
         dp = np.array([np.trace(P @ prep.drho).real for P in projs])
         got = cfi(ProbModel(p, dp))
