@@ -1,9 +1,10 @@
 """Quantum Fisher information for single-parameter qubit channels on noisy states.
 
-The package cross-checks three views of the same quantity: an exact
-density-operator oracle (``fisher``), a purity-series expansion with
-closed-form lowest orders (``series``), and full protocol simulations with
-measurement statistics (``protocols``), all built on a Bloch-sphere channel
+The package cross-checks three views of the same quantity: the exact QFI
+from an eigendecomposition of each Schur-Weyl block of the output state
+(``blocks`` over ``fisher``), a purity-series expansion with closed-form
+lowest orders (``series``), and full protocol simulations with measurement
+statistics (``protocols``), all built on a Bloch-sphere channel
 representation (``bloch``) and an n-qubit Pauli-string state engine
 (``mstate``).  A batch CLI lives in ``noisyqfi.cli``.
 """
@@ -22,6 +23,7 @@ from .bloch import (
     svd3,
     validate,
 )
+from .blocks import exact_qfi, spin_blocks
 from .fisher import ProbModel, SldResult, cfi, qfi_exact, sld_exact
 from .mstate import (
     OrderedState,

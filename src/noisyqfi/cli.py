@@ -21,16 +21,15 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .blocks import exact_qfi
 from .bloch import ChannelFamily, DomainError, Unitality, validate
 from .config import ConfigError, family_from_config, parse_config_text
 from .expr import ExprError
-from .fisher import qfi_exact
 from .protocols import (
-    build_state,
     correlated,
     escher_phase_flip_demo,
     local_measurement_sim,
@@ -190,9 +189,8 @@ def _measure_cell(payload: dict) -> list:
     lam, r, n = payload["lam"], payload["r"], payload["n"]
     try:
         spec = _spec_for(family, lam, r, n, payload["c"], payload["r0"])
-        prep = build_state(spec)
-        qfi = qfi_exact(prep.rho, prep.drho, payload["eps"])
-        rec = local_measurement_sim(spec, prep)
+        qfi = exact_qfi(spec, payload["eps"])
+        rec = local_measurement_sim(spec)
         ratio = rec.cfi / qfi if qfi > 1e-300 else float("nan")
         return [n, lam, r, rec.cfi, qfi, ratio]
     except Exception as exc:
@@ -209,14 +207,10 @@ def _fit_cell(payload: dict) -> list[list]:
         verify_family_flag(family, ch)
         if family.unitality is not Unitality.UNITAL:
             raise BranchError("order fitting is defined for unital channels")
-        specs = [_spec_for(family, lam, float(r), n, payload["c"], payload["r0"])
-                 for r in rs]
+        spec = _spec_for(family, lam, float(rs[-1]), n, payload["c"], payload["r0"])
         # one series per cell: the purity orders do not depend on r
-        series = qfi_series(purity_orders(specs[-1], K), K)
-        qfis = []
-        for spec in specs:
-            prep = build_state(spec)
-            qfis.append(qfi_exact(prep.rho, prep.drho, payload["eps"]))
+        series = qfi_series(purity_orders(spec, K), K)
+        qfis = [exact_qfi(replace(spec, r=float(r)), payload["eps"]) for r in rs]
         fit = fit_qfi_orders(rs, np.asarray(qfis), orders=tuple(range(2, K + 2)))
         if fit.cond > _MAX_FIT_COND:
             raise NumericError(
@@ -297,13 +291,11 @@ def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
 def run_measure(cfg: RunConfig) -> tuple[list[str], list[list]]:
     lams = cfg.lams if cfg.lams is not None else [0.5]
     purities = cfg.purities if cfg.purities is not None else [1e-3]
-    ns = cfg.qubit_counts()
-    _warn_validity(purities, ns)
     header = ["n", "lambda", "r", "cfi", "qfi", "ratio"]
     payloads = [
         {"channel": cfg.channel, "lam": lam, "r": r, "n": n, "c": cfg.c,
          "r0": cfg.r0, "eps": cfg.eps}
-        for lam in lams for r in purities for n in ns
+        for lam in lams for r in purities for n in cfg.qubit_counts()
     ]
     return header, _map_cells(_measure_cell, payloads, cfg.jobs)
 

@@ -1,13 +1,15 @@
 """Exact SLD, quantum Fisher information, and classical Fisher information.
 
-Everything here works on dense Hermitian matrices and serves as the
-brute-force oracle for the series machinery: the SLD L solves
+Everything here works on dense Hermitian matrices: the SLD L solves
 drho = (L rho + rho L)/2 and is built from the eigendecomposition
 rho = sum_j p_j |j><j| as
 
     L = 2 sum_{j,k} <j|drho|k> / (p_j + p_k) |j><k|
 
 restricted to pairs with p_j + p_k above a cutoff; the QFI is Tr[drho L].
+The library applies it to one Schur-Weyl block of a protocol's output at a
+time (``blocks.exact_qfi``); on the whole 2^n state it is the test oracle
+for the blocks and for the series machinery.
 """
 
 from __future__ import annotations
@@ -49,14 +51,8 @@ class SldResult:
     dropped_pairs: int
 
 
-def sld_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> SldResult:
-    """SLD and QFI of a state family from (rho, drho) at one parameter value.
-
-    eps is the null-pair cutoff: eigenvalue pairs with p_j + p_k <= eps are
-    skipped (default 1e-12 times the largest eigenvalue).  Eigenvalues in
-    [-1e-9, 0) are clamped to zero; anything more negative is rejected as an
-    invalid state.
-    """
+def _spectral(rho: np.ndarray, drho: np.ndarray, eps: float | None):
+    """Checked eigensystem (p, V) of rho, G = V^+ drho V, the pair sums and kept pairs."""
     rho = _check_hermitian(rho, "rho")
     drho = _check_hermitian(drho, "drho")
     if rho.shape != drho.shape:
@@ -75,14 +71,28 @@ def sld_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> Sl
 
     G = V.conj().T @ drho @ V
     denom = p[:, None] + p[None, :]
-    keep = denom > eps
+    return p, V, G, denom, denom > eps
+
+
+def _pair_sum(G: np.ndarray, denom: np.ndarray, keep: np.ndarray) -> float:
+    return float(np.sum(2.0 * (np.abs(G) ** 2)[keep] / denom[keep]))
+
+
+def sld_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> SldResult:
+    """SLD and QFI of a state family from (rho, drho) at one parameter value.
+
+    eps is the null-pair cutoff: eigenvalue pairs with p_j + p_k <= eps are
+    skipped (default 1e-12 times the largest eigenvalue).  Eigenvalues in
+    [-1e-9, 0) are clamped to zero; anything more negative is rejected as an
+    invalid state.
+    """
+    p, V, G, denom, keep = _spectral(rho, drho, eps)
     ratio = np.zeros_like(G)
     np.divide(G, denom, out=ratio, where=keep)
-    qfi = float(np.sum(2.0 * (np.abs(G) ** 2)[keep] / denom[keep]))
     L = V @ (2.0 * ratio * keep) @ V.conj().T
     return SldResult(
         L=L,
-        qfi=qfi,
+        qfi=_pair_sum(G, denom, keep),
         eigenvalues=p,
         eigenvectors=V,
         dropped_pairs=int(np.count_nonzero(~keep)),
@@ -90,7 +100,8 @@ def sld_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> Sl
 
 
 def qfi_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> float:
-    return sld_exact(rho, drho, eps).qfi
+    """The QFI of ``sld_exact`` without forming the SLD."""
+    return _pair_sum(*_spectral(rho, drho, eps)[2:])
 
 
 @dataclass(frozen=True)

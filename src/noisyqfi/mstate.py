@@ -238,7 +238,10 @@ def _frame(c) -> np.ndarray:
     u = -c[a] * c
     u[a] += 1.0
     u /= np.linalg.norm(u)
-    return np.column_stack([u, np.cross(c, u), c])
+    # c x u written out: np.cross costs more than the rest of the frame
+    v = np.array([c[1] * u[2] - c[2] * u[1], c[2] * u[0] - c[0] * u[2],
+                  c[0] * u[1] - c[1] * u[0]])
+    return np.column_stack([u, v, c])
 
 
 def _slot_maps(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,25 +8,26 @@ Two protocol shapes are supported:
   channel invocation on qubit 0.
 
 Each protocol yields the pre-measurement state from two builders over the
-same construction: ``build_state`` at fixed purity (Pauli and dense, for the
-exact eigendecomposition QFI and the measurement) and ``purity_orders`` (for
-the series coefficients, which do not depend on the purity).  The
-local measurement scheme re-applies the preparation after the channel and
-measures every qubit along the initial direction; outcomes are grouped by
-the sign of qubit 0 and the number of + results among the rest, which is
-lossless because the state is symmetric under any permutation of qubits
-1..n-1.
+same construction: ``build_state`` at fixed purity (Pauli coefficients, for
+the measurement) and ``purity_orders`` (for the series coefficients, which
+do not depend on the purity).  The exact QFI comes from the state's
+Schur-Weyl blocks (``blocks.exact_qfi``), one small eigensystem per spin in
+place of the 2^n one.  The local measurement scheme re-applies the
+preparation after the channel and measures every qubit along the initial
+direction; outcomes are grouped by the sign of qubit 0 and the number of +
+results among the rest, which is lossless because the state is symmetric
+under any permutation of qubits 1..n-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .blocks import exact_qfi
 from .bloch import BlochChannel, ChannelFamily, Unitality, _unit_vector, svd3
-from .fisher import ProbModel, cfi, qfi_exact
+from .fisher import ProbModel, cfi
 from .mstate import (
     PauliState,
     _check_dense_cap,
@@ -35,7 +36,6 @@ from .mstate import (
     initial_state,
     initial_state_orders,
     prep_conjugate,
-    to_dense,
 )
 from .series import (
     BranchError,
@@ -118,23 +118,11 @@ def correlated(family: ChannelFamily, lam: float, n: int, r: float, c, r0) -> Pr
 
 @dataclass(frozen=True)
 class PreparedState:
-    """The channel output at the spec's fixed purity and its lam derivative.
-
-    The dense matrices are formed on first use, so a Pauli-only consumer
-    (the measurement simulation) is not held to the dense qubit cap.
-    """
+    """The channel output at the spec's fixed purity and its lam derivative."""
 
     channel: BlochChannel
     pauli: PauliState
     dpauli: PauliState
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        return to_dense(self.pauli)
-
-    @cached_property
-    def drho(self) -> np.ndarray:
-        return to_dense(self.dpauli)
 
 
 def build_state(spec: ProtocolSpec) -> PreparedState:
@@ -177,18 +165,14 @@ class ProtocolQfi:
 
 def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
                  eps: float | None = None) -> ProtocolQfi:
-    """Exact QFI (eigendecomposition oracle) and its purity-series estimate.
+    """Exact QFI (Schur-Weyl blocks) and its purity-series estimate.
 
     Both numbers are per channel invocation; every protocol here invokes the
-    channel exactly once.
+    channel exactly once.  The series keeps the dense qubit cap.
     """
-    _check_dense_cap(spec.n)  # fail before any large allocation
-    prep = build_state(spec)
-    exact = qfi_exact(prep.rho, prep.drho, eps)
-    del prep  # the dense pair is not needed while the series is solved
     series = qfi_series(purity_orders(spec, K), K)
-    return ProtocolQfi(exact=exact, series_estimate=series.evaluate(spec.r),
-                       series=series)
+    return ProtocolQfi(exact=exact_qfi(spec, eps),
+                       series_estimate=series.evaluate(spec.r), series=series)
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +223,16 @@ class MeasurementRecord:
     cfi: float
 
 
-def local_measurement_sim(spec: ProtocolSpec,
-                          prep: PreparedState | None = None) -> MeasurementRecord:
+def local_measurement_sim(spec: ProtocolSpec) -> MeasurementRecord:
     """Simulate the correlated protocol's local measurement scheme.
 
     After the channel the preparation is applied again and every qubit is
     measured along r0.  Outcome derivatives are exact: they are the grouped
-    outcomes of the measured state's lam derivative.  ``prep`` is
-    ``build_state(spec)`` when the caller has already built it.
+    outcomes of the measured state's lam derivative.
     """
     if spec.kind != "correlated":
         raise ValueError("the local measurement scheme is defined for correlated specs")
-    state, dstate = _measured_states(spec, build_state(spec) if prep is None else prep)
+    state, dstate = _measured_states(spec, build_state(spec))
     p_plus, p_minus = _grouped(_outcome_tensor(state, spec.r0), spec.n)
     dp_plus, dp_minus = _grouped(_outcome_tensor(dstate, spec.r0), spec.n)
     model = ProbModel(np.concatenate([p_plus, p_minus]),
@@ -296,9 +278,9 @@ def measurement_cfi_lowest_order_general(ch: BlochChannel, n: int, c, r0) -> flo
 class GainReport:
     """Per-invocation QFI ratio of two protocols.
 
-    ratio_exact comes from the eigendecomposition oracle at the specs' finite
-    purity; ratio_series is the truncated-series counterpart and is only
-    meaningful while n r^2 stays well below one.
+    ratio_exact comes from the exact QFI at the specs' finite purity;
+    ratio_series is the truncated-series counterpart and is only meaningful
+    while n r^2 stays well below one.
     """
 
     status: str                      # "ok" or "undefined"

@@ -116,9 +116,17 @@ def kraus_apply(rho: np.ndarray, ks: list[np.ndarray], n: int, qubit: int) -> np
     return out
 
 
-def exact_qfi_of_spec(spec) -> float:
-    prep = build_state(spec)
-    return qfi_exact(prep.rho, prep.drho)
+# The dense 2^n output pair and its eigendecomposition QFI: the oracle for
+# noisyqfi.blocks.exact_qfi.
+
+def dense_pair(prep) -> tuple[np.ndarray, np.ndarray]:
+    """Dense matrices of a prepared state's channel output and its lam derivative."""
+    return to_dense(prep.pauli), to_dense(prep.dpauli)
+
+
+def dense_exact_qfi(spec, eps: float | None = None) -> float:
+    """Exact QFI of a spec from one eigendecomposition of the 2^n output state."""
+    return qfi_exact(*dense_pair(build_state(spec)), eps)
 
 
 def fit_exact_orders(family, lam, n, c, r0, rs, orders=(2, 3, 4)):
@@ -126,7 +134,7 @@ def fit_exact_orders(family, lam, n, c, r0, rs, orders=(2, 3, 4)):
     qs = []
     for r in rs:
         spec = sqsc(family, lam, r, r0) if n == 1 else correlated(family, lam, n, r, c, r0)
-        qs.append(exact_qfi_of_spec(spec))
+        qs.append(dense_exact_qfi(spec))
     return fit_qfi_orders(np.asarray(rs), np.asarray(qs), orders=orders)
 
 

@@ -57,7 +57,7 @@ from noisyqfi.series import (
 from support import (
     PAULI,
     conjugate,
-    exact_qfi_of_spec,
+    dense_exact_qfi,
     fit_exact_orders,
     from_dense,
     local_measurement_cfi_ungrouped,
@@ -81,7 +81,7 @@ def test_criterion_1_phase_flip_exact_qfi():
     worst = 0.0
     for lam in np.arange(0.1, 0.95, 0.1):
         for r in np.arange(0.1, 0.95, 0.1):
-            got = exact_qfi_of_spec(sqsc(fam, lam, r, [1, 0, 0]))
+            got = dense_exact_qfi(sqsc(fam, lam, r, [1, 0, 0]))
             want = 4 * r ** 2 / (1 - (1 - 2 * lam) ** 2 * r ** 2)
             worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - start
@@ -102,7 +102,7 @@ def test_criterion_2_gad_zeroth_order():
     for p in (0.6, 0.8, 1.0):
         fam = builtin("gad", p=p)
         for lam in np.arange(0.1, 0.95, 0.1):
-            got = exact_qfi_of_spec(sqsc(fam, lam, 0.0, [1, 0, 0]))
+            got = dense_exact_qfi(sqsc(fam, lam, 0.0, [1, 0, 0]))
             corrected = (2 * p - 1) ** 2 / (1.0 - lam ** 2 * (2 * p - 1) ** 2)
             # the oracle always agrees with the prefactored closed form
             assert got == pytest.approx(corrected, rel=1e-9)

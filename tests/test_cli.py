@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from noisyqfi import builtin, cli, protocols
+from noisyqfi import builtin, cli, protocols, series
+from noisyqfi.bloch import ChannelFamily
 from noisyqfi.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -19,7 +20,11 @@ from noisyqfi.cli import (
     run_qfi,
 )
 from noisyqfi.config import ConfigError, family_from_config, parse_config_text
-from noisyqfi.protocols import correlated, protocol_qfi
+from noisyqfi.protocols import (
+    correlated,
+    measurement_cfi_lowest_order_general,
+    protocol_qfi,
+)
 from noisyqfi.series import canonical_directions, default_fit_purities, fit_qfi_orders
 
 
@@ -246,6 +251,33 @@ class TestMainExitCodes:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert abs(float(row[-1]) - 1.0) <= 1e-12
 
+    def test_measure_beyond_dense_cap(self, capsys):
+        # the exact QFI comes from spin blocks, so only the Pauli cap applies
+        lam, r, n = 0.3, 1e-3, 11
+        code = main(["measure", "--channel", "phase_flip", "--lambda", str(lam),
+                     "--purity", str(r), "--n", str(n)])
+        assert code == EXIT_OK
+        row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+        cfi, qfi = float(row["cfi"]), float(row["qfi"])
+        assert abs(cfi / qfi - 1.0) <= 1e-12
+        ch = builtin("phase_flip").eval(lam)
+        want = measurement_cfi_lowest_order_general(ch, n, *canonical_directions(ch)) * r ** 2
+        assert cfi == pytest.approx(want, rel=1e-4)
+
+    def test_series_commands_keep_dense_cap(self, capsys):
+        for argv in (["qfi", "--purity", "1e-3"], ["fit-orders"]):
+            code = main(argv + ["--channel", "phase_flip", "--lambda", "0.3", "--n", "11"])
+            assert code == EXIT_NUMERIC
+            assert "outside supported range 1..10 for dense-matrix operations" in \
+                capsys.readouterr().err
+
+    def test_only_series_commands_warn_about_validity(self, capsys):
+        args = ["--channel", "phase_flip", "--purity", "1", "--n", "3"]
+        assert main(["measure", *args]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert main(["qfi", *args]) == EXIT_OK
+        assert "series columns are outside their validity regime" in capsys.readouterr().err
+
     def test_bad_param_syntax(self, capsys):
         assert main(["qfi", "--channel", "gad", "--param", "p:1"]) == EXIT_CONFIG
 
@@ -318,12 +350,19 @@ class TestWorkPerCell:
     def test_fit_orders_solves_one_series_per_cell(self, monkeypatch, capsys):
         sld = _count_calls(monkeypatch, protocols, "sld_orders")
         prep = _count_calls(monkeypatch, protocols, "prep_conjugate")
+        evals = _count_calls(monkeypatch, ChannelFamily, "eval")
+        svds = _count_calls(monkeypatch, series, "svd3")
         code = main(["fit-orders", "--channel", "depolarizing", "--lambda", "0.25,0.5",
                      "--n", "2,3"])
         assert code == EXIT_OK
         assert len(sld) == 4
-        # per cell: one preparation per purity, one for the purity orders
-        assert len(prep) == 4 * (len(default_fit_purities()) + 1)
+        # per cell: one preparation, for the purity orders; the exact QFI
+        # needs none
+        assert len(prep) == 4
+        # per cell: one spec (one eval, one svd3), the flag check, the purity
+        # orders and one exact QFI per purity
+        assert len(evals) == 4 * (3 + len(default_fit_purities()))
+        assert len(svds) == 4
 
     def test_measure_solves_no_series(self, monkeypatch, capsys):
         sld = _count_calls(monkeypatch, protocols, "sld_orders")

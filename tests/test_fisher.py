@@ -7,6 +7,7 @@ from noisyqfi.protocols import build_state, sqsc
 
 from support import (
     PAULI,
+    dense_pair,
     qfi_numeric_derivative,
     random_state,
     sigma,
@@ -16,8 +17,7 @@ from support import (
 
 def phase_flip_state(lam: float, r: float, r0=(1.0, 0.0, 0.0)):
     spec = sqsc(builtin("phase_flip"), lam, r, np.asarray(r0))
-    prep = build_state(spec)
-    return prep.rho, prep.drho
+    return dense_pair(build_state(spec))
 
 
 class TestSldExact:
@@ -38,8 +38,8 @@ class TestSldExact:
         # rotation about z on |+><+|: unit information at every angle
         lam = 0.42
         spec = sqsc(builtin("phase_shift"), lam, 1.0, [1, 0, 0])
-        prep = build_state(spec)
-        assert qfi_exact(prep.rho, prep.drho) == pytest.approx(1.0, rel=1e-8)
+        rho, drho = dense_pair(build_state(spec))
+        assert qfi_exact(rho, drho) == pytest.approx(1.0, rel=1e-8)
 
     def test_result_invariants(self):
         rng = np.random.default_rng(31)
@@ -106,7 +106,7 @@ class TestNumericDerivative:
 
         def state_at(lam):
             spec = sqsc(fam, lam, r, r0)
-            return build_state(spec).rho
+            return dense_pair(build_state(spec))[0]
 
         lam = 0.3
         want = 4.0 * r ** 2 / (1.0 - (1.0 - 2.0 * lam) ** 2 * r ** 2)

@@ -21,6 +21,7 @@ from noisyqfi.protocols import (
 from noisyqfi.series import BranchError, canonical_directions, corr_bounds
 
 from support import (
+    dense_pair,
     local_measurement_cfi_ungrouped,
     permute_qubits,
     perpendicular_pair,
@@ -62,13 +63,12 @@ class TestProtocolSpec:
 
 class TestBuildState:
     def test_sqsc_zero_purity_unital(self):
-        prep = build_state(sqsc(PF, 0.3, 0.0, [1, 0, 0]))
-        np.testing.assert_allclose(prep.rho, np.eye(2) / 2.0, atol=1e-15)
+        rho, _ = dense_pair(build_state(sqsc(PF, 0.3, 0.0, [1, 0, 0])))
+        np.testing.assert_allclose(rho, np.eye(2) / 2.0, atol=1e-15)
 
     def test_correlated_state_is_physical(self):
         spec = correlated(PF, 0.4, 3, 0.3, [1, 0, 0], [0, 1, 0])
-        prep = build_state(spec)
-        rho = prep.rho
+        rho, _ = dense_pair(build_state(spec))
         assert np.trace(rho).real == pytest.approx(1.0)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-13
         assert np.linalg.eigvalsh(rho)[0] > -1e-12
@@ -100,7 +100,7 @@ class TestBuildState:
         spec = correlated(PF, 0.3, 11, 0.1, random_unit(rng), random_unit(rng))
         prep = build_state(spec)
         with pytest.raises(ValueError, match="1..10"):
-            prep.rho
+            dense_pair(prep)
         with pytest.raises(ValueError, match="1..10"):
             protocol_qfi(spec)
 

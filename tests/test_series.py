@@ -30,7 +30,8 @@ from noisyqfi.series import (
 )
 
 from support import (
-    exact_qfi_of_spec,
+    dense_exact_qfi,
+    dense_pair,
     fit_exact_orders,
     oracle_qfi_orders,
     oracle_sld_orders,
@@ -255,7 +256,7 @@ class TestSqscClosedForms:
             for lam in (0.2, 0.5, 0.8):
                 want = (2 * p - 1) ** 2 / (1.0 - lam ** 2 * (2 * p - 1) ** 2)
                 assert sqsc_nonunital_h0(fam.eval(lam)) == pytest.approx(want)
-                got = exact_qfi_of_spec(sqsc(fam, lam, 0.0, [1, 0, 0]))
+                got = dense_exact_qfi(sqsc(fam, lam, 0.0, [1, 0, 0]))
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_nonunital_h0_wrong_branch(self):
@@ -274,7 +275,7 @@ class TestSqscClosedForms:
                             value, deriv)
         assert sqsc_nonunital_h0(fam.eval(0.0)) == pytest.approx(1.0)
         # cross-check against the exact oracle at zero purity
-        got = exact_qfi_of_spec(sqsc(fam, 1e-5, 0.0, [1, 0, 0]))
+        got = dense_exact_qfi(sqsc(fam, 1e-5, 0.0, [1, 0, 0]))
         assert got == pytest.approx(1.0, rel=1e-6)
 
     def test_const_shift_h2_value(self):
@@ -504,9 +505,9 @@ class TestSaturatingBasis:
         orders = final_orders(fam, lam, n, c, r0, 1)
         projs = saturating_basis_lowest_order(orders.drho[1])
         spec = correlated(fam, lam, n, r, c, r0)
-        prep = build_state(spec)
-        p = np.array([np.trace(P @ prep.rho).real for P in projs])
-        dp = np.array([np.trace(P @ prep.drho).real for P in projs])
+        rho, drho = dense_pair(build_state(spec))
+        p = np.array([np.trace(P @ rho).real for P in projs])
+        dp = np.array([np.trace(P @ drho).real for P in projs])
         got = cfi(ProbModel(p, dp))
         lower, _ = corr_bounds(ch, n)
         assert got >= lower * r ** 2 * (1.0 - 1e-3)
@@ -557,7 +558,7 @@ class TestSeriesOracleAgreement:
                 c, r0 = canonical_directions(ch)
                 r = np.sqrt(0.01 / n)
                 spec = correlated(fam, lam, n, r, c, r0)
-                exact = exact_qfi_of_spec(spec)
+                exact = dense_exact_qfi(spec)
                 approx = corr_h2(ch, n, c, r0) * r ** 2
                 assert abs(approx - exact) / exact < 0.02
 
