@@ -30,6 +30,7 @@ from .bloch import ChannelFamily, DomainError, Unitality, validate
 from .config import ConfigError, family_from_config, parse_config_text
 from .expr import ExprError
 from .protocols import (
+    VANISHING_QFI,
     correlated,
     escher_phase_flip_demo,
     local_measurement_sim,
@@ -190,9 +191,14 @@ def _measure_cell(payload: dict) -> list:
     try:
         spec = _spec_for(family, lam, r, n, payload["c"], payload["r0"])
         qfi = exact_qfi(spec, payload["eps"])
+        if qfi <= VANISHING_QFI:
+            raise NumericError(
+                f"cell {_cell_name(lam, r, n)}: QFI {qfi:.3g} vanishes "
+                f"(<= {VANISHING_QFI:g}), so CFI/QFI is undefined")
         rec = local_measurement_sim(spec)
-        ratio = rec.cfi / qfi if qfi > 1e-300 else float("nan")
-        return [n, lam, r, rec.cfi, qfi, ratio]
+        return [n, lam, r, rec.cfi, qfi, rec.cfi / qfi]
+    except NumericError:
+        raise
     except Exception as exc:
         raise NumericError(f"cell {_cell_name(lam, r, n)}: {exc}") from exc
 

@@ -51,6 +51,9 @@ from .series import (
     verify_family_flag,
 )
 
+# a QFI at or below this is rounding noise: no ratio over it is defined
+VANISHING_QFI = 1e-30
+
 __all__ = [
     "ProtocolSpec",
     "sqsc",
@@ -152,8 +155,12 @@ def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
 
 
 def qfi_series(orders: StateOrders, K: int) -> QfiSeries:
-    """Purity-series QFI coefficients up to order K from the state orders."""
-    return qfi_orders(orders, sld_orders(orders, K), K)
+    """Purity-series QFI coefficients up to order K from the state orders.
+
+    The stationary form of the QFI fixes every order through K from the SLD
+    orders through K // 2 (``series.qfi_orders``).
+    """
+    return qfi_orders(orders, sld_orders(orders, K // 2), K)
 
 
 @dataclass(frozen=True)
@@ -338,13 +345,13 @@ def compare(spec_a: ProtocolSpec, spec_b: ProtocolSpec,
         except BranchError:  # s1 = 0: the channel carries no information
             pass
 
-    if qb.exact <= 1e-30:
+    if qb.exact <= VANISHING_QFI:
         return GainReport("undefined", None, None, gain_lo, gain_hi, (),
                           qa, qb)
 
     ratio_exact = qa.exact / qb.exact
     ratio_series = (qa.series_estimate / qb.series_estimate
-                    if abs(qb.series_estimate) > 1e-30 else None)
+                    if abs(qb.series_estimate) > VANISHING_QFI else None)
     violations = []
     if gain_lo is not None:
         if ratio_exact > gain_hi * (1.0 + margin):

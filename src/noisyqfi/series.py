@@ -12,12 +12,25 @@ Matching powers in the SLD defining equation gives, for each order k,
 
 a Sylvester-type equation.  Every protocol here leaves the zeroth order in
 the product form rho^(0) = h (x) I/2^(n-1), where h = (I + d.sigma)/2 is the
-qubit-0 factor (h = I/2 for unital channels), so the equation is solved in
-the 2x2 eigensystem of h: the change of basis, the division by the
-eigenvalue sums and the change back act on the qubit-0 slot only, and the
-one matrix product per purity term is the only cubic work.  h must be
-positive definite (|d| < 1).  The QFI orders follow from
-H^(j) = sum_k Tr[d(rho^(j-k))/dlam L^(k)].
+qubit-0 factor (h = I/2 for unital channels), and its derivative as
+hdot (x) I/2^(n-1), so L^(0) = l (x) I and the equation is solved in the 2x2
+eigensystem of h: the change of basis, the division by the eigenvalue sums
+and the change back act on the qubit-0 slot only.  h must be positive
+definite (|d| < 1).
+
+The QFI orders come from the stationary form of the QFI,
+H = max_X (2 Tr[d(rho)/dlam X] - Tr[rho X^2]), whose maximum is the SLD.
+Evaluated at the SLD series truncated after order m it errs by
+O(r^(2m+2)) (Wigner's 2n+1 rule), so the SLD orders through K // 2 fix every
+QFI order through K:
+
+    H^(k) = 2 sum_{a+b=k} Tr[d(rho^(a))/dlam L^(b)]
+            - sum_{a+b+c=k} Tr[rho^(a) L^(b) L^(c)],      b, c <= K // 2.
+
+Every product with rho^(0) or L^(0) as a factor is a 2x2 contraction on the
+qubit-0 blocks, so at K = 4 the only cubic work is three matrix products:
+L^(1) rho^(1) in the SLD solve, and L^(1) rho^(1) and L^(1) rho^(2) in the
+traces.
 
 The closed-form lowest orders implemented below, with Mdot = dM/dlam and
 s1 >= s2 >= s3 its singular values:
@@ -143,27 +156,39 @@ def channel_output_orders(input_orders: OrderedState, ch: BlochChannel,
     return StateOrders(tuple(rho), tuple(drho))
 
 
-def _zeroth_order_inverse(rho0: np.ndarray) -> np.ndarray:
-    """The map R -> X solving X rho0 + rho0 X = R, on the qubit-0 blocks.
+def _qubit0_factor(mat: np.ndarray, what: str, form: str) -> np.ndarray:
+    """The 2x2 factor q of mat = q (x) I, with I the identity on qubits 1..n-1.
 
-    rho0 must factor as h (x) I/m with m = dim/2.  In the eigenbasis
-    h = V diag(q) V^dagger the solution is X~_ab = R~_ab m / (q_a + q_b),
-    so with every block indexed by its qubit-0 row and column,
-    X[x, y] = sum_{z, w} T[x, y, z, w] R[z, w] for the returned 2x2x2x2 T.
+    Every entry is checked to 1e-12; a ValueError names the matrix and the
+    expected form when mat does not act on qubit 0 alone.
     """
-    dim = rho0.shape[0]
-    m = dim // 2
+    dim = mat.shape[0]
     if dim % 2:
-        raise ValueError("zeroth-order state must have even dimension 2^n")
-    # trace over qubits 1..n-1; the contiguous copy makes the sum pairwise,
-    # which keeps h exact when the diagonal entries are equal
-    diag = np.ascontiguousarray(rho0.reshape(2, m, 2, m).diagonal(axis1=1, axis2=3))
-    h = diag.sum(axis=-1)
-    if np.max(np.abs(rho0 - np.kron(h, np.eye(m) / m))) > 1e-12:
+        raise ValueError(f"{what} must have even dimension 2^n")
+    m = dim // 2
+    blocks = mat.reshape(2, m, 2, m)
+    # the contiguous copy makes the sum pairwise, which keeps q exact when
+    # the diagonal entries are equal
+    diag = np.ascontiguousarray(blocks.diagonal(axis1=1, axis2=3))
+    q = diag.sum(axis=-1) / m
+    off = np.abs(blocks)
+    i = np.arange(m)
+    off[:, i, :, i] = 0.0
+    if max(off.max(), np.abs(diag - q[..., None]).max()) > 1e-12:
         raise ValueError(
-            "zeroth-order state does not factor as h (x) I/2^(n-1); the "
-            "order-by-order SLD solve needs a qubit-0 state times the "
-            "maximally mixed rest")
+            f"{what} does not factor as {form}; the order-by-order SLD solve "
+            "needs qubit-0 operators times the identity on the rest")
+    return q
+
+
+def _zeroth_order_inverse(h: np.ndarray, m: int) -> np.ndarray:
+    """The map R -> X solving X rho0 + rho0 X = R for rho0 = h (x) I/m.
+
+    In the eigenbasis h = V diag(q) V^dagger the solution is
+    X~_ab = R~_ab m / (q_a + q_b), so with every block indexed by its
+    qubit-0 row and column, X[x, y] = sum_{z, w} T[x, y, z, w] R[z, w] for
+    the returned 2x2x2x2 T.
+    """
     q, V = np.linalg.eigh(h)
     if q[0] / m <= 1e-14:
         raise ValueError(
@@ -173,53 +198,99 @@ def _zeroth_order_inverse(rho0: np.ndarray) -> np.ndarray:
     return np.einsum("xa,za,ab,yb,wb->xyzw", V, V.conj(), scale, V.conj(), V)
 
 
+def _on_qubit0(q: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(q (x) I) A as a 2x2 contraction on the qubit-0 row blocks of A."""
+    return (q @ A.reshape(2, -1)).reshape(A.shape)
+
+
+def _re_inner(A: np.ndarray, B: np.ndarray) -> float:
+    """Re vdot(A, B), summed row by row and then pairwise.
+
+    np.vdot keeps one running sum over all 4^n entries; at n = 9 that is off
+    by about 3e-14 relative on an order-4 trace whose entries all share one
+    sign, where the row sums stay within 4e-16.
+    """
+    return float(np.vecdot(A, B).sum().real)
+
+
 def sld_orders(orders: StateOrders, K: int) -> SldSeries:
     """Solve the order-by-order SLD equations up to order K.
 
-    The zeroth order must be rho^(0) = h (x) I/2^(n-1); the solve then needs
+    rho^(0) = h (x) I/2^(n-1) and d(rho^(0))/dlam = hdot (x) I/2^(n-1) are
+    checked, so L^(0) = l (x) I solves a 2x2 equation and every order needs
     only the 2x2 eigensystem of h.  Order k takes the right-hand side
-    R = 2 d(rho^(k))/dlam - (Y + Y^dagger) with Y = sum_j L^(k-j) rho^(j),
-    one matrix product per term (terms with an all-zero L^(k-j), such as
-    L^(0) of a unital channel, are skipped), and maps it through the 2x2
-    inverse on the qubit-0 blocks.
+    R = 2 d(rho^(k))/dlam - (Y + Y^dagger) with Y = sum_j L^(k-j) rho^(j)
+    and maps it through the 2x2 inverse on the qubit-0 blocks.  The term
+    L^(0) rho^(k) is a 2x2 contraction; the others are one matrix product
+    each.
     """
-    T = _zeroth_order_inverse(orders.rho[0])
     dim = orders.rho[0].shape[0]
     m = dim // 2
-    L: list[np.ndarray] = []
-    for k in range(K + 1):
+    h = m * _qubit0_factor(orders.rho[0], "zeroth-order state", "h (x) I/2^(n-1)")
+    hdot = _qubit0_factor(orders.drho[0], "zeroth-order derivative",
+                          "hdot (x) I/2^(n-1)")
+    T = _zeroth_order_inverse(h, m)
+    ell = np.tensordot(T, 2.0 * hdot, axes=2)
+    L: list[np.ndarray] = [np.kron(ell, np.eye(m))]
+    for k in range(1, K + 1):
         if k <= orders.max_order:
             R = 2.0 * orders.drho[k].astype(complex)
         else:
             R = np.zeros((dim, dim), dtype=complex)
-        Y = None
         for j in range(1, min(k, orders.max_order) + 1):
-            if not L[k - j].any():
-                continue
-            term = L[k - j] @ orders.rho[j]
-            Y = term if Y is None else Y + term
-        if Y is not None:
-            R -= Y + Y.conj().T
+            Y = _on_qubit0(ell, orders.rho[k]) if j == k else L[k - j] @ orders.rho[j]
+            R -= Y
+            R -= Y.conj().T
         X = np.tensordot(T, R.reshape(2, m, 2, m), axes=([2, 3], [0, 2]))
         L.append(X.transpose(0, 2, 1, 3).reshape(dim, dim))
     return SldSeries(tuple(L))
 
 
 def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
-    """QFI purity orders H^(j) = sum_k Tr[d(rho^(j-k))/dlam L^(k)].
+    """QFI purity orders through K from the SLD orders through m = K // 2.
 
-    d(rho)/dlam is Hermitian, so each trace is the elementwise inner product
-    vdot(d(rho)/dlam, L).
+    The QFI is the maximum of the stationary functional
+    F(X) = 2 Tr[d(rho)/dlam X] - Tr[rho X^2], attained at the SLD.  At the
+    truncated SLD X = sum_{b<=m} r^b L^(b) it falls short by
+    Tr[rho (L - X)^2] = O(r^(2m+2)) (Wigner's 2n+1 rule), so every order
+    k <= K is exact (Macieszczak, Fraas & Demkowicz-Dobrzanski, NJP 16,
+    113002 (2014); Gonze & Vigneron, PRB 39, 13120 (1989)):
+
+        H^(k) = 2 sum_{a+b=k, b<=m} Tr[d(rho^(a))/dlam L^(b)]
+                - sum_{a+b+c=k, b,c<=m} Tr[rho^(a) L^(b) L^(c)].
+
+    Only L^(0)..L^(m) are read, so a longer SLD series is accepted.  Each
+    trace is an O(4^n) inner product of one product with one order: the
+    real part of Tr[rho^(a) L^(b) L^(c)] is Re vdot(P, L^(c)) for P either
+    rho^(a) L^(b) or L^(b) rho^(a), and it is symmetric in b and c.  When
+    rho^(0) or L^(0) is a factor of P, P is a 2x2 contraction on the
+    qubit-0 blocks; only P = L^(b) rho^(a) with a, b >= 1 is a matrix
+    product (L^(1) rho^(1) and L^(1) rho^(2) at K = 4).
     """
-    if K > len(sld.orders) - 1:
-        raise ValueError(f"SLD series only carries orders up to {len(sld.orders) - 1}")
+    top = K // 2
+    if len(sld.orders) < top + 1:
+        raise ValueError(
+            f"QFI orders through {K} need SLD orders through {top}; the SLD "
+            f"series only carries orders up to {len(sld.orders) - 1}")
+    L = sld.orders[:top + 1]
+    rho, drho, last = orders.rho, orders.drho, orders.max_order
+    h0 = _qubit0_factor(rho[0], "zeroth-order state", "h (x) I/2^(n-1)")
+    ell = _qubit0_factor(L[0], "zeroth-order SLD", "l (x) I")
     H = np.zeros(K + 1)
-    for j in range(K + 1):
-        total = 0.0
-        for k in range(j + 1):
-            if j - k <= orders.max_order:
-                total += float(np.vdot(orders.drho[j - k], sld.orders[k]).real)
-        H[j] = total
+    for b, Lb in enumerate(L):
+        for a in range(min(K - b, last) + 1):
+            H[a + b] += 2.0 * _re_inner(drho[a], Lb)
+    for a in range(min(K, last) + 1):
+        for b in range(min(top, (K - a) // 2) + 1):
+            if a == 0:
+                P = _on_qubit0(h0, L[b])
+            elif b == 0:
+                P = _on_qubit0(ell, rho[a])
+            else:
+                P = L[b] @ rho[a]
+            for c in range(b, min(top, K - a - b) + 1):
+                t = _re_inner(P, L[c])
+                H[a + b + c] -= t if b == c else 2.0 * t
     return QfiSeries(H)
 
 

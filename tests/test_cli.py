@@ -264,6 +264,18 @@ class TestMainExitCodes:
         want = measurement_cfi_lowest_order_general(ch, n, *canonical_directions(ch)) * r ** 2
         assert cfi == pytest.approx(want, rel=1e-4)
 
+    @pytest.mark.parametrize("channel", ["phase_flip", "depolarizing"])
+    def test_measure_vanishing_qfi_is_numeric_failure(self, channel, capsys):
+        # at r = 0 a unital channel leaves I/2^n: the QFI is 0 for phase_flip
+        # and 3.7e-32 of rounding noise for depolarizing, so CFI/QFI has no value
+        code = main(["measure", "--channel", channel, "--lambda", "0.3", "--purity", "0",
+                     "--n", "3", "--c", "0,0,1", "--r0", "1,0,0"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "cell lambda=0.3, r=0, n=3" in captured.err
+        assert "CFI/QFI is undefined" in captured.err
+        assert "nan" not in captured.out
+
     def test_series_commands_keep_dense_cap(self, capsys):
         for argv in (["qfi", "--purity", "1e-3"], ["fit-orders"]):
             code = main(argv + ["--channel", "phase_flip", "--lambda", "0.3", "--n", "11"])
@@ -335,11 +347,12 @@ class TestBoundsQubitCounts(TestMeasureQubitCounts):
 
 
 def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name; the returned list gets each call's positional arguments."""
     calls = []
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -355,7 +368,8 @@ class TestWorkPerCell:
         code = main(["fit-orders", "--channel", "depolarizing", "--lambda", "0.25,0.5",
                      "--n", "2,3"])
         assert code == EXIT_OK
-        assert len(sld) == 4
+        # one SLD solve per cell, to K // 2 for the default K = 4
+        assert [call[1] for call in sld] == [2] * 4
         # per cell: one preparation, for the purity orders; the exact QFI
         # needs none
         assert len(prep) == 4
@@ -363,6 +377,17 @@ class TestWorkPerCell:
         # orders and one exact QFI per purity
         assert len(evals) == 4 * (3 + len(default_fit_purities()))
         assert len(svds) == 4
+
+    @pytest.mark.parametrize("max_order", [None, 5])
+    def test_qfi_solves_sld_to_half_the_order(self, max_order, monkeypatch, capsys):
+        sld = _count_calls(monkeypatch, protocols, "sld_orders")
+        args = ["qfi", "--channel", "gad", "--param", "p=0.8", "--lambda", "0.3",
+                "--purity", "1e-3,1e-2", "--n", "1,2,3"]
+        if max_order is not None:
+            args += ["--max-order", str(max_order)]
+        assert main(args) == EXIT_OK
+        K = 4 if max_order is None else max_order
+        assert [call[1] for call in sld] == [K // 2] * 6
 
     def test_measure_solves_no_series(self, monkeypatch, capsys):
         sld = _count_calls(monkeypatch, protocols, "sld_orders")

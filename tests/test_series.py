@@ -5,10 +5,11 @@ from noisyqfi import builtin
 from noisyqfi.bloch import ChannelFamily, Unitality
 from noisyqfi.fisher import ProbModel, cfi
 from noisyqfi.mstate import initial_state_orders, prep_conjugate
-from noisyqfi.protocols import build_state, correlated, sqsc
+from noisyqfi.protocols import build_state, correlated, qfi_series, sqsc
 from noisyqfi.series import (
     BranchError,
     GridMax,
+    SldSeries,
     StateOrders,
     canonical_directions,
     channel_output_orders,
@@ -40,6 +41,7 @@ from support import (
     random_unit,
     random_unital_family,
     saturating_basis_lowest_order,
+    sigma,
 )
 
 UNITAL_BUILTINS = [
@@ -115,6 +117,16 @@ class TestSldOrders:
         with pytest.raises(ValueError, match=r"does not factor as h \(x\) I/2\^\(n-1\)"):
             sld_orders(orders, 1)
 
+    def test_unfactored_zero_order_derivative_rejected(self):
+        # rho^(0) = I/4 factors, but a derivative acting on qubit 1 does not:
+        # L^(0) would then not act on qubit 0 alone
+        rho0 = np.eye(4, dtype=complex) / 4
+        drho0 = np.kron(np.eye(2), sigma([0.0, 0.0, 0.1])) / 2
+        orders = StateOrders((rho0,), (drho0,))
+        with pytest.raises(ValueError, match=r"zeroth-order derivative does not "
+                                             r"factor as hdot \(x\) I/2\^\(n-1\)"):
+            sld_orders(orders, 1)
+
 
 DIFFERENTIAL_FAMILIES = {
     "phase_shift": builtin("phase_shift"),
@@ -129,7 +141,8 @@ DIFFERENTIAL_FAMILIES = {
 
 
 class TestDenseSolverAgreement:
-    """The 2x2 qubit-0 solve against the generic 2^n eigenbasis solver."""
+    """The 2x2 qubit-0 solve and the stationary QFI orders against the
+    generic 2^n eigenbasis solver."""
 
     @pytest.mark.parametrize("name", DIFFERENTIAL_FAMILIES)
     def test_matches_dense_eigenbasis_solver(self, name):
@@ -140,11 +153,11 @@ class TestDenseSolverAgreement:
         ch = fam.eval(lam)
         for n in range(1, 9):
             for c, r0 in (canonical_directions(ch), (random_unit(rng), random_unit(rng))):
-                full = final_orders(fam, lam, n, c, r0, 4)
-                L_ref = oracle_sld_orders(full, 4)
-                H_ref = oracle_qfi_orders(full, L_ref, 4)
+                full = final_orders(fam, lam, n, c, r0, 6)
+                L_ref = oracle_sld_orders(full, 6)
+                H_ref = oracle_qfi_orders(full, L_ref, 6)
                 L_max = max(np.max(np.abs(L)) for L in L_ref)
-                for K in range(5):
+                for K in range(7):
                     top = min(n, K) + 1
                     orders = StateOrders(full.rho[:top], full.drho[:top])
                     sld = sld_orders(orders, K)
@@ -155,12 +168,30 @@ class TestDenseSolverAgreement:
                             # rounding noise; measure it against the largest
                             scale = L_max
                         assert np.max(np.abs(got - want)) <= 1e-12 * scale, (n, K, k)
-                    H = qfi_orders(orders, sld, K).orders
+                    # the full SLD series, and the K // 2 one the series solve uses
                     scale = np.max(np.abs(H_ref[:K + 1]))
-                    assert np.max(np.abs(H - H_ref[:K + 1])) <= 1e-12 * scale, (n, K)
+                    for H in (qfi_orders(orders, sld, K).orders, qfi_series(orders, K).orders):
+                        assert np.max(np.abs(H - H_ref[:K + 1])) <= 1e-12 * scale, (n, K)
 
 
 class TestQfiOrders:
+    def test_reads_sld_orders_through_half_of_k(self):
+        # the stationary form needs L^(0)..L^(K // 2) and ignores the rest
+        fam = builtin("gad", p=0.8)
+        ch = fam.eval(0.3)
+        orders = final_orders(fam, 0.3, 3, *canonical_directions(ch), 5)
+        for K in range(7):
+            sld = sld_orders(orders, K)
+            H = qfi_orders(orders, sld, K).orders
+            half = SldSeries(sld.orders[:K // 2 + 1])
+            np.testing.assert_allclose(qfi_orders(orders, half, K).orders, H,
+                                       rtol=0, atol=1e-13 * np.max(np.abs(H)))
+            if K >= 2:
+                short = SldSeries(sld.orders[:K // 2])
+                with pytest.raises(ValueError, match=f"QFI orders through {K} need "
+                                                     f"SLD orders through {K // 2}"):
+                    qfi_orders(orders, short, K)
+
     def test_unital_h2_is_trace_of_derivative_squared(self):
         rng = np.random.default_rng(44)
         fam = random_unital_family(rng)
