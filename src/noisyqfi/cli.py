@@ -28,7 +28,6 @@ import numpy as np
 from .blocks import exact_qfi
 from .bloch import ChannelFamily, DomainError, Unitality, validate
 from .config import ConfigError, family_from_config, parse_config_text
-from .expr import ExprError
 from .protocols import (
     VANISHING_QFI,
     correlated,
@@ -40,6 +39,7 @@ from .protocols import (
     sqsc,
 )
 from .series import (
+    DEFAULT_MAX_ORDER,
     BranchError,
     canonical_directions,
     corr_bounds,
@@ -54,7 +54,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_COMMANDS = ("qfi", "bounds", "measure", "escher", "fit-orders", "validate-channel")
 _CORRELATED_ONLY = ("bounds", "measure")  # n < 2 is a configuration error
 _MAX_FIT_COND = 1e12
 
@@ -85,15 +84,35 @@ def parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip()]
 
 
-def parse_vec3(text: str) -> np.ndarray:
+def parse_vec3(text: str) -> tuple[float, float, float]:
     parts = [float(p) for p in text.split(",") if p.strip()]
     if len(parts) != 3:
         raise ConfigError(f"direction must have three components, got {text!r}")
     v = np.array(parts)
+    if not np.isfinite(v).all():
+        raise ConfigError(f"direction components must be finite, got {text!r}")
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ConfigError("direction must be nonzero")
-    return v / norm
+    return tuple(v / norm)
+
+
+# long option name -> (RunConfig field, text parser, help).  Every flag and
+# every [run] key (the same names, with dashes or underscores) goes through
+# this table; the defaults are RunConfig's.
+_OPTIONS = {
+    "lambda": ("lams", parse_grid, "parameter grid lo:hi:steps"),
+    "purity": ("purities", parse_grid, "purity grid lo:hi:steps"),
+    "n": ("ns", parse_int_list, "comma list of qubit counts"),
+    "c": ("c", parse_vec3, "control direction x,y,z (normalized)"),
+    "r0": ("r0", parse_vec3, "initial direction x,y,z (normalized)"),
+    "out": ("out", str, "output path (default stdout)"),
+    "format": ("fmt", str, "output format: csv or json"),
+    "jobs": ("jobs", int, "parallel workers over grid cells"),
+    "eps": ("eps", float, "eigenvalue-pair cutoff for the SLD sum"),
+    "max-order": ("max_order", int, "highest purity order K"),
+    "dir-grid": ("dir_grid", int, "direction-grid size for bounds"),
+}
 
 
 @dataclass
@@ -109,25 +128,25 @@ class RunConfig:
     fmt: str = "csv"
     jobs: int = 1
     eps: float | None = None
-    max_order: int = 4
+    max_order: int = DEFAULT_MAX_ORDER
     dir_grid: int = 20
 
     def validate(self) -> None:
-        if self.command not in _COMMANDS:
+        if self.command not in _RUNNERS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        for name, grid in (("lambda", self.lams), ("purity", self.purities)):
-            if grid is not None and len(grid) == 0:
-                raise ConfigError(f"{name} grid is empty")
+            raise ConfigError(f"--format must be csv or json, got {self.fmt!r}")
+        for name, values in (("lambda", self.lams), ("purity", self.purities), ("n", self.ns)):
+            if values is not None and len(values) == 0:
+                raise ConfigError(f"--{name} list is empty")
+        if not all(0.0 <= r <= 1.0 for r in self.purities or ()):
+            raise ConfigError(f"--purity values must lie in [0, 1], got {self.purities}")
         for name, val in (("jobs", self.jobs), ("max-order", self.max_order),
                           ("dir-grid", self.dir_grid)):
-            if val is not None and val <= 0:
-                raise ConfigError(f"{name} must be positive, got {val}")
-        if self.eps is not None and self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.ns is not None and not self.ns:
-            raise ConfigError("n list is empty")
+            if val <= 0:
+                raise ConfigError(f"--{name} must be positive, got {val}")
+        if self.eps is not None and not 0.0 < self.eps < np.inf:
+            raise ConfigError(f"--eps must be positive and finite, got {self.eps}")
         least = min(self.qubit_counts())
         if least < 1:
             raise ConfigError(f"qubit counts must be >= 1, got {self.ns}")
@@ -143,10 +162,7 @@ class RunConfig:
 
 
 def _build_family(channel_cfg: dict) -> ChannelFamily:
-    section = {"name": channel_cfg["name"]}
-    if channel_cfg.get("lambda_domain"):
-        section["lambda_domain"] = channel_cfg["lambda_domain"]
-    return family_from_config(section, channel_cfg.get("params", {}))
+    return family_from_config(channel_cfg, channel_cfg.get("params"))
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +189,21 @@ def _spec_for(family: ChannelFamily, lam: float, r: float, n: int,
     return correlated(family, lam, n, r, c_vec, r0_vec)
 
 
-def _qfi_cell(payload: dict) -> list:
-    family = _build_family(payload["channel"])
-    lam, r, n = payload["lam"], payload["r"], payload["n"]
+def _qfi_cell(cfg: RunConfig, lam: float, r: float, n: int) -> list:
+    family = _build_family(cfg.channel)
     try:
-        spec = _spec_for(family, lam, r, n, payload["c"], payload["r0"])
-        K = payload["max_order"]
-        res = protocol_qfi(spec, K=K, eps=payload["eps"])
+        spec = _spec_for(family, lam, r, n, cfg.c, cfg.r0)
+        res = protocol_qfi(spec, K=cfg.max_order, eps=cfg.eps)
         return [lam, r, n, res.exact, res.series_estimate, *res.series.orders]
     except Exception as exc:
         raise NumericError(f"cell {_cell_name(lam, r, n)}: {exc}") from exc
 
 
-def _measure_cell(payload: dict) -> list:
-    family = _build_family(payload["channel"])
-    lam, r, n = payload["lam"], payload["r"], payload["n"]
+def _measure_cell(cfg: RunConfig, lam: float, r: float, n: int) -> list:
+    family = _build_family(cfg.channel)
     try:
-        spec = _spec_for(family, lam, r, n, payload["c"], payload["r0"])
-        qfi = exact_qfi(spec, payload["eps"])
+        spec = _spec_for(family, lam, r, n, cfg.c, cfg.r0)
+        qfi = exact_qfi(spec, cfg.eps)
         if qfi <= VANISHING_QFI:
             raise NumericError(
                 f"cell {_cell_name(lam, r, n)}: QFI {qfi:.3g} vanishes "
@@ -203,20 +216,20 @@ def _measure_cell(payload: dict) -> list:
         raise NumericError(f"cell {_cell_name(lam, r, n)}: {exc}") from exc
 
 
-def _fit_cell(payload: dict) -> list[list]:
-    family = _build_family(payload["channel"])
-    lam, n = payload["lam"], payload["n"]
-    rs = np.asarray(payload["rs"], dtype=float)
-    K = payload["max_order"]
+def _fit_cell(cfg: RunConfig, lam: float, r: None, n: int) -> list[list]:
+    """The order rows of one (lambda, n) cell; its purities are cfg.purities."""
+    family = _build_family(cfg.channel)
+    rs = np.asarray(cfg.purities, dtype=float)
+    K = cfg.max_order
     try:
         ch = family.eval(lam)
         verify_family_flag(family, ch)
         if family.unitality is not Unitality.UNITAL:
             raise BranchError("order fitting is defined for unital channels")
-        spec = _spec_for(family, lam, float(rs[-1]), n, payload["c"], payload["r0"])
+        spec = _spec_for(family, lam, float(rs[-1]), n, cfg.c, cfg.r0)
         # one series per cell: the purity orders do not depend on r
         series = qfi_series(purity_orders(spec, K), K)
-        qfis = [exact_qfi(replace(spec, r=float(r)), payload["eps"]) for r in rs]
+        qfis = [exact_qfi(replace(spec, r=float(r)), cfg.eps) for r in rs]
         fit = fit_qfi_orders(rs, np.asarray(qfis), orders=tuple(range(2, K + 2)))
         if fit.cond > _MAX_FIT_COND:
             raise NumericError(
@@ -228,7 +241,7 @@ def _fit_cell(payload: dict) -> list[list]:
             fitted = fit.coeffs[j]
             closed = float(series.orders[j])
             # near-zero closed forms get errors relative to the series scale
-            denom = max(abs(closed), 1e-6 * scale)
+            denom = abs(closed) if abs(closed) > 1e-6 * scale else scale
             rows.append([n, lam, j, fitted, closed, abs(fitted - closed) / denom])
         return rows
     except NumericError:
@@ -237,11 +250,12 @@ def _fit_cell(payload: dict) -> list[list]:
         raise NumericError(f"cell {_cell_name(lam, None, n)}: {exc}") from exc
 
 
-def _map_cells(fn, payloads: list[dict], jobs: int) -> list:
+def _map_cells(fn, cells: list[tuple], jobs: int) -> list:
+    """fn(cfg, lam, r, n) over the cells, in order."""
     if jobs <= 1:
-        return [fn(p) for p in payloads]
+        return [fn(*cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads))
+        return list(pool.map(fn, *zip(*cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +278,8 @@ def run_qfi(cfg: RunConfig) -> tuple[list[str], list[list]]:
     _warn_validity(purities, ns)
     header = ["lambda", "r", "n", "exact", "series",
               *[f"h{j}" for j in range(cfg.max_order + 1)]]
-    payloads = [
-        {"channel": cfg.channel, "lam": lam, "r": r, "n": n, "c": cfg.c,
-         "r0": cfg.r0, "eps": cfg.eps, "max_order": cfg.max_order}
-        for lam in lams for r in purities for n in ns
-    ]
-    return header, _map_cells(_qfi_cell, payloads, cfg.jobs)
+    cells = [(cfg, lam, r, n) for lam in lams for r in purities for n in ns]
+    return header, _map_cells(_qfi_cell, cells, cfg.jobs)
 
 
 def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
@@ -298,21 +308,19 @@ def run_measure(cfg: RunConfig) -> tuple[list[str], list[list]]:
     lams = cfg.lams if cfg.lams is not None else [0.5]
     purities = cfg.purities if cfg.purities is not None else [1e-3]
     header = ["n", "lambda", "r", "cfi", "qfi", "ratio"]
-    payloads = [
-        {"channel": cfg.channel, "lam": lam, "r": r, "n": n, "c": cfg.c,
-         "r0": cfg.r0, "eps": cfg.eps}
-        for lam in lams for r in purities for n in cfg.qubit_counts()
-    ]
-    return header, _map_cells(_measure_cell, payloads, cfg.jobs)
+    cells = [(cfg, lam, r, n) for lam in lams for r in purities for n in cfg.qubit_counts()]
+    return header, _map_cells(_measure_cell, cells, cfg.jobs)
 
 
 def run_escher(cfg: RunConfig) -> tuple[list[str], list[list]]:
     lams = cfg.lams if cfg.lams is not None else [float(x) for x in np.linspace(0.05, 0.95, 19)]
     rs = cfg.purities if cfg.purities is not None else [float(x) for x in np.linspace(0.1, 0.9, 9)]
     header = ["lambda", "r", "escher_bound", "exact_qfi", "slack"]
-    rows = [[row.lam, row.r, row.bound, row.exact, row.slack]
-            for row in escher_phase_flip_demo(lams, rs)]
-    return header, rows
+    try:
+        table = escher_phase_flip_demo(lams, rs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return header, [[row.lam, row.r, row.bound, row.exact, row.slack] for row in table]
 
 
 def run_fit_orders(cfg: RunConfig) -> tuple[list[str], list[list]]:
@@ -323,15 +331,9 @@ def run_fit_orders(cfg: RunConfig) -> tuple[list[str], list[list]]:
         raise ConfigError(
             f"order fitting needs at least {cfg.max_order} purity samples, got {len(rs)}")
     header = ["n", "lambda", "order", "fitted", "closed_form", "rel_error"]
-    payloads = [
-        {"channel": cfg.channel, "lam": lam, "n": n, "rs": rs, "c": cfg.c,
-         "r0": cfg.r0, "eps": cfg.eps, "max_order": cfg.max_order}
-        for lam in lams for n in cfg.qubit_counts()
-    ]
-    rows: list[list] = []
-    for chunk in _map_cells(_fit_cell, payloads, cfg.jobs):
-        rows.extend(chunk)
-    return header, rows
+    cfg = replace(cfg, purities=rs)
+    cells = [(cfg, lam, None, n) for lam in lams for n in cfg.qubit_counts()]
+    return header, [row for rows in _map_cells(_fit_cell, cells, cfg.jobs) for row in rows]
 
 
 def run_validate_channel(cfg: RunConfig) -> tuple[list[str], list[list]]:
@@ -426,17 +428,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--channel", help="builtin channel name")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                    help="channel parameter (repeatable)")
-    p.add_argument("--lambda", dest="lam_grid", help="parameter grid lo:hi:steps")
-    p.add_argument("--purity", help="purity grid lo:hi:steps")
-    p.add_argument("--n", help="comma list of qubit counts")
-    p.add_argument("--c", help="control direction x,y,z (normalized)")
-    p.add_argument("--r0", help="initial direction x,y,z (normalized)")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
-    p.add_argument("--jobs", type=int, help="parallel workers over grid cells")
-    p.add_argument("--eps", type=float, help="eigenvalue-pair cutoff for the SLD sum")
-    p.add_argument("--max-order", type=int, help="highest purity order K")
-    p.add_argument("--dir-grid", type=int, help="direction-grid size for bounds")
+    for name, (field, _, text) in _OPTIONS.items():
+        p.add_argument(f"--{name}", dest=field, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -445,86 +438,53 @@ def _build_parser() -> argparse.ArgumentParser:
         description="QFI calculations for single-parameter qubit channels "
                     "with low-purity initial states.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         _add_common(p)
     return parser
 
 
-_RUN_KEYS = {
-    "lambda": "lam_grid", "purity": "purity", "n": "n", "c": "c", "r0": "r0",
-    "out": "out", "format": "format", "jobs": "jobs", "eps": "eps",
-    "max_order": "max_order", "max-order": "max_order", "dir_grid": "dir_grid",
-    "dir-grid": "dir_grid", "channel": "channel",
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_channel: dict = {}
-    file_params: dict = {}
-    file_run: dict = {}
+    sections: dict[str, dict[str, str]] = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 sections = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        file_channel = sections.get("channel", {})
-        file_params = sections.get("params", {})
-        for key, value in sections.get("run", {}).items():
-            if key == "command":
-                if value != args.command:
-                    raise ConfigError(
-                        f"config file is for command {value!r}, invoked {args.command!r}")
-                continue
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"unknown [run] option {key!r}")
-            file_run[_RUN_KEYS[key]] = value
+    texts = {}
+    for key, value in sections.get("run", {}).items():
+        if key == "command":
+            if value != args.command:
+                raise ConfigError(
+                    f"config file is for command {value!r}, invoked {args.command!r}")
+            continue
+        name = key.replace("_", "-")
+        if name not in _OPTIONS:
+            raise ConfigError(f"unknown [run] option {key!r}")
+        texts[name] = value
+    texts.update({name: getattr(args, field) for name, (field, _, _) in _OPTIONS.items()
+                  if getattr(args, field) is not None})
+    fields = {}
+    for name, text in texts.items():
+        field, parse, _ = _OPTIONS[name]
+        try:
+            fields[field] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"--{name}: {exc}") from exc
 
-    def pick(flag_val, file_key):
-        return flag_val if flag_val is not None else file_run.get(file_key)
-
+    file_channel = sections.get("channel", {})
     name = args.channel or file_channel.get("name")
     if name is None and args.command not in ("escher",):
         raise ConfigError("no channel given (use --channel or a config file)")
-    params = dict(file_params)
+    params = dict(sections.get("params", {}))
     for item in args.param:
         if "=" not in item:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         params[key.strip()] = value.strip()
-    channel = {"name": name or "phase_flip", "params": params}
-    if "lambda_domain" in file_channel:
-        channel["lambda_domain"] = file_channel["lambda_domain"]
-
-    lam_grid = pick(args.lam_grid, "lam_grid")
-    purity = pick(args.purity, "purity")
-    n_text = pick(args.n, "n")
-    c_text = pick(args.c, "c")
-    r0_text = pick(args.r0, "r0")
-
-    def num(flag_val, file_key, cast, default):
-        if flag_val is not None:
-            return cast(flag_val)
-        if file_key in file_run:
-            return cast(file_run[file_key])
-        return default
-
-    cfg = RunConfig(
-        command=args.command,
-        channel=channel,
-        lams=parse_grid(lam_grid) if lam_grid else None,
-        purities=parse_grid(purity) if purity else None,
-        ns=parse_int_list(n_text) if n_text else None,
-        c=tuple(parse_vec3(c_text)) if c_text else None,
-        r0=tuple(parse_vec3(r0_text)) if r0_text else None,
-        out=pick(args.out, "out"),
-        fmt=pick(args.format, "format") or "csv",
-        jobs=num(args.jobs, "jobs", int, 1),
-        eps=num(args.eps, "eps", float, None),
-        max_order=num(args.max_order, "max_order", int, 4),
-        dir_grid=num(args.dir_grid, "dir_grid", int, 20),
-    )
+    channel = {**file_channel, "name": name or "phase_flip", "params": params}
+    cfg = RunConfig(command=args.command, channel=channel, **fields)
     cfg.validate()
     if args.command != "escher":
         family = _build_family(cfg.channel)  # fail fast on bad channel configs
@@ -542,10 +502,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except (ConfigError, ExprError, DomainError, BranchError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         header, rows = _RUNNERS[cfg.command](cfg)
     except (ConfigError, BranchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

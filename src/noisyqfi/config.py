@@ -3,9 +3,9 @@
 Flat ``key = value`` lines under ``[section]`` headers; ``#`` starts a
 comment.  Recognized sections: ``[channel]`` (name, lambda_domain),
 ``[params]`` (channel parameters; numbers, or expressions in the parameter
-for custom_diag entries), and ``[run]`` (command plus any CLI option by its
-long flag name with dashes or underscores).  Command-line flags override
-file values.
+for custom_diag entries), and ``[run]`` (command plus any run option of the
+CLI by its long flag name, with dashes or underscores; not ``channel``).
+Command-line flags override file values.
 """
 
 from __future__ import annotations

@@ -8,25 +8,26 @@ Grammar (whitespace insensitive)::
     power  := atom ('^' unary)?                 # right associative, binds over unary
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
-Allowed names: the parameter variable (``l`` or ``lambda``), the constants
-``pi`` and ``e``, and the functions ``sqrt``, ``sin``, ``cos``, ``exp``.
-Nothing else, by design: expressions come from plain-text config files and
-must stay side-effect free.
+Allowed names: the parameter variable (``l``, ``lam`` or ``lambda``), the
+constants ``pi`` and ``e``, and the functions ``sqrt``, ``sin``, ``cos``,
+``exp``.  Nothing else, by design: expressions come from plain-text config
+files and must stay side-effect free.  Python's own parser reads the text once
+the variable is renamed ``l`` and ``^`` becomes ``**``; the whole tree is
+checked against the grammar before anything is compiled, every literal
+becomes a float, and the function runs without builtins.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from typing import Callable
 
 __all__ = ["ExprError", "compile_expr"]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
-)
+_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_VAR_RE = re.compile(r"\b(?:lambda|lam)\b")
 
 _FUNCS: dict[str, Callable[[float], float]] = {
     "sqrt": math.sqrt,
@@ -35,127 +36,47 @@ _FUNCS: dict[str, Callable[[float], float]] = {
     "exp": math.exp,
 }
 _CONSTS = {"pi": math.pi, "e": math.e}
-_VAR_NAMES = {"l", "lam", "lambda"}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_UNARYOPS = (ast.UAdd, ast.USub)
 
 
 class ExprError(ValueError):
     """Raised for syntax errors or disallowed names in an expression."""
 
 
-def _tokenize(src: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            if src[pos:].strip() == "":
-                break
-            raise ExprError(f"bad character in expression at position {pos}: {src!r}")
-        if m.group("num") is not None:
-            tokens.append(m.group(0).strip())
-        elif m.group("name") is not None:
-            tokens.append(m.group("name"))
-        else:
-            op = m.group("op")
-            tokens.append("^" if op == "**" else op)
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[str], src: str):
-        self.tokens = tokens
-        self.src = src
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ExprError(f"unexpected end of expression: {self.src!r}")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ExprError(f"expected {tok!r}, got {got!r} in {self.src!r}")
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            lhs = node
-            if op == "+":
-                node = lambda x, a=lhs, b=rhs: a(x) + b(x)
-            else:
-                node = lambda x, a=lhs, b=rhs: a(x) - b(x)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.unary()
-            lhs = node
-            if op == "*":
-                node = lambda x, a=lhs, b=rhs: a(x) * b(x)
-            else:
-                node = lambda x, a=lhs, b=rhs: a(x) / b(x)
-        return node
-
-    def unary(self):
-        # power binds tighter than unary minus: -2^2 == -(2^2)
-        if self.peek() == "-":
-            self.take()
-            inner = self.unary()
-            return lambda x, a=inner: -a(x)
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exponent = self.unary()
-            return lambda x, a=base, b=exponent: a(x) ** b(x)
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if re.match(r"^[\d.]", tok):
-            val = float(tok)
-            return lambda x, v=val: v
-        if tok in _FUNCS:
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            fn = _FUNCS[tok]
-            return lambda x, f=fn, a=arg: f(a(x))
-        if tok in _CONSTS:
-            val = _CONSTS[tok]
-            return lambda x, v=val: v
-        if tok in _VAR_NAMES:
-            return lambda x: x
-        raise ExprError(f"unknown name {tok!r} in {self.src!r}")
-
-
 def compile_expr(src: str) -> Callable[[float], float]:
     """Compile an expression in the channel parameter into a float function."""
-    tokens = _tokenize(src)
-    if not tokens:
+    if not src.isascii() or "#" in src:
+        raise ExprError(f"bad character in expression {src!r}")
+    text = _VAR_RE.sub("l", " ".join(src.split())).replace("^", "**")
+    if not text:
         raise ExprError("empty expression")
-    parser = _Parser(tokens, src)
-    fn = parser.expr()
-    if parser.pos != len(tokens):
-        raise ExprError(f"trailing tokens in expression {src!r}")
-    return fn
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ExprError(f"syntax error in expression {src!r}: {exc.msg}") from None
+
+    def check(node: ast.AST) -> None:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+            check(node.left)
+            check(node.right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARYOPS):
+            check(node.operand)
+        elif isinstance(node, ast.Constant):
+            literal = ast.get_source_segment(text, node) or ""
+            if not _NUMBER_RE.fullmatch(literal):
+                raise ExprError(f"bad number {literal!r} in {src!r}")
+            node.value = float(literal)
+        elif isinstance(node, ast.Name):
+            if node.id != "l" and node.id not in _CONSTS:
+                raise ExprError(f"unknown name {node.id!r} in {src!r}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+            check(node.args[0])
+        else:
+            raise ExprError(f"{ast.get_source_segment(text, node)!r} is not allowed in {src!r}")
+
+    check(tree.body)
+    fn = ast.parse("lambda l: 0", mode="eval")
+    fn.body.body = tree.body
+    return eval(compile(fn, "<expr>", "eval"), {"__builtins__": {}, **_FUNCS, **_CONSTS})

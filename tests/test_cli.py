@@ -48,6 +48,11 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_vec3("0,0,0")
 
+    def test_vec3_rejects_nonfinite_components(self):
+        for text in ("nan,0,1", "0,inf,1", "0,0,-inf"):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_vec3(text)
+
 
 class TestConfigFile:
     def test_sections_and_comments(self):
@@ -189,6 +194,18 @@ class TestRunFitOrders:
         assert by_order[4][3] == pytest.approx(by_order[4][4], rel=5e-3)
         assert by_order[4][5] < 5e-3
 
+    def test_vanishing_order_error_is_relative_to_the_series_scale(self, capsys):
+        # order 3 vanishes analytically for n >= 3; its fitted value there is
+        # fit noise, which once read as rel_error 1.27 at n = 5
+        code = main(["fit-orders", "--channel", "phase_flip", "--lambda", "0.3",
+                     "--n", "2,3,5", "--c", "0.3,0.5,0.8"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        third = [row for row in rows if row["order"] == "3"]
+        assert len(third) == 3
+        assert all(float(row["rel_error"]) < 1e-4 for row in third)
+
     def test_too_few_samples(self):
         cfg = RunConfig(command="fit-orders",
                         channel={"name": "depolarizing", "params": {}},
@@ -309,6 +326,90 @@ class TestMainExitCodes:
         assert "fail" not in out
 
 
+_SUBCOMMANDS = ("qfi", "bounds", "measure", "escher", "fit-orders", "validate-channel")
+
+# malformed option text -> (extra argv or None, [run] lines or None, option named)
+_MALFORMED = {
+    "n": (["--n", "2,x"], None, "--n"),
+    "lambda": (["--lambda", "abc"], None, "--lambda"),
+    "lambda-steps": (["--lambda", "0.1:0.2:x"], None, "--lambda"),
+    "c": (["--c", "1,x,0"], None, "--c"),
+    "eps": (["--eps", "nan"], None, "--eps"),
+    "run-jobs": (None, "jobs = x", "--jobs"),
+    "run-max-order": (None, "max_order = 2.5", "--max-order"),
+    "run-channel": (None, "channel = gad", "'channel'"),
+}
+
+
+class TestExitCodeContract:
+    """Malformed option text is exit 2 naming the option, for every subcommand."""
+
+    def test_subcommands_are_the_runners(self):
+        assert set(_SUBCOMMANDS) == set(cli._RUNNERS)
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    def test_malformed_text_is_config_error(self, command, case, tmp_path, capsys):
+        flags, run_lines, option = _MALFORMED[case]
+        argv = [command, "--channel", "phase_flip"]
+        if flags is not None:
+            argv += flags
+        else:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(f"[run]\n{run_lines}\n")
+            argv += ["--config", str(cfgfile)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and option in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0"])
+    def test_eps_must_be_positive_and_finite(self, eps, capsys):
+        # nan and inf once passed and printed exact = 0 with exit 0
+        code = main(["qfi", "--channel", "phase_flip", "--lambda", "0.3",
+                     "--purity", "0.1", "--n", "2", f"--eps={eps}"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--eps must be positive and finite" in captured.err
+
+    @pytest.mark.parametrize("purity", ["1.5", "-0.1", "nan", "0.1,1.01"])
+    def test_purity_outside_unit_interval(self, purity, capsys):
+        # these once failed every cell with exit 3 after a validity warning
+        code = main(["qfi", "--channel", "phase_flip", "--lambda", "0.3",
+                     "--purity", purity, "--n", "2"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--purity values must lie in [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--c", "--r0"])
+    def test_nonfinite_direction(self, flag, capsys):
+        # a nan component once reached the solver and exited 3
+        code = main(["measure", "--channel", "phase_flip", "--lambda", "0.3",
+                     "--purity", "0.1", "--n", "2", flag, "nan,0,1"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag}: direction components must be finite" \
+            in captured.err
+
+    def test_escher_outside_its_domain(self, capsys):
+        for args in (["--lambda", "1.5"], ["--purity", "1"]):
+            assert main(["escher", *args]) == EXIT_CONFIG
+            assert "config error" in capsys.readouterr().err
+
+    def test_run_keys_take_dashes_or_underscores(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        base = ["qfi", "--channel", "phase_flip", "--lambda", "0.3", "--purity", "1e-3",
+                "--n", "2", "--config", str(cfgfile)]
+        for key in ("max_order", "max-order"):
+            cfgfile.write_text(f"[run]\n{key} = 5\n")
+            assert main(base) == EXIT_OK
+            assert capsys.readouterr().out.splitlines()[0].endswith(",h4,h5")
+        # the flag overrides the file
+        assert main(base + ["--max-order", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0].endswith(",h2,h3")
+
+
 class TestMeasureQubitCounts:
     """The n rule of the correlated-only commands; subclasses rerun it per command."""
 
@@ -417,8 +518,8 @@ class TestWorkPerCell:
         for j in range(2, K + 1):
             closed = float(series.orders[j])
             fitted = fit.coeffs[j]
-            want.append([n, lam, j, fitted, closed,
-                         abs(fitted - closed) / max(abs(closed), 1e-6 * scale)])
+            denom = abs(closed) if abs(closed) > 1e-6 * scale else scale
+            want.append([n, lam, j, fitted, closed, abs(fitted - closed) / denom])
         assert rows == want
 
 

@@ -49,3 +49,25 @@ def test_errors():
         compile_expr("1 2")
     with pytest.raises(ExprError):
         compile_expr("sqrt 4")
+
+
+@pytest.mark.parametrize("src", [
+    "0x10", "1_0", "1j", "True", "l.real", "(1)(2)", "sqrt(1,2)", "sqrt(x=1)",
+    '__import__("os")', "2 // 3", "2 % 3", "2 & 3", "l if l else 0",
+    "sqrt", "pi()", "l # note", "π",
+])
+def test_rejected_forms(src):
+    with pytest.raises(ExprError):
+        compile_expr(src)
+
+
+def test_literals_are_floats():
+    # integer literals would give the correctly rounded 1e23 instead
+    assert compile_expr("10^23")(0.0).hex() == (10.0 ** 23.0).hex()
+    assert compile_expr("1e999")(0.0) == math.inf
+
+
+def test_runs_without_builtins():
+    f = compile_expr("sqrt(l)")
+    assert f.__globals__["__builtins__"] == {}
+    assert compile_expr("lambda ^ 2 + lam")(3.0) == 12.0

@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import noisyqfi
 
@@ -11,3 +14,19 @@ def test_every_exported_name_resolves():
         missing = [name for name in getattr(module, "__all__", ())
                    if not hasattr(module, name)]
         assert not missing, (info.name, missing)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = sys.stdlib_module_names | {"numpy", "noisyqfi"}
+    outside = []
+    for path in sorted(Path(noisyqfi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not outside
