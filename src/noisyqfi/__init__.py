@@ -23,7 +23,7 @@ from .bloch import (
     svd3,
     validate,
 )
-from .blocks import exact_qfi, spin_blocks
+from .blocks import exact_qfi, exact_qfis, spin_blocks
 from .fisher import ProbModel, SldResult, cfi, qfi_exact, sld_exact
 from .mstate import (
     OrderedState,

@@ -96,9 +96,12 @@ class ValidationReport:
 def validate(channel: BlochChannel, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the physicality constraints on a Bloch channel.
 
-    Reports (never raises): |d| <= 1 + tol, the implication |d| = 1 => M = 0,
-    and finiteness of all entries.  Each violated constraint is listed with
-    the magnitude of the violation.
+    Reports (never raises): the largest singular value of M <= 1 + tol,
+    |d| <= 1 + tol, the implication |d| = 1 => M = 0, and finiteness of all
+    entries.  Each violated constraint is listed with the magnitude of the
+    violation.  The singular value bound is necessary for any channel: the
+    images M a + d and -M a + d of opposite unit vectors lie 2 |M a| apart,
+    and both must lie in the Bloch ball.
     """
     failures: list[tuple[str, float]] = []
     for name, arr in (("M", channel.M), ("d", channel.d),
@@ -106,6 +109,9 @@ def validate(channel: BlochChannel, tol: float = DEFAULT_TOL) -> ValidationRepor
         if not np.all(np.isfinite(arr)):
             failures.append((f"{name} finite", float(np.sum(~np.isfinite(arr)))))
     if not failures:
+        smax = float(np.linalg.norm(channel.M, 2))
+        if smax > 1.0 + tol:
+            failures.append(("largest singular value of M <= 1", smax - 1.0))
         dnorm = float(np.linalg.norm(channel.d))
         if dnorm > 1.0 + tol:
             failures.append(("|d| <= 1", dnorm - 1.0))

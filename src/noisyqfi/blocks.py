@@ -22,14 +22,21 @@ with a, b = (1 +- r)/2 and J the spin-j matrices in the J_z basis:
   D = diag((-1)^(N(N-1)/2)) and Z = diag((-1)^N);
 * the channel and its derivative act on the block's qubit-0 Pauli parts.
 
-Each block with nonzero trace t_j is normalised, diagonalised once and passed
-in its own eigenbasis to the dense ``fisher.qfi_exact``.  The single-qubit
-protocol is the M = 0 case: one 2x2 block.  PIQS uses the same decomposition
-(Shammah et al., PRA 98, 063815 (2018)).
+Only the weights a^(j+nu) b^(j-nu) and qubit 0's Bloch vector r r0 depend on
+the purity.  ``exact_qfis`` therefore solves a purity sweep at once: the
+channel, the frame, the qubit-0 maps and the eigenvectors W are built once,
+and the normalised blocks rho_j / t_j of one spin at every purity where the
+trace t_j is nonzero form one (P, 2(2j+1), 2(2j+1)) stack.  Each stack
+goes through one ``eigvalsh`` (for the default cutoff, which needs every
+block's largest eigenvalue first) and one call of the stacked
+``fisher.qfi_exact``.  ``exact_qfi`` is the sweep of one purity.  The
+single-qubit protocol is the M = 0 case: one 2x2 block.  PIQS uses the same
+decomposition (Shammah et al., PRA 98, 063815 (2018)).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -42,7 +49,7 @@ from .mstate import PAULI_MATS, _frame
 if TYPE_CHECKING:  # protocols imports this module
     from .protocols import ProtocolSpec
 
-__all__ = ["spin_blocks", "exact_qfi"]
+__all__ = ["spin_blocks", "exact_qfi", "exact_qfis"]
 
 # A 2x2 operator X as the row-major vector vec(X): vec(X) = _FROM_PAULI @ x
 # for X = sum_l x_l sigma_l / 2, and x_k = Tr[sigma_k X] = _TO_PAULI[k] @ vec(X).
@@ -80,51 +87,89 @@ def _spin_along(v: np.ndarray, two_j: int) -> np.ndarray:
     # <mu + 1|J_+|mu> = sqrt((j - mu)(j + mu + 1)); v.J = v_z J_z
     # + (v_x - i v_y) J_+ / 2 + (v_x + i v_y) J_- / 2
     up = np.sqrt((j - mu[1:]) * (j + mu[1:] + 1.0)) * complex(v[0], -v[1]) / 2.0
-    G = np.diag(v[2] * mu).astype(complex)
-    G[np.arange(two_j), np.arange(1, two_j + 1)] = up
-    G[np.arange(1, two_j + 1), np.arange(two_j)] = up.conj()
+    G = np.zeros((two_j + 1, two_j + 1), dtype=complex)
+    G.flat[::two_j + 2] = v[2] * mu  # the diagonal, then above and below it
+    G.flat[1::two_j + 2] = up
+    G.flat[two_j + 1::two_j + 2] = up.conj()
     return G
 
 
-def exact_qfi(spec: ProtocolSpec, eps: float | None = None) -> float:
-    """Exact QFI of the spec's output state, one small eigensystem per spin.
+def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
+               eps: float | None = None) -> np.ndarray:
+    """Exact QFI of the spec's output state at each purity (spec.r is not used).
+
+    The channel, the frame of c, the qubit-0 maps and each spin's r0'.J
+    eigenvectors do not depend on the purity and are built once; the blocks
+    of one spin at all purities form one stack for one ``fisher.qfi_exact``
+    call.  Each entry equals the sweep of that purity alone, bit for bit.
 
     eps keeps the meaning it has for the whole state in ``fisher.sld_exact``:
     eigenvalue pairs of rho with sum <= eps are skipped (default 1e-12 times
-    rho's largest eigenvalue).  A block of trace t_j holds rho's eigenvalues
-    scaled by 1/t_j, so it is solved with the cutoff eps / t_j.
+    rho's largest eigenvalue at that purity).  A block of trace t_j holds
+    rho's eigenvalues scaled by 1/t_j, so it is solved with the cutoff
+    eps / t_j; a block with t_j = 0 (at r = 1 all but the largest spin) is
+    skipped at that purity.
     """
+    rs = np.asarray(purities, dtype=float)
+    if rs.ndim != 1 or not all(0.0 <= r <= 1.0 for r in rs.tolist()):
+        raise ValueError(f"purities must lie in [0, 1], got {purities}")
     M = spec.n - 1
     R = np.eye(3) if spec.c is None else _frame(spec.c)
     r0 = R.T @ spec.r0
     maps = _qubit0_maps(spec.family.eval(spec.lam), R)
-    a, b = (1.0 + spec.r) / 2.0, (1.0 - spec.r) / 2.0
-    qubit0 = np.array([1.0, *(spec.r * r0)]) @ PAULI_MATS.reshape(4, 4) / 2.0
+    a, b = (1.0 + rs) / 2.0, (1.0 - rs) / 2.0
+    # Python floats: their ** is the C library's pow, which numpy's vectorised
+    # power does not match bit for bit
+    ab = (a * b).tolist()
+    bloch = np.ones((len(rs), 4))
+    bloch[:, 1:] = rs[:, None] * r0
+    qubit0 = (bloch @ PAULI_MATS.reshape(4, 4) / 2.0).reshape(-1, 2, 2, 1, 1)
+    # (-1)^(N(N-1)/2) for N = 0..n: a basis string's CZ phase D is sign[N]
+    # and Z D is sign[N + 1]
+    ones = np.arange(M + 2)
+    sign = 1 - 2 * (ones * (ones - 1) // 2 % 2)
 
-    blocks = []  # m_j, t_j, the eigensystem p of rho_j / t_j, drho_j / t_j in it
+    # per spin: m_j, the purities where t_j > 0, t_j there, and the stacks of
+    # rho_j / t_j and drho_j / t_j, one matrix per such purity
+    blocks = []
     for two_j, m in spin_blocks(M):
         dim = two_j + 1
         k = np.arange(dim)
-        w = a ** k * b ** (two_j - k)
-        t = (a * b) ** ((M - two_j) // 2) * float(w.sum())
-        if t == 0.0:
+        w = a[:, None] ** k * b[:, None] ** (two_j - k)
+        wsum = w.sum(axis=1)
+        t = np.array([x ** ((M - two_j) // 2) for x in ab]) * wsum
+        # the purities where the block has weight, as a view when all have
+        weighted = np.count_nonzero(t)
+        if not weighted:
             continue
+        live = slice(None) if weighted == len(t) else np.flatnonzero(t)
         # eigh sorts ascending and r0'.J has the spectrum -j..j: j + nu = k
         _, W = np.linalg.eigh(_spin_along(r0, two_j))
-        S = (W * (w / w.sum())) @ W.conj().T
+        S = (W * (w[live] / wsum[live, None])[:, None, :]) @ W.conj().T
         # C's diagonal where qubit 0 is |0> (D) and |1> (Z D), then
-        # C (qubit0 (x) S) C indexed (qubit-0 row, column, spin row, column)
-        N = (M - two_j) // 2 + k  # ones among the spectators at J_z = j - k
-        D = 1 - 2 * (N * (N - 1) // 2 % 2)
-        phase = np.array([D, D * (1 - 2 * (N % 2))])
-        x = qubit0.reshape(2, 2, 1, 1) * phase[:, None, :, None] * phase[None, :, None, :] * S
-        y = (maps @ x.reshape(4, dim * dim)).reshape(2, 2, 2, dim, dim)
-        rho, drho = y.transpose(0, 1, 3, 2, 4).reshape(2, 2 * dim, 2 * dim)
-        p, V = np.linalg.eigh(rho)
-        blocks.append((m, t, p, V.conj().T @ drho @ V))
+        # C (qubit0 (x) S) C indexed (purity, qubit-0 row, column, spin row, column);
+        # J_z = j - k has N = (M - 2j) / 2 + k ones among the spectators
+        low = (M - two_j) // 2
+        phase = np.array([sign[low:low + dim], sign[low + 1:low + dim + 1]])
+        x = (qubit0[live] * phase[:, None, :, None] * phase[None, :, None, :]
+             * S[:, None, None])
+        y = (maps @ x.reshape(-1, 4, dim * dim)).reshape(-1, 2, 2, 2, dim, dim)
+        rho, drho = y.transpose(1, 0, 2, 4, 3, 5).reshape(2, -1, 2 * dim, 2 * dim)
+        blocks.append((m, live, t[live], rho, drho))
 
     if eps is None:
-        eps = 1e-12 * max(t * p[-1] for _, t, p, _ in blocks)
-    # each block in its own eigenbasis: the QFI is unchanged, the cutoff above
-    # needs every block's eigenvalues first, and qfi_exact's eigh is trivial
-    return float(sum(m * t * qfi_exact(np.diag(p), G, eps / t) for m, t, p, G in blocks))
+        top = np.zeros(len(rs))
+        for _, live, t, rho, _ in blocks:
+            top[live] = np.maximum(top[live], t * np.linalg.eigvalsh(rho)[:, -1])
+        cut = 1e-12 * top
+    else:
+        cut = np.full(len(rs), eps)
+    qfi = np.zeros(len(rs))
+    for m, live, t, rho, drho in blocks:
+        qfi[live] += m * t * qfi_exact(rho, drho, cut[live] / t)
+    return qfi
+
+
+def exact_qfi(spec: ProtocolSpec, eps: float | None = None) -> float:
+    """Exact QFI of the spec's output state: ``exact_qfis`` at spec.r alone."""
+    return float(exact_qfis(spec, [spec.r], eps)[0])

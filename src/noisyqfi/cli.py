@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocks import exact_qfi
-from .bloch import ChannelFamily, DomainError, Unitality, validate
+from .blocks import exact_qfi, exact_qfis
+from .bloch import BlochChannel, ChannelFamily, DomainError, Unitality, validate
 from .config import ConfigError, family_from_config, parse_config_text
 from .protocols import (
     VANISHING_QFI,
@@ -59,7 +59,14 @@ _MAX_FIT_COND = 1e12
 
 
 class NumericError(RuntimeError):
-    """A grid cell failed to evaluate; the message names the cell."""
+    """A grid cell failed to evaluate; the message names the cell.
+
+    table, when given, is the (header, rows) that the command still prints.
+    """
+
+    def __init__(self, message: str, table: tuple[list[str], list[list]] | None = None):
+        super().__init__(message)
+        self.table = table
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +184,21 @@ def _cell_name(lam: float, r: float | None, n: int) -> str:
     return ", ".join(bits)
 
 
+def _eval_at(family: ChannelFamily, lam: float) -> BlochChannel:
+    """family.eval(lam); a channel that fails to evaluate there is a numeric failure.
+
+    DomainError passes through; other value and arithmetic errors (a
+    ``custom_diag`` expression such as sqrt(-l)) name the family and lambda.
+    """
+    try:
+        return family.eval(lam)
+    except DomainError:
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        raise NumericError(
+            f"channel {family.name!r} failed to evaluate at lambda={lam:g}: {exc}") from exc
+
+
 def _spec_for(family: ChannelFamily, lam: float, r: float, n: int,
               c: tuple | None, r0: tuple | None):
     c_vec, r0_vec = canonical_directions(family.eval(lam))
@@ -229,8 +251,8 @@ def _fit_cell(cfg: RunConfig, lam: float, r: None, n: int) -> list[list]:
         spec = _spec_for(family, lam, float(rs[-1]), n, cfg.c, cfg.r0)
         # one series per cell: the purity orders do not depend on r
         series = qfi_series(purity_orders(spec, K), K)
-        qfis = [exact_qfi(replace(spec, r=float(r)), cfg.eps) for r in rs]
-        fit = fit_qfi_orders(rs, np.asarray(qfis), orders=tuple(range(2, K + 2)))
+        qfis = exact_qfis(spec, rs, cfg.eps)  # one block solve for all purities
+        fit = fit_qfi_orders(rs, qfis, orders=tuple(range(2, K + 2)))
         if fit.cond > _MAX_FIT_COND:
             raise NumericError(
                 f"cell {_cell_name(lam, None, n)}: ill-conditioned fit, "
@@ -292,7 +314,7 @@ def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
     header = ["n", "lambda", "lower", "canonical", "grid_max", "upper", "status"]
     rows = []
     for lam in lams:
-        ch = family.eval(lam)
+        ch = _eval_at(family, lam)
         verify_family_flag(family, ch)
         c_star, r0_star = canonical_directions(ch)
         for n in cfg.qubit_counts():
@@ -327,6 +349,10 @@ def run_fit_orders(cfg: RunConfig) -> tuple[list[str], list[list]]:
     lams = cfg.lams if cfg.lams is not None else [0.5]
     rs = (cfg.purities if cfg.purities is not None
           else [float(x) for x in default_fit_purities()])
+    if cfg.max_order < 2:
+        raise ConfigError(
+            f"--max-order must be at least 2 for fit-orders (it fits orders 2..K), "
+            f"got {cfg.max_order}")
     if len(rs) < cfg.max_order:
         raise ConfigError(
             f"order fitting needs at least {cfg.max_order} purity samples, got {len(rs)}")
@@ -349,7 +375,7 @@ def run_validate_channel(cfg: RunConfig) -> tuple[list[str], list[list]]:
     failures = []
     for lam in lams:
         try:
-            report = validate(family.eval(lam))
+            report = validate(_eval_at(family, lam))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
         detail = "; ".join(f"{name} (|{mag:.3e}|)" for name, mag in report.failures)
@@ -359,7 +385,7 @@ def run_validate_channel(cfg: RunConfig) -> tuple[list[str], list[list]]:
     if failures:
         raise NumericError(
             f"channel {family.name!r} failed validation at lambda={failures[0]:g} "
-            f"({len(failures)} of {len(lams)} grid points)")
+            f"({len(failures)} of {len(lams)} grid points)", table=(header, rows))
     return header, rows
 
 
@@ -508,6 +534,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (NumericError, DomainError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        if getattr(exc, "table", None) is not None:
+            _emit(cfg, *exc.table)
         return EXIT_NUMERIC
     _emit(cfg, header, rows)
     return EXIT_OK

@@ -7,9 +7,11 @@ rho = sum_j p_j |j><j| as
     L = 2 sum_{j,k} <j|drho|k> / (p_j + p_k) |j><k|
 
 restricted to pairs with p_j + p_k above a cutoff; the QFI is Tr[drho L].
-The library applies it to one Schur-Weyl block of a protocol's output at a
-time (``blocks.exact_qfi``); on the whole 2^n state it is the test oracle
-for the blocks and for the series machinery.
+``qfi_exact`` also takes a stack of states (..., d, d) and returns one QFI
+per matrix, each checked and summed as on its own.  The library applies it
+to the Schur-Weyl blocks of one spin at every purity of a sweep at once
+(``blocks.exact_qfis``); on the whole 2^n state it is the test oracle for
+the blocks and for the series machinery.
 """
 
 from __future__ import annotations
@@ -31,13 +33,19 @@ _PSD_TOL = 1e-9
 
 
 def _check_hermitian(mat: np.ndarray, name: str, tol: float = _HERM_TOL) -> np.ndarray:
+    """mat as complex, if it is one square matrix or a stack of them, each Hermitian."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
-    worst = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+    worst = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max()) if mat.size else 0.0
     if worst > tol:
         raise ValueError(f"{name} is not Hermitian: max asymmetry {worst:.3e}")
     return mat
+
+
+def _first(values: np.ndarray, bad: np.ndarray):
+    """The first entry of values where bad holds (values may be 0-d)."""
+    return values[bad][0] if values.ndim else values
 
 
 @dataclass(frozen=True)
@@ -51,31 +59,48 @@ class SldResult:
     dropped_pairs: int
 
 
-def _spectral(rho: np.ndarray, drho: np.ndarray, eps: float | None):
-    """Checked eigensystem (p, V) of rho, G = V^+ drho V, the pair sums and kept pairs."""
+def _spectral(rho: np.ndarray, drho: np.ndarray, eps: float | np.ndarray | None):
+    """Checked eigensystem (p, V) of rho, G = V^+ drho V, the pair sums and kept pairs.
+
+    rho and drho may be stacks (..., d, d); eps is then one cutoff for all
+    or one per matrix (shape ``rho.shape[:-2]``).
+    """
     rho = _check_hermitian(rho, "rho")
     drho = _check_hermitian(drho, "drho")
     if rho.shape != drho.shape:
         raise ValueError("rho and drho must have matching shapes")
-    if abs(np.trace(rho).real - 1.0) > _HERM_TOL:
-        raise ValueError(f"rho must have unit trace, got {np.trace(rho).real}")
-    if abs(np.trace(drho)) > _HERM_TOL:
-        raise ValueError(f"drho must be traceless, got trace {np.trace(drho)}")
+    # count_nonzero, not .any(): these run per block of every exact QFI
+    trace = rho.trace(axis1=-2, axis2=-1).real
+    off = abs(trace - 1.0) > _HERM_TOL
+    if np.count_nonzero(off):
+        raise ValueError(f"rho must have unit trace, got {_first(trace, off)}")
+    dtrace = drho.trace(axis1=-2, axis2=-1)
+    off = abs(dtrace) > _HERM_TOL
+    if np.count_nonzero(off):
+        raise ValueError(f"drho must be traceless, got trace {_first(dtrace, off)}")
 
     p, V = np.linalg.eigh(rho)
-    if p[0] < -_PSD_TOL:
-        raise ValueError(f"rho is not positive semidefinite: eigenvalue {p[0]:.3e}")
-    p = np.clip(p, 0.0, None)
+    low = p[..., 0] < -_PSD_TOL
+    if np.count_nonzero(low):
+        raise ValueError(
+            f"rho is not positive semidefinite: eigenvalue {_first(p[..., 0], low):.3e}")
+    p = np.maximum(p, 0.0)
     if eps is None:
-        eps = 1e-12 * float(p[-1])
+        eps = 1e-12 * p[..., -1]
+    eps = np.asarray(eps, dtype=float)[..., None, None]
 
-    G = V.conj().T @ drho @ V
-    denom = p[:, None] + p[None, :]
+    G = V.conj().swapaxes(-1, -2) @ drho @ V
+    denom = p[..., :, None] + p[..., None, :]
     return p, V, G, denom, denom > eps
 
 
-def _pair_sum(G: np.ndarray, denom: np.ndarray, keep: np.ndarray) -> float:
-    return float(np.sum(2.0 * (np.abs(G) ** 2)[keep] / denom[keep]))
+def _pair_sum(G: np.ndarray, denom: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """sum over kept pairs of 2 |G_jk|^2 / (p_j + p_k), one per matrix (shape G.shape[:-2])."""
+    terms = np.divide(2.0 * np.abs(G) ** 2, denom, out=np.zeros(G.shape), where=keep)
+    size = G.shape[-2] * G.shape[-1]
+    # the kept pairs of each matrix alone, so a sum does not depend on the stack
+    sums = [t[k].sum() for t, k in zip(terms.reshape(-1, size), keep.reshape(-1, size))]
+    return np.array(sums).reshape(G.shape[:-2])
 
 
 def sld_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> SldResult:
@@ -92,16 +117,24 @@ def sld_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> Sl
     L = V @ (2.0 * ratio * keep) @ V.conj().T
     return SldResult(
         L=L,
-        qfi=_pair_sum(G, denom, keep),
+        qfi=float(_pair_sum(G, denom, keep)),
         eigenvalues=p,
         eigenvectors=V,
         dropped_pairs=int(np.count_nonzero(~keep)),
     )
 
 
-def qfi_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> float:
-    """The QFI of ``sld_exact`` without forming the SLD."""
-    return _pair_sum(*_spectral(rho, drho, eps)[2:])
+def qfi_exact(rho: np.ndarray, drho: np.ndarray,
+              eps: float | np.ndarray | None = None) -> float | np.ndarray:
+    """The QFI of ``sld_exact`` without forming the SLD.
+
+    For stacks rho, drho of shape (..., d, d) it returns an array of shape
+    (...), each entry equal to the call on that matrix alone; eps is then a
+    cutoff for all matrices or one per matrix.  A matrix anywhere in the
+    stack that fails a check raises the ValueError it raises on its own.
+    """
+    qfi = _pair_sum(*_spectral(rho, drho, eps)[2:])
+    return float(qfi) if qfi.ndim == 0 else qfi
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ Each protocol yields the pre-measurement state from two builders over the
 same construction: ``build_state`` at fixed purity (Pauli coefficients, for
 the measurement) and ``purity_orders`` (for the series coefficients, which
 do not depend on the purity).  The exact QFI comes from the state's
-Schur-Weyl blocks (``blocks.exact_qfi``), one small eigensystem per spin in
-place of the 2^n one.  The local measurement scheme re-applies the
-preparation after the channel and measures every qubit along the initial
-direction; outcomes are grouped by the sign of qubit 0 and the number of +
-results among the rest, which is lossless because the state is symmetric
-under any permutation of qubits 1..n-1.
+Schur-Weyl blocks (``blocks.exact_qfi``, or ``blocks.exact_qfis`` for a
+purity sweep), one small eigensystem per spin in place of the 2^n one.  The
+local measurement scheme re-applies the preparation after the channel and
+measures every qubit along the initial direction; outcomes are grouped by
+the sign of qubit 0 and the number of + results among the rest, which is
+lossless because the state is symmetric under any permutation of qubits
+1..n-1.
 """
 
 from __future__ import annotations

@@ -60,6 +60,19 @@ class TestValidate:
         name, magnitude = report.failures[0]
         assert magnitude == pytest.approx(0.5)
 
+    def test_stretching_matrix_fails_with_magnitude(self):
+        # |M a| > 1 for some unit a: the image of the Bloch ball leaves it
+        for M in (2.0 * np.eye(3), np.diag([1.0, 1.0, 1.5]), np.diag([-1.2, 0.3, 0.1])):
+            report = validate(_channel(M, [0, 0, 0]))
+            assert not report.passed
+            name, magnitude = report.failures[0]
+            assert "singular value" in name
+            assert magnitude == pytest.approx(np.abs(np.diag(M)).max() - 1.0)
+
+    def test_rotation_passes(self):
+        c, s = np.cos(0.7), np.sin(0.7)
+        assert validate(_channel(np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]), [0, 0, 0]))
+
     def test_nonfinite_entries_fail(self):
         report = validate(_channel(np.full((3, 3), np.nan), [0, 0, 0]))
         assert not report.passed

@@ -1,10 +1,12 @@
 """The Schur-Weyl block QFI against the dense 2^n eigendecomposition oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from noisyqfi import builtin
-from noisyqfi.blocks import exact_qfi, spin_blocks
+from noisyqfi.blocks import exact_qfi, exact_qfis, spin_blocks
 from noisyqfi.fisher import sld_exact
 from noisyqfi.protocols import build_state, correlated, sqsc
 from noisyqfi.series import canonical_directions
@@ -102,3 +104,30 @@ def test_unital_channel_at_zero_purity_carries_no_information():
         for n in (1, 2, 5, 12):
             spec = _spec(fam, 0.3, n, 0.0, random_unit(rng), random_unit(rng))
             assert exact_qfi(spec) <= 1e-30
+
+
+# 0 and 1 in one sweep: at r = 1 every spin but the largest has no weight
+SWEEP = (1.0, 0.0, 1e-3, 0.05, 0.4, 0.9, 0.999)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sweep_equals_one_purity_calls(n):
+    rng = np.random.default_rng(300 + n)
+    dropped = False
+    for fam in _families(rng):
+        spec = _spec(fam, 0.3, n, 0.5, random_unit(rng), random_unit(rng))
+        for eps in (None, 1e-2):
+            got = exact_qfis(spec, SWEEP, eps)
+            assert got.tolist() == [exact_qfi(replace(spec, r=r), eps) for r in SWEEP], \
+                (fam.name, n, eps)
+        dropped |= got.tolist() != exact_qfis(spec, SWEEP).tolist()
+    # the explicit cutoff drops pairs the default keeps; a single qubit's two
+    # eigenvalues stay further apart than it at these purities
+    assert dropped or n == 1
+
+
+def test_sweep_rejects_purities_outside_the_unit_interval():
+    spec = correlated(builtin("phase_flip"), 0.3, 3, 0.1, [0, 0, 1], [1, 0, 0])
+    for purities in ([0.1, 1.5], [-0.1], [np.nan], [[0.1]]):
+        with pytest.raises(ValueError, match="purities must lie in"):
+            exact_qfis(spec, purities)

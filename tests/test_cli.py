@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,6 +220,24 @@ class TestRunFitOrders:
         assert code == EXIT_NUMERIC
         assert "condition number" in capsys.readouterr().err
 
+    def test_max_order_below_two_is_config_error(self, capsys):
+        # K = 1 leaves no order 2..K to fit; it once printed a bare header
+        code = main(["fit-orders", "--channel", "depolarizing", "--n", "2",
+                     "--max-order", "1"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "--max-order" in captured.err
+
+    def test_jobs_do_not_change_output(self):
+        cfg = RunConfig(command="fit-orders",
+                        channel={"name": "depolarizing", "params": {}},
+                        lams=[0.25, 0.5], ns=[2, 3, 4])
+        h1, rows1 = run_fit_orders(cfg)
+        h2, rows2 = run_fit_orders(replace(cfg, jobs=2))
+        assert h1 == h2
+        assert cli.format_csv(h1, rows1) == cli.format_csv(h2, rows2)
+
 
 class TestMainExitCodes:
     def test_ok(self, capsys, tmp_path):
@@ -259,6 +278,28 @@ class TestMainExitCodes:
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "numeric failure" in err and "lambda=0.5" in err
+
+    @pytest.mark.parametrize("command", ["bounds", "validate-channel"])
+    def test_expression_failing_to_evaluate_names_lambda(self, command, capsys):
+        # sqrt(-l) raised an uncaught ValueError here: a traceback and exit 1
+        code = main([command, "--channel", "custom_diag", "--param", "mx=sqrt(-l)",
+                     "--param", "my=0", "--param", "mz=1", "--lambda", "0.5"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric failure" in captured.err and "lambda=0.5" in captured.err
+        assert "math domain error" in captured.err
+
+    def test_validate_channel_reports_a_bloch_matrix_that_stretches(self, capsys):
+        # M = 2 I maps the Bloch ball outside itself; it once passed every row
+        code = main(["validate-channel", "--channel", "custom_diag", "--param", "mx=2",
+                     "--param", "my=2", "--param", "mz=2"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[1:]
+        assert len(rows) == 101
+        assert all(",fail,largest singular value of M <= 1" in row for row in rows)
+        assert "failed validation" in captured.err
 
     def test_measure_at_domain_end(self, capsys):
         # the outcome derivative is exact, so the domain end lambda = 1 works
@@ -466,6 +507,7 @@ class TestWorkPerCell:
         prep = _count_calls(monkeypatch, protocols, "prep_conjugate")
         evals = _count_calls(monkeypatch, ChannelFamily, "eval")
         svds = _count_calls(monkeypatch, series, "svd3")
+        sweeps = _count_calls(monkeypatch, cli, "exact_qfis")
         code = main(["fit-orders", "--channel", "depolarizing", "--lambda", "0.25,0.5",
                      "--n", "2,3"])
         assert code == EXIT_OK
@@ -475,9 +517,11 @@ class TestWorkPerCell:
         # needs none
         assert len(prep) == 4
         # per cell: one spec (one eval, one svd3), the flag check, the purity
-        # orders and one exact QFI per purity
-        assert len(evals) == 4 * (3 + len(default_fit_purities()))
+        # orders and one block solve for all purities
+        assert len(evals) == 4 * 4
         assert len(svds) == 4
+        purities = [float(x) for x in default_fit_purities()]
+        assert [list(call[1]) for call in sweeps] == [purities] * 4
 
     @pytest.mark.parametrize("max_order", [None, 5])
     def test_qfi_solves_sld_to_half_the_order(self, max_order, monkeypatch, capsys):

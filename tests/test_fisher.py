@@ -88,6 +88,61 @@ class TestSldExact:
             assert moved == pytest.approx(base, rel=1e-9)
 
 
+def _random_pair(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    rho = random_state(rng, n)
+    H = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
+    drho = (H + H.conj().T) / 2.0
+    return rho, drho - np.trace(drho) * np.eye(rho.shape[0]) / rho.shape[0]
+
+
+def _stack(rng, count: int = 6) -> tuple[np.ndarray, np.ndarray]:
+    """Two-qubit (rho, drho) pairs; the last rho has rank 2, so its null pairs drop."""
+    pairs = [_random_pair(rng, 2) for _ in range(count - 1)]
+    rho, drho = _random_pair(rng, 1)
+    pairs.append((np.kron(rho, np.diag([1.0, 0.0])), np.kron(drho, np.diag([1.0, 0.0]))))
+    return np.array([r for r, _ in pairs]), np.array([d for _, d in pairs])
+
+
+class TestStackedQfi:
+    def test_stack_equals_its_matrices(self):
+        rng = np.random.default_rng(41)
+        rho, drho = _stack(rng)
+        per_matrix = np.array([1e-14, 0.3, 1e-3, 0.2, 0.05, 0.5])
+        for eps in (None, 0.2, per_matrix):
+            got = qfi_exact(rho, drho, eps)
+            cuts = [eps] * len(rho) if eps is None or np.ndim(eps) == 0 else eps
+            assert got.shape == (len(rho),)
+            assert got.tolist() == [qfi_exact(r, d, e) for r, d, e in zip(rho, drho, cuts)]
+        # the explicit cutoffs drop pairs the default keeps
+        assert qfi_exact(rho, drho, per_matrix).tolist() != qfi_exact(rho, drho).tolist()
+
+    def test_stack_of_stacks_keeps_its_shape(self):
+        rho, drho = _stack(np.random.default_rng(42))
+        got = qfi_exact(rho.reshape(2, 3, 4, 4), drho.reshape(2, 3, 4, 4))
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == qfi_exact(rho, drho).tolist()
+
+    @pytest.mark.parametrize("where", [0, 3, 5])
+    @pytest.mark.parametrize("defect", ["hermitian", "trace", "traceless", "psd"])
+    def test_bad_matrix_anywhere_raises_its_own_error(self, defect, where):
+        rho, drho = _stack(np.random.default_rng(43))
+        bad_rho, bad_drho = rho[where].copy(), drho[where].copy()
+        if defect == "hermitian":
+            bad_rho[0, 1] += 0.3
+        elif defect == "trace":
+            bad_rho *= 2.0
+        elif defect == "traceless":
+            bad_drho += 0.1 * np.eye(4)
+        else:
+            bad_rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError) as alone:
+            qfi_exact(bad_rho, bad_drho)
+        rho[where], drho[where] = bad_rho, bad_drho
+        with pytest.raises(ValueError) as stacked:
+            qfi_exact(rho, drho)
+        assert str(stacked.value) == str(alone.value)
+
+
 class TestNumericDerivative:
     def test_linear_family(self):
         def state_at(lam):
