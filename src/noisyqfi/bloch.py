@@ -52,8 +52,22 @@ class Unitality(enum.Enum):
     NONUNITAL_CONST_SHIFT = "nonunital_const_shift"
 
 
+def _real(x, name: str) -> np.ndarray:
+    """x as a new float array; a complex entry is an error, not its real part.
+
+    A negative number to a fractional power (the expression (-l)^0.5) is
+    complex in Python.
+    """
+    a = np.array(x)
+    if a.dtype.kind == "c":
+        if np.count_nonzero(a.imag):
+            raise ValueError(f"{name} has a complex entry: {a[a.imag != 0].flat[0]}")
+        a = a.real.copy()
+    return a.astype(float, copy=False)
+
+
 def _as_matrix(x, name: str) -> np.ndarray:
-    a = np.array(x, dtype=float)
+    a = _real(x, name)
     if a.shape != (3, 3):
         raise ValueError(f"{name} must be 3x3, got shape {a.shape}")
     a.flags.writeable = False
@@ -61,7 +75,7 @@ def _as_matrix(x, name: str) -> np.ndarray:
 
 
 def _as_vector(x, name: str) -> np.ndarray:
-    a = np.array(x, dtype=float)
+    a = _real(x, name)
     if a.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
     a.flags.writeable = False
@@ -188,8 +202,8 @@ def fd_derivative(
             )
     Mp, dp = value(lam0 + h)
     Mm, dm = value(lam0 - h)
-    dM = (np.asarray(Mp, dtype=float) - np.asarray(Mm, dtype=float)) / (2.0 * h)
-    dd = (np.asarray(dp, dtype=float) - np.asarray(dm, dtype=float)) / (2.0 * h)
+    dM = (_real(Mp, "M") - _real(Mm, "M")) / (2.0 * h)
+    dd = (_real(dp, "d") - _real(dm, "d")) / (2.0 * h)
     return dM, dd
 
 

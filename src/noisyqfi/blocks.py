@@ -27,11 +27,12 @@ the purity.  ``exact_qfis`` therefore solves a purity sweep at once: the
 channel, the frame, the qubit-0 maps and the eigenvectors W are built once,
 and the normalised blocks rho_j / t_j of one spin at every purity where the
 trace t_j is nonzero form one (P, 2(2j+1), 2(2j+1)) stack.  Each stack
-goes through one ``eigvalsh`` (for the default cutoff, which needs every
-block's largest eigenvalue first) and one call of the stacked
-``fisher.qfi_exact``.  ``exact_qfi`` is the sweep of one purity.  The
-single-qubit protocol is the M = 0 case: one 2x2 block.  PIQS uses the same
-decomposition (Shammah et al., PRA 98, 063815 (2018)).
+is decomposed once (``fisher.in_eigenbasis``); the default cutoff needs
+every block's largest eigenvalue, so all stacks are decomposed first, and
+then each goes through one call of the stacked ``fisher.qfi_exact``.
+``exact_qfi`` is the sweep of one purity.  The single-qubit protocol is the
+M = 0 case: one 2x2 block.  PIQS uses the same decomposition (Shammah et
+al., PRA 98, 063815 (2018)).
 """
 
 from __future__ import annotations
@@ -43,41 +44,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bloch import BlochChannel
-from .fisher import qfi_exact
-from .mstate import PAULI_MATS, _frame
+from .fisher import in_eigenbasis, qfi_exact
+from .mstate import PAULI_MATS, _frame, _qubit0_maps
 
 if TYPE_CHECKING:  # protocols imports this module
     from .protocols import ProtocolSpec
 
 __all__ = ["spin_blocks", "exact_qfi", "exact_qfis"]
 
-# A 2x2 operator X as the row-major vector vec(X): vec(X) = _FROM_PAULI @ x
-# for X = sum_l x_l sigma_l / 2, and x_k = Tr[sigma_k X] = _TO_PAULI[k] @ vec(X).
-_FROM_PAULI = PAULI_MATS.reshape(4, 4).T / 2.0
-_TO_PAULI = PAULI_MATS.transpose(0, 2, 1).reshape(4, 4)
-
 
 def spin_blocks(M: int) -> list[tuple[int, int]]:
     """(2j, m_j) for every spin j of M qubits, the largest spin first."""
     return [(M - 2 * k, comb(M, k) - (comb(M, k - 1) if k else 0))
             for k in range(M // 2 + 1)]
-
-
-def _qubit0_maps(ch: BlochChannel, R: np.ndarray) -> np.ndarray:
-    """The channel and its derivative on qubit 0, in the frame R, as (8, 4).
-
-    Rows 0..3 map vec(X) to vec(channel(X)), rows 4..7 to vec(derivative(X)).
-    In Pauli components the channel is I -> I + d.sigma, a.sigma -> (M a).sigma
-    and the derivative (dM, dd) has no identity pass-through, as in
-    ``mstate.apply_channel``; the frame turns M into R^T M R and d into R^T d.
-    """
-    F = np.zeros((2, 4, 4))
-    F[0, 0, 0] = 1.0
-    F[0, 1:, 0], F[0, 1:, 1:] = ch.d, ch.M
-    F[1, 1:, 0], F[1, 1:, 1:] = ch.dd, ch.dM
-    R4 = np.eye(4)
-    R4[1:, 1:] = R
-    return (_FROM_PAULI @ (R4.T @ F @ R4) @ _TO_PAULI).reshape(8, 4)
 
 
 def _spin_along(v: np.ndarray, two_j: int) -> np.ndarray:
@@ -100,8 +79,9 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
 
     The channel, the frame of c, the qubit-0 maps and each spin's r0'.J
     eigenvectors do not depend on the purity and are built once; the blocks
-    of one spin at all purities form one stack for one ``fisher.qfi_exact``
-    call.  Each entry equals the sweep of that purity alone, bit for bit.
+    of one spin at all purities form one stack, decomposed once, whose pair
+    sums are one ``fisher.qfi_exact`` call.  Each entry equals the sweep of
+    that purity alone, bit for bit.
 
     eps keeps the meaning it has for the whole state in ``fisher.sld_exact``:
     eigenvalue pairs of rho with sum <= eps are skipped (default 1e-12 times
@@ -155,18 +135,18 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
              * S[:, None, None])
         y = (maps @ x.reshape(-1, 4, dim * dim)).reshape(-1, 2, 2, 2, dim, dim)
         rho, drho = y.transpose(1, 0, 2, 4, 3, 5).reshape(2, -1, 2 * dim, 2 * dim)
-        blocks.append((m, live, t[live], rho, drho))
+        blocks.append((m, live, t[live], *in_eigenbasis(rho, drho)))
 
     if eps is None:
         top = np.zeros(len(rs))
-        for _, live, t, rho, _ in blocks:
-            top[live] = np.maximum(top[live], t * np.linalg.eigvalsh(rho)[:, -1])
+        for _, live, t, p, _ in blocks:
+            top[live] = np.maximum(top[live], t * p[:, -1])
         cut = 1e-12 * top
     else:
         cut = np.full(len(rs), eps)
     qfi = np.zeros(len(rs))
-    for m, live, t, rho, drho in blocks:
-        qfi[live] += m * t * qfi_exact(rho, drho, cut[live] / t)
+    for m, live, t, p, G in blocks:
+        qfi[live] += m * t * qfi_exact(p, G, cut[live] / t)
     return qfi
 
 

@@ -313,8 +313,15 @@ def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
     lams = cfg.lams if cfg.lams is not None else [0.5]
     header = ["n", "lambda", "lower", "canonical", "grid_max", "upper", "status"]
     rows = []
+    failures = []
     for lam in lams:
         ch = _eval_at(family, lam)
+        bad = [name for name in ("M", "d", "dM", "dd")
+               if not np.all(np.isfinite(getattr(ch, name)))]
+        if bad:
+            raise NumericError(
+                f"channel {family.name!r} has non-finite {', '.join(bad)} "
+                f"at lambda={lam:g}", table=(header, rows))
         verify_family_flag(family, ch)
         c_star, r0_star = canonical_directions(ch)
         for n in cfg.qubit_counts():
@@ -323,6 +330,13 @@ def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
             gmax = corr_h2_grid_max(ch, n, grid=cfg.dir_grid).value
             ok = lower - 1e-9 <= canon <= gmax <= upper + 1e-9
             rows.append([n, lam, lower, canon, gmax, upper, "pass" if ok else "fail"])
+            if not ok:
+                failures.append((lam, n))
+    if failures:
+        lam, n = failures[0]
+        raise NumericError(
+            f"bounds fail at lambda={lam:g}, n={n} ({len(failures)} of {len(rows)} rows): "
+            "they need lower <= canonical <= grid_max <= upper", table=(header, rows))
     return header, rows
 
 

@@ -8,10 +8,12 @@ rho = sum_j p_j |j><j| as
 
 restricted to pairs with p_j + p_k above a cutoff; the QFI is Tr[drho L].
 ``qfi_exact`` also takes a stack of states (..., d, d) and returns one QFI
-per matrix, each checked and summed as on its own.  The library applies it
-to the Schur-Weyl blocks of one spin at every purity of a sweep at once
-(``blocks.exact_qfis``); on the whole 2^n state it is the test oracle for
-the blocks and for the series machinery.
+per matrix, each checked and summed as on its own, and it takes rho as its
+eigenvalues with drho in its eigenbasis (``in_eigenbasis``), so a caller can
+read every spectrum before it picks the cutoff.  The library decomposes the
+Schur-Weyl blocks of one spin at every purity of a sweep at once and sums
+their pairs with it (``blocks.exact_qfis``); on the whole 2^n state it is
+the test oracle for the blocks and for the series machinery.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "ProbModel",
     "sld_exact",
     "qfi_exact",
+    "in_eigenbasis",
     "cfi",
 ]
 
@@ -59,11 +62,10 @@ class SldResult:
     dropped_pairs: int
 
 
-def _spectral(rho: np.ndarray, drho: np.ndarray, eps: float | np.ndarray | None):
-    """Checked eigensystem (p, V) of rho, G = V^+ drho V, the pair sums and kept pairs.
+def _eigensystem(rho: np.ndarray, drho: np.ndarray):
+    """Checked eigenvalues p and eigenvectors V of rho, and G = V^+ drho V.
 
-    rho and drho may be stacks (..., d, d); eps is then one cutoff for all
-    or one per matrix (shape ``rho.shape[:-2]``).
+    rho and drho may be stacks (..., d, d).
     """
     rho = _check_hermitian(rho, "rho")
     drho = _check_hermitian(drho, "drho")
@@ -84,14 +86,33 @@ def _spectral(rho: np.ndarray, drho: np.ndarray, eps: float | np.ndarray | None)
     if np.count_nonzero(low):
         raise ValueError(
             f"rho is not positive semidefinite: eigenvalue {_first(p[..., 0], low):.3e}")
-    p = np.maximum(p, 0.0)
+    G = V.conj().swapaxes(-1, -2) @ drho @ V
+    return np.maximum(p, 0.0), V, G
+
+
+def in_eigenbasis(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho's eigenvalues p (ascending) and drho in rho's eigenbasis, checked.
+
+    ``qfi_exact(*in_eigenbasis(rho, drho), eps)`` equals
+    ``qfi_exact(rho, drho, eps)`` bit for bit, so a caller can read every
+    spectrum before it picks the cutoff without decomposing twice.
+    """
+    p, _, G = _eigensystem(rho, drho)
+    return p, G
+
+
+def _pairs(p: np.ndarray, eps: float | np.ndarray | None):
+    """The pair sums p_j + p_k and the kept pairs (sum above the cutoff).
+
+    eps is one cutoff for all matrices or one per matrix (shape
+    ``p.shape[:-1]``); the default is 1e-12 times each one's largest
+    eigenvalue.
+    """
     if eps is None:
         eps = 1e-12 * p[..., -1]
     eps = np.asarray(eps, dtype=float)[..., None, None]
-
-    G = V.conj().swapaxes(-1, -2) @ drho @ V
     denom = p[..., :, None] + p[..., None, :]
-    return p, V, G, denom, denom > eps
+    return denom, denom > eps
 
 
 def _pair_sum(G: np.ndarray, denom: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -111,7 +132,8 @@ def sld_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> Sl
     [-1e-9, 0) are clamped to zero; anything more negative is rejected as an
     invalid state.
     """
-    p, V, G, denom, keep = _spectral(rho, drho, eps)
+    p, V, G = _eigensystem(rho, drho)
+    denom, keep = _pairs(p, eps)
     ratio = np.zeros_like(G)
     np.divide(G, denom, out=ratio, where=keep)
     L = V @ (2.0 * ratio * keep) @ V.conj().T
@@ -132,8 +154,17 @@ def qfi_exact(rho: np.ndarray, drho: np.ndarray,
     (...), each entry equal to the call on that matrix alone; eps is then a
     cutoff for all matrices or one per matrix.  A matrix anywhere in the
     stack that fails a check raises the ValueError it raises on its own.
+    rho may also be given as its eigenvalues (..., d) with drho in its
+    eigenbasis, as ``in_eigenbasis`` returns them after its checks; that
+    form is not checked again.
     """
-    qfi = _pair_sum(*_spectral(rho, drho, eps)[2:])
+    if np.ndim(rho) == np.ndim(drho) - 1:
+        p, G = np.asarray(rho, dtype=float), np.asarray(drho)
+        if p.shape != G.shape[:-1]:
+            raise ValueError("eigenvalues and drho must have matching shapes")
+    else:
+        p, _, G = _eigensystem(rho, drho)
+    qfi = _pair_sum(G, *_pairs(p, eps))
     return float(qfi) if qfi.ndim == 0 else qfi
 
 

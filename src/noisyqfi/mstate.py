@@ -20,8 +20,10 @@ Two state forms coexist:
 
 A single-qubit channel (M, d) acts on one tensor slot by the affine rule
 I -> I + d.sigma and a.sigma -> (M a).sigma; the derivative pass applies
-(dM, dd) with no identity pass-through.  The pairwise preparation gate with
-control direction c,
+(dM, dd) with no identity pass-through.  ``_qubit0_maps`` writes both as one
+(8, 4) map on 2x2 matrices, for the dense purity orders and the Schur-Weyl
+blocks, which apply the channel to a qubit's 2x2 blocks.  The pairwise
+preparation gate with control direction c,
 
     U_c = (I8I + I8(c.sigma) + (c.sigma)8I - (c.sigma)8(c.sigma)) / 2,
 
@@ -178,7 +180,9 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
 
     orders[j] collects every string with exactly j letters drawn from
     r0.sigma (coefficient (1/2^n) * product of r0 components); orders beyond
-    the requested max_order are truncated, orders beyond n are zero.
+    the requested max_order are truncated, orders beyond n are zero.  The
+    coefficients of all strings and their letter weights are grown one
+    tensor slot at a time, and order j keeps the strings of weight j.
     """
     _check_pauli_cap(n)
     r0 = _unit_vector(r0, "r0")
@@ -186,23 +190,16 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
         max_order = n
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
-    slot_i = 0.5 * np.array([1.0, 0.0, 0.0, 0.0])
-    slot_r = 0.5 * np.array([0.0, r0[0], r0[1], r0[2]])
-    # coefficient arrays per power of r, grown one tensor slot at a time
-    polys = [np.array([1.0])]
+    slot = 0.5 * np.array([1.0, r0[0], r0[1], r0[2]])
+    letter_weight = np.array([0, 1, 1, 1], dtype=np.int8)
+    product = np.array([1.0])
+    weight = np.zeros(1, dtype=np.int8)
     for _ in range(n):
-        grown = []
-        for j in range(min(len(polys), max_order) + 1):
-            term = np.zeros(len(polys[0]) * 4)
-            if j < len(polys):
-                term += np.multiply.outer(polys[j], slot_i).ravel()
-            if 0 <= j - 1 < len(polys):
-                term += np.multiply.outer(polys[j - 1], slot_r).ravel()
-            grown.append(term)
-        polys = grown
-    while len(polys) < max_order + 1:
-        polys.append(np.zeros(4 ** n))
-    return OrderedState(n, tuple(PauliState(n, p) for p in polys[: max_order + 1]))
+        product = np.multiply.outer(product, slot).ravel()
+        weight = (weight[:, None] + letter_weight).ravel()
+    product += 0.0  # a product through a zero r0 component is +0, never -0
+    return OrderedState(n, tuple(PauliState(n, np.where(weight == j, product, 0.0))
+                                 for j in range(max_order + 1)))
 
 
 def to_dense(state: PauliState) -> np.ndarray:
@@ -325,6 +322,29 @@ def _channel_pass(st: PauliState, qubit: int, M: np.ndarray, d: np.ndarray,
     out[:, 1:, :] = np.einsum("ab,ibj->iaj", M, t[:, 1:, :])
     out[:, 1:, :] += d.reshape(1, 3, 1) * t[:, 0, :].reshape(t.shape[0], 1, t.shape[2])
     return PauliState(st.n, out.reshape(4 ** st.n))
+
+
+# A 2x2 operator X as the row-major vector vec(X): vec(X) = _FROM_PAULI @ x
+# for X = sum_l x_l sigma_l / 2, and x_k = Tr[sigma_k X] = _TO_PAULI[k] @ vec(X).
+_FROM_PAULI = PAULI_MATS.reshape(4, 4).T / 2.0
+_TO_PAULI = PAULI_MATS.transpose(0, 2, 1).reshape(4, 4)
+
+
+def _qubit0_maps(ch: BlochChannel, R: np.ndarray) -> np.ndarray:
+    """The channel and its derivative on one qubit, in the frame R, as (8, 4).
+
+    Rows 0..3 map vec(X) to vec(channel(X)), rows 4..7 to vec(derivative(X)).
+    In Pauli components the channel is I -> I + d.sigma, a.sigma -> (M a).sigma
+    and the derivative (dM, dd) has no identity pass-through, as in
+    ``apply_channel``; the frame turns M into R^T M R and d into R^T d.
+    """
+    F = np.zeros((2, 4, 4))
+    F[0, 0, 0] = 1.0
+    F[0, 1:, 0], F[0, 1:, 1:] = ch.d, ch.M
+    F[1, 1:, 0], F[1, 1:, 1:] = ch.dd, ch.dM
+    R4 = np.eye(4)
+    R4[1:, 1:] = R
+    return (_FROM_PAULI @ (R4.T @ F @ R4) @ _TO_PAULI).reshape(8, 4)
 
 
 def apply_channel(state: State, ch: BlochChannel, qubit: int = 0) -> State:

@@ -28,9 +28,11 @@ QFI order through K:
             - sum_{a+b+c=k} Tr[rho^(a) L^(b) L^(c)],      b, c <= K // 2.
 
 Every product with rho^(0) or L^(0) as a factor is a 2x2 contraction on the
-qubit-0 blocks, so at K = 4 the only cubic work is three matrix products:
-L^(1) rho^(1) in the SLD solve, and L^(1) rho^(1) and L^(1) rho^(2) in the
-traces.
+qubit-0 blocks, so at K = 4 the only cubic work is two matrix products:
+L^(1) rho^(1), formed in the SLD solve and reused by the traces, and
+L^(1) rho^(2) in the traces.  The channel acts on the same qubit-0 blocks:
+each dense order of its input is formed once and the channel and its
+derivative are one 2x2 map there (``channel_output_orders``).
 
 The closed-form lowest orders implemented below, with Mdot = dM/dlam and
 s1 >= s2 >= s3 its singular values:
@@ -50,12 +52,12 @@ s1 >= s2 >= s3 its singular values:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bloch import BlochChannel, ChannelFamily, _unit_vector, classify_unitality, svd3
-from .mstate import OrderedState, apply_channel, apply_channel_derivative, to_dense
+from .mstate import OrderedState, _qubit0_maps, to_dense
 
 __all__ = [
     "BranchError",
@@ -129,7 +131,16 @@ class StateOrders:
 
 @dataclass(frozen=True)
 class SldSeries:
+    """SLD orders L^(0)..L^(K), and the products L^(b) rho^(a) the solve formed.
+
+    products maps (b, a) to L^(b) rho^(a) for the state orders whose rho
+    tuple is ``rho``; ``qfi_orders`` on those orders takes each one out
+    instead of forming it again.
+    """
+
     orders: tuple[np.ndarray, ...]
+    products: dict = field(default_factory=dict, compare=False, repr=False)
+    rho: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -140,19 +151,55 @@ class QfiSeries:
         return float(sum(h * r ** j for j, h in enumerate(self.orders)))
 
 
+def _map_blocks(maps: np.ndarray, x: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray) -> None:
+    """Write linear maps of the 2x2 blocks of x on one qubit into out.
+
+    x is a dense matrix viewed as (A, 2, B, A, 2, B), its rows and columns
+    split as (qubits before, the qubit, qubits after), so block (i, j) is
+    x[:, i, :, :, j, :].  Row r of maps sets block (r // 2 % 2, r % 2) of
+    out[r // 4] to sum_c maps[r, c] x-block (c // 2, c % 2).  The sums run
+    in place on the strided blocks, with one block-sized scratch and no
+    transposed copy.
+    """
+    for row, coeffs in enumerate(maps):
+        dst = out[row // 4][:, row // 2 % 2, :, :, row % 2, :]
+        terms = [(w, x[:, col // 2, :, :, col % 2, :])
+                 for col, w in enumerate(coeffs) if w != 0.0]
+        if not terms:
+            dst[...] = 0.0
+            continue
+        np.multiply(terms[0][1], terms[0][0], out=dst)
+        for w, src in terms[1:]:
+            dst += np.multiply(src, w, out=scratch)
+
+
 def channel_output_orders(input_orders: OrderedState, ch: BlochChannel,
                           qubit: int = 0) -> StateOrders:
     """Push the purity orders of the channel input through (M, d) and (dM, dd).
 
     The preparation is parameter independent, so the derivative of each
-    final-state order is the derivative channel pass applied to the same
-    input order.
+    final-state order is the derivative channel applied to the same input
+    order.  Each input order is made dense once; the channel and its
+    derivative then act together on its four 2x2 blocks of the channel's
+    qubit, as the (8, 4) map ``mstate._qubit0_maps``, and write into one
+    preallocated array per order.
     """
+    n = input_orders.n
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit index {qubit} out of range for n={n}")
+    maps = _qubit0_maps(ch, np.eye(3))
+    shape = (2 ** qubit, 2, 2 ** (n - qubit - 1)) * 2
+    scratch = np.empty(shape[:1] + shape[2:4] + shape[5:], dtype=complex)
     rho = []
     drho = []
     for st in input_orders.orders:
-        rho.append(to_dense(apply_channel(st, ch, qubit)))
-        drho.append(to_dense(apply_channel_derivative(st, ch, qubit)))
+        dense = to_dense(st).reshape(shape)
+        out = np.empty((2, *shape), dtype=complex)
+        _map_blocks(maps, dense, out, scratch)
+        del dense  # before the next order is made dense
+        rho.append(out[0].reshape(2 ** n, 2 ** n))
+        drho.append(out[1].reshape(2 ** n, 2 ** n))
     return StateOrders(tuple(rho), tuple(drho))
 
 
@@ -222,7 +269,8 @@ def sld_orders(orders: StateOrders, K: int) -> SldSeries:
     R = 2 d(rho^(k))/dlam - (Y + Y^dagger) with Y = sum_j L^(k-j) rho^(j)
     and maps it through the 2x2 inverse on the qubit-0 blocks.  The term
     L^(0) rho^(k) is a 2x2 contraction; the others are one matrix product
-    each.
+    each, and the series keeps them for ``qfi_orders`` (at K = 2 that is
+    L^(1) rho^(1) alone).
     """
     dim = orders.rho[0].shape[0]
     m = dim // 2
@@ -232,18 +280,26 @@ def sld_orders(orders: StateOrders, K: int) -> SldSeries:
     T = _zeroth_order_inverse(h, m)
     ell = np.tensordot(T, 2.0 * hdot, axes=2)
     L: list[np.ndarray] = [np.kron(ell, np.eye(m))]
+    products = {}
+    scratch = np.empty((1, m, 1, m), dtype=complex)
     for k in range(1, K + 1):
         if k <= orders.max_order:
-            R = 2.0 * orders.drho[k].astype(complex)
+            R = np.multiply(orders.drho[k], 2.0, dtype=complex)
         else:
             R = np.zeros((dim, dim), dtype=complex)
         for j in range(1, min(k, orders.max_order) + 1):
-            Y = _on_qubit0(ell, orders.rho[k]) if j == k else L[k - j] @ orders.rho[j]
+            if j == k:
+                Y = _on_qubit0(ell, orders.rho[k])
+            else:
+                Y = products[k - j, j] = L[k - j] @ orders.rho[j]
             R -= Y
             R -= Y.conj().T
-        X = np.tensordot(T, R.reshape(2, m, 2, m), axes=([2, 3], [0, 2]))
-        L.append(X.transpose(0, 2, 1, 3).reshape(dim, dim))
-    return SldSeries(tuple(L))
+            del Y  # the products live on in products; the rest go now
+        X = np.empty((dim, dim), dtype=complex)
+        _map_blocks(T.reshape(4, 4), R.reshape(1, 2, m, 1, 2, m),
+                    X.reshape(1, 1, 2, m, 1, 2, m), scratch)
+        L.append(X)
+    return SldSeries(tuple(L), products, orders.rho)
 
 
 def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
@@ -265,7 +321,10 @@ def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
     rho^(a) L^(b) or L^(b) rho^(a), and it is symmetric in b and c.  When
     rho^(0) or L^(0) is a factor of P, P is a 2x2 contraction on the
     qubit-0 blocks; only P = L^(b) rho^(a) with a, b >= 1 is a matrix
-    product (L^(1) rho^(1) and L^(1) rho^(2) at K = 4).
+    product (L^(1) rho^(1) and L^(1) rho^(2) at K = 4).  A product that the
+    SLD solve of these orders already formed is taken out of ``sld``
+    (L^(1) rho^(1) at K = 4), so a K = 4 cell makes two products in all,
+    and each is dropped after its last trace.
     """
     top = K // 2
     if len(sld.orders) < top + 1:
@@ -274,6 +333,7 @@ def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
             f"series only carries orders up to {len(sld.orders) - 1}")
     L = sld.orders[:top + 1]
     rho, drho, last = orders.rho, orders.drho, orders.max_order
+    shared = sld.products if sld.rho is rho else {}
     h0 = _qubit0_factor(rho[0], "zeroth-order state", "h (x) I/2^(n-1)")
     ell = _qubit0_factor(L[0], "zeroth-order SLD", "l (x) I")
     H = np.zeros(K + 1)
@@ -287,10 +347,13 @@ def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
             elif b == 0:
                 P = _on_qubit0(ell, rho[a])
             else:
-                P = L[b] @ rho[a]
+                P = shared.pop((b, a), None)
+                if P is None:
+                    P = L[b] @ rho[a]
             for c in range(b, min(top, K - a - b) + 1):
                 t = _re_inner(P, L[c])
                 H[a + b + c] -= t if b == c else 2.0 * t
+            del P  # before the next product is formed
     return QfiSeries(H)
 
 

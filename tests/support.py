@@ -12,7 +12,10 @@ from noisyqfi.mstate import (
     OrderedState,
     PauliState,
     _check_dense_cap,
+    _check_pauli_cap,
     _map_orders,
+    apply_channel,
+    apply_channel_derivative,
     to_dense,
 )
 from noisyqfi.protocols import (
@@ -23,7 +26,7 @@ from noisyqfi.protocols import (
     sqsc,
 )
 from noisyqfi.fisher import ProbModel, SldResult, cfi, qfi_exact
-from noisyqfi.series import fit_qfi_orders
+from noisyqfi.series import StateOrders, fit_qfi_orders
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -136,6 +139,44 @@ def fit_exact_orders(family, lam, n, c, r0, rs, orders=(2, 3, 4)):
         spec = sqsc(family, lam, r, r0) if n == 1 else correlated(family, lam, n, r, c, r0)
         qs.append(dense_exact_qfi(spec))
     return fit_qfi_orders(np.asarray(rs), np.asarray(qs), orders=orders)
+
+
+# The purity orders grown one slot at a time, each as its own array: the
+# oracle for noisyqfi.mstate.initial_state_orders, which grows one product
+# array and one letter-weight table instead.
+
+def oracle_initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedState:
+    _check_pauli_cap(n)
+    r0 = _unit_vector(r0, "r0")
+    if max_order is None:
+        max_order = n
+    slot_i = 0.5 * np.array([1.0, 0.0, 0.0, 0.0])
+    slot_r = 0.5 * np.array([0.0, r0[0], r0[1], r0[2]])
+    polys = [np.array([1.0])]
+    for _ in range(n):
+        grown = []
+        for j in range(min(len(polys), max_order) + 1):
+            term = np.zeros(len(polys[0]) * 4)
+            if j < len(polys):
+                term += np.multiply.outer(polys[j], slot_i).ravel()
+            if 0 <= j - 1 < len(polys):
+                term += np.multiply.outer(polys[j - 1], slot_r).ravel()
+            grown.append(term)
+        polys = grown
+    while len(polys) < max_order + 1:
+        polys.append(np.zeros(4 ** n))
+    return OrderedState(n, tuple(PauliState(n, p) for p in polys[: max_order + 1]))
+
+
+# The channel pass on the Pauli coefficients of each order, then one dense
+# matrix per output: the oracle for noisyqfi.series.channel_output_orders,
+# which makes each input order dense once and maps its qubit blocks.
+
+def oracle_channel_output_orders(input_orders: OrderedState, ch,
+                                 qubit: int = 0) -> StateOrders:
+    return StateOrders(
+        tuple(to_dense(apply_channel(st, ch, qubit)) for st in input_orders.orders),
+        tuple(to_dense(apply_channel_derivative(st, ch, qubit)) for st in input_orders.orders))
 
 
 # Generic order-by-order SLD solver in the full 2^n eigenbasis of rho^(0):

@@ -189,6 +189,25 @@ class TestCustomDiag:
             fam.eval(1.5)
 
 
+    def test_complex_value_is_rejected(self):
+        # a negative base to a fractional power is complex in Python; its real
+        # part must not stand in for it
+        fam = builtin("custom_diag", mx="(-l)^0.5", my="0", mz="1")
+        with pytest.raises(ValueError, match="M has a complex entry"):
+            fam.eval(0.5)
+        with pytest.raises(ValueError, match="M has a complex entry"):
+            fd_derivative(fam.value, 0.5)
+        assert fam.value(0.0)[0][0, 0] == 0.0  # (-0)^0.5 is a real zero
+
+    def test_channel_entries_must_be_real(self):
+        M, d = np.eye(3), np.zeros(3)
+        with pytest.raises(ValueError, match="dd has a complex entry"):
+            BlochChannel(M, d, M, d + 1e-3j)
+        # a complex type with zero imaginary parts is its real part
+        ch = BlochChannel(M.astype(complex), d, M, d)
+        assert ch.M.dtype == float and np.array_equal(ch.M, M)
+
+
 class TestFdDerivative:
     def test_linear_family_is_exact(self):
         fam = builtin("depolarizing")

@@ -93,6 +93,19 @@ def test_explicit_eps_between_pair_sums():
         _assert_matches(spec, eps=eps)
 
 
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_default_cutoff_is_relative_to_the_whole_state(n):
+    # the default cutoff is read off the block spectra of the solve itself;
+    # it equals the explicit cutoff 1e-12 times the dense state's largest
+    # eigenvalue, here on spectra that span many decades
+    rng = np.random.default_rng(10 + n)
+    for r in (0.05, 0.9, 0.999, 1.0):
+        spec = correlated(builtin("phase_flip"), 0.01, n, r, random_unit(rng),
+                          random_unit(rng))
+        top = sld_exact(*dense_pair(build_state(spec))).eigenvalues[-1]
+        assert exact_qfi(spec) == exact_qfi(spec, 1e-12 * top), r
+
+
 @pytest.mark.parametrize("n", range(1, 16))
 def test_block_dimensions_cover_the_spectators(n):
     assert sum(m * (two_j + 1) for two_j, m in spin_blocks(n - 1)) == 2 ** (n - 1)

@@ -290,6 +290,42 @@ class TestMainExitCodes:
         assert "numeric failure" in captured.err and "lambda=0.5" in captured.err
         assert "math domain error" in captured.err
 
+    @pytest.mark.parametrize("command", ["bounds", "validate-channel", "qfi"])
+    def test_complex_expression_value_names_lambda(self, command, capsys):
+        # (-l)^0.5 is complex; its real part once passed every check
+        code = main([command, "--channel", "custom_diag", "--param", "mx=(-l)^0.5",
+                     "--param", "my=0", "--param", "mz=1", "--lambda", "0.5"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lambda=0.5" in captured.err and "complex entry" in captured.err
+
+    def test_bounds_fail_row_is_numeric_failure(self, capsys):
+        # exp(500) squares to inf: the row once printed inf,nan,nan,inf,fail
+        # with exit 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["bounds", "--channel", "custom_diag", "--param", "mx=exp(1000*l)",
+                         "--param", "my=0", "--param", "mz=1", "--lambda", "0.5"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].endswith(",fail")
+        assert "lambda=0.5, n=2" in captured.err
+
+    def test_bounds_nonfinite_channel_is_numeric_failure(self, capsys):
+        # a product of floats overflows to inf without an exception: the
+        # entry is about 0.03 at lambda = 0.4 and inf at 0.5; the row before
+        # the failing lambda is still printed
+        with np.errstate(invalid="ignore"):
+            code = main(["bounds", "--channel", "custom_diag",
+                         "--param", "mx=exp(800*l)*exp(800*l)*1e-280",
+                         "--param", "my=0", "--param", "mz=1", "--lambda", "0.4,0.5"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert rows[0].startswith("n,lambda") and len(rows) == 2
+        assert rows[1].startswith("2,0.4") and rows[1].endswith(",pass")
+        assert "non-finite M, dM at lambda=0.5" in captured.err
+
     def test_validate_channel_reports_a_bloch_matrix_that_stretches(self, capsys):
         # M = 2 I maps the Bloch ball outside itself; it once passed every row
         code = main(["validate-channel", "--channel", "custom_diag", "--param", "mx=2",
@@ -501,6 +537,23 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+class _CountedProducts(np.ndarray):
+    """An array that records the operand shapes of each matrix product it enters."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _CountedProducts) else x
+
+        inputs = tuple(plain(x) for x in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(x) for x in kwargs["out"])
+        if ufunc is np.matmul:
+            _CountedProducts.shapes.append(tuple(np.shape(x) for x in inputs))
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 class TestWorkPerCell:
     def test_fit_orders_solves_one_series_per_cell(self, monkeypatch, capsys):
         sld = _count_calls(monkeypatch, protocols, "sld_orders")
@@ -533,6 +586,37 @@ class TestWorkPerCell:
         assert main(args) == EXIT_OK
         K = 4 if max_order is None else max_order
         assert [call[1] for call in sld] == [K // 2] * 6
+
+    def test_qfi_makes_each_order_dense_once(self, monkeypatch, capsys):
+        dense = _count_calls(monkeypatch, series, "to_dense")
+        assert main(["qfi", "--channel", "gad", "--param", "p=0.8", "--lambda", "0.3",
+                     "--purity", "1e-3", "--n", "1,2,3,6"]) == EXIT_OK
+        # one per input order: orders 0..min(n, K) for the default K = 4
+        assert [call[0].n for call in dense] == [1] * 2 + [2] * 3 + [3] * 4 + [6] * 5
+
+    def test_k4_cell_makes_two_dense_products(self, monkeypatch, capsys):
+        # L^(1) rho^(1), formed in the SLD solve and reused by the traces, and
+        # L^(1) rho^(2); every other product is a 2x2 contraction on qubit 0
+        original = protocols.channel_output_orders
+
+        def counted(*args):
+            out = original(*args)
+            return series.StateOrders(
+                tuple(a.view(_CountedProducts) for a in out.rho),
+                tuple(a.view(_CountedProducts) for a in out.drho))
+
+        monkeypatch.setattr(protocols, "channel_output_orders", counted)
+        monkeypatch.setattr(_CountedProducts, "shapes", [])
+        assert main(["qfi", "--channel", "phase_flip", "--lambda", "0.3",
+                     "--purity", "1e-3", "--n", "2,3,5"]) == EXIT_OK
+        dense = [a for a, b in _CountedProducts.shapes if a == b and a[0] > 2]
+        assert dense == [(4, 4)] * 2 + [(8, 8)] * 2 + [(32, 32)] * 2
+        # the rows are the ones the plain arrays give
+        out = capsys.readouterr().out
+        monkeypatch.undo()
+        assert main(["qfi", "--channel", "phase_flip", "--lambda", "0.3",
+                     "--purity", "1e-3", "--n", "2,3,5"]) == EXIT_OK
+        assert capsys.readouterr().out == out
 
     def test_measure_solves_no_series(self, monkeypatch, capsys):
         sld = _count_calls(monkeypatch, protocols, "sld_orders")

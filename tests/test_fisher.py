@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin
-from noisyqfi.fisher import ProbModel, cfi, qfi_exact, sld_exact
+from noisyqfi.fisher import ProbModel, cfi, in_eigenbasis, qfi_exact, sld_exact
 from noisyqfi.protocols import build_state, sqsc
 
 from support import (
@@ -141,6 +141,40 @@ class TestStackedQfi:
         with pytest.raises(ValueError) as stacked:
             qfi_exact(rho, drho)
         assert str(stacked.value) == str(alone.value)
+
+
+class TestEigenbasisInput:
+    def test_equals_the_matrix_call_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        rho, drho = _stack(rng)
+        per_matrix = np.array([1e-14, 0.3, 1e-3, 0.2, 0.05, 0.5])
+        p, G = in_eigenbasis(rho, drho)
+        assert p.shape == (6, 4) and G.shape == (6, 4, 4)
+        for eps in (None, 0.2, per_matrix):
+            assert qfi_exact(p, G, eps).tolist() == qfi_exact(rho, drho, eps).tolist()
+        assert qfi_exact(*in_eigenbasis(rho[1], drho[1])) == qfi_exact(rho[1], drho[1])
+
+    @pytest.mark.parametrize("defect", ["hermitian", "trace", "traceless", "psd"])
+    def test_checks_are_those_of_the_matrix_call(self, defect):
+        rho, drho = _stack(np.random.default_rng(45))
+        if defect == "hermitian":
+            rho[2, 0, 1] += 0.3
+        elif defect == "trace":
+            rho[2] *= 2.0
+        elif defect == "traceless":
+            drho[2] += 0.1 * np.eye(4)
+        else:
+            rho[2] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(ValueError) as direct:
+            qfi_exact(rho, drho)
+        with pytest.raises(ValueError) as split:
+            in_eigenbasis(rho, drho)
+        assert str(split.value) == str(direct.value)
+
+    def test_eigenvalues_must_match_drho(self):
+        p, G = in_eigenbasis(*_stack(np.random.default_rng(46)))
+        with pytest.raises(ValueError, match="eigenvalues and drho must have matching"):
+            qfi_exact(p[:, :3], G)
 
 
 class TestNumericDerivative:

@@ -26,6 +26,7 @@ from support import (
     kraus_depolarizing,
     kraus_gad,
     kraus_phase_flip,
+    oracle_initial_state_orders,
     oracle_prep_conjugate,
     pair_transfer,
     permute_qubits,
@@ -115,6 +116,21 @@ class TestOrderDecomposition:
         assert ordered.max_order == 4
         assert not ordered.orders[3].coeffs.any()
         assert not ordered.orders[4].coeffs.any()
+
+    def test_bit_identical_to_slot_growth(self):
+        # signed axes put exact zeros next to negative factors: the orders
+        # still hold +0.0, as the slot-by-slot sums do
+        rng = np.random.default_rng(6)
+        dirs = [[0, 1, 0], [0, 0, -1], [-1, 0, 0], [0.6, -0.8, 0.0]]
+        dirs += [random_unit(rng) for _ in range(3)]
+        for n in (1, 2, 3, 4, 7, 9):
+            for r0 in dirs:
+                for max_order in (None, 0, 2, n + 2):
+                    got = initial_state_orders(n, r0, max_order)
+                    want = oracle_initial_state_orders(n, r0, max_order)
+                    assert len(got.orders) == len(want.orders)
+                    for a, b in zip(got.orders, want.orders):
+                        assert a.coeffs.tobytes() == b.coeffs.tobytes(), (n, max_order)
 
 
 class TestPairGate:

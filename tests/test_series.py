@@ -34,6 +34,7 @@ from support import (
     dense_exact_qfi,
     dense_pair,
     fit_exact_orders,
+    oracle_channel_output_orders,
     oracle_qfi_orders,
     oracle_sld_orders,
     perpendicular_pair,
@@ -126,6 +127,73 @@ class TestSldOrders:
         with pytest.raises(ValueError, match=r"zeroth-order derivative does not "
                                              r"factor as hdot \(x\) I/2\^\(n-1\)"):
             sld_orders(orders, 1)
+
+
+OUTPUT_FAMILIES = {
+    "phase_shift": builtin("phase_shift"),
+    "phase_flip": builtin("phase_flip"),
+    "depolarizing": builtin("depolarizing"),
+    "gad_p0.8": builtin("gad", p=0.8),
+    "gad_p1": builtin("gad", p=1.0),
+    "pauli": builtin("pauli", lam_on="x", py=0.03, pz=0.1),
+    "custom_diag": builtin("custom_diag", mx="1-l", my="1-2*l", mz="1-l^2"),
+    "random_unital": random_unital_family(np.random.default_rng(49)),
+}
+
+
+class TestChannelOutputOrders:
+    """One dense matrix per input order and the 2x2 block map, against the
+    Pauli channel pass and one dense matrix per output."""
+
+    @pytest.mark.parametrize("name", OUTPUT_FAMILIES)
+    def test_matches_pauli_pass(self, name):
+        fam = OUTPUT_FAMILIES[name]
+        rng = np.random.default_rng(50)
+        lo, hi = fam.domain
+        for n in range(1, 9):
+            lam = lo + rng.uniform(0.1, 0.9) * (hi - lo)
+            ordered = initial_state_orders(n, random_unit(rng), max_order=min(n, 4))
+            if n >= 2:
+                ordered = prep_conjugate(ordered, random_unit(rng))
+            ch = fam.eval(lam)
+            for qubit in sorted({0, n - 1}):
+                got = channel_output_orders(ordered, ch, qubit)
+                want = oracle_channel_output_orders(ordered, ch, qubit)
+                for pair in zip(got.rho + got.drho, want.rho + want.drho):
+                    scale = np.max(np.abs(pair[1]))
+                    assert np.max(np.abs(pair[0] - pair[1])) <= 1e-14 * scale, (n, qubit)
+
+    def test_qubit_out_of_range(self):
+        ordered = initial_state_orders(2, [0, 0, 1])
+        with pytest.raises(ValueError, match="qubit index 2 out of range"):
+            channel_output_orders(ordered, builtin("phase_flip").eval(0.3), 2)
+
+
+class TestSharedProducts:
+    def test_qfi_orders_take_the_products_of_the_sld_solve(self):
+        fam = builtin("gad", p=0.8)
+        ch = fam.eval(0.3)
+        orders = final_orders(fam, 0.3, 4, *canonical_directions(ch), 4)
+        sld = sld_orders(orders, 2)
+        assert sorted(sld.products) == [(1, 1)]
+        np.testing.assert_array_equal(sld.products[1, 1], sld.orders[1] @ orders.rho[1])
+        got = qfi_orders(orders, sld, 4).orders
+        assert sld.products == {}  # dropped after its last trace
+        # a second call and a series without products form it again
+        assert qfi_orders(orders, sld, 4).orders.tolist() == got.tolist()
+        bare = SldSeries(sld.orders)
+        assert qfi_orders(orders, bare, 4).orders.tolist() == got.tolist()
+
+    def test_products_of_other_orders_are_not_used(self):
+        fam = builtin("phase_flip")
+        ch = fam.eval(0.3)
+        c, r0 = canonical_directions(ch)
+        orders = final_orders(fam, 0.3, 3, c, r0, 4)
+        sld = sld_orders(orders, 2)
+        copy = StateOrders(tuple(a.copy() for a in orders.rho), orders.drho)
+        want = qfi_orders(orders, SldSeries(sld.orders), 4).orders
+        assert qfi_orders(copy, sld, 4).orders.tolist() == want.tolist()
+        assert sorted(sld.products) == [(1, 1)]
 
 
 DIFFERENTIAL_FAMILIES = {
