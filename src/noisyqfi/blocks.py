@@ -11,8 +11,8 @@ and
 
     QFI = sum_j m_j Tr[drho_j L_j].
 
-In the frame of the control direction c (``mstate._frame`` takes z to c),
-with a, b = (1 +- r)/2 and J the spin-j matrices in the J_z basis:
+In the frame of the control direction c (``ProtocolSpec.in_frame``), with
+a, b = (1 +- r)/2 and J the spin-j matrices in the J_z basis:
 
 * the spectators' input is S_j = (ab)^(M/2-j) W diag(a^(j+nu) b^(j-nu)) W+,
   with W the eigenvectors of r0'.J and nu their eigenvalues;
@@ -24,28 +24,29 @@ with a, b = (1 +- r)/2 and J the spin-j matrices in the J_z basis:
 
 Only the weights a^(j+nu) b^(j-nu) and qubit 0's Bloch vector r r0 depend on
 the purity.  ``exact_qfis`` therefore solves a purity sweep at once: the
-channel, the frame, the qubit-0 maps and the eigenvectors W are built once,
+channel in the frame, the qubit-0 maps and the eigenvectors W are built once,
 and the normalised blocks rho_j / t_j of one spin at every purity where the
 trace t_j is nonzero form one (P, 2(2j+1), 2(2j+1)) stack.  Each stack
 is decomposed once (``fisher.in_eigenbasis``); the default cutoff needs
 every block's largest eigenvalue, so all stacks are decomposed first, and
 then each goes through one call of the stacked ``fisher.qfi_exact``.
 ``exact_qfi`` is the sweep of one purity.  The single-qubit protocol is the
-M = 0 case: one 2x2 block.  PIQS uses the same decomposition (Shammah et
-al., PRA 98, 063815 (2018)).
+M = 0 case: one 2x2 block.  The t_j underflow once M passes about 1000,
+which the check sum_j m_j t_j = 1 catches.  PIQS uses the same
+decomposition (Shammah et al., PRA 98, 063815 (2018)).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import comb
+from math import comb, log
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bloch import BlochChannel
 from .fisher import in_eigenbasis, qfi_exact
-from .mstate import PAULI_MATS, _frame, _qubit0_maps
+from .mstate import PAULI_MATS, _qubit0_maps
 
 if TYPE_CHECKING:  # protocols imports this module
     from .protocols import ProtocolSpec
@@ -77,7 +78,7 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
                eps: float | None = None) -> np.ndarray:
     """Exact QFI of the spec's output state at each purity (spec.r is not used).
 
-    The channel, the frame of c, the qubit-0 maps and each spin's r0'.J
+    The channel in the frame of c, the qubit-0 maps and each spin's r0'.J
     eigenvectors do not depend on the purity and are built once; the blocks
     of one spin at all purities form one stack, decomposed once, whose pair
     sums are one ``fisher.qfi_exact`` call.  Each entry equals the sweep of
@@ -88,19 +89,33 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
     rho's largest eigenvalue at that purity).  A block of trace t_j holds
     rho's eigenvalues scaled by 1/t_j, so it is solved with the cutoff
     eps / t_j; a block with t_j = 0 (at r = 1 all but the largest spin) is
-    skipped at that purity.
+    skipped at that purity.  Before any block is built, a ValueError names
+    a purity where sum_j m_j t_j misses 1 by more than 1e-12.
     """
     rs = np.asarray(purities, dtype=float)
     if rs.ndim != 1 or not all(0.0 <= r <= 1.0 for r in rs.tolist()):
         raise ValueError(f"purities must lie in [0, 1], got {purities}")
     M = spec.n - 1
-    R = np.eye(3) if spec.c is None else _frame(spec.c)
-    r0 = R.T @ spec.r0
-    maps = _qubit0_maps(spec.family.eval(spec.lam), R)
     a, b = (1.0 + rs) / 2.0, (1.0 - rs) / 2.0
     # Python floats: their ** is the C library's pow, which numpy's vectorised
     # power does not match bit for bit
     ab = (a * b).tolist()
+    spins = []  # per spin: 2j, m_j, a^k b^(2j - k), its sum over k, t_j
+    for two_j, m in spin_blocks(M):
+        w = a[:, None] ** np.arange(two_j + 1) * b[:, None] ** np.arange(two_j, -1, -1)
+        wsum = w.sum(axis=1)
+        t = np.array([x ** ((M - two_j) // 2) for x in ab]) * wsum
+        spins.append((two_j, m, w, wsum, t))
+    # sum_j m_j t_j in logs: m_j overflows a float from M of about 1024
+    with np.errstate(divide="ignore"):
+        kept = sum(np.exp(log(m) + np.log(t)) for _, m, _, _, t in spins)
+    if np.any(bad := np.abs(kept - 1.0) > 1e-12):
+        p = int(np.argmax(bad))
+        raise ValueError(f"exact QFI at n={spec.n}, r={rs[p]:g}: the spin blocks keep "
+                         f"weight {kept[p]:.17g}, not 1 to 1e-12 (t_j underflow)")
+
+    r0, ch = spec.in_frame()
+    maps = _qubit0_maps(ch)
     bloch = np.ones((len(rs), 4))
     bloch[:, 1:] = rs[:, None] * r0
     qubit0 = (bloch @ PAULI_MATS.reshape(4, 4) / 2.0).reshape(-1, 2, 2, 1, 1)
@@ -109,15 +124,11 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
     ones = np.arange(M + 2)
     sign = 1 - 2 * (ones * (ones - 1) // 2 % 2)
 
-    # per spin: m_j, the purities where t_j > 0, t_j there, and the stacks of
-    # rho_j / t_j and drho_j / t_j, one matrix per such purity
+    # per spin with weight: m_j, the purities where t_j > 0, t_j there, and
+    # the stacks of rho_j / t_j and drho_j / t_j, one matrix per such purity
     blocks = []
-    for two_j, m in spin_blocks(M):
+    for two_j, m, w, wsum, t in spins:
         dim = two_j + 1
-        k = np.arange(dim)
-        w = a[:, None] ** k * b[:, None] ** (two_j - k)
-        wsum = w.sum(axis=1)
-        t = np.array([x ** ((M - two_j) // 2) for x in ab]) * wsum
         # the purities where the block has weight, as a view when all have
         weighted = np.count_nonzero(t)
         if not weighted:

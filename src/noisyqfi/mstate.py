@@ -30,20 +30,19 @@ preparation gate with control direction c,
 is Hermitian and self-inverse.  It is the controlled-Z gate in a frame whose
 z axis is c, U_c = V8V CZ V+8V+ with V sigma_z V+ = c.sigma, so the full
 preparation (one U_c per qubit pair; the factors commute) is V^(8n) times
-the complete-graph CZ circuit times V+^(8n).  That circuit is a Clifford
-conjugation: X_i -> X_i prod_{j!=i} Z_j, Z_i -> Z_i, so it sends every Pauli
-string to plus or minus one Pauli string (Hein, Eisert & Briegel, PRA 69,
-062311 (2004); Aaronson & Gottesman, PRA 70, 052328 (2004)).  With w the
-number of X or Y letters of a string:
+the complete-graph CZ circuit times V+^(8n).  The protocols build their
+states in the frame of c (``_frame``), where the preparation is that circuit
+alone.  It is a Clifford conjugation: X_i -> X_i prod_{j!=i} Z_j, Z_i -> Z_i,
+so it sends every Pauli string to plus or minus one Pauli string (Hein,
+Eisert & Briegel, PRA 69, 062311 (2004); Aaronson & Gottesman, PRA 70,
+052328 (2004)).  With w the number of X or Y letters of a string:
 
 * w even: every X becomes Y and every Y becomes -X; I and Z stay;
 * w odd:  every I becomes Z and every Z becomes I; X and Y stay, and the
   string takes the sign (-1)^((w-1)/2).
 
-``prep_conjugate`` therefore rotates the letter axis of every slot into the
-frame of c (two slots per matrix product), applies this map as one signed
-gather of the 4^n array, and rotates back.  The gather table depends only on
-n and is cached, one per qubit count.  The dense preparation path (U_c and
+``prep_conjugate`` applies this map as one signed gather of the 4^n array,
+with a table cached per qubit count.  The dense preparation path (U_c and
 the full unitary as matrices) is the test oracle in tests/support.py.
 """
 
@@ -228,7 +227,7 @@ def _frame(c) -> np.ndarray:
 
     u is the coordinate axis least aligned with c, made orthogonal to it, so
     for c along a coordinate axis the rotation is a signed permutation and
-    the preparation stays exact.
+    r0 and the channel enter the frame exactly.
     """
     c = _unit_vector(c, "c")
     a = int(np.argmin(np.abs(c)))
@@ -239,30 +238,6 @@ def _frame(c) -> np.ndarray:
     v = np.array([c[1] * u[2] - c[2] * u[1], c[2] * u[0] - c[0] * u[2],
                   c[0] * u[1] - c[1] * u[0]])
     return np.column_stack([u, v, c])
-
-
-def _slot_maps(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The letter map I -> I, a.sigma -> (M a).sigma on one slot and on two."""
-    F = np.eye(4)
-    F[1:, 1:] = M
-    return F, np.kron(F, F)
-
-
-def _rotate_letters(x: np.ndarray, n: int, maps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Apply a letter map to every slot of a 4^n array.
-
-    Two slots at a time: one product of the 16x16 two-slot map with the
-    array viewed as (leading slots, slot pair, trailing slots).
-    """
-    done = 0
-    while done < n:
-        width = min(2, n - done)
-        F = maps[width - 1]
-        v = x.reshape(4 ** done, 4 ** width, -1)
-        # the last slots as one 2-D product: a stack of 16x1 products is slower
-        x = v.reshape(-1, 4 ** width) @ F.T if v.shape[2] == 1 else np.matmul(F, v)
-        done += width
-    return x.reshape(4 ** n)
 
 
 @lru_cache(maxsize=None)
@@ -296,18 +271,17 @@ def _cz_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return index, sign
 
 
-def prep_conjugate(state: State, c) -> State:
-    """Conjugate by the full preparation unitary: rotate, signed gather, rotate back."""
-    R = _frame(c)
-    into, back = _slot_maps(R.T), _slot_maps(R)
+def prep_conjugate(state: State) -> State:
+    """Conjugate by the complete-graph CZ circuit (the preparation in the frame
+    of c): one signed gather per order."""
 
     def one(st: PauliState) -> PauliState:
         if st.n < 2:
             raise ValueError("preparation needs at least two qubits")
         index, sign = _cz_table(st.n)
-        x = np.take(_rotate_letters(st.coeffs, st.n, into), index)
+        x = np.take(st.coeffs, index)
         x *= sign
-        return PauliState(st.n, _rotate_letters(x, st.n, back))
+        return PauliState(st.n, x)
 
     return _map_orders(state, one)
 
@@ -330,21 +304,22 @@ _FROM_PAULI = PAULI_MATS.reshape(4, 4).T / 2.0
 _TO_PAULI = PAULI_MATS.transpose(0, 2, 1).reshape(4, 4)
 
 
-def _qubit0_maps(ch: BlochChannel, R: np.ndarray) -> np.ndarray:
-    """The channel and its derivative on one qubit, in the frame R, as (8, 4).
-
-    Rows 0..3 map vec(X) to vec(channel(X)), rows 4..7 to vec(derivative(X)).
-    In Pauli components the channel is I -> I + d.sigma, a.sigma -> (M a).sigma
-    and the derivative (dM, dd) has no identity pass-through, as in
-    ``apply_channel``; the frame turns M into R^T M R and d into R^T d.
-    """
+def _pauli_maps(ch: BlochChannel) -> np.ndarray:
+    """The channel and its derivative as (2, 4, 4) maps of Pauli components,
+    with the rules of ``apply_channel`` and ``apply_channel_derivative``."""
     F = np.zeros((2, 4, 4))
     F[0, 0, 0] = 1.0
     F[0, 1:, 0], F[0, 1:, 1:] = ch.d, ch.M
     F[1, 1:, 0], F[1, 1:, 1:] = ch.dd, ch.dM
-    R4 = np.eye(4)
-    R4[1:, 1:] = R
-    return (_FROM_PAULI @ (R4.T @ F @ R4) @ _TO_PAULI).reshape(8, 4)
+    return F
+
+
+def _qubit0_maps(ch: BlochChannel) -> np.ndarray:
+    """The channel and its derivative on one qubit, as (8, 4).
+
+    Rows 0..3 map vec(X) to vec(channel(X)), rows 4..7 to vec(derivative(X)).
+    """
+    return (_FROM_PAULI @ _pauli_maps(ch) @ _TO_PAULI).reshape(8, 4)
 
 
 def apply_channel(state: State, ch: BlochChannel, qubit: int = 0) -> State:

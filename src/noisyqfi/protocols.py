@@ -7,17 +7,18 @@ Two protocol shapes are supported:
   state, the pairwise preparation gate applied to every qubit pair, then one
   channel invocation on qubit 0.
 
-Each protocol yields the pre-measurement state from two builders over the
-same construction: ``build_state`` at fixed purity (Pauli coefficients, for
-the measurement) and ``purity_orders`` (for the series coefficients, which
-do not depend on the purity).  The exact QFI comes from the state's
-Schur-Weyl blocks (``blocks.exact_qfi``, or ``blocks.exact_qfis`` for a
-purity sweep), one small eigensystem per spin in place of the 2^n one.  The
-local measurement scheme re-applies the preparation after the channel and
-measures every qubit along the initial direction; outcomes are grouped by
-the sign of qubit 0 and the number of + results among the rest, which is
-lossless because the state is symmetric under any permutation of qubits
-1..n-1.
+No view changes under one rotation of every qubit, so each protocol is
+built in the frame of c (``ProtocolSpec.in_frame``), where the preparation
+is the complete-graph CZ circuit.  The state comes from two builders:
+``build_state`` at fixed purity (Pauli coefficients, for the measurement)
+and ``purity_orders`` (for the series coefficients, which do not depend on
+the purity).  The exact QFI comes from the state's Schur-Weyl blocks
+(``blocks.exact_qfi``, or ``blocks.exact_qfis`` for a purity sweep), one
+small eigensystem per spin in place of the 2^n one.  The local measurement
+scheme re-applies the preparation after the channel and measures every
+qubit along the initial direction; outcomes are grouped by the sign of
+qubit 0 and the number of + results among the rest, which is lossless
+because the state is symmetric under any permutation of qubits 1..n-1.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .fisher import ProbModel, cfi
 from .mstate import (
     PauliState,
     _check_dense_cap,
+    _frame,
+    _pauli_maps,
     apply_channel,
     apply_channel_derivative,
     initial_state,
@@ -110,6 +113,23 @@ class ProtocolSpec:
                 v.flags.writeable = False
                 object.__setattr__(self, name, v)
 
+    def in_frame(self) -> tuple[np.ndarray, BlochChannel]:
+        """r0 and the channel at lam in the frame of c, where the preparation is CZ.
+
+        With R = ``mstate._frame(c)`` (R z = c): r0 -> R^T r0, M -> R^T M R,
+        d -> R^T d, and so for the derivative.  The single-qubit protocol has
+        no c; its r0 and channel come unrotated.
+        """
+        ch = self.family.eval(self.lam)
+        if self.c is None:
+            return self.r0, ch
+        R = _frame(self.c)
+        R4 = np.eye(4)
+        R4[1:, 1:] = R
+        F = R4.T @ _pauli_maps(ch) @ R4
+        return R.T @ self.r0, BlochChannel(F[0, 1:, 1:], F[0, 1:, 0],
+                                           F[1, 1:, 1:], F[1, 1:, 0])
+
 
 def sqsc(family: ChannelFamily, lam: float, r: float, r0) -> ProtocolSpec:
     return ProtocolSpec("sqsc", family, lam, 1, r, np.asarray(r0, dtype=float))
@@ -122,9 +142,10 @@ def correlated(family: ChannelFamily, lam: float, n: int, r: float, c, r0) -> Pr
 
 @dataclass(frozen=True)
 class PreparedState:
-    """The channel output at the spec's fixed purity and its lam derivative."""
+    """The channel output at the spec's fixed purity, its lam derivative and
+    the initial direction r0, all in the frame of c (``ProtocolSpec.in_frame``)."""
 
-    channel: BlochChannel
+    r0: np.ndarray
     pauli: PauliState
     dpauli: PauliState
 
@@ -135,24 +156,23 @@ def build_state(spec: ProtocolSpec) -> PreparedState:
     The input does not depend on lam and the channel acts affinely, so the
     derivative is the derivative channel pass on the same prepared input.
     """
-    ch = spec.family.eval(spec.lam)
-    state = initial_state(spec.n, spec.r, spec.r0)
+    r0, ch = spec.in_frame()
+    state = initial_state(spec.n, spec.r, r0)
     if spec.kind == "correlated":
-        state = prep_conjugate(state, spec.c)
-    return PreparedState(ch, apply_channel(state, ch, 0),
+        state = prep_conjugate(state)
+    return PreparedState(r0, apply_channel(state, ch, 0),
                          apply_channel_derivative(state, ch, 0))
 
 
 def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
-    """Dense purity orders of the channel output, up to min(n, max_order).
-
-    They depend on the spec's channel, n and directions but not on its purity.
-    """
+    """Dense purity orders of the channel output in the frame of c, up to
+    min(n, max_order).  They do not depend on the spec's purity."""
     _check_dense_cap(spec.n)  # fail before any large allocation
-    ordered = initial_state_orders(spec.n, spec.r0, max_order=min(spec.n, max_order))
+    r0, ch = spec.in_frame()
+    ordered = initial_state_orders(spec.n, r0, max_order=min(spec.n, max_order))
     if spec.kind == "correlated":
-        ordered = prep_conjugate(ordered, spec.c)
-    return channel_output_orders(ordered, spec.family.eval(spec.lam), 0)
+        ordered = prep_conjugate(ordered)
+    return channel_output_orders(ordered, ch, 0)
 
 
 def qfi_series(orders: StateOrders, K: int) -> QfiSeries:
@@ -186,16 +206,6 @@ def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
 # ---------------------------------------------------------------------------
 # local measurement scheme for the correlated protocol
 # ---------------------------------------------------------------------------
-
-def _measured_states(spec: ProtocolSpec,
-                     prep: PreparedState) -> tuple[PauliState, PauliState]:
-    """The measured state and its exact lam derivative.
-
-    The preparation does not depend on lam, so the derivative is the second
-    preparation applied to the channel output's derivative.
-    """
-    return prep_conjugate(prep.pauli, spec.c), prep_conjugate(prep.dpauli, spec.c)
-
 
 def _outcome_tensor(state: PauliState, axis: np.ndarray) -> np.ndarray:
     """Joint probabilities of per-qubit projective measurements along axis."""
@@ -235,14 +245,17 @@ def local_measurement_sim(spec: ProtocolSpec) -> MeasurementRecord:
     """Simulate the correlated protocol's local measurement scheme.
 
     After the channel the preparation is applied again and every qubit is
-    measured along r0.  Outcome derivatives are exact: they are the grouped
-    outcomes of the measured state's lam derivative.
+    measured along r0, all in the frame of c.  Outcome derivatives are
+    exact: they are the grouped outcomes of the measured state's lam
+    derivative.
     """
     if spec.kind != "correlated":
         raise ValueError("the local measurement scheme is defined for correlated specs")
-    state, dstate = _measured_states(spec, build_state(spec))
-    p_plus, p_minus = _grouped(_outcome_tensor(state, spec.r0), spec.n)
-    dp_plus, dp_minus = _grouped(_outcome_tensor(dstate, spec.r0), spec.n)
+    prep = build_state(spec)
+    # the preparation does not depend on lam: the derivative passes through it
+    state, dstate = prep_conjugate(prep.pauli), prep_conjugate(prep.dpauli)
+    p_plus, p_minus = _grouped(_outcome_tensor(state, prep.r0), spec.n)
+    dp_plus, dp_minus = _grouped(_outcome_tensor(dstate, prep.r0), spec.n)
     model = ProbModel(np.concatenate([p_plus, p_minus]),
                       np.concatenate([dp_plus, dp_minus]))
     return MeasurementRecord(p_plus=p_plus, p_minus=p_minus,

@@ -188,7 +188,7 @@ def channel_output_orders(input_orders: OrderedState, ch: BlochChannel,
     n = input_orders.n
     if not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} out of range for n={n}")
-    maps = _qubit0_maps(ch, np.eye(3))
+    maps = _qubit0_maps(ch)
     shape = (2 ** qubit, 2, 2 ** (n - qubit - 1)) * 2
     scratch = np.empty(shape[:1] + shape[2:4] + shape[5:], dtype=complex)
     rho = []

@@ -16,15 +16,11 @@ from noisyqfi.mstate import (
     _map_orders,
     apply_channel,
     apply_channel_derivative,
+    initial_state,
+    prep_conjugate,
     to_dense,
 )
-from noisyqfi.protocols import (
-    _measured_states,
-    _outcome_tensor,
-    build_state,
-    correlated,
-    sqsc,
-)
+from noisyqfi.protocols import _outcome_tensor, correlated, sqsc
 from noisyqfi.fisher import ProbModel, SldResult, cfi, qfi_exact
 from noisyqfi.series import StateOrders, fit_qfi_orders
 
@@ -127,9 +123,22 @@ def dense_pair(prep) -> tuple[np.ndarray, np.ndarray]:
     return to_dense(prep.pauli), to_dense(prep.dpauli)
 
 
+def lab_output(spec) -> tuple[PauliState, PauliState]:
+    """A spec's channel output and its lam derivative in the lab frame.
+
+    The product input along r0, the dense preparation unitary u_prep(n, c)
+    and the unrotated channel: none of the frame code of the library.
+    """
+    ch = spec.family.eval(spec.lam)
+    state = initial_state(spec.n, spec.r, spec.r0)
+    if spec.kind == "correlated":
+        state = conjugate(state, u_prep(spec.n, spec.c))
+    return apply_channel(state, ch, 0), apply_channel_derivative(state, ch, 0)
+
+
 def dense_exact_qfi(spec, eps: float | None = None) -> float:
-    """Exact QFI of a spec from one eigendecomposition of the 2^n output state."""
-    return qfi_exact(*dense_pair(build_state(spec)), eps)
+    """Exact QFI of a spec from one eigendecomposition of the 2^n lab-frame output."""
+    return qfi_exact(*(to_dense(st) for st in lab_output(spec)), eps)
 
 
 def fit_exact_orders(family, lam, n, c, r0, rs, orders=(2, 3, 4)):
@@ -294,6 +303,46 @@ def oracle_prep_conjugate(state, c):
     return _map_orders(state, one)
 
 
+# The preparation for a general control direction c as the frame identity:
+# rotate every slot by V+ (V sigma_z V+ = c.sigma), the CZ gather of
+# noisyqfi.mstate.prep_conjugate, rotate back.  The rotation is built here,
+# not by the library's frame, so the identity is checked on its own.
+
+def frame_rotation(c) -> np.ndarray:
+    """A rotation R with R z = c, by Rodrigues' formula about z x c.
+
+    For c below the xy plane R takes z to -z first, so the formula never
+    divides by a small 1 + c_z.  For c along a coordinate axis R is a
+    signed permutation.
+    """
+    c = _unit_vector(c, "c")
+    if c[2] < 0.0:
+        return frame_rotation(-c) @ np.diag([1.0, -1.0, -1.0])
+    k = np.array([-c[1], c[0], 0.0])  # z x c
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + K + K @ K / (1.0 + c[2])
+
+
+def rotate_slots(state, R: np.ndarray):
+    """The letter map I -> I, a.sigma -> (R a).sigma on every slot (each order separately)."""
+    F = np.eye(4)
+    F[1:, 1:] = R
+
+    def one(st: PauliState) -> PauliState:
+        t = st.coeffs.reshape((4,) * st.n)
+        for _ in range(st.n):  # contracts the first slot, appends its image last
+            t = np.tensordot(t, F, axes=([0], [1]))
+        return PauliState(st.n, t.reshape(4 ** st.n))
+
+    return _map_orders(state, one)
+
+
+def lab_prep_conjugate(state, c):
+    """Conjugate by the full preparation unitary for control direction c."""
+    R = frame_rotation(c)
+    return rotate_slots(prep_conjugate(rotate_slots(state, R.T)), R)
+
+
 # The dense preparation path: U_c and the full preparation unitary as
 # matrices, and conjugation through the dense matrix of a Pauli state.  The
 # differential oracle for the Clifford gather of noisyqfi.mstate.prep_conjugate.
@@ -362,7 +411,13 @@ def conjugate(state, U: np.ndarray):
     def one(st: PauliState) -> PauliState:
         if U.shape != (2 ** st.n, 2 ** st.n):
             raise ValueError(f"unitary shape {U.shape} does not match n={st.n}")
-        return from_dense(U @ to_dense(st) @ U.conj().T)
+        # any unitary fixes the identity string; conjugating only the rest
+        # keeps the rounding relative to the traceless part
+        rest = st.coeffs.copy()
+        rest[0] = 0.0
+        out = from_dense(U @ to_dense(PauliState(st.n, rest)) @ U.conj().T).coeffs.copy()
+        out[0] = st.coeffs[0]
+        return PauliState(st.n, out)
 
     out = _map_orders(state, one)
     if isinstance(state, OrderedState):
@@ -423,13 +478,15 @@ def saturating_basis_lowest_order(drho1: np.ndarray) -> list[np.ndarray]:
 
 
 def local_measurement_cfi_ungrouped(spec) -> float:
-    """CFI of the local measurement scheme over all 2^n raw outcomes.
+    """CFI of the local measurement scheme over all 2^n raw outcomes, in the lab frame.
 
-    No grouping by qubit 0's sign and the + count: the oracle for the
-    grouping in noisyqfi.protocols.local_measurement_sim.
+    No grouping by qubit 0's sign and the + count, and the preparation as
+    the dense u_prep(n, c): the oracle for the grouping and the frame of
+    noisyqfi.protocols.local_measurement_sim.
     """
     if spec.kind != "correlated":
         raise ValueError("the local measurement scheme is defined for correlated specs")
-    state, dstate = _measured_states(spec, build_state(spec))
+    U = u_prep(spec.n, spec.c)
+    state, dstate = (conjugate(st, U) for st in lab_output(spec))
     return cfi(ProbModel(_outcome_tensor(state, spec.r0).reshape(-1),
                          _outcome_tensor(dstate, spec.r0).reshape(-1)))

@@ -30,7 +30,6 @@ from noisyqfi.mstate import (
     apply_channel,
     initial_state,
     initial_state_orders,
-    prep_conjugate,
     to_dense,
 )
 from noisyqfi.protocols import (
@@ -60,6 +59,7 @@ from support import (
     dense_exact_qfi,
     fit_exact_orders,
     from_dense,
+    lab_prep_conjugate,
     local_measurement_cfi_ungrouped,
     permute_qubits,
     random_state,
@@ -379,7 +379,7 @@ def _prop_prepared_first_order(rng, failures):
     for n in (2, 3, 4, 5):
         for _ in range(10):
             c, r0 = random_unit(rng), random_unit(rng)
-            got = prep_conjugate(initial_state_orders(n, r0, max_order=1), c)
+            got = lab_prep_conjugate(initial_state_orders(n, r0, max_order=1), c)
             want = _prep_first_order_closed_form(n, c, r0)
             if not np.allclose(got.orders[1].coeffs, want, atol=1e-12):
                 failures.append(("prepared_first_order", n))
@@ -393,7 +393,7 @@ def _prop_prep_pairwise_vs_dense(rng, failures):
         n = int(rng.integers(2, 5))
         c = random_unit(rng)
         st = PauliState(n, rng.normal(size=4 ** n))
-        got = prep_conjugate(st, c)
+        got = lab_prep_conjugate(st, c)
         want = conjugate(st, u_prep(n, c))
         if not np.allclose(got.coeffs, want.coeffs, atol=1e-11):
             failures.append(("prep_vs_dense", n))
@@ -463,7 +463,7 @@ def _prop_corr_h2_vs_solver(rng, failures):
         ch = fam.eval(lam)
         c, r0 = random_unit(rng), random_unit(rng)
         n = int(rng.integers(2, 5))
-        ordered = prep_conjugate(initial_state_orders(n, r0, max_order=2), c)
+        ordered = lab_prep_conjugate(initial_state_orders(n, r0, max_order=2), c)
         orders = channel_output_orders(ordered, ch, 0)
         series = qfi_orders(orders, sld_orders(orders, 2), 2)
         if abs(corr_h2(ch, n, c, r0) - series.orders[2]) > 1e-9:

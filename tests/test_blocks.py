@@ -1,5 +1,6 @@
 """The Schur-Weyl block QFI against the dense 2^n eigendecomposition oracle."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from noisyqfi import builtin
 from noisyqfi.blocks import exact_qfi, exact_qfis, spin_blocks
 from noisyqfi.fisher import sld_exact
-from noisyqfi.protocols import build_state, correlated, sqsc
+from noisyqfi.protocols import ProtocolSpec, build_state, correlated, sqsc
 from noisyqfi.series import canonical_directions
 
 from support import dense_exact_qfi, dense_pair, random_unit, random_unital_family
@@ -144,3 +145,28 @@ def test_sweep_rejects_purities_outside_the_unit_interval():
     for purities in ([0.1, 1.5], [-0.1], [np.nan], [[0.1]]):
         with pytest.raises(ValueError, match="purities must lie in"):
             exact_qfis(spec, purities)
+
+
+class _Solved(Exception):
+    """Raised in place of the block solve: the weight check let the spec through."""
+
+
+def _stop_at_the_solve(self):
+    raise _Solved
+
+
+@pytest.mark.parametrize("n, r", [(1000, 0.01), (1100, 0.5), (1300, 1.0)])
+def test_weights_sum_to_one_below_the_underflow(n, r, monkeypatch):
+    monkeypatch.setattr(ProtocolSpec, "in_frame", _stop_at_the_solve)
+    with pytest.raises(_Solved):
+        exact_qfi(correlated(builtin("phase_flip"), 0.3, n, r, [0, 1, 0], [1, 0, 0]))
+
+
+@pytest.mark.parametrize("n, r, kept", [(1051, 0.01, "0.99999999998"), (1100, 0.01, "0,")])
+def test_underflowing_weights_raise_instead_of_returning_zero(n, r, kept):
+    # at n = 1100 every t_j underflowed and the QFI read 0.0 with no error
+    spec = correlated(builtin("phase_flip"), 0.3, n, r, [0, 1, 0], [1, 0, 0])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"n={n}, r={r}: .* weight {kept}"):
+        exact_qfi(spec)
+    assert time.perf_counter() - start < 1.0

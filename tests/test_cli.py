@@ -469,6 +469,26 @@ class TestExitCodeContract:
         assert captured.out == "" and f"{flag}: direction components must be finite" \
             in captured.err
 
+    @pytest.mark.parametrize("flag, value", [("--c", "-0.6,0,-0.8"),
+                                             ("--r0", "-0.6,0,-0.8"),
+                                             ("--lambda", "-1:1:3")])
+    def test_negative_values_take_the_equals_form(self, flag, value, tmp_path, capsys):
+        # argparse reads a separate value that starts with "-" as an option
+        base = ["qfi", "--channel", "phase_shift", "--purity", "0.1", "--n", "1,2"]
+        with pytest.raises(SystemExit) as exc:
+            main(base + [flag, value])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+        # --flag=value reaches the option's parser: the rows of the [run] key
+        assert main(base + [f"{flag}={value}"]) == EXIT_OK
+        out = capsys.readouterr().out
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"[run]\n{flag[2:]} = {value}\n")
+        assert main(base + ["--config", str(cfgfile)]) == EXIT_OK
+        assert capsys.readouterr().out == out
+        if flag == "--lambda":
+            assert [row.split(",")[0] for row in out.splitlines()[1::2]] == ["-1", "0", "1"]
+
     def test_escher_outside_its_domain(self, capsys):
         for args in (["--lambda", "1.5"], ["--purity", "1"]):
             assert main(["escher", *args]) == EXIT_CONFIG
@@ -621,11 +641,15 @@ class TestWorkPerCell:
     def test_measure_solves_no_series(self, monkeypatch, capsys):
         sld = _count_calls(monkeypatch, protocols, "sld_orders")
         prep = _count_calls(monkeypatch, protocols, "prep_conjugate")
+        evals = _count_calls(monkeypatch, ChannelFamily, "eval")
         code = main(["measure", "--channel", "phase_flip", "--lambda", "0.3",
                      "--purity", "1e-3", "--n", "2,3"])
         assert code == EXIT_OK
         assert len(sld) == 0
         assert len(prep) == 3 * 2
+        # per cell: the spec, the exact QFI and the measured state; the frame
+        # of c is read with the channel and adds none
+        assert len(evals) == 3 * 2
 
     def test_fit_rows_equal_one_protocol_qfi_per_purity(self):
         lam, n, K = 0.5, 3, 4

@@ -26,6 +26,7 @@ from support import (
     kraus_depolarizing,
     kraus_gad,
     kraus_phase_flip,
+    lab_prep_conjugate,
     oracle_initial_state_orders,
     oracle_prep_conjugate,
     pair_transfer,
@@ -219,11 +220,16 @@ class TestPrepUnitary:
             u_prep(1, [0, 0, 1])
 
     def test_pairwise_path_matches_dense_path(self):
+        # the gather is the preparation for c = z; a general c goes through
+        # the frame identity
         rng = np.random.default_rng(13)
         for n in (2, 3, 4):
             c = random_unit(rng)
             st = PauliState(n, rng.normal(size=4 ** n))
-            got = prep_conjugate(st, c)
+            np.testing.assert_allclose(prep_conjugate(st).coeffs,
+                                       conjugate(st, u_prep(n, [0, 0, 1])).coeffs,
+                                       atol=1e-11)
+            got = lab_prep_conjugate(st, c)
             want = conjugate(st, u_prep(n, c))
             np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-11)
 
@@ -239,7 +245,10 @@ def _random_ordered(rng, n: int, orders: int = 3) -> OrderedState:
 
 
 class TestCliffordGather:
-    """prep_conjugate (rotate, signed gather, rotate back) against the pair passes."""
+    """prep_conjugate (the CZ signed gather) against the pair passes for c = z,
+    and for a general c through the frame identity (tests/support.py)."""
+
+    Z = np.array([0.0, 0.0, 1.0])
 
     @staticmethod
     def _assert_matches(got, want):
@@ -253,15 +262,17 @@ class TestCliffordGather:
     def test_matches_pair_passes(self):
         rng = np.random.default_rng(19)
         for n in range(2, 9):
-            for c in _directions(rng):
-                for state in (PauliState(n, rng.normal(size=4 ** n)),
-                              _random_ordered(rng, n)):
-                    self._assert_matches(prep_conjugate(state, c),
+            for state in (PauliState(n, rng.normal(size=4 ** n)),
+                          _random_ordered(rng, n)):
+                self._assert_matches(prep_conjugate(state),
+                                     oracle_prep_conjugate(state, self.Z))
+                for c in _directions(rng):
+                    self._assert_matches(lab_prep_conjugate(state, c),
                                          oracle_prep_conjugate(state, c))
             # c parallel to r0, on the physical purity orders
             r0 = random_unit(rng)
             ordered = initial_state_orders(n, r0, max_order=min(n, 4))
-            self._assert_matches(prep_conjugate(ordered, r0),
+            self._assert_matches(lab_prep_conjugate(ordered, r0),
                                  oracle_prep_conjugate(ordered, r0))
 
     def test_matches_pair_passes_at_ten_qubits(self):
@@ -269,16 +280,20 @@ class TestCliffordGather:
         c = random_unit(rng)
         for state in (PauliState(10, rng.normal(size=4 ** 10)),
                       _random_ordered(rng, 10, orders=2)):
-            self._assert_matches(prep_conjugate(state, c),
+            self._assert_matches(prep_conjugate(state),
+                                 oracle_prep_conjugate(state, self.Z))
+            self._assert_matches(lab_prep_conjugate(state, c),
                                  oracle_prep_conjugate(state, c))
 
     def test_axis_directions_are_exact(self):
-        # a signed-permutation frame keeps the preparation free of rounding
+        # the gather is free of rounding, and so is a signed-permutation frame
         rng = np.random.default_rng(21)
         for n in (2, 3, 5):
             state = PauliState(n, rng.normal(size=4 ** n))
+            assert np.array_equal(prep_conjugate(state).coeffs,
+                                  oracle_prep_conjugate(state, self.Z).coeffs)
             for c in _directions(rng)[2:]:
-                got = prep_conjugate(state, c).coeffs
+                got = lab_prep_conjugate(state, c).coeffs
                 want = oracle_prep_conjugate(state, c).coeffs
                 assert np.array_equal(got, want)
 
@@ -301,7 +316,7 @@ class TestCliffordGather:
 
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError, match="two qubits"):
-            prep_conjugate(PauliState(1, np.array([0.5, 0.1, 0.0, 0.0])), [0, 0, 1])
+            prep_conjugate(PauliState(1, np.array([0.5, 0.1, 0.0, 0.0])))
 
 
 class TestConjugate:
@@ -314,15 +329,15 @@ class TestConjugate:
     def test_zero_order_invariant(self):
         rng = np.random.default_rng(15)
         ordered = initial_state_orders(3, random_unit(rng))
-        out = prep_conjugate(ordered, random_unit(rng))
-        np.testing.assert_allclose(out.orders[0].coeffs, ordered.orders[0].coeffs,
-                                   atol=1e-15)
+        for out in (prep_conjugate(ordered), lab_prep_conjugate(ordered, random_unit(rng))):
+            np.testing.assert_allclose(out.orders[0].coeffs, ordered.orders[0].coeffs,
+                                       atol=1e-15)
 
     def test_first_order_perpendicular_closed_form(self):
         # two qubits, c perpendicular to r0: (r0.sigma x c.sigma + c.sigma x r0.sigma)/4
         rng = np.random.default_rng(16)
         c, r0 = perpendicular_pair(rng)
-        ordered = prep_conjugate(initial_state_orders(2, r0), c)
+        ordered = lab_prep_conjugate(initial_state_orders(2, r0), c)
         want = (pauli_term([r0, c]) + pauli_term([c, r0])) / 4.0
         np.testing.assert_allclose(ordered.orders[1].coeffs, want, atol=1e-12)
 
@@ -332,7 +347,7 @@ class TestConjugate:
         for n in (2, 3, 4, 5):
             for _ in range(10):
                 c, r0 = random_unit(rng), random_unit(rng)
-                got = prep_conjugate(initial_state_orders(n, r0, max_order=1), c)
+                got = lab_prep_conjugate(initial_state_orders(n, r0, max_order=1), c)
                 N = 2 ** n
                 want = np.zeros(4 ** n)
                 for k in range(n):
@@ -347,7 +362,7 @@ class TestConjugate:
         rng = np.random.default_rng(18)
         n = 3
         c, r0 = random_unit(rng), random_unit(rng)
-        got = prep_conjugate(initial_state_orders(n, r0, max_order=1), c)
+        got = lab_prep_conjugate(initial_state_orders(n, r0, max_order=1), c)
         N = 2 ** n
         first_two_groups = np.zeros(4 ** n)
         for k in range(n):

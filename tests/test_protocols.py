@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin
+from noisyqfi.mstate import initial_state_orders
 from noisyqfi.protocols import (
     ProtocolSpec,
     build_state,
@@ -21,11 +22,18 @@ from noisyqfi.protocols import (
 from noisyqfi.series import BranchError, canonical_directions, corr_bounds
 
 from support import (
+    conjugate,
+    dense_exact_qfi,
     dense_pair,
     local_measurement_cfi_ungrouped,
+    oracle_channel_output_orders,
+    oracle_qfi_orders,
+    oracle_sld_orders,
     permute_qubits,
     perpendicular_pair,
     random_unit,
+    random_unital_family,
+    u_prep,
 )
 
 PF = builtin("phase_flip")
@@ -380,3 +388,36 @@ class TestNonUnitalNoGain:
             nonunital_corr_equals_sqsc_check(PF, 0.3, 2)
         with pytest.raises(BranchError):
             nonunital_corr_equals_sqsc_check(builtin("gad", p=0.5), 0.3, 2)
+
+
+def _lab_series(spec, K: int) -> np.ndarray:
+    """QFI orders h0..hK in the lab frame: dense u_prep(n, c), the unrotated
+    channel and the generic SLD solve in the full eigenbasis of rho^(0)."""
+    ordered = initial_state_orders(spec.n, spec.r0, max_order=min(spec.n, K))
+    ordered = conjugate(ordered, u_prep(spec.n, spec.c))
+    orders = oracle_channel_output_orders(ordered, spec.family.eval(spec.lam), 0)
+    return oracle_qfi_orders(orders, oracle_sld_orders(orders, K), K)
+
+
+class TestLabFrame:
+    """Every view, built in the frame of c, against lab-frame oracles that use
+    none of the library's frame code."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_views_match_lab_frame(self, n):
+        rng = np.random.default_rng(64 + n)
+        K = 4
+        for fam in (PF, builtin("gad", p=0.8), random_unital_family(rng)):
+            c = random_unit(rng)
+            r0 = random_unit(rng)
+            for c, r0 in ((c, r0), (r0, r0), (-r0, r0)):
+                spec = correlated(fam, 0.3, n, 0.05, c, r0)
+                res = protocol_qfi(spec, K=K)
+                want = dense_exact_qfi(spec)
+                assert abs(res.exact - want) <= 1e-12 * abs(want), (fam.name, n, c)
+                lab = _lab_series(spec, K)
+                scale = float(np.max(np.abs(lab)))
+                assert np.max(np.abs(np.asarray(res.series.orders) - lab)) <= 1e-12 * scale
+                rec = local_measurement_sim(spec)
+                assert rec.cfi == pytest.approx(local_measurement_cfi_ungrouped(spec),
+                                                abs=1e-10, rel=1e-10)

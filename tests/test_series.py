@@ -4,8 +4,8 @@ import pytest
 from noisyqfi import builtin
 from noisyqfi.bloch import ChannelFamily, Unitality
 from noisyqfi.fisher import ProbModel, cfi
-from noisyqfi.mstate import initial_state_orders, prep_conjugate
-from noisyqfi.protocols import build_state, correlated, qfi_series, sqsc
+from noisyqfi.mstate import initial_state_orders, prep_conjugate, to_dense
+from noisyqfi.protocols import correlated, qfi_series, sqsc
 from noisyqfi.series import (
     BranchError,
     GridMax,
@@ -32,8 +32,9 @@ from noisyqfi.series import (
 
 from support import (
     dense_exact_qfi,
-    dense_pair,
     fit_exact_orders,
+    lab_output,
+    lab_prep_conjugate,
     oracle_channel_output_orders,
     oracle_qfi_orders,
     oracle_sld_orders,
@@ -55,9 +56,10 @@ UNITAL_BUILTINS = [
 
 
 def final_orders(fam, lam, n, c, r0, K):
+    """Purity orders of the channel output in the lab frame."""
     ordered = initial_state_orders(n, r0, max_order=min(n, K))
     if n >= 2:
-        ordered = prep_conjugate(ordered, c)
+        ordered = lab_prep_conjugate(ordered, c)
     return channel_output_orders(ordered, fam.eval(lam), 0)
 
 
@@ -154,7 +156,7 @@ class TestChannelOutputOrders:
             lam = lo + rng.uniform(0.1, 0.9) * (hi - lo)
             ordered = initial_state_orders(n, random_unit(rng), max_order=min(n, 4))
             if n >= 2:
-                ordered = prep_conjugate(ordered, random_unit(rng))
+                ordered = prep_conjugate(ordered)
             ch = fam.eval(lam)
             for qubit in sorted({0, n - 1}):
                 got = channel_output_orders(ordered, ch, qubit)
@@ -604,7 +606,7 @@ class TestSaturatingBasis:
         orders = final_orders(fam, lam, n, c, r0, 1)
         projs = saturating_basis_lowest_order(orders.drho[1])
         spec = correlated(fam, lam, n, r, c, r0)
-        rho, drho = dense_pair(build_state(spec))
+        rho, drho = (to_dense(st) for st in lab_output(spec))
         p = np.array([np.trace(P @ rho).real for P in projs])
         dp = np.array([np.trace(P @ drho).real for P in projs])
         got = cfi(ProbModel(p, dp))
