@@ -24,7 +24,7 @@ from .bloch import (
     validate,
 )
 from .blocks import exact_qfi, exact_qfis, spin_blocks
-from .fisher import ProbModel, SldResult, cfi, qfi_exact, sld_exact
+from .fisher import ProbModel, cfi, qfi_exact
 from .mstate import (
     OrderedState,
     PauliState,

@@ -35,7 +35,6 @@ from .protocols import (
     local_measurement_sim,
     protocol_qfi,
     purity_orders,
-    qfi_series,
     sqsc,
 )
 from .series import (
@@ -47,6 +46,7 @@ from .series import (
     corr_h2_grid_max,
     default_fit_purities,
     fit_qfi_orders,
+    qfi_orders,
     verify_family_flag,
 )
 
@@ -250,7 +250,7 @@ def _fit_cell(cfg: RunConfig, lam: float, r: None, n: int) -> list[list]:
             raise BranchError("order fitting is defined for unital channels")
         spec = _spec_for(family, lam, float(rs[-1]), n, cfg.c, cfg.r0)
         # one series per cell: the purity orders do not depend on r
-        series = qfi_series(purity_orders(spec, K), K)
+        series = qfi_orders(purity_orders(spec, K), K)
         qfis = exact_qfis(spec, rs, cfg.eps)  # one block solve for all purities
         fit = fit_qfi_orders(rs, qfis, orders=tuple(range(2, K + 2)))
         if fit.cond > _MAX_FIT_COND:

@@ -1,19 +1,18 @@
-"""Exact SLD, quantum Fisher information, and classical Fisher information.
+"""Exact quantum Fisher information, and classical Fisher information.
 
-Everything here works on dense Hermitian matrices: the SLD L solves
-drho = (L rho + rho L)/2 and is built from the eigendecomposition
-rho = sum_j p_j |j><j| as
+The SLD L solves drho = (L rho + rho L)/2.  In the eigenbasis of
+rho = sum_j p_j |j><j|, with G = <j|drho|k>, it is
+L_jk = 2 G_jk / (p_j + p_k), and the QFI is
 
-    L = 2 sum_{j,k} <j|drho|k> / (p_j + p_k) |j><k|
+    Tr[drho L] = sum_{j,k} 2 |G_jk|^2 / (p_j + p_k),
 
-restricted to pairs with p_j + p_k above a cutoff; the QFI is Tr[drho L].
-``qfi_exact`` also takes a stack of states (..., d, d) and returns one QFI
-per matrix, each checked and summed as on its own, and it takes rho as its
-eigenvalues with drho in its eigenbasis (``in_eigenbasis``), so a caller can
-read every spectrum before it picks the cutoff.  The library decomposes the
-Schur-Weyl blocks of one spin at every purity of a sweep at once and sums
-their pairs with it (``blocks.exact_qfis``); on the whole 2^n state it is
-the test oracle for the blocks and for the series machinery.
+summed over the pairs with p_j + p_k above a cutoff eps.  ``in_eigenbasis``
+checks a state and its derivative and returns (p, G); ``qfi_exact`` sums the
+pairs.  Both take stacks (..., d, d) and treat each matrix as on its own, so
+a caller can decompose many matrices at once and read every spectrum before
+it picks the cutoff.  The library decomposes the Schur-Weyl blocks of one
+spin at every purity of a sweep at once (``blocks.exact_qfis``); on the
+whole 2^n state the pair is the test oracle for the blocks and the series.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SldResult",
     "ProbModel",
-    "sld_exact",
     "qfi_exact",
     "in_eigenbasis",
     "cfi",
@@ -51,21 +48,13 @@ def _first(values: np.ndarray, bad: np.ndarray):
     return values[bad][0] if values.ndim else values
 
 
-@dataclass(frozen=True)
-class SldResult:
-    """SLD operator with the eigensystem it was built from."""
+def in_eigenbasis(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho's eigenvalues p (ascending) and G = V^+ drho V in rho's eigenbasis V, checked.
 
-    L: np.ndarray
-    qfi: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    dropped_pairs: int
-
-
-def _eigensystem(rho: np.ndarray, drho: np.ndarray):
-    """Checked eigenvalues p and eigenvectors V of rho, and G = V^+ drho V.
-
-    rho and drho may be stacks (..., d, d).
+    rho and drho may be stacks (..., d, d).  rho must be Hermitian with unit
+    trace and drho Hermitian and traceless, to 1e-8; eigenvalues in
+    [-1e-9, 0) are clamped to zero and anything more negative is rejected as
+    an invalid state.  A ValueError names the first check that fails.
     """
     rho = _check_hermitian(rho, "rho")
     drho = _check_hermitian(drho, "drho")
@@ -86,28 +75,11 @@ def _eigensystem(rho: np.ndarray, drho: np.ndarray):
     if np.count_nonzero(low):
         raise ValueError(
             f"rho is not positive semidefinite: eigenvalue {_first(p[..., 0], low):.3e}")
-    G = V.conj().swapaxes(-1, -2) @ drho @ V
-    return np.maximum(p, 0.0), V, G
-
-
-def in_eigenbasis(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho's eigenvalues p (ascending) and drho in rho's eigenbasis, checked.
-
-    ``qfi_exact(*in_eigenbasis(rho, drho), eps)`` equals
-    ``qfi_exact(rho, drho, eps)`` bit for bit, so a caller can read every
-    spectrum before it picks the cutoff without decomposing twice.
-    """
-    p, _, G = _eigensystem(rho, drho)
-    return p, G
+    return np.maximum(p, 0.0), V.conj().swapaxes(-1, -2) @ drho @ V
 
 
 def _pairs(p: np.ndarray, eps: float | np.ndarray | None):
-    """The pair sums p_j + p_k and the kept pairs (sum above the cutoff).
-
-    eps is one cutoff for all matrices or one per matrix (shape
-    ``p.shape[:-1]``); the default is 1e-12 times each one's largest
-    eigenvalue.
-    """
+    """The pair sums p_j + p_k and the kept pairs, those above ``qfi_exact``'s cutoff."""
     if eps is None:
         eps = 1e-12 * p[..., -1]
     eps = np.asarray(eps, dtype=float)[..., None, None]
@@ -124,46 +96,20 @@ def _pair_sum(G: np.ndarray, denom: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.array(sums).reshape(G.shape[:-2])
 
 
-def sld_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> SldResult:
-    """SLD and QFI of a state family from (rho, drho) at one parameter value.
-
-    eps is the null-pair cutoff: eigenvalue pairs with p_j + p_k <= eps are
-    skipped (default 1e-12 times the largest eigenvalue).  Eigenvalues in
-    [-1e-9, 0) are clamped to zero; anything more negative is rejected as an
-    invalid state.
-    """
-    p, V, G = _eigensystem(rho, drho)
-    denom, keep = _pairs(p, eps)
-    ratio = np.zeros_like(G)
-    np.divide(G, denom, out=ratio, where=keep)
-    L = V @ (2.0 * ratio * keep) @ V.conj().T
-    return SldResult(
-        L=L,
-        qfi=float(_pair_sum(G, denom, keep)),
-        eigenvalues=p,
-        eigenvectors=V,
-        dropped_pairs=int(np.count_nonzero(~keep)),
-    )
-
-
-def qfi_exact(rho: np.ndarray, drho: np.ndarray,
+def qfi_exact(p: np.ndarray, G: np.ndarray,
               eps: float | np.ndarray | None = None) -> float | np.ndarray:
-    """The QFI of ``sld_exact`` without forming the SLD.
+    """QFI sum of 2 |G_jk|^2 / (p_j + p_k) over the pairs with p_j + p_k > eps.
 
-    For stacks rho, drho of shape (..., d, d) it returns an array of shape
-    (...), each entry equal to the call on that matrix alone; eps is then a
-    cutoff for all matrices or one per matrix.  A matrix anywhere in the
-    stack that fails a check raises the ValueError it raises on its own.
-    rho may also be given as its eigenvalues (..., d) with drho in its
-    eigenbasis, as ``in_eigenbasis`` returns them after its checks; that
-    form is not checked again.
+    p are rho's eigenvalues (..., d) and G is drho in rho's eigenbasis
+    (..., d, d), as ``in_eigenbasis`` returns them after its checks; they
+    are not checked again.  eps is the null-pair cutoff, one for all
+    matrices or one per matrix (shape ``p.shape[:-1]``); the default is
+    1e-12 times each matrix's largest eigenvalue.  A stack gives an array
+    of shape p.shape[:-1], each entry equal to the call on that matrix alone.
     """
-    if np.ndim(rho) == np.ndim(drho) - 1:
-        p, G = np.asarray(rho, dtype=float), np.asarray(drho)
-        if p.shape != G.shape[:-1]:
-            raise ValueError("eigenvalues and drho must have matching shapes")
-    else:
-        p, _, G = _eigensystem(rho, drho)
+    p, G = np.asarray(p, dtype=float), np.asarray(G)
+    if p.shape != G.shape[:-1]:
+        raise ValueError("eigenvalues and drho must have matching shapes")
     qfi = _pair_sum(G, *_pairs(p, eps))
     return float(qfi) if qfi.ndim == 0 else qfi
 

@@ -1,11 +1,12 @@
 """End-to-end estimation protocols and their comparison.
 
-Two protocol shapes are supported:
+Two protocol shapes are supported, told apart by the qubit count n:
 
-* single qubit, single channel invocation (the baseline), and
-* the symmetric pairwise correlated protocol: n qubits in the same product
-  state, the pairwise preparation gate applied to every qubit pair, then one
-  channel invocation on qubit 0.
+* n = 1: single qubit, single channel invocation (the baseline), with no
+  control direction c, and
+* n >= 2: the symmetric pairwise correlated protocol, with a control
+  direction c: n qubits in the same product state, the pairwise preparation
+  gate applied to every qubit pair, then one channel invocation on qubit 0.
 
 No view changes under one rotation of every qubit, so each protocol is
 built in the frame of c (``ProtocolSpec.in_frame``), where the preparation
@@ -50,7 +51,6 @@ from .series import (
     corr_gain_ratio,
     qfi_orders,
     require_unital,
-    sld_orders,
     sqsc_nonunital_h0,
     verify_family_flag,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "PreparedState",
     "build_state",
     "purity_orders",
-    "qfi_series",
     "ProtocolQfi",
     "protocol_qfi",
     "MeasurementRecord",
@@ -83,9 +82,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Everything needed to build one pre-measurement state."""
+    """Everything needed to build one pre-measurement state; n names the protocol."""
 
-    kind: str
     family: ChannelFamily
     lam: float
     n: int
@@ -94,18 +92,14 @@ class ProtocolSpec:
     c: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("sqsc", "correlated"):
-            raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if self.kind == "sqsc" and self.n != 1:
-            raise ValueError("single-qubit protocol requires n = 1")
-        if self.kind == "correlated" and self.n < 2:
-            raise ValueError("correlated protocol requires n >= 2")
+        if self.n < 1:
+            raise ValueError(f"a protocol needs at least one qubit, got n={self.n}")
+        if self.n == 1 and self.c is not None:
+            raise ValueError("single-qubit protocol (n = 1) takes no control direction")
+        if self.n >= 2 and self.c is None:
+            raise ValueError("correlated protocol (n >= 2) requires a control direction c")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"purity must lie in [0, 1], got {self.r}")
-        if self.kind == "correlated" and self.c is None:
-            raise ValueError("correlated protocol requires a control direction c")
-        if self.kind == "sqsc" and self.c is not None:
-            raise ValueError("single-qubit protocol takes no control direction")
         for name in ("r0", "c"):
             v = getattr(self, name)
             if v is not None:
@@ -132,12 +126,12 @@ class ProtocolSpec:
 
 
 def sqsc(family: ChannelFamily, lam: float, r: float, r0) -> ProtocolSpec:
-    return ProtocolSpec("sqsc", family, lam, 1, r, np.asarray(r0, dtype=float))
+    return ProtocolSpec(family, lam, 1, r, np.asarray(r0, dtype=float))
 
 
 def correlated(family: ChannelFamily, lam: float, n: int, r: float, c, r0) -> ProtocolSpec:
-    return ProtocolSpec("correlated", family, lam, n, r,
-                        np.asarray(r0, dtype=float), np.asarray(c, dtype=float))
+    return ProtocolSpec(family, lam, n, r, np.asarray(r0, dtype=float),
+                        np.asarray(c, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ def build_state(spec: ProtocolSpec) -> PreparedState:
     """
     r0, ch = spec.in_frame()
     state = initial_state(spec.n, spec.r, r0)
-    if spec.kind == "correlated":
+    if spec.c is not None:
         state = prep_conjugate(state)
     return PreparedState(r0, apply_channel(state, ch, 0),
                          apply_channel_derivative(state, ch, 0))
@@ -170,18 +164,9 @@ def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
     _check_dense_cap(spec.n)  # fail before any large allocation
     r0, ch = spec.in_frame()
     ordered = initial_state_orders(spec.n, r0, max_order=min(spec.n, max_order))
-    if spec.kind == "correlated":
+    if spec.c is not None:
         ordered = prep_conjugate(ordered)
     return channel_output_orders(ordered, ch, 0)
-
-
-def qfi_series(orders: StateOrders, K: int) -> QfiSeries:
-    """Purity-series QFI coefficients up to order K from the state orders.
-
-    The stationary form of the QFI fixes every order through K from the SLD
-    orders through K // 2 (``series.qfi_orders``).
-    """
-    return qfi_orders(orders, sld_orders(orders, K // 2), K)
 
 
 @dataclass(frozen=True)
@@ -198,7 +183,7 @@ def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
     Both numbers are per channel invocation; every protocol here invokes the
     channel exactly once.  The series keeps the dense qubit cap.
     """
-    series = qfi_series(purity_orders(spec, K), K)
+    series = qfi_orders(purity_orders(spec, K), K)
     return ProtocolQfi(exact=exact_qfi(spec, eps),
                        series_estimate=series.evaluate(spec.r), series=series)
 
@@ -249,7 +234,7 @@ def local_measurement_sim(spec: ProtocolSpec) -> MeasurementRecord:
     exact: they are the grouped outcomes of the measured state's lam
     derivative.
     """
-    if spec.kind != "correlated":
+    if spec.c is None:
         raise ValueError("the local measurement scheme is defined for correlated specs")
     prep = build_state(spec)
     # the preparation does not depend on lam: the derivative passes through it
@@ -313,23 +298,6 @@ class GainReport:
     qfi_a: ProtocolQfi
     qfi_b: ProtocolQfi
 
-    def as_dict(self) -> dict:
-        """JSON-ready view (series coefficients flattened to plain lists)."""
-        return {
-            "status": self.status,
-            "ratio_exact": self.ratio_exact,
-            "ratio_series": self.ratio_series,
-            "gain_lo": self.gain_lo,
-            "gain_hi": self.gain_hi,
-            "violations": list(self.violations),
-            "qfi_a": {"exact": self.qfi_a.exact,
-                      "series_estimate": self.qfi_a.series_estimate,
-                      "orders": [float(h) for h in self.qfi_a.series.orders]},
-            "qfi_b": {"exact": self.qfi_b.exact,
-                      "series_estimate": self.qfi_b.series_estimate,
-                      "orders": [float(h) for h in self.qfi_b.series.orders]},
-        }
-
 
 def _same_family(a: ProtocolSpec, b: ProtocolSpec) -> bool:
     fa, fb = a.family, b.family
@@ -352,7 +320,7 @@ def compare(spec_a: ProtocolSpec, spec_b: ProtocolSpec,
     qb = protocol_qfi(spec_b, K)
 
     gain_lo = gain_hi = None
-    if spec_a.kind == "correlated" and spec_b.kind == "sqsc" \
+    if spec_a.c is not None and spec_b.c is None \
             and spec_a.family.unitality is Unitality.UNITAL:
         try:
             gain_lo, gain_hi = corr_gain_ratio(spec_a.family.eval(spec_a.lam), spec_a.n)

@@ -133,14 +133,13 @@ class StateOrders:
 class SldSeries:
     """SLD orders L^(0)..L^(K), and the products L^(b) rho^(a) the solve formed.
 
-    products maps (b, a) to L^(b) rho^(a) for the state orders whose rho
-    tuple is ``rho``; ``qfi_orders`` on those orders takes each one out
-    instead of forming it again.
+    products maps (b, a) to L^(b) rho^(a) for the state orders the series
+    was solved from; ``qfi_orders`` takes each one out instead of forming
+    it again.
     """
 
     orders: tuple[np.ndarray, ...]
     products: dict = field(default_factory=dict, compare=False, repr=False)
-    rho: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -299,10 +298,10 @@ def sld_orders(orders: StateOrders, K: int) -> SldSeries:
         _map_blocks(T.reshape(4, 4), R.reshape(1, 2, m, 1, 2, m),
                     X.reshape(1, 1, 2, m, 1, 2, m), scratch)
         L.append(X)
-    return SldSeries(tuple(L), products, orders.rho)
+    return SldSeries(tuple(L), products)
 
 
-def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
+def qfi_orders(orders: StateOrders, K: int) -> QfiSeries:
     """QFI purity orders through K from the SLD orders through m = K // 2.
 
     The QFI is the maximum of the stationary functional
@@ -315,25 +314,21 @@ def qfi_orders(orders: StateOrders, sld: SldSeries, K: int) -> QfiSeries:
         H^(k) = 2 sum_{a+b=k, b<=m} Tr[d(rho^(a))/dlam L^(b)]
                 - sum_{a+b+c=k, b,c<=m} Tr[rho^(a) L^(b) L^(c)].
 
-    Only L^(0)..L^(m) are read, so a longer SLD series is accepted.  Each
-    trace is an O(4^n) inner product of one product with one order: the
-    real part of Tr[rho^(a) L^(b) L^(c)] is Re vdot(P, L^(c)) for P either
+    The SLD orders come from ``sld_orders(orders, m)``.  Each trace is an
+    O(4^n) inner product of one product with one order: the real part of
+    Tr[rho^(a) L^(b) L^(c)] is Re vdot(P, L^(c)) for P either
     rho^(a) L^(b) or L^(b) rho^(a), and it is symmetric in b and c.  When
     rho^(0) or L^(0) is a factor of P, P is a 2x2 contraction on the
     qubit-0 blocks; only P = L^(b) rho^(a) with a, b >= 1 is a matrix
     product (L^(1) rho^(1) and L^(1) rho^(2) at K = 4).  A product that the
-    SLD solve of these orders already formed is taken out of ``sld``
-    (L^(1) rho^(1) at K = 4), so a K = 4 cell makes two products in all,
-    and each is dropped after its last trace.
+    SLD solve already formed is taken out of its series (L^(1) rho^(1) at
+    K = 4), so a K = 4 cell makes two products in all, and each is dropped
+    after its last trace.
     """
     top = K // 2
-    if len(sld.orders) < top + 1:
-        raise ValueError(
-            f"QFI orders through {K} need SLD orders through {top}; the SLD "
-            f"series only carries orders up to {len(sld.orders) - 1}")
-    L = sld.orders[:top + 1]
+    sld = sld_orders(orders, top)
+    L, shared = sld.orders, sld.products
     rho, drho, last = orders.rho, orders.drho, orders.max_order
-    shared = sld.products if sld.rho is rho else {}
     h0 = _qubit0_factor(rho[0], "zeroth-order state", "h (x) I/2^(n-1)")
     ell = _qubit0_factor(L[0], "zeroth-order SLD", "l (x) I")
     H = np.zeros(K + 1)

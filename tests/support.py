@@ -3,6 +3,8 @@ and the slower reference paths that the library's fast paths are checked against
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from noisyqfi import bloch, builtin
@@ -21,7 +23,7 @@ from noisyqfi.mstate import (
     to_dense,
 )
 from noisyqfi.protocols import _outcome_tensor, correlated, sqsc
-from noisyqfi.fisher import ProbModel, SldResult, cfi, qfi_exact
+from noisyqfi.fisher import ProbModel, _pairs, cfi, in_eigenbasis, qfi_exact
 from noisyqfi.series import StateOrders, fit_qfi_orders
 
 PAULI = {
@@ -115,6 +117,40 @@ def kraus_apply(rho: np.ndarray, ks: list[np.ndarray], n: int, qubit: int) -> np
     return out
 
 
+# The QFI and the SLD of dense matrices from one eigendecomposition: the
+# oracle for the Schur-Weyl blocks and the purity series.
+
+def dense_qfi(rho: np.ndarray, drho: np.ndarray, eps=None):
+    """QFI of dense matrices (or stacks of them), checked by ``in_eigenbasis``."""
+    return qfi_exact(*in_eigenbasis(rho, drho), eps)
+
+
+@dataclass(frozen=True)
+class SldResult:
+    """SLD operator with the eigensystem it was built from."""
+
+    L: np.ndarray
+    qfi: float
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    dropped_pairs: int
+
+
+def sld_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> SldResult:
+    """SLD L = V (2 G_jk / (p_j + p_k) on the kept pairs) V+ and the QFI of one state.
+
+    The checks, the spectrum p and G = V+ drho V are those of
+    ``in_eigenbasis``, and the QFI is ``qfi_exact``'s with the same cutoff.
+    """
+    p, G = in_eigenbasis(rho, drho)
+    V = np.linalg.eigh(np.asarray(rho, dtype=complex))[1]
+    denom, keep = _pairs(p, eps)
+    ratio = np.divide(G, denom, out=np.zeros_like(G), where=keep)
+    return SldResult(L=V @ (2.0 * ratio) @ V.conj().T, qfi=qfi_exact(p, G, eps),
+                     eigenvalues=p, eigenvectors=V,
+                     dropped_pairs=int(np.count_nonzero(~keep)))
+
+
 # The dense 2^n output pair and its eigendecomposition QFI: the oracle for
 # noisyqfi.blocks.exact_qfi.
 
@@ -131,14 +167,14 @@ def lab_output(spec) -> tuple[PauliState, PauliState]:
     """
     ch = spec.family.eval(spec.lam)
     state = initial_state(spec.n, spec.r, spec.r0)
-    if spec.kind == "correlated":
+    if spec.c is not None:
         state = conjugate(state, u_prep(spec.n, spec.c))
     return apply_channel(state, ch, 0), apply_channel_derivative(state, ch, 0)
 
 
 def dense_exact_qfi(spec, eps: float | None = None) -> float:
     """Exact QFI of a spec from one eigendecomposition of the 2^n lab-frame output."""
-    return qfi_exact(*(to_dense(st) for st in lab_output(spec)), eps)
+    return dense_qfi(*(to_dense(st) for st in lab_output(spec)), eps)
 
 
 def fit_exact_orders(family, lam, n, c, r0, rs, orders=(2, 3, 4)):
@@ -450,7 +486,7 @@ def qfi_numeric_derivative(state_at, lam0: float, h: float = 1e-6,
     rho = np.asarray(state_at(lam0), dtype=complex)
     drho = (np.asarray(state_at(lam0 + h), dtype=complex)
             - np.asarray(state_at(lam0 - h), dtype=complex)) / (2.0 * h)
-    return qfi_exact(rho, drho, eps)
+    return dense_qfi(rho, drho, eps)
 
 
 def eigenprojectors(mat: np.ndarray) -> list[np.ndarray]:
@@ -484,7 +520,7 @@ def local_measurement_cfi_ungrouped(spec) -> float:
     the dense u_prep(n, c): the oracle for the grouping and the frame of
     noisyqfi.protocols.local_measurement_sim.
     """
-    if spec.kind != "correlated":
+    if spec.c is None:
         raise ValueError("the local measurement scheme is defined for correlated specs")
     U = u_prep(spec.n, spec.c)
     state, dstate = (conjugate(st, U) for st in lab_output(spec))

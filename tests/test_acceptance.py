@@ -24,7 +24,7 @@ import pytest
 from noisyqfi import builtin
 from noisyqfi.bloch import apply_bloch, svd3, validate
 from noisyqfi.cli import RunConfig, run_fit_orders
-from noisyqfi.fisher import ProbModel, cfi, qfi_exact, sld_exact
+from noisyqfi.fisher import ProbModel, cfi
 from noisyqfi.mstate import (
     PauliState,
     apply_channel,
@@ -49,7 +49,6 @@ from noisyqfi.series import (
     corr_h2,
     corr_h2_grid_max,
     qfi_orders,
-    sld_orders,
     sqsc_unital_opt,
 )
 
@@ -57,6 +56,7 @@ from support import (
     PAULI,
     conjugate,
     dense_exact_qfi,
+    dense_qfi,
     fit_exact_orders,
     from_dense,
     lab_prep_conjugate,
@@ -66,6 +66,7 @@ from support import (
     random_unit,
     random_unital_family,
     sigma,
+    sld_exact,
     u_c,
     u_prep,
 )
@@ -415,7 +416,7 @@ def _prop_qcrb(rng, failures):
         p = np.array([(U[:, k].conj() @ rho @ U[:, k]).real for k in range(dim)])
         dp = np.array([(U[:, k].conj() @ drho @ U[:, k]).real for k in range(dim)])
         model = ProbModel(p / p.sum(), dp - dp.sum() / dim)
-        if cfi(model) > qfi_exact(rho, drho) + 1e-8:
+        if cfi(model) > dense_qfi(rho, drho) + 1e-8:
             failures.append(("qcrb", n))
         count += 1
     return count
@@ -465,7 +466,7 @@ def _prop_corr_h2_vs_solver(rng, failures):
         n = int(rng.integers(2, 5))
         ordered = lab_prep_conjugate(initial_state_orders(n, r0, max_order=2), c)
         orders = channel_output_orders(ordered, ch, 0)
-        series = qfi_orders(orders, sld_orders(orders, 2), 2)
+        series = qfi_orders(orders, 2)
         if abs(corr_h2(ch, n, c, r0) - series.orders[2]) > 1e-9:
             failures.append(("corr_h2_vs_solver", fam.name, n))
         if abs(series.orders[0]) > 1e-12 or abs(series.orders[1]) > 1e-12:

@@ -576,7 +576,7 @@ class _CountedProducts(np.ndarray):
 
 class TestWorkPerCell:
     def test_fit_orders_solves_one_series_per_cell(self, monkeypatch, capsys):
-        sld = _count_calls(monkeypatch, protocols, "sld_orders")
+        sld = _count_calls(monkeypatch, series, "sld_orders")
         prep = _count_calls(monkeypatch, protocols, "prep_conjugate")
         evals = _count_calls(monkeypatch, ChannelFamily, "eval")
         svds = _count_calls(monkeypatch, series, "svd3")
@@ -598,7 +598,7 @@ class TestWorkPerCell:
 
     @pytest.mark.parametrize("max_order", [None, 5])
     def test_qfi_solves_sld_to_half_the_order(self, max_order, monkeypatch, capsys):
-        sld = _count_calls(monkeypatch, protocols, "sld_orders")
+        sld = _count_calls(monkeypatch, series, "sld_orders")
         args = ["qfi", "--channel", "gad", "--param", "p=0.8", "--lambda", "0.3",
                 "--purity", "1e-3,1e-2", "--n", "1,2,3"]
         if max_order is not None:
@@ -639,7 +639,7 @@ class TestWorkPerCell:
         assert capsys.readouterr().out == out
 
     def test_measure_solves_no_series(self, monkeypatch, capsys):
-        sld = _count_calls(monkeypatch, protocols, "sld_orders")
+        sld = _count_calls(monkeypatch, series, "sld_orders")
         prep = _count_calls(monkeypatch, protocols, "prep_conjugate")
         evals = _count_calls(monkeypatch, ChannelFamily, "eval")
         code = main(["measure", "--channel", "phase_flip", "--lambda", "0.3",

@@ -41,21 +41,25 @@ DEPOL = builtin("depolarizing")
 
 
 class TestProtocolSpec:
+    # the qubit count names the protocol: n = 1 without c, n >= 2 with one
     def test_sqsc_forces_single_qubit(self):
-        with pytest.raises(ValueError):
-            ProtocolSpec("sqsc", PF, 0.3, 2, 0.1, np.array([1.0, 0, 0]))
+        spec = sqsc(PF, 0.3, 0.1, [1, 0, 0])
+        assert spec.n == 1 and spec.c is None
+        with pytest.raises(ValueError, match="at least one qubit"):
+            ProtocolSpec(PF, 0.3, 0, 0.1, np.array([1.0, 0, 0]))
 
     def test_correlated_needs_pairs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"single-qubit protocol \(n = 1\)"):
             correlated(PF, 0.3, 1, 0.1, [1, 0, 0], [0, 1, 0])
 
     def test_correlated_needs_control(self):
-        with pytest.raises(ValueError):
-            ProtocolSpec("correlated", PF, 0.3, 3, 0.1, np.array([1.0, 0, 0]))
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="requires a control direction"):
+                ProtocolSpec(PF, 0.3, n, 0.1, np.array([1.0, 0, 0]))
 
     def test_sqsc_takes_no_control(self):
-        with pytest.raises(ValueError):
-            ProtocolSpec("sqsc", PF, 0.3, 1, 0.1, np.array([1.0, 0, 0]),
+        with pytest.raises(ValueError, match="takes no control direction"):
+            ProtocolSpec(PF, 0.3, 1, 0.1, np.array([1.0, 0, 0]),
                          np.array([0.0, 1.0, 0.0]))
 
     def test_purity_range(self):
@@ -325,15 +329,14 @@ class TestCompare:
         assert rep.ratio_exact is None
         assert rep.gain_lo is None and rep.gain_hi is None
 
-    def test_report_serializes(self):
-        import json
+    def test_report_carries_both_series(self):
         lam, r = 0.3, 1e-3
         ch = PF.eval(lam)
         c, r0 = canonical_directions(ch)
         rep = compare(correlated(PF, lam, 2, r, c, r0), sqsc(PF, lam, r, r0))
-        doc = json.loads(json.dumps(rep.as_dict()))
-        assert doc["status"] == "ok"
-        assert doc["qfi_a"]["orders"][2] == pytest.approx(8.0)
+        assert rep.status == "ok"
+        assert rep.qfi_a.series.orders[2] == pytest.approx(8.0)
+        assert rep.qfi_b.series.orders[2] == pytest.approx(4.0)
 
     def test_mismatched_specs_rejected(self):
         with pytest.raises(ValueError):

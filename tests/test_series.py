@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin
+from noisyqfi import series as series_module
 from noisyqfi.bloch import ChannelFamily, Unitality
 from noisyqfi.fisher import ProbModel, cfi
 from noisyqfi.mstate import initial_state_orders, prep_conjugate, to_dense
-from noisyqfi.protocols import correlated, qfi_series, sqsc
+from noisyqfi.protocols import correlated, sqsc
 from noisyqfi.series import (
     BranchError,
     GridMax,
@@ -171,31 +172,36 @@ class TestChannelOutputOrders:
             channel_output_orders(ordered, builtin("phase_flip").eval(0.3), 2)
 
 
+def _record_solves(monkeypatch, strip_products: bool = False) -> list:
+    """Wrap series.sld_orders; the list gets (K, product keys, series) per solve.
+
+    With strip_products the solve hands qfi_orders no products.
+    """
+    solves = []
+
+    def solve(orders, K):
+        sld = sld_orders(orders, K)
+        solves.append((K, sorted(sld.products), sld))
+        return SldSeries(sld.orders) if strip_products else sld
+
+    monkeypatch.setattr(series_module, "sld_orders", solve)
+    return solves
+
+
 class TestSharedProducts:
-    def test_qfi_orders_take_the_products_of_the_sld_solve(self):
+    def test_qfi_orders_take_the_products_of_the_sld_solve(self, monkeypatch):
         fam = builtin("gad", p=0.8)
         ch = fam.eval(0.3)
         orders = final_orders(fam, 0.3, 4, *canonical_directions(ch), 4)
-        sld = sld_orders(orders, 2)
-        assert sorted(sld.products) == [(1, 1)]
-        np.testing.assert_array_equal(sld.products[1, 1], sld.orders[1] @ orders.rho[1])
-        got = qfi_orders(orders, sld, 4).orders
-        assert sld.products == {}  # dropped after its last trace
-        # a second call and a series without products form it again
-        assert qfi_orders(orders, sld, 4).orders.tolist() == got.tolist()
-        bare = SldSeries(sld.orders)
-        assert qfi_orders(orders, bare, 4).orders.tolist() == got.tolist()
-
-    def test_products_of_other_orders_are_not_used(self):
-        fam = builtin("phase_flip")
-        ch = fam.eval(0.3)
-        c, r0 = canonical_directions(ch)
-        orders = final_orders(fam, 0.3, 3, c, r0, 4)
-        sld = sld_orders(orders, 2)
-        copy = StateOrders(tuple(a.copy() for a in orders.rho), orders.drho)
-        want = qfi_orders(orders, SldSeries(sld.orders), 4).orders
-        assert qfi_orders(copy, sld, 4).orders.tolist() == want.tolist()
-        assert sorted(sld.products) == [(1, 1)]
+        solves = _record_solves(monkeypatch)
+        got = qfi_orders(orders, 4).orders
+        [(K, keys, sld)] = solves
+        assert K == 2 and keys == [(1, 1)]
+        assert sld.products == {}  # taken out, and dropped after its last trace
+        # without the products of the solve, qfi_orders forms them itself
+        monkeypatch.undo()
+        _record_solves(monkeypatch, strip_products=True)
+        assert qfi_orders(orders, 4).orders.tolist() == got.tolist()
 
 
 DIFFERENTIAL_FAMILIES = {
@@ -238,29 +244,26 @@ class TestDenseSolverAgreement:
                             # rounding noise; measure it against the largest
                             scale = L_max
                         assert np.max(np.abs(got - want)) <= 1e-12 * scale, (n, K, k)
-                    # the full SLD series, and the K // 2 one the series solve uses
+                    # the stationary form at the SLD series through K // 2
                     scale = np.max(np.abs(H_ref[:K + 1]))
-                    for H in (qfi_orders(orders, sld, K).orders, qfi_series(orders, K).orders):
-                        assert np.max(np.abs(H - H_ref[:K + 1])) <= 1e-12 * scale, (n, K)
+                    H = qfi_orders(orders, K).orders
+                    assert np.max(np.abs(H - H_ref[:K + 1])) <= 1e-12 * scale, (n, K)
 
 
 class TestQfiOrders:
-    def test_reads_sld_orders_through_half_of_k(self):
-        # the stationary form needs L^(0)..L^(K // 2) and ignores the rest
+    def test_reads_sld_orders_through_half_of_k(self, monkeypatch):
+        # the stationary form needs L^(0)..L^(K // 2): one solve through
+        # K // 2 gives the orders of the full SLD series
         fam = builtin("gad", p=0.8)
         ch = fam.eval(0.3)
         orders = final_orders(fam, 0.3, 3, *canonical_directions(ch), 5)
+        full = oracle_sld_orders(orders, 6)
+        solves = _record_solves(monkeypatch)
         for K in range(7):
-            sld = sld_orders(orders, K)
-            H = qfi_orders(orders, sld, K).orders
-            half = SldSeries(sld.orders[:K // 2 + 1])
-            np.testing.assert_allclose(qfi_orders(orders, half, K).orders, H,
-                                       rtol=0, atol=1e-13 * np.max(np.abs(H)))
-            if K >= 2:
-                short = SldSeries(sld.orders[:K // 2])
-                with pytest.raises(ValueError, match=f"QFI orders through {K} need "
-                                                     f"SLD orders through {K // 2}"):
-                    qfi_orders(orders, short, K)
+            H = qfi_orders(orders, K).orders
+            assert solves.pop()[0] == K // 2 and not solves
+            want = oracle_qfi_orders(orders, full, K)
+            np.testing.assert_allclose(H, want, rtol=0, atol=1e-13 * np.max(np.abs(H)))
 
     def test_unital_h2_is_trace_of_derivative_squared(self):
         rng = np.random.default_rng(44)
@@ -268,14 +271,14 @@ class TestQfiOrders:
         c, r0 = perpendicular_pair(rng)
         n = 2
         orders = final_orders(fam, 0.35, n, c, r0, 2)
-        series = qfi_orders(orders, sld_orders(orders, 2), 2)
+        series = qfi_orders(orders, 2)
         want = 2 ** n * np.trace(orders.drho[1] @ orders.drho[1]).real
         assert series.orders[2] == pytest.approx(want, rel=1e-12)
 
     def test_zero_derivatives_give_zero(self):
         fam = builtin("custom_diag", mx="0.5", my="0.5", mz="0.5")
         orders = final_orders(fam, 0.5, 1, None, np.array([1.0, 0, 0]), 2)
-        series = qfi_orders(orders, sld_orders(orders, 2), 2)
+        series = qfi_orders(orders, 2)
         np.testing.assert_allclose(series.orders, np.zeros(3), atol=1e-14)
 
     def test_unital_zero_lowest_orders(self):
@@ -286,7 +289,7 @@ class TestQfiOrders:
             c, r0 = perpendicular_pair(rng)
             for n in (1, 3):
                 orders = final_orders(fam, lam, n, c, r0, 2)
-                series = qfi_orders(orders, sld_orders(orders, 2), 2)
+                series = qfi_orders(orders, 2)
                 assert abs(series.orders[0]) < 1e-12
                 assert abs(series.orders[1]) < 1e-12
 
@@ -298,7 +301,7 @@ class TestQfiOrders:
             ch = fam.eval(lam)
             c, r0 = canonical_directions(ch)
             orders = final_orders(fam, lam, 2, c, r0, 4)
-            series = qfi_orders(orders, sld_orders(orders, 4), 4)
+            series = qfi_orders(orders, 4)
             assert series.orders[4] == pytest.approx(1 - 6 * lam + 8 * lam ** 2,
                                                      abs=1e-10)
 
@@ -307,7 +310,7 @@ class TestQfiOrders:
         fam = builtin("phase_flip")
         lam = 0.3
         orders = final_orders(fam, lam, 1, None, np.array([1.0, 0, 0]), 4)
-        series = qfi_orders(orders, sld_orders(orders, 4), 4)
+        series = qfi_orders(orders, 4)
         np.testing.assert_allclose(
             series.orders, [0, 0, 4, 0, 4 * (1 - 2 * lam) ** 2], atol=1e-12)
 
@@ -443,7 +446,7 @@ class TestCorrH2:
             n = int(rng.integers(2, 6))
             closed = corr_h2(ch, n, c, r0)
             orders = final_orders(fam, lam, n, c, r0, 2)
-            series = qfi_orders(orders, sld_orders(orders, 2), 2)
+            series = qfi_orders(orders, 2)
             assert closed == pytest.approx(series.orders[2], abs=1e-9, rel=1e-9)
 
     def test_branch_and_argument_errors(self):
@@ -560,7 +563,7 @@ class TestHigherOrders:
             n = int(rng.integers(3, 6))
             h3, h4 = corr_h3_h4(ch, n, c, r0)
             orders = final_orders(fam, lam, n, c, r0, 4)
-            series = qfi_orders(orders, sld_orders(orders, 4), 4)
+            series = qfi_orders(orders, 4)
             assert abs(series.orders[3]) < 1e-9
             assert h4 == pytest.approx(series.orders[4], rel=1e-8, abs=1e-9)
 
@@ -646,7 +649,7 @@ class TestSeriesOracleAgreement:
             n = int(rng.integers(2, 5))
             orders = final_orders(fam, lam, n, c, r0, min(n, 5))
             K = min(n, 5)
-            series = qfi_orders(orders, sld_orders(orders, K), K)
+            series = qfi_orders(orders, K)
             for j in range(3, K + 1, 2):
                 assert abs(series.orders[j]) < 1e-9
 
