@@ -50,7 +50,11 @@ from .mstate import PAULI_MATS, _qubit0_maps
 if TYPE_CHECKING:  # protocols imports this module
     from .protocols import ProtocolSpec
 
-__all__ = ["spin_blocks", "exact_qfi", "exact_qfis"]
+__all__ = ["MAX_QUBITS_BLOCKS", "spin_blocks", "exact_qfi", "exact_qfis"]
+
+# dense eigh of every spin block, about n^4: one purity at n = 400 takes
+# 50 s on one core (0.33 s at n = 100, 16 s at n = 300)
+MAX_QUBITS_BLOCKS = 400
 
 
 def spin_blocks(M: int) -> list[tuple[int, int]]:
@@ -97,7 +101,8 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
     solved with the cutoff eps / t_j; a block with t_j = 0 (at r = 1 all but
     the largest spin) is skipped at that purity.  Before any block is built,
     a ValueError names a purity where sum_j m_j t_j misses 1 by more than
-    1e-12, which rounding in the log weights reaches from n of about 7000.
+    1e-12, which rounding in the log weights reaches from n of about 7000,
+    and a qubit count above ``MAX_QUBITS_BLOCKS``.
     """
     rs = np.asarray(purities, dtype=float)
     if rs.ndim != 1 or not all(0.0 <= r <= 1.0 for r in rs.tolist()):
@@ -112,6 +117,9 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
                          f"weight {kept[p]:.17g}, not 1 to 1e-12")
 
     r0, ch = spec.in_frame()
+    if spec.n > MAX_QUBITS_BLOCKS:
+        raise ValueError(f"qubit count {spec.n} outside supported range "
+                         f"1..{MAX_QUBITS_BLOCKS} for the Schur-Weyl block solve")
     maps = _qubit0_maps(ch)
     bloch = np.ones((len(rs), 4))
     bloch[:, 1:] = rs[:, None] * r0

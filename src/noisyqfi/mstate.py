@@ -44,6 +44,17 @@ Eisert & Briegel, PRA 69, 062311 (2004); Aaronson & Gottesman, PRA 70,
 ``prep_conjugate`` applies this map as one signed gather of the 4^n array,
 with a table cached per qubit count.  The dense preparation path (U_c and
 the full unitary as matrices) is the test oracle in tests/support.py.
+
+``to_dense`` pays for the nonzero strings, not for all 4^n.  With Y = iXZ a
+string is i^(#Y) X^f Z^z, where the flip pattern f marks its X and Y
+letters and z its Y and Z letters, and (X^f Z^z)[x + f, x] = (-1)^(z.x)
+(+ is the bitwise XOR).  So the strings that share a flip pattern fill the
+one line D[x + f, x] of the dense matrix, and that line is the
+Walsh-Hadamard transform over z of their coefficients times i^(#Y).  Only
+the nonzero strings are decoded; each line is two Hadamard matrix products
+(sizes 2^floor(n/2) and 2^ceil(n/2)) and is scattered into a zeroed
+matrix.  The slot-by-slot ``tensordot`` contraction over all 4^n strings
+is the test oracle in tests/support.py.
 """
 
 from __future__ import annotations
@@ -101,22 +112,37 @@ def _check_dense_cap(n: int) -> None:
 
 @dataclass(frozen=True)
 class PauliState:
-    """Real Pauli-string coefficients of an n-qubit operator."""
+    """Real Pauli-string coefficients of an n-qubit operator.
+
+    The coefficients are read-only and share no writable buffer with the
+    caller: the constructor copies the array it is given.  The builders in
+    this module wrap the arrays they have just made with ``_adopt``, which
+    runs the same checks without the copy.
+    """
 
     n: int
     coeffs: np.ndarray
 
     def __post_init__(self):
+        self._hold(np.array(self.coeffs, dtype=float))
+
+    def _hold(self, c: np.ndarray) -> None:
         _check_pauli_cap(self.n)
-        c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (4 ** self.n,):
             raise ValueError(
                 f"coefficient array must have length 4^{self.n}, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        c = c.copy() if c is self.coeffs else c
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _adopt(cls, n: int, coeffs: np.ndarray) -> PauliState:
+        """A state that takes over a float array which no one else holds."""
+        st = object.__new__(cls)
+        object.__setattr__(st, "n", n)
+        st._hold(coeffs)
+        return st
 
     def coeff(self, label: str) -> float:
         return float(self.coeffs[pauli_index(label)])
@@ -143,7 +169,7 @@ class OrderedState:
         total = np.zeros(4 ** self.n)
         for j, st in enumerate(self.orders):
             total += (r ** j) * st.coeffs
-        return PauliState(self.n, total)
+        return PauliState._adopt(self.n, total)
 
 
 def pauli_index(label: str) -> int:
@@ -171,7 +197,7 @@ def initial_state(n: int, r: float, r0) -> PauliState:
     coeffs = np.array([1.0])
     for _ in range(n):
         coeffs = np.multiply.outer(coeffs, slot).ravel()
-    return PauliState(n, coeffs)
+    return PauliState._adopt(n, coeffs)
 
 
 def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedState:
@@ -181,7 +207,8 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
     r0.sigma (coefficient (1/2^n) * product of r0 components); orders beyond
     the requested max_order are truncated, orders beyond n are zero.  The
     coefficients of all strings and their letter weights are grown one
-    tensor slot at a time, and order j keeps the strings of weight j.
+    tensor slot at a time, and each string of weight j <= max_order is
+    written into row j of one zeroed array whose rows are the orders.
     """
     _check_pauli_cap(n)
     r0 = _unit_vector(r0, "r0")
@@ -197,20 +224,63 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
         product = np.multiply.outer(product, slot).ravel()
         weight = (weight[:, None] + letter_weight).ravel()
     product += 0.0  # a product through a zero r0 component is +0, never -0
-    return OrderedState(n, tuple(PauliState(n, np.where(weight == j, product, 0.0))
-                                 for j in range(max_order + 1)))
+    orders = np.zeros((max_order + 1, 4 ** n))
+    kept = np.flatnonzero(weight <= max_order)
+    orders[weight[kept], kept] = product[kept]
+    return OrderedState(n, tuple(PauliState._adopt(n, row) for row in orders))
+
+
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _bits_of_digits(p: np.ndarray) -> np.ndarray:
+    """The low bit of every base-4 digit of p, packed: bit 2k goes to bit k.
+
+    Four shift-and-mask rounds pack up to 16 digits, so the decode costs
+    the same for every qubit count.
+    """
+    p = p & 0x55555555
+    p = (p | (p >> 1)) & 0x33333333
+    p = (p | (p >> 2)) & 0x0F0F0F0F
+    p = (p | (p >> 4)) & 0x00FF00FF
+    return (p | (p >> 8)) & 0x0000FFFF
+
+
+def _hadamard(k: int) -> np.ndarray:
+    """The 2^k x 2^k Walsh-Hadamard matrix: (-1)^(z.x) at row z, column x."""
+    i = np.arange(2 ** k)
+    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
 
 
 def to_dense(state: PauliState) -> np.ndarray:
-    """Dense 2^n x 2^n complex matrix of a Pauli-coefficient state."""
+    """Dense 2^n x 2^n complex matrix of a Pauli-coefficient state.
+
+    One line D[x + f, x] per flip pattern f of the nonzero strings (see the
+    module docstring), so the cost follows the nonzero strings.
+    """
     _check_dense_cap(state.n)
     n = state.n
-    out = state.coeffs.reshape((4,) * n).astype(complex)
-    for _ in range(n):
-        out = np.tensordot(out, PAULI_MATS, axes=([0], [0]))
-    # axes are now (r0, c0, r1, c1, ...); gather rows then columns
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return np.ascontiguousarray(out.transpose(perm)).reshape(2 ** n, 2 ** n)
+    dim = 2 ** n
+    string = np.flatnonzero(state.coeffs != 0.0)  # faster than on the floats
+    # letters I, X, Y, Z are the codes 0..3: z is the high bit, f the XOR
+    # of both bits, and a Y has both f and z set
+    low, z = _bits_of_digits(string), _bits_of_digits(string >> 1)
+    f = low ^ z
+    # the flip patterns that occur, and each string's line among them
+    rank = np.zeros(dim, dtype=np.intp)
+    rank[f] = 1
+    flips = np.flatnonzero(rank)
+    rank[flips] = np.arange(len(flips))
+    line = rank[f]
+    g = np.zeros((len(flips), dim), dtype=complex)
+    g[line, z] = state.coeffs[string] * _I_POWERS[np.bitwise_count(f & z) & 3]
+    # the transform over z = (z_high, z_low) as H (x) H, one product per factor
+    half = n // 2
+    g = _hadamard(half) @ g.reshape(-1, 2 ** half, dim >> half) @ _hadamard(n - half)
+    x = np.arange(dim)
+    out = np.zeros(dim * dim, dtype=complex)
+    out[((flips[:, None] ^ x) << n) | x] = g.reshape(-1, dim)
+    return out.reshape(dim, dim)
 
 
 State = Union[PauliState, OrderedState]
@@ -281,7 +351,7 @@ def prep_conjugate(state: State) -> State:
         index, sign = _cz_table(st.n)
         x = np.take(st.coeffs, index)
         x *= sign
-        return PauliState(st.n, x)
+        return PauliState._adopt(st.n, x)
 
     return _map_orders(state, one)
 
@@ -295,7 +365,7 @@ def _channel_pass(st: PauliState, qubit: int, M: np.ndarray, d: np.ndarray,
     out[:, 0, :] = t[:, 0, :] if keep_identity else 0.0
     out[:, 1:, :] = np.einsum("ab,ibj->iaj", M, t[:, 1:, :])
     out[:, 1:, :] += d.reshape(1, 3, 1) * t[:, 0, :].reshape(t.shape[0], 1, t.shape[2])
-    return PauliState(st.n, out.reshape(4 ** st.n))
+    return PauliState._adopt(st.n, out.reshape(4 ** st.n))
 
 
 # A 2x2 operator X as the row-major vector vec(X): vec(X) = _FROM_PAULI @ x

@@ -20,7 +20,6 @@ from noisyqfi.mstate import (
     apply_channel_derivative,
     initial_state,
     prep_conjugate,
-    to_dense,
 )
 from noisyqfi.protocols import _outcome_tensor, correlated, sqsc
 from noisyqfi.fisher import ProbModel, _pairs, cfi, in_eigenbasis, qfi_exact
@@ -156,7 +155,7 @@ def sld_exact(rho: np.ndarray, drho: np.ndarray, eps: float | None = None) -> Sl
 
 def dense_pair(prep) -> tuple[np.ndarray, np.ndarray]:
     """Dense matrices of a prepared state's channel output and its lam derivative."""
-    return to_dense(prep.pauli), to_dense(prep.dpauli)
+    return oracle_to_dense(prep.pauli), oracle_to_dense(prep.dpauli)
 
 
 def lab_output(spec) -> tuple[PauliState, PauliState]:
@@ -174,7 +173,7 @@ def lab_output(spec) -> tuple[PauliState, PauliState]:
 
 def dense_exact_qfi(spec, eps: float | None = None) -> float:
     """Exact QFI of a spec from one eigendecomposition of the 2^n lab-frame output."""
-    return dense_qfi(*(to_dense(st) for st in lab_output(spec)), eps)
+    return dense_qfi(*(oracle_to_dense(st) for st in lab_output(spec)), eps)
 
 
 def fit_exact_orders(family, lam, n, c, r0, rs, orders=(2, 3, 4)):
@@ -213,6 +212,21 @@ def oracle_initial_state_orders(n: int, r0, max_order: int | None = None) -> Ord
     return OrderedState(n, tuple(PauliState(n, p) for p in polys[: max_order + 1]))
 
 
+# Every one of the 4^n strings contracted with the Pauli matrices, one
+# tensor slot per tensordot: the oracle for noisyqfi.mstate.to_dense, which
+# transforms the lines of the nonzero strings' flip patterns instead.
+
+def oracle_to_dense(state: PauliState) -> np.ndarray:
+    _check_dense_cap(state.n)
+    n = state.n
+    out = state.coeffs.reshape((4,) * n).astype(complex)
+    for _ in range(n):
+        out = np.tensordot(out, PAULI_MATS, axes=([0], [0]))
+    # axes are now (r0, c0, r1, c1, ...); gather rows then columns
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return np.ascontiguousarray(out.transpose(perm)).reshape(2 ** n, 2 ** n)
+
+
 # The channel pass on the Pauli coefficients of each order, then one dense
 # matrix per output: the oracle for noisyqfi.series.channel_output_orders,
 # which makes each input order dense once and maps its qubit blocks.
@@ -220,8 +234,8 @@ def oracle_initial_state_orders(n: int, r0, max_order: int | None = None) -> Ord
 def oracle_channel_output_orders(input_orders: OrderedState, ch,
                                  qubit: int = 0) -> StateOrders:
     return StateOrders(
-        tuple(to_dense(apply_channel(st, ch, qubit)) for st in input_orders.orders),
-        tuple(to_dense(apply_channel_derivative(st, ch, qubit)) for st in input_orders.orders))
+        tuple(oracle_to_dense(apply_channel(st, ch, qubit)) for st in input_orders.orders),
+        tuple(oracle_to_dense(apply_channel_derivative(st, ch, qubit)) for st in input_orders.orders))
 
 
 # Generic order-by-order SLD solver in the full 2^n eigenbasis of rho^(0):
@@ -451,7 +465,7 @@ def conjugate(state, U: np.ndarray):
         # keeps the rounding relative to the traceless part
         rest = st.coeffs.copy()
         rest[0] = 0.0
-        out = from_dense(U @ to_dense(PauliState(st.n, rest)) @ U.conj().T).coeffs.copy()
+        out = from_dense(U @ oracle_to_dense(PauliState(st.n, rest)) @ U.conj().T).coeffs.copy()
         out[0] = st.coeffs[0]
         return PauliState(st.n, out)
 

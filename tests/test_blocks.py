@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin
-from noisyqfi.blocks import exact_qfi, exact_qfis, spin_blocks
+from noisyqfi.blocks import MAX_QUBITS_BLOCKS, exact_qfi, exact_qfis, spin_blocks
 from noisyqfi.protocols import ProtocolSpec, build_state, correlated, sqsc
 from noisyqfi.series import canonical_directions
 
@@ -175,4 +175,13 @@ def test_underflowing_weights_raise_instead_of_returning_zero(n, r, kept):
     start = time.perf_counter()
     with pytest.raises(ValueError, match=rf"n={n}, r={r}: .* weight {kept}"):
         exact_qfi(spec)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_qubit_count_above_the_limit_is_named_before_any_block():
+    n = MAX_QUBITS_BLOCKS + 1
+    spec = correlated(builtin("phase_flip"), 0.3, n, 0.01, [0, 1, 0], [1, 0, 0])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"qubit count {n} outside .*1\.\.{MAX_QUBITS_BLOCKS}"):
+        exact_qfis(spec, [0.0, 0.01, 1.0])
     assert time.perf_counter() - start < 1.0

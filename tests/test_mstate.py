@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from noisyqfi import builtin, mstate as ms
+from noisyqfi import builtin, correlated, mstate as ms
 from noisyqfi.mstate import (
     OrderedState,
     PauliState,
@@ -16,6 +17,7 @@ from noisyqfi.mstate import (
     prep_conjugate,
     to_dense,
 )
+from noisyqfi.series import canonical_directions
 
 from support import (
     PAULI,
@@ -29,6 +31,7 @@ from support import (
     lab_prep_conjugate,
     oracle_initial_state_orders,
     oracle_prep_conjugate,
+    oracle_to_dense,
     pair_transfer,
     permute_qubits,
     perpendicular_pair,
@@ -472,6 +475,95 @@ class TestDenseConversion:
             from_dense(np.eye(3))
 
 
+def _one_string_per_flip_pattern(st: PauliState) -> bool:
+    """No two nonzero strings share their X/Y slots, so every dense entry is
+    one string's term times +-1 or +-i."""
+    digits = np.flatnonzero(st.coeffs)[:, None] // 4 ** np.arange(st.n) % 4
+    flips = ((digits == 1) | (digits == 2)) @ 2 ** np.arange(st.n)
+    return len(np.unique(flips)) == len(flips)
+
+
+def _assert_dense_matches_oracle(st: PauliState) -> bool:
+    """to_dense against the tensordot oracle: exactly where every entry is a
+    single term (the sign of a zero aside), else to 1e-15 * 2^n * max|c|
+    (an entry sums up to 2^n strings).  Returns whether it was exact."""
+    got, want = to_dense(st), oracle_to_dense(st)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if _one_string_per_flip_pattern(st):
+        assert np.array_equal(got, want)
+        return True
+    tol = 1e-15 * 2 ** st.n * float(np.max(np.abs(st.coeffs)))
+    assert float(np.max(np.abs(got - want))) <= tol
+    return False
+
+
+def _orders_in_frame(fam, lam, n, c, r0):
+    """The purity orders after the preparation, the channel and its
+    derivative, as the series builds them in the frame of c."""
+    r0_frame, ch = correlated(fam, lam, n, 0.0, c, r0).in_frame()
+    prepared = prep_conjugate(initial_state_orders(n, r0_frame, min(n, 4)))
+    return [*prepared.orders, *apply_channel(prepared, ch).orders,
+            *apply_channel_derivative(prepared, ch).orders]
+
+
+class TestDenseOracle:
+    """to_dense (a Walsh-Hadamard line per flip pattern) against the slot by
+    slot tensordot contraction of tests/support.py."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_random_full_arrays(self, n):
+        rng = np.random.default_rng(40 + n)
+        _assert_dense_matches_oracle(PauliState(n, rng.uniform(-1.0, 1.0, 4 ** n)))
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_zero_state(self, n):
+        got = to_dense(PauliState(n, np.zeros(4 ** n)))
+        assert got.shape == (2 ** n, 2 ** n) and not got.any()
+
+    def test_single_strings(self):
+        rng = np.random.default_rng(41)
+        labels = list("IXYZ") + ["YYYYYYYYYY", "XIZYXYZIIX",
+                                 "".join(rng.choice(list("IXYZ"), 10))]
+        for label in labels:
+            coeffs = np.zeros(4 ** len(label))
+            coeffs[pauli_index(label)] = -0.75
+            assert _assert_dense_matches_oracle(PauliState(len(label), coeffs)), label
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_purity_orders(self, n):
+        rng = np.random.default_rng(42 + n)
+        exact = 0
+        for fam in (builtin("phase_flip"), builtin("depolarizing"), builtin("gad", p=0.8)):
+            c, r0 = canonical_directions(fam.eval(0.3))
+            for st in _orders_in_frame(fam, 0.3, n, c, r0):
+                exact += _assert_dense_matches_oracle(st)
+        # r0 with all three components in the frame of c
+        for st in _orders_in_frame(builtin("gad", p=0.8), 0.3, n, random_unit(rng),
+                                   random_unit(rng)):
+            _assert_dense_matches_oracle(st)
+        assert exact > 0
+
+    def test_purity_orders_at_ten_qubits(self):
+        fam = builtin("phase_flip")
+        c, r0 = canonical_directions(fam.eval(0.3))
+        for st in _orders_in_frame(fam, 0.3, 10, c, r0):
+            _assert_dense_matches_oracle(st)
+
+    def test_single_string_allocates_only_the_output(self):
+        # the oracle holds two 2^n x 2^n complex arrays at its peak
+        coeffs = np.zeros(4 ** 10)
+        coeffs[pauli_index("XIZYXYZIIX")] = 1.0
+        st = PauliState(10, coeffs)
+        to_dense(st)
+        tracemalloc.start()
+        try:
+            out = to_dense(st)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
+
+
 class TestPauliAlgebra:
     def test_product_rule(self):
         # sigma_a sigma_b = (a.b) I + i (a x b).sigma, via dense 2x2 products
@@ -522,3 +614,40 @@ class TestCaps:
         st = initial_state(2, 0.2, [1, 0, 0])
         with pytest.raises(ValueError):
             st.coeffs[0] = 1.0
+
+
+class TestCoefficientOwnership:
+    def test_caller_writes_do_not_reach_the_state(self):
+        mine = np.arange(16.0)
+        st = PauliState(2, mine)
+        mine[0] = 99.0
+        # a read-only view of the caller's writable array
+        view = mine[:]
+        view.flags.writeable = False
+        from_view = PauliState(2, view)
+        mine[1] = 99.0
+        # a read-only array that its owner makes writable again
+        frozen = np.arange(16.0)
+        frozen.flags.writeable = False
+        from_frozen = PauliState(2, frozen)
+        frozen.flags.writeable = True
+        frozen[2] = 99.0
+        assert st.coeffs[0] == 0.0 and from_view.coeffs[1] == 1.0
+        assert from_frozen.coeffs[2] == 2.0
+
+    def test_builders_do_not_copy_their_output(self, monkeypatch):
+        # the constructor's copy runs in __post_init__, which the builders skip
+        copies = []
+        post_init = PauliState.__post_init__
+        monkeypatch.setattr(PauliState, "__post_init__",
+                            lambda self: copies.append(self.n) or post_init(self))
+        ch = builtin("gad", p=0.8).eval(0.3)
+        ordered = initial_state_orders(3, [0.6, 0.0, 0.8])
+        prepared = prep_conjugate(ordered)
+        states = [initial_state(3, 0.2, [0, 0, 1]), *ordered.orders, *prepared.orders,
+                  *apply_channel(prepared, ch).orders,
+                  *apply_channel_derivative(prepared, ch).orders,
+                  prepared.at_purity(0.2)]
+        assert not copies
+        for st in states:
+            assert not st.coeffs.flags.writeable
