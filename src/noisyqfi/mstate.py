@@ -20,9 +20,11 @@ Two state forms coexist:
 
 A single-qubit channel (M, d) acts on one tensor slot by the affine rule
 I -> I + d.sigma and a.sigma -> (M a).sigma; the derivative pass applies
-(dM, dd) with no identity pass-through.  ``_qubit0_maps`` writes both as one
-(8, 4) map on 2x2 matrices, for the dense purity orders and the Schur-Weyl
-blocks, which apply the channel to a qubit's 2x2 blocks.  The pairwise
+(dM, dd) with no identity pass-through.  ``_pauli_maps`` writes both as
+(4, 4) maps of a slot's Pauli components, and a pass is one matrix product
+of a map with the slot's axis.  ``_qubit0_maps`` writes them as one (8, 4)
+map on 2x2 matrices, for the Schur-Weyl blocks, which apply the channel to
+a qubit's 2x2 blocks.  The pairwise
 preparation gate with control direction c,
 
     U_c = (I8I + I8(c.sigma) + (c.sigma)8I - (c.sigma)8(c.sigma)) / 2,
@@ -349,23 +351,21 @@ def prep_conjugate(state: State) -> State:
         if st.n < 2:
             raise ValueError("preparation needs at least two qubits")
         index, sign = _cz_table(st.n)
-        x = np.take(st.coeffs, index)
+        # indexing casts the int32 table in buffered chunks, where np.take
+        # would make a 4^n intp copy of it
+        x = st.coeffs[index]
         x *= sign
         return PauliState._adopt(st.n, x)
 
     return _map_orders(state, one)
 
 
-def _channel_pass(st: PauliState, qubit: int, M: np.ndarray, d: np.ndarray,
-                  keep_identity: bool) -> PauliState:
+def _channel_pass(st: PauliState, qubit: int, F: np.ndarray) -> PauliState:
+    """The (4, 4) map F of Pauli components applied to one tensor slot."""
     if not 0 <= qubit < st.n:
         raise ValueError(f"qubit index {qubit} out of range for n={st.n}")
     t = st.coeffs.reshape(4 ** qubit, 4, -1)
-    out = np.empty_like(t)
-    out[:, 0, :] = t[:, 0, :] if keep_identity else 0.0
-    out[:, 1:, :] = np.einsum("ab,ibj->iaj", M, t[:, 1:, :])
-    out[:, 1:, :] += d.reshape(1, 3, 1) * t[:, 0, :].reshape(t.shape[0], 1, t.shape[2])
-    return PauliState._adopt(st.n, out.reshape(4 ** st.n))
+    return PauliState._adopt(st.n, (F @ t).reshape(4 ** st.n))
 
 
 # A 2x2 operator X as the row-major vector vec(X): vec(X) = _FROM_PAULI @ x
@@ -394,7 +394,8 @@ def _qubit0_maps(ch: BlochChannel) -> np.ndarray:
 
 def apply_channel(state: State, ch: BlochChannel, qubit: int = 0) -> State:
     """Apply a single-qubit channel to one tensor slot."""
-    return _map_orders(state, lambda st: _channel_pass(st, qubit, ch.M, ch.d, True))
+    F = _pauli_maps(ch)[0]
+    return _map_orders(state, lambda st: _channel_pass(st, qubit, F))
 
 
 def apply_channel_derivative(state: State, ch: BlochChannel, qubit: int = 0) -> State:
@@ -404,4 +405,5 @@ def apply_channel_derivative(state: State, ch: BlochChannel, qubit: int = 0) -> 
     output state is obtained by pushing the input through (dM, dd) with no
     identity pass-through.
     """
-    return _map_orders(state, lambda st: _channel_pass(st, qubit, ch.dM, ch.dd, False))
+    F = _pauli_maps(ch)[1]
+    return _map_orders(state, lambda st: _channel_pass(st, qubit, F))

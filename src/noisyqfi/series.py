@@ -28,11 +28,14 @@ QFI order through K:
             - sum_{a+b+c=k} Tr[rho^(a) L^(b) L^(c)],      b, c <= K // 2.
 
 Every product with rho^(0) or L^(0) as a factor is a 2x2 contraction on the
-qubit-0 blocks, so at K = 4 the only cubic work is two matrix products:
-L^(1) rho^(1), formed in the SLD solve and reused by the traces, and
-L^(1) rho^(2) in the traces.  The channel acts on the same qubit-0 blocks:
-each dense order of its input is formed once and the channel and its
-derivative are one 2x2 map there (``channel_output_orders``).
+qubit-0 blocks, so at K = 4 only two matrix products remain: L^(1) rho^(1),
+formed in the SLD solve and reused by the traces, and L^(1) rho^(2) in the
+traces.  Their factors fill few of the 2^n XOR lines D[x + f, x] (+ the
+bitwise XOR; ``mstate.to_dense`` fills the same lines), so from 256 rows up
+a product is formed from the lines of its factors, at 2^n work per pair of
+lines instead of 8^n (``_product``).  The channel and its derivative act on
+the Pauli coefficients of each input order, and each output order is then
+made dense once (``channel_output_orders``).
 
 The closed-form lowest orders implemented below, with Mdot = dM/dlam and
 s1 >= s2 >= s3 its singular values:
@@ -57,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochChannel, ChannelFamily, _unit_vector, classify_unitality, svd3
-from .mstate import OrderedState, _qubit0_maps, to_dense
+from .mstate import OrderedState, apply_channel, apply_channel_derivative, to_dense
 
 __all__ = [
     "BranchError",
@@ -135,11 +138,15 @@ class SldSeries:
 
     products maps (b, a) to L^(b) rho^(a) for the state orders the series
     was solved from; ``qfi_orders`` takes each one out instead of forming
-    it again.
+    it again.  rho0_factor and sld0_factor are the 2x2 q and l with
+    rho^(0) = q (x) I and L^(0) = l (x) I, as the solve checked and built
+    them; ``qfi_orders`` reads them instead of deriving them again.
     """
 
     orders: tuple[np.ndarray, ...]
     products: dict = field(default_factory=dict, compare=False, repr=False)
+    rho0_factor: np.ndarray | None = field(default=None, compare=False, repr=False)
+    sld0_factor: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -152,18 +159,17 @@ class QfiSeries:
 
 def _map_blocks(maps: np.ndarray, x: np.ndarray, out: np.ndarray,
                 scratch: np.ndarray) -> None:
-    """Write linear maps of the 2x2 blocks of x on one qubit into out.
+    """Write a linear map of the qubit-0 2x2 blocks of x into out.
 
-    x is a dense matrix viewed as (A, 2, B, A, 2, B), its rows and columns
-    split as (qubits before, the qubit, qubits after), so block (i, j) is
-    x[:, i, :, :, j, :].  Row r of maps sets block (r // 2 % 2, r % 2) of
-    out[r // 4] to sum_c maps[r, c] x-block (c // 2, c % 2).  The sums run
-    in place on the strided blocks, with one block-sized scratch and no
-    transposed copy.
+    x and out are dense matrices viewed as (2, m, 2, m), so block (i, j) is
+    x[i, :, j, :].  Row r of the (4, 4) maps sets block (r // 2, r % 2) of
+    out to sum_c maps[r, c] x-block (c // 2, c % 2).  The sums run in place
+    on the strided blocks, with one block-sized scratch and no transposed
+    copy.
     """
     for row, coeffs in enumerate(maps):
-        dst = out[row // 4][:, row // 2 % 2, :, :, row % 2, :]
-        terms = [(w, x[:, col // 2, :, :, col % 2, :])
+        dst = out[row // 2, :, row % 2, :]
+        terms = [(w, x[col // 2, :, col % 2, :])
                  for col, w in enumerate(coeffs) if w != 0.0]
         if not terms:
             dst[...] = 0.0
@@ -179,26 +185,14 @@ def channel_output_orders(input_orders: OrderedState, ch: BlochChannel,
 
     The preparation is parameter independent, so the derivative of each
     final-state order is the derivative channel applied to the same input
-    order.  Each input order is made dense once; the channel and its
-    derivative then act together on its four 2x2 blocks of the channel's
-    qubit, as the (8, 4) map ``mstate._qubit0_maps``, and write into one
-    preallocated array per order.
+    order.  Both act on the Pauli coefficients of each input order, and each
+    output order is made dense once.
     """
-    n = input_orders.n
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit index {qubit} out of range for n={n}")
-    maps = _qubit0_maps(ch)
-    shape = (2 ** qubit, 2, 2 ** (n - qubit - 1)) * 2
-    scratch = np.empty(shape[:1] + shape[2:4] + shape[5:], dtype=complex)
     rho = []
     drho = []
     for st in input_orders.orders:
-        dense = to_dense(st).reshape(shape)
-        out = np.empty((2, *shape), dtype=complex)
-        _map_blocks(maps, dense, out, scratch)
-        del dense  # before the next order is made dense
-        rho.append(out[0].reshape(2 ** n, 2 ** n))
-        drho.append(out[1].reshape(2 ** n, 2 ** n))
+        rho.append(to_dense(apply_channel(st, ch, qubit)))
+        drho.append(to_dense(apply_channel_derivative(st, ch, qubit)))
     return StateOrders(tuple(rho), tuple(drho))
 
 
@@ -259,6 +253,66 @@ def _re_inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.vecdot(A, B).sum().real)
 
 
+# Below 2^8 rows a product goes to BLAS, whatever its lines: on the series'
+# factors the lines take 1.1 (n = 7) to 6 (n = 4) times the BLAS time there,
+# against 0.4 at n = 8.
+_LINE_MIN_DIM = 256
+# kappa: one pair of lines (2^n terms) of the line product costs about
+# kappa / 4^n of the 8^n of A @ B, so the lines are taken while
+# F_A F_B kappa < 4^n.  Measured with BLAS on one thread: on low-weight
+# flips, as the series has, the two break even at F_A F_B = 4^n / 64 for
+# n = 8, 9, 10 (1.00, 1.09, 0.95 times the BLAS time there), and the
+# n = 9 K = 4 products (9 x 9 and 9 x 36 lines) take 0.2 of it.  Random
+# flips, whose pairs reach distinct output lines, break even nearer
+# 4^n / 128 (n = 9, 10) and 4^n / 256 (n = 8).
+_LINE_PAIR_COST = 64
+
+
+def _flips(A: np.ndarray) -> np.ndarray:
+    """The flips f, ascending, whose XOR line A[x ^ f, x] has a nonzero entry."""
+    dim = A.shape[0]
+    at = np.flatnonzero(A != 0)
+    seen = np.zeros(dim, dtype=bool)
+    seen[(at >> (dim.bit_length() - 1)) ^ (at & (dim - 1))] = True
+    return np.flatnonzero(seen)
+
+
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for dense 2^n x 2^n factors, from their XOR lines when few.
+
+    With a_f[x] = A[x ^ f, x] and b_g[x] = B[x ^ g, x] (^ the bitwise XOR),
+
+        (AB)[x ^ f ^ g, x] = sum over (f, g) of a_f[x ^ g] b_g[x],
+
+    so the nonzero lines of the factors give the product at 2^n work per
+    pair of lines.  Below 2^8 rows, or when the pairs cost more than the
+    8^n of BLAS, the product is A @ B.
+    """
+    dim = A.shape[0]
+    n = dim.bit_length() - 1
+    if dim < _LINE_MIN_DIM:
+        return A @ B
+    fa, fb = _flips(A), _flips(B)
+    if len(fa) * len(fb) * _LINE_PAIR_COST >= dim * dim:
+        return A @ B
+    x = np.arange(dim)
+    a, b = A[fa[:, None] ^ x, x], B[fb[:, None] ^ x, x]
+    # the output lines f ^ g, and each one's row in out
+    rank = np.zeros(dim, dtype=np.intp)
+    rank[(fa[:, None] ^ fb).ravel()] = 1
+    fh = np.flatnonzero(rank)
+    rank[fh] = np.arange(len(fh))
+    out = np.zeros((len(fh), dim), dtype=np.result_type(A, B))
+    # one pass per line f of A: the lines of B meet distinct output lines
+    # f ^ g, so each += adds to distinct rows
+    shifted = x ^ fb[:, None]
+    for f, af in zip(fa, a):
+        out[rank[f ^ fb]] += af[shifted] * b
+    dense = np.zeros(dim * dim, dtype=out.dtype)
+    dense[((fh[:, None] ^ x) << n) | x] = out
+    return dense.reshape(dim, dim)
+
+
 def sld_orders(orders: StateOrders, K: int) -> SldSeries:
     """Solve the order-by-order SLD equations up to order K.
 
@@ -268,19 +322,20 @@ def sld_orders(orders: StateOrders, K: int) -> SldSeries:
     R = 2 d(rho^(k))/dlam - (Y + Y^dagger) with Y = sum_j L^(k-j) rho^(j)
     and maps it through the 2x2 inverse on the qubit-0 blocks.  The term
     L^(0) rho^(k) is a 2x2 contraction; the others are one matrix product
-    each, and the series keeps them for ``qfi_orders`` (at K = 2 that is
-    L^(1) rho^(1) alone).
+    each (``_product``), and the series keeps them for ``qfi_orders`` (at
+    K = 2 that is L^(1) rho^(1) alone).
     """
     dim = orders.rho[0].shape[0]
     m = dim // 2
-    h = m * _qubit0_factor(orders.rho[0], "zeroth-order state", "h (x) I/2^(n-1)")
+    q = _qubit0_factor(orders.rho[0], "zeroth-order state", "h (x) I/2^(n-1)")
+    h = m * q
     hdot = _qubit0_factor(orders.drho[0], "zeroth-order derivative",
                           "hdot (x) I/2^(n-1)")
     T = _zeroth_order_inverse(h, m)
     ell = np.tensordot(T, 2.0 * hdot, axes=2)
     L: list[np.ndarray] = [np.kron(ell, np.eye(m))]
     products = {}
-    scratch = np.empty((1, m, 1, m), dtype=complex)
+    scratch = np.empty((m, m), dtype=complex)
     for k in range(1, K + 1):
         if k <= orders.max_order:
             R = np.multiply(orders.drho[k], 2.0, dtype=complex)
@@ -290,15 +345,15 @@ def sld_orders(orders: StateOrders, K: int) -> SldSeries:
             if j == k:
                 Y = _on_qubit0(ell, orders.rho[k])
             else:
-                Y = products[k - j, j] = L[k - j] @ orders.rho[j]
+                Y = products[k - j, j] = _product(L[k - j], orders.rho[j])
             R -= Y
             R -= Y.conj().T
             del Y  # the products live on in products; the rest go now
         X = np.empty((dim, dim), dtype=complex)
-        _map_blocks(T.reshape(4, 4), R.reshape(1, 2, m, 1, 2, m),
-                    X.reshape(1, 1, 2, m, 1, 2, m), scratch)
+        _map_blocks(T.reshape(4, 4), R.reshape(2, m, 2, m), X.reshape(2, m, 2, m),
+                    scratch)
         L.append(X)
-    return SldSeries(tuple(L), products)
+    return SldSeries(tuple(L), products, q, ell)
 
 
 def qfi_orders(orders: StateOrders, K: int) -> QfiSeries:
@@ -329,8 +384,7 @@ def qfi_orders(orders: StateOrders, K: int) -> QfiSeries:
     sld = sld_orders(orders, top)
     L, shared = sld.orders, sld.products
     rho, drho, last = orders.rho, orders.drho, orders.max_order
-    h0 = _qubit0_factor(rho[0], "zeroth-order state", "h (x) I/2^(n-1)")
-    ell = _qubit0_factor(L[0], "zeroth-order SLD", "l (x) I")
+    h0, ell = sld.rho0_factor, sld.sld0_factor
     H = np.zeros(K + 1)
     for b, Lb in enumerate(L):
         for a in range(min(K - b, last) + 1):
@@ -344,7 +398,7 @@ def qfi_orders(orders: StateOrders, K: int) -> QfiSeries:
             else:
                 P = shared.pop((b, a), None)
                 if P is None:
-                    P = L[b] @ rho[a]
+                    P = _product(L[b], rho[a])
             for c in range(b, min(top, K - a - b) + 1):
                 t = _re_inner(P, L[c])
                 H[a + b + c] -= t if b == c else 2.0 * t

@@ -228,8 +228,9 @@ def oracle_to_dense(state: PauliState) -> np.ndarray:
 
 
 # The channel pass on the Pauli coefficients of each order, then one dense
-# matrix per output: the oracle for noisyqfi.series.channel_output_orders,
-# which makes each input order dense once and maps its qubit blocks.
+# matrix per output by the slot-by-slot contraction: the oracle for
+# noisyqfi.series.channel_output_orders, which makes them dense with
+# noisyqfi.mstate.to_dense.
 
 def oracle_channel_output_orders(input_orders: OrderedState, ch,
                                  qubit: int = 0) -> StateOrders:

@@ -611,12 +611,15 @@ class TestWorkPerCell:
         dense = _count_calls(monkeypatch, series, "to_dense")
         assert main(["qfi", "--channel", "gad", "--param", "p=0.8", "--lambda", "0.3",
                      "--purity", "1e-3", "--n", "1,2,3,6"]) == EXIT_OK
-        # one per input order: orders 0..min(n, K) for the default K = 4
-        assert [call[0].n for call in dense] == [1] * 2 + [2] * 3 + [3] * 4 + [6] * 5
+        # one per output order and one per derivative, for the input orders
+        # 0..min(n, K) of the default K = 4
+        assert [call[0].n for call in dense] == [1] * 4 + [2] * 6 + [3] * 8 + [6] * 10
 
     def test_k4_cell_makes_two_dense_products(self, monkeypatch, capsys):
         # L^(1) rho^(1), formed in the SLD solve and reused by the traces, and
-        # L^(1) rho^(2); every other product is a 2x2 contraction on qubit 0
+        # L^(1) rho^(2); every other product is a 2x2 contraction on qubit 0.
+        # Below 256 rows (n <= 7) both are BLAS products; at n = 9 both come
+        # from the XOR lines of their factors, with no matmul of the two.
         original = protocols.channel_output_orders
 
         def counted(*args):
@@ -627,15 +630,18 @@ class TestWorkPerCell:
 
         monkeypatch.setattr(protocols, "channel_output_orders", counted)
         monkeypatch.setattr(_CountedProducts, "shapes", [])
+        products = _count_calls(monkeypatch, series, "_product")
         assert main(["qfi", "--channel", "phase_flip", "--lambda", "0.3",
-                     "--purity", "1e-3", "--n", "2,3,5"]) == EXIT_OK
+                     "--purity", "1e-3", "--n", "2,3,5,7,9"]) == EXIT_OK
+        assert [(a.shape, b.shape) for a, b in products] == [
+            ((d, d), (d, d)) for d in (4, 4, 8, 8, 32, 32, 128, 128, 512, 512)]
         dense = [a for a, b in _CountedProducts.shapes if a == b and a[0] > 2]
-        assert dense == [(4, 4)] * 2 + [(8, 8)] * 2 + [(32, 32)] * 2
+        assert dense == [(4, 4)] * 2 + [(8, 8)] * 2 + [(32, 32)] * 2 + [(128, 128)] * 2
         # the rows are the ones the plain arrays give
         out = capsys.readouterr().out
         monkeypatch.undo()
         assert main(["qfi", "--channel", "phase_flip", "--lambda", "0.3",
-                     "--purity", "1e-3", "--n", "2,3,5"]) == EXIT_OK
+                     "--purity", "1e-3", "--n", "2,3,5,7,9"]) == EXIT_OK
         assert capsys.readouterr().out == out
 
     def test_measure_solves_no_series(self, monkeypatch, capsys):

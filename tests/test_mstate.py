@@ -321,6 +321,18 @@ class TestCliffordGather:
         with pytest.raises(ValueError, match="two qubits"):
             prep_conjugate(PauliState(1, np.array([0.5, 0.1, 0.0, 0.0])))
 
+    def test_gather_allocates_little_beyond_the_output(self):
+        # the cached int32 index is read as it is, not copied to 4^n intp
+        st = initial_state(10, 0.3, [0.6, 0.0, 0.8])
+        prep_conjugate(st)  # builds the table
+        tracemalloc.start()
+        try:
+            out = prep_conjugate(st)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.coeffs.nbytes
+
 
 class TestConjugate:
     def test_identity_returns_input(self):

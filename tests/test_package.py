@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -30,3 +31,12 @@ def test_numpy_is_the_only_runtime_dependency():
             outside += [(path.name, name) for name in names
                         if name.split(".")[0] not in allowed]
     assert not outside
+
+
+def test_declared_numpy_floor_is_at_least_two():
+    # np.vecdot and np.bitwise_count, which the package calls, are numpy 2
+    # functions; tomllib is missing on Python 3.10, so the line is matched
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8")
+    [floor] = re.findall(r'"numpy>=(\d+)(?:\.(\d+))?', text)
+    assert (int(floor[0]), int(floor[1] or 0)) >= (2, 0)

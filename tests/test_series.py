@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from noisyqfi.protocols import correlated, sqsc
 from noisyqfi.series import (
     BranchError,
     GridMax,
-    SldSeries,
     StateOrders,
     canonical_directions,
     channel_output_orders,
@@ -182,7 +183,7 @@ def _record_solves(monkeypatch, strip_products: bool = False) -> list:
     def solve(orders, K):
         sld = sld_orders(orders, K)
         solves.append((K, sorted(sld.products), sld))
-        return SldSeries(sld.orders) if strip_products else sld
+        return replace(sld, products={}) if strip_products else sld
 
     monkeypatch.setattr(series_module, "sld_orders", solve)
     return solves
@@ -202,6 +203,81 @@ class TestSharedProducts:
         monkeypatch.undo()
         _record_solves(monkeypatch, strip_products=True)
         assert qfi_orders(orders, 4).orders.tolist() == got.tolist()
+
+    def test_qfi_orders_take_the_qubit0_factors_of_the_sld_solve(self, monkeypatch):
+        fam = builtin("gad", p=0.8)
+        orders = final_orders(fam, 0.3, 4, *canonical_directions(fam.eval(0.3)), 4)
+        want = qfi_orders(orders, 4).orders
+        checked = []
+        factor = series_module._qubit0_factor
+
+        def counted(mat, what, form):
+            checked.append(what)
+            return factor(mat, what, form)
+
+        monkeypatch.setattr(series_module, "_qubit0_factor", counted)
+        assert qfi_orders(orders, 4).orders.tolist() == want.tolist()
+        # the solve checks rho^(0) and its derivative; L^(0) it built itself
+        assert checked == ["zeroth-order state", "zeroth-order derivative"]
+
+
+def _line_matrix(rng, n: int, flips, real: bool = False) -> np.ndarray:
+    """A 2^n x 2^n complex matrix with random entries on the XOR lines
+    D[x ^ f, x] of the given flips f and zeros elsewhere."""
+    dim = 2 ** n
+    x = np.arange(dim)
+    values = rng.uniform(-1.0, 1.0, (len(flips), dim))
+    if not real:
+        values = values + 1j * rng.uniform(-1.0, 1.0, (len(flips), dim))
+    A = np.zeros((dim, dim), dtype=complex)
+    A[np.asarray(flips, dtype=np.intp)[:, None] ^ x, x] = values
+    return A
+
+
+class TestLineProduct:
+    """series._product (the XOR lines from 256 rows up, else BLAS) against @."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_line_sparse_factors(self, n):
+        rng = np.random.default_rng(60 + n)
+        dim = 2 ** n
+        for count_a, count_b in ((1, 1), (3, 9), (9, 36)):
+            fa = rng.choice(dim, min(dim, count_a), replace=False)
+            fb = rng.choice(dim, min(dim, count_b), replace=False)
+            A, B = _line_matrix(rng, n, fa), _line_matrix(rng, n, fb)
+            got, want = series_module._product(A, B), A @ B
+            assert got.shape == want.shape and got.dtype == want.dtype
+            # an entry sums at most 2^n terms
+            tol = 1e-15 * dim * np.abs(A).max() * np.abs(B).max()
+            assert np.abs(got - want).max() <= tol
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_one_term_per_entry_is_exact(self, n):
+        # flips of A in the low bits and of B in the high bits reach every
+        # output entry once; with A real BLAS rounds that one term as the
+        # lines do (a complex A can differ in the last bit, fused or not)
+        rng = np.random.default_rng(70 + n)
+        low, high = 2 ** (n // 2), 2 ** (n - n // 2)
+        fa = rng.choice(low, min(low, 4), replace=False)
+        fb = low * rng.choice(high, min(high, 6), replace=False)
+        A, B = _line_matrix(rng, n, fa, real=True), _line_matrix(rng, n, fb)
+        assert np.array_equal(series_module._product(A, B), A @ B)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_dense_factors_take_blas(self, n):
+        rng = np.random.default_rng(80 + n)
+        A, B = (_line_matrix(rng, n, range(2 ** n)) for _ in range(2))
+        assert np.array_equal(series_module._product(A, B), A @ B)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_zero_factors(self, n):
+        rng = np.random.default_rng(90 + n)
+        zero = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        A = _line_matrix(rng, n, [0, 2 ** n - 1])
+        for left, right in ((zero, A), (A, zero), (zero, zero)):
+            got = series_module._product(left, right)
+            assert got.shape == zero.shape and got.dtype == complex
+            assert not got.any()
 
 
 DIFFERENTIAL_FAMILIES = {
