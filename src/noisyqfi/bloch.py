@@ -107,15 +107,15 @@ class ValidationReport:
         return self.passed
 
 
-def validate(channel: BlochChannel, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate(channel: BlochChannel) -> ValidationReport:
     """Check the physicality constraints on a Bloch channel.
 
     Reports (never raises): the largest singular value of M <= 1 + tol,
     |d| <= 1 + tol, the implication |d| = 1 => M = 0, and finiteness of all
-    entries.  Each violated constraint is listed with the magnitude of the
-    violation.  The singular value bound is necessary for any channel: the
-    images M a + d and -M a + d of opposite unit vectors lie 2 |M a| apart,
-    and both must lie in the Bloch ball.
+    entries, with tol = DEFAULT_TOL.  Each violated constraint is listed
+    with the magnitude of the violation.  The singular value bound is
+    necessary for any channel: the images M a + d and -M a + d of opposite
+    unit vectors lie 2 |M a| apart, and both must lie in the Bloch ball.
     """
     failures: list[tuple[str, float]] = []
     for name, arr in (("M", channel.M), ("d", channel.d),
@@ -124,19 +124,19 @@ def validate(channel: BlochChannel, tol: float = DEFAULT_TOL) -> ValidationRepor
             failures.append((f"{name} finite", float(np.sum(~np.isfinite(arr)))))
     if not failures:
         smax = float(np.linalg.norm(channel.M, 2))
-        if smax > 1.0 + tol:
+        if smax > 1.0 + DEFAULT_TOL:
             failures.append(("largest singular value of M <= 1", smax - 1.0))
         dnorm = float(np.linalg.norm(channel.d))
-        if dnorm > 1.0 + tol:
+        if dnorm > 1.0 + DEFAULT_TOL:
             failures.append(("|d| <= 1", dnorm - 1.0))
-        elif dnorm > 1.0 - tol:
+        elif dnorm > 1.0 - DEFAULT_TOL:
             mmax = float(np.max(np.abs(channel.M)))
-            if mmax > tol:
+            if mmax > DEFAULT_TOL:
                 failures.append(("|d| = 1 requires M = 0", mmax))
     return ValidationReport(passed=not failures, failures=tuple(failures))
 
 
-def _unit_vector(v, name: str = "direction") -> np.ndarray:
+def _unit_vector(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
         raise ValueError(f"{name} must be a unit 3-vector, got {v!r}")
@@ -207,11 +207,11 @@ def fd_derivative(
     return dM, dd
 
 
-def classify_unitality(channel: BlochChannel, tol: float = _FLAG_TOL) -> Unitality:
+def classify_unitality(channel: BlochChannel) -> Unitality:
     """Classify one channel evaluation by the magnitudes of d and dd."""
-    if np.linalg.norm(channel.d) < tol and np.linalg.norm(channel.dd) < tol:
+    if np.linalg.norm(channel.d) < _FLAG_TOL and np.linalg.norm(channel.dd) < _FLAG_TOL:
         return Unitality.UNITAL
-    if np.linalg.norm(channel.dd) < tol:
+    if np.linalg.norm(channel.dd) < _FLAG_TOL:
         return Unitality.NONUNITAL_CONST_SHIFT
     return Unitality.NONUNITAL_PARAM_SHIFT
 

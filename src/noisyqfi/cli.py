@@ -22,6 +22,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -173,7 +174,8 @@ def _build_family(channel_cfg: dict) -> ChannelFamily:
 
 
 # ---------------------------------------------------------------------------
-# cell workers (top level so they survive pickling under --jobs)
+# cell workers (top level so they survive pickling under --jobs); each takes
+# the family that ``_run_cell`` builds for it
 # ---------------------------------------------------------------------------
 
 def _cell_name(lam: float, r: float | None, n: int) -> str:
@@ -211,73 +213,66 @@ def _spec_for(family: ChannelFamily, lam: float, r: float, n: int,
     return correlated(family, lam, n, r, c_vec, r0_vec)
 
 
-def _qfi_cell(cfg: RunConfig, lam: float, r: float, n: int) -> list:
-    family = _build_family(cfg.channel)
-    try:
-        spec = _spec_for(family, lam, r, n, cfg.c, cfg.r0)
-        res = protocol_qfi(spec, K=cfg.max_order, eps=cfg.eps)
-        return [lam, r, n, res.exact, res.series_estimate, *res.series.orders]
-    except Exception as exc:
-        raise NumericError(f"cell {_cell_name(lam, r, n)}: {exc}") from exc
+def _qfi_cell(family: ChannelFamily, cfg: RunConfig, lam: float, r: float, n: int) -> list:
+    spec = _spec_for(family, lam, r, n, cfg.c, cfg.r0)
+    res = protocol_qfi(spec, K=cfg.max_order, eps=cfg.eps)
+    return [lam, r, n, res.exact, res.series_estimate, *res.series.orders]
 
 
-def _measure_cell(cfg: RunConfig, lam: float, r: float, n: int) -> list:
-    family = _build_family(cfg.channel)
-    try:
-        spec = _spec_for(family, lam, r, n, cfg.c, cfg.r0)
-        qfi = exact_qfi(spec, cfg.eps)
-        if qfi <= VANISHING_QFI:
-            raise NumericError(
-                f"cell {_cell_name(lam, r, n)}: QFI {qfi:.3g} vanishes "
-                f"(<= {VANISHING_QFI:g}), so CFI/QFI is undefined")
-        rec = local_measurement_sim(spec)
-        return [n, lam, r, rec.cfi, qfi, rec.cfi / qfi]
-    except NumericError:
-        raise
-    except Exception as exc:
-        raise NumericError(f"cell {_cell_name(lam, r, n)}: {exc}") from exc
+def _measure_cell(family: ChannelFamily, cfg: RunConfig, lam: float, r: float,
+                  n: int) -> list:
+    spec = _spec_for(family, lam, r, n, cfg.c, cfg.r0)
+    qfi = exact_qfi(spec, cfg.eps)
+    if qfi <= VANISHING_QFI:
+        raise NumericError(
+            f"QFI {qfi:.3g} vanishes (<= {VANISHING_QFI:g}), so CFI/QFI is undefined")
+    rec = local_measurement_sim(spec)
+    return [n, lam, r, rec.cfi, qfi, rec.cfi / qfi]
 
 
-def _fit_cell(cfg: RunConfig, lam: float, r: None, n: int) -> list[list]:
+def _fit_cell(family: ChannelFamily, cfg: RunConfig, lam: float, r: None,
+              n: int) -> list[list]:
     """The order rows of one (lambda, n) cell; its purities are cfg.purities."""
-    family = _build_family(cfg.channel)
     rs = np.asarray(cfg.purities, dtype=float)
     K = cfg.max_order
+    ch = family.eval(lam)
+    verify_family_flag(family, ch)
+    if family.unitality is not Unitality.UNITAL:
+        raise BranchError("order fitting is defined for unital channels")
+    spec = _spec_for(family, lam, float(rs[-1]), n, cfg.c, cfg.r0)
+    # one series per cell: the purity orders do not depend on r
+    series = qfi_orders(purity_orders(spec, K), K)
+    qfis = exact_qfis(spec, rs, cfg.eps)  # one block solve for all purities
+    fit = fit_qfi_orders(rs, qfis, orders=tuple(range(2, K + 2)))
+    if fit.cond > _MAX_FIT_COND:
+        raise NumericError(f"ill-conditioned fit, condition number {fit.cond:.3e}")
+    rows = []
+    scale = max(max(abs(float(h)) for h in series.orders), 1e-12)
+    for j in range(2, K + 1):
+        fitted = fit.coeffs[j]
+        closed = float(series.orders[j])
+        # near-zero closed forms get errors relative to the series scale
+        denom = abs(closed) if abs(closed) > 1e-6 * scale else scale
+        rows.append([n, lam, j, fitted, closed, abs(fitted - closed) / denom])
+    return rows
+
+
+def _run_cell(fn, cfg: RunConfig, lam: float, r: float | None, n: int):
+    """fn(family, cfg, lam, r, n) for one grid cell; any failure is a
+    NumericError that names the cell."""
+    family = _build_family(cfg.channel)
     try:
-        ch = family.eval(lam)
-        verify_family_flag(family, ch)
-        if family.unitality is not Unitality.UNITAL:
-            raise BranchError("order fitting is defined for unital channels")
-        spec = _spec_for(family, lam, float(rs[-1]), n, cfg.c, cfg.r0)
-        # one series per cell: the purity orders do not depend on r
-        series = qfi_orders(purity_orders(spec, K), K)
-        qfis = exact_qfis(spec, rs, cfg.eps)  # one block solve for all purities
-        fit = fit_qfi_orders(rs, qfis, orders=tuple(range(2, K + 2)))
-        if fit.cond > _MAX_FIT_COND:
-            raise NumericError(
-                f"cell {_cell_name(lam, None, n)}: ill-conditioned fit, "
-                f"condition number {fit.cond:.3e}")
-        rows = []
-        scale = max(max(abs(float(h)) for h in series.orders), 1e-12)
-        for j in range(2, K + 1):
-            fitted = fit.coeffs[j]
-            closed = float(series.orders[j])
-            # near-zero closed forms get errors relative to the series scale
-            denom = abs(closed) if abs(closed) > 1e-6 * scale else scale
-            rows.append([n, lam, j, fitted, closed, abs(fitted - closed) / denom])
-        return rows
-    except NumericError:
-        raise
+        return fn(family, cfg, lam, r, n)
     except Exception as exc:
-        raise NumericError(f"cell {_cell_name(lam, None, n)}: {exc}") from exc
+        raise NumericError(f"cell {_cell_name(lam, r, n)}: {exc}") from exc
 
 
 def _map_cells(fn, cells: list[tuple], jobs: int) -> list:
-    """fn(cfg, lam, r, n) over the cells, in order."""
+    """``_run_cell(fn, cfg, lam, r, n)`` over the cells, in order."""
     if jobs <= 1:
-        return [fn(*cell) for cell in cells]
+        return [_run_cell(fn, *cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *zip(*cells)))
+        return list(pool.map(partial(_run_cell, fn), *zip(*cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,16 @@ __all__ = [
 
 _HERM_TOL = 1e-8
 _PSD_TOL = 1e-9
+_CFI_MIN_PROB = 1e-14  # ``cfi`` skips outcomes less likely than this
 
 
-def _check_hermitian(mat: np.ndarray, name: str, tol: float = _HERM_TOL) -> np.ndarray:
+def _check_hermitian(mat: np.ndarray, name: str) -> np.ndarray:
     """mat as complex, if it is one square matrix or a stack of them, each Hermitian."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
     worst = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max()) if mat.size else 0.0
-    if worst > tol:
+    if worst > _HERM_TOL:
         raise ValueError(f"{name} is not Hermitian: max asymmetry {worst:.3e}")
     return mat
 
@@ -138,8 +139,8 @@ class ProbModel:
             raise ValueError(f"negative probability {np.min(self.p)}")
 
 
-def cfi(model: ProbModel, eps: float = 1e-14) -> float:
-    """Classical Fisher information sum_x dp_x^2 / p_x, skipping p_x < eps."""
+def cfi(model: ProbModel) -> float:
+    """Classical Fisher information sum_x dp_x^2 / p_x over p_x >= ``_CFI_MIN_PROB``."""
     model.validate()
-    keep = model.p >= eps
+    keep = model.p >= _CFI_MIN_PROB
     return float(np.sum(model.dp[keep] ** 2 / model.p[keep]))

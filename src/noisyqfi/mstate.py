@@ -6,9 +6,8 @@ over the 4^n Pauli strings, with the convention
     rho = sum_P coeffs[P] * P,        coeffs[P] = Tr[rho P] / 2^n.
 
 Letters are coded I=0, X=1, Y=2, Z=3 and qubit 0 is the LEFTMOST tensor
-factor, i.e. the most significant base-4 digit of the string index.  This is
-also the qubit a single channel invocation acts on in the protocols built on
-top of this module.
+factor, i.e. the most significant base-4 digit of the string index.  It is
+the one qubit the channel acts on.
 
 Two state forms coexist:
 
@@ -18,14 +17,14 @@ Two state forms coexist:
   sum_j r^j orders[j].  Channels and unitaries act on each order
   independently, which is what makes the purity-series machinery exact.
 
-A single-qubit channel (M, d) acts on one tensor slot by the affine rule
+A single-qubit channel (M, d) acts on qubit 0 by the affine rule
 I -> I + d.sigma and a.sigma -> (M a).sigma; the derivative pass applies
 (dM, dd) with no identity pass-through.  ``_pauli_maps`` writes both as
-(4, 4) maps of a slot's Pauli components, and a pass is one matrix product
-of a map with the slot's axis.  ``_qubit0_maps`` writes them as one (8, 4)
-map on 2x2 matrices, for the Schur-Weyl blocks, which apply the channel to
-a qubit's 2x2 blocks.  The pairwise
-preparation gate with control direction c,
+(4, 4) maps of qubit 0's Pauli components, and a pass is one matrix product
+of a map with the coefficients viewed as (4, 4^(n-1)), the leading digit
+first.  ``_qubit0_maps`` writes them as one (8, 4) map on 2x2 matrices, for
+the Schur-Weyl blocks, which apply the channel to qubit 0's 2x2 blocks.
+The pairwise preparation gate with control direction c,
 
     U_c = (I8I + I8(c.sigma) + (c.sigma)8I - (c.sigma)8(c.sigma)) / 2,
 
@@ -360,12 +359,10 @@ def prep_conjugate(state: State) -> State:
     return _map_orders(state, one)
 
 
-def _channel_pass(st: PauliState, qubit: int, F: np.ndarray) -> PauliState:
-    """The (4, 4) map F of Pauli components applied to one tensor slot."""
-    if not 0 <= qubit < st.n:
-        raise ValueError(f"qubit index {qubit} out of range for n={st.n}")
-    t = st.coeffs.reshape(4 ** qubit, 4, -1)
-    return PauliState._adopt(st.n, (F @ t).reshape(4 ** st.n))
+def _channel_pass(st: PauliState, F: np.ndarray) -> PauliState:
+    """The (4, 4) map F of Pauli components applied to qubit 0, the leading
+    base-4 digit of the string index."""
+    return PauliState._adopt(st.n, (F @ st.coeffs.reshape(4, -1)).reshape(4 ** st.n))
 
 
 # A 2x2 operator X as the row-major vector vec(X): vec(X) = _FROM_PAULI @ x
@@ -392,18 +389,18 @@ def _qubit0_maps(ch: BlochChannel) -> np.ndarray:
     return (_FROM_PAULI @ _pauli_maps(ch) @ _TO_PAULI).reshape(8, 4)
 
 
-def apply_channel(state: State, ch: BlochChannel, qubit: int = 0) -> State:
-    """Apply a single-qubit channel to one tensor slot."""
+def apply_channel(state: State, ch: BlochChannel) -> State:
+    """Apply a single-qubit channel to qubit 0."""
     F = _pauli_maps(ch)[0]
-    return _map_orders(state, lambda st: _channel_pass(st, qubit, F))
+    return _map_orders(state, lambda st: _channel_pass(st, F))
 
 
-def apply_channel_derivative(state: State, ch: BlochChannel, qubit: int = 0) -> State:
-    """Apply the parameter derivative of the channel to one tensor slot.
+def apply_channel_derivative(state: State, ch: BlochChannel) -> State:
+    """Apply the parameter derivative of the channel to qubit 0.
 
     The channel input is parameter independent, so the derivative of the
     output state is obtained by pushing the input through (dM, dd) with no
     identity pass-through.
     """
     F = _pauli_maps(ch)[1]
-    return _map_orders(state, lambda st: _channel_pass(st, qubit, F))
+    return _map_orders(state, lambda st: _channel_pass(st, F))

@@ -35,7 +35,6 @@ from .mstate import (
     PauliState,
     _check_dense_cap,
     _frame,
-    _pauli_maps,
     apply_channel,
     apply_channel_derivative,
     initial_state,
@@ -57,6 +56,11 @@ from .series import (
 
 # a QFI at or below this is rounding noise: no ratio over it is defined
 VANISHING_QFI = 1e-30
+_GAIN_MARGIN = 0.02     # relative slack of ``compare``'s gain-bound check
+# relative agreement of ``nonunital_corr_equals_sqsc_check``: the two exact
+# QFIs, and the zeroth-order closed form against them
+_NO_GAIN_TOL = 1e-8
+_NO_GAIN_H0_TOL = 1e-7
 
 __all__ = [
     "ProtocolSpec",
@@ -118,11 +122,8 @@ class ProtocolSpec:
         if self.c is None:
             return self.r0, ch
         R = _frame(self.c)
-        R4 = np.eye(4)
-        R4[1:, 1:] = R
-        F = R4.T @ _pauli_maps(ch) @ R4
-        return R.T @ self.r0, BlochChannel(F[0, 1:, 1:], F[0, 1:, 0],
-                                           F[1, 1:, 1:], F[1, 1:, 0])
+        return R.T @ self.r0, BlochChannel(R.T @ ch.M @ R, R.T @ ch.d,
+                                           R.T @ ch.dM @ R, R.T @ ch.dd)
 
 
 def sqsc(family: ChannelFamily, lam: float, r: float, r0) -> ProtocolSpec:
@@ -154,8 +155,8 @@ def build_state(spec: ProtocolSpec) -> PreparedState:
     state = initial_state(spec.n, spec.r, r0)
     if spec.c is not None:
         state = prep_conjugate(state)
-    return PreparedState(r0, apply_channel(state, ch, 0),
-                         apply_channel_derivative(state, ch, 0))
+    return PreparedState(r0, apply_channel(state, ch),
+                         apply_channel_derivative(state, ch))
 
 
 def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
@@ -166,7 +167,7 @@ def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
     ordered = initial_state_orders(spec.n, r0, max_order=min(spec.n, max_order))
     if spec.c is not None:
         ordered = prep_conjugate(ordered)
-    return channel_output_orders(ordered, ch, 0)
+    return channel_output_orders(ordered, ch)
 
 
 @dataclass(frozen=True)
@@ -305,14 +306,14 @@ def _same_family(a: ProtocolSpec, b: ProtocolSpec) -> bool:
 
 
 def compare(spec_a: ProtocolSpec, spec_b: ProtocolSpec,
-            K: int = DEFAULT_MAX_ORDER, margin: float = 0.02) -> GainReport:
+            K: int = DEFAULT_MAX_ORDER) -> GainReport:
     """Per-invocation QFI ratio of protocol A over protocol B.
 
     When A is correlated, B is the single-qubit baseline and the channel is
     unital, the ratio is checked against the lowest-order gain bounds
-    [n - (1 - s2^2/s1^2), n]; excursions beyond the given relative margin
-    are flagged.  A zero-information baseline yields an "undefined" status
-    instead of a division by zero.
+    [n - (1 - s2^2/s1^2), n]; excursions beyond the relative margin
+    ``_GAIN_MARGIN`` are flagged.  A zero-information baseline yields an
+    "undefined" status instead of a division by zero.
     """
     if not _same_family(spec_a, spec_b) or abs(spec_a.lam - spec_b.lam) > 1e-15:
         raise ValueError("compared specs must share the channel family and parameter")
@@ -336,10 +337,10 @@ def compare(spec_a: ProtocolSpec, spec_b: ProtocolSpec,
                     if abs(qb.series_estimate) > VANISHING_QFI else None)
     violations = []
     if gain_lo is not None:
-        if ratio_exact > gain_hi * (1.0 + margin):
+        if ratio_exact > gain_hi * (1.0 + _GAIN_MARGIN):
             violations.append(
                 f"exact ratio {ratio_exact:.6g} exceeds upper gain bound {gain_hi:.6g}")
-        if ratio_exact < gain_lo * (1.0 - margin):
+        if ratio_exact < gain_lo * (1.0 - _GAIN_MARGIN):
             violations.append(
                 f"exact ratio {ratio_exact:.6g} below lower gain bound {gain_lo:.6g}")
     return GainReport("ok", ratio_exact, ratio_series, gain_lo, gain_hi,
@@ -395,11 +396,10 @@ class NoGainReport:
     equal: bool
     h0_closed_form: float
     h0_matches: bool
-    tol: float
 
 
-def nonunital_corr_equals_sqsc_check(family: ChannelFamily, lam: float, n: int,
-                                     tol: float = 1e-8) -> NoGainReport:
+def nonunital_corr_equals_sqsc_check(family: ChannelFamily, lam: float,
+                                     n: int) -> NoGainReport:
     """Check that correlating qubits buys nothing at zero purity.
 
     For a parameter-dependent shift vector the lowest QFI order is the
@@ -421,8 +421,7 @@ def nonunital_corr_equals_sqsc_check(family: ChannelFamily, lam: float, n: int,
     return NoGainReport(
         qfi_sqsc=q_sqsc,
         qfi_corr=q_corr,
-        equal=abs(q_sqsc - q_corr) <= tol * scale,
+        equal=abs(q_sqsc - q_corr) <= _NO_GAIN_TOL * scale,
         h0_closed_form=h0,
-        h0_matches=abs(h0 - q_sqsc) <= max(tol, 1e-7) * scale,
-        tol=tol,
+        h0_matches=abs(h0 - q_sqsc) <= _NO_GAIN_H0_TOL * scale,
     )

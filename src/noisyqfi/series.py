@@ -98,8 +98,8 @@ class BranchError(ValueError):
     """A closed-form result was requested for the wrong unitality branch."""
 
 
-def require_unital(ch: BlochChannel, tol: float = _ZERO_TOL) -> None:
-    if np.linalg.norm(ch.d) > tol or np.linalg.norm(ch.dd) > tol:
+def require_unital(ch: BlochChannel) -> None:
+    if np.linalg.norm(ch.d) > _ZERO_TOL or np.linalg.norm(ch.dd) > _ZERO_TOL:
         raise BranchError(
             f"channel is not unital: |d|={np.linalg.norm(ch.d):.3e}, "
             f"|dd|={np.linalg.norm(ch.dd):.3e}")
@@ -144,9 +144,9 @@ class SldSeries:
     """
 
     orders: tuple[np.ndarray, ...]
-    products: dict = field(default_factory=dict, compare=False, repr=False)
-    rho0_factor: np.ndarray | None = field(default=None, compare=False, repr=False)
-    sld0_factor: np.ndarray | None = field(default=None, compare=False, repr=False)
+    products: dict = field(compare=False, repr=False)
+    rho0_factor: np.ndarray = field(compare=False, repr=False)
+    sld0_factor: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -179,20 +179,19 @@ def _map_blocks(maps: np.ndarray, x: np.ndarray, out: np.ndarray,
             dst += np.multiply(src, w, out=scratch)
 
 
-def channel_output_orders(input_orders: OrderedState, ch: BlochChannel,
-                          qubit: int = 0) -> StateOrders:
+def channel_output_orders(input_orders: OrderedState, ch: BlochChannel) -> StateOrders:
     """Push the purity orders of the channel input through (M, d) and (dM, dd).
 
     The preparation is parameter independent, so the derivative of each
     final-state order is the derivative channel applied to the same input
-    order.  Both act on the Pauli coefficients of each input order, and each
-    output order is made dense once.
+    order.  Both act on the Pauli coefficients of qubit 0 in each input
+    order, and each output order is made dense once.
     """
     rho = []
     drho = []
     for st in input_orders.orders:
-        rho.append(to_dense(apply_channel(st, ch, qubit)))
-        drho.append(to_dense(apply_channel_derivative(st, ch, qubit)))
+        rho.append(to_dense(apply_channel(st, ch)))
+        drho.append(to_dense(apply_channel_derivative(st, ch)))
     return StateOrders(tuple(rho), tuple(drho))
 
 
@@ -571,13 +570,11 @@ class GridMax:
     r0: np.ndarray
 
 
-def corr_h2_grid_max(ch: BlochChannel, n: int, grid: int = 20,
-                     include_canonical: bool = True) -> GridMax:
-    """Maximum of corr_h2 over a direction grid (plus the canonical pair)."""
+def corr_h2_grid_max(ch: BlochChannel, n: int, grid: int) -> GridMax:
+    """Maximum of corr_h2 over the pairs of a grid of directions and the canonical pair."""
     dirs = sphere_directions(grid)
     pairs = [(c, r0) for c in dirs for r0 in dirs]
-    if include_canonical:
-        pairs.append(canonical_directions(ch))
+    pairs.append(canonical_directions(ch))
     best = None
     for c, r0 in pairs:
         val = corr_h2(ch, n, c, r0)
@@ -597,14 +594,12 @@ class FitResult:
     residual: float
 
 
-def default_fit_purities(count: int = 9) -> np.ndarray:
-    """Log-spaced purity samples inside the series validity regime."""
-    if count < 5:
-        raise ValueError("need at least 5 purity samples for a stable fit")
-    return np.logspace(-4, -2, count)
+def default_fit_purities() -> np.ndarray:
+    """Nine log-spaced purity samples inside the series validity regime."""
+    return np.logspace(-4, -2, 9)
 
 
-def fit_qfi_orders(rs, qfis, orders=(2, 3, 4, 5)) -> FitResult:
+def fit_qfi_orders(rs, qfis, orders) -> FitResult:
     """Least-squares fit of QFI samples to sum_j H_j r^j over the given orders.
 
     Columns are normalized before solving; the condition number reported is

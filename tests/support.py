@@ -106,12 +106,11 @@ def kraus_gad(lam: float, p: float) -> list[np.ndarray]:
     ]
 
 
-def kraus_apply(rho: np.ndarray, ks: list[np.ndarray], n: int, qubit: int) -> np.ndarray:
+def kraus_apply(rho: np.ndarray, ks: list[np.ndarray], n: int) -> np.ndarray:
+    """The channel of Kraus operators ks on qubit 0 of a dense n-qubit rho."""
     out = np.zeros_like(rho)
     for K in ks:
-        full = np.array([[1.0]], dtype=complex)
-        for slot in range(n):
-            full = np.kron(full, K if slot == qubit else np.eye(2))
+        full = np.kron(K, np.eye(2 ** (n - 1)))
         out += full @ rho @ full.conj().T
     return out
 
@@ -168,7 +167,7 @@ def lab_output(spec) -> tuple[PauliState, PauliState]:
     state = initial_state(spec.n, spec.r, spec.r0)
     if spec.c is not None:
         state = conjugate(state, u_prep(spec.n, spec.c))
-    return apply_channel(state, ch, 0), apply_channel_derivative(state, ch, 0)
+    return apply_channel(state, ch), apply_channel_derivative(state, ch)
 
 
 def dense_exact_qfi(spec, eps: float | None = None) -> float:
@@ -232,11 +231,10 @@ def oracle_to_dense(state: PauliState) -> np.ndarray:
 # noisyqfi.series.channel_output_orders, which makes them dense with
 # noisyqfi.mstate.to_dense.
 
-def oracle_channel_output_orders(input_orders: OrderedState, ch,
-                                 qubit: int = 0) -> StateOrders:
+def oracle_channel_output_orders(input_orders: OrderedState, ch) -> StateOrders:
     return StateOrders(
-        tuple(oracle_to_dense(apply_channel(st, ch, qubit)) for st in input_orders.orders),
-        tuple(oracle_to_dense(apply_channel_derivative(st, ch, qubit)) for st in input_orders.orders))
+        tuple(oracle_to_dense(apply_channel(st, ch)) for st in input_orders.orders),
+        tuple(oracle_to_dense(apply_channel_derivative(st, ch)) for st in input_orders.orders))
 
 
 # Generic order-by-order SLD solver in the full 2^n eigenbasis of rho^(0):

@@ -262,7 +262,7 @@ def test_criterion_8_nonunital_no_gain():
     for p in (0.7, 1.0):
         fam = builtin("gad", p=p)
         for n in (2, 3):
-            rep = nonunital_corr_equals_sqsc_check(fam, 0.4, n, tol=1e-8)
+            rep = nonunital_corr_equals_sqsc_check(fam, 0.4, n)
             assert rep.equal, (p, n, rep)
             assert rep.h0_matches, (p, n, rep)
     elapsed = time.perf_counter() - start
@@ -465,7 +465,7 @@ def _prop_corr_h2_vs_solver(rng, failures):
         c, r0 = random_unit(rng), random_unit(rng)
         n = int(rng.integers(2, 5))
         ordered = lab_prep_conjugate(initial_state_orders(n, r0, max_order=2), c)
-        orders = channel_output_orders(ordered, ch, 0)
+        orders = channel_output_orders(ordered, ch)
         series = qfi_orders(orders, 2)
         if abs(corr_h2(ch, n, c, r0) - series.orders[2]) > 1e-9:
             failures.append(("corr_h2_vs_solver", fam.name, n))
@@ -516,8 +516,8 @@ def _prop_order_decomposition(rng, failures):
         r0 = random_unit(rng)
         r = float(rng.uniform(0.0, 1.0))
         ch = fam.eval(float(rng.uniform(0.05, 0.9)))
-        whole = apply_channel(initial_state(n, r, r0), ch, 0)
-        ordered = apply_channel(initial_state_orders(n, r0), ch, 0)
+        whole = apply_channel(initial_state(n, r, r0), ch)
+        ordered = apply_channel(initial_state_orders(n, r0), ch)
         if not np.allclose(ordered.at_purity(r).coeffs, whole.coeffs, atol=1e-13):
             failures.append(("order_decomposition", n))
         count += 1

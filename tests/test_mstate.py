@@ -393,7 +393,7 @@ class TestApplyChannel:
     def test_unital_fixes_identity(self):
         ch = builtin("phase_flip").eval(0.3)
         st = initial_state(3, 0.0, [0, 0, 1])
-        out = apply_channel(st, ch, 0)
+        out = apply_channel(st, ch)
         np.testing.assert_allclose(out.coeffs, st.coeffs, atol=1e-15)
 
     def test_phase_flip_scales_xz_string(self):
@@ -401,7 +401,7 @@ class TestApplyChannel:
         ch = builtin("phase_flip").eval(lam)
         coeffs = np.zeros(16)
         coeffs[pauli_index("XZ")] = 1.0
-        out = apply_channel(PauliState(2, coeffs), ch, 0)
+        out = apply_channel(PauliState(2, coeffs), ch)
         want = np.zeros(16)
         want[pauli_index("XZ")] = 1.0 - 2.0 * lam
         np.testing.assert_allclose(out.coeffs, want, atol=1e-15)
@@ -409,14 +409,9 @@ class TestApplyChannel:
     def test_gad_shifts_identity(self):
         lam = 0.37
         ch = builtin("gad", p=1.0).eval(lam)
-        out = apply_channel(initial_state(1, 0.0, [0, 0, 1]), ch, 0)
+        out = apply_channel(initial_state(1, 0.0, [0, 0, 1]), ch)
         assert out.coeff("I") == pytest.approx(0.5)
         assert out.coeff("Z") == pytest.approx(lam / 2.0)
-
-    def test_bad_qubit_index(self):
-        ch = builtin("phase_flip").eval(0.3)
-        with pytest.raises(ValueError):
-            apply_channel(initial_state(2, 0.1, [1, 0, 0]), ch, 2)
 
     @pytest.mark.parametrize("maker,fam", [
         (kraus_phase_flip, builtin("phase_flip")),
@@ -429,20 +424,19 @@ class TestApplyChannel:
         ch = fam.eval(lam)
         ks = maker(lam)
         for n in (1, 2, 3):
-            for qubit in range(n):
-                st = PauliState(n, rng.normal(size=4 ** n))
-                got = to_dense(apply_channel(st, ch, qubit))
-                want = kraus_apply(to_dense(st), ks, n, qubit)
-                assert np.max(np.abs(got - want)) < 1e-12
+            st = PauliState(n, rng.normal(size=4 ** n))
+            got = to_dense(apply_channel(st, ch))
+            want = kraus_apply(to_dense(st), ks, n)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_derivative_matches_fd_of_channel(self):
         rng = np.random.default_rng(20)
         fam = builtin("gad", p=0.7)
         lam, h = 0.3, 1e-6
         st = PauliState(2, rng.normal(size=16))
-        got = apply_channel_derivative(st, fam.eval(lam), 0)
-        hi = apply_channel(st, fam.eval(lam + h), 0)
-        lo = apply_channel(st, fam.eval(lam - h), 0)
+        got = apply_channel_derivative(st, fam.eval(lam))
+        hi = apply_channel(st, fam.eval(lam + h))
+        lo = apply_channel(st, fam.eval(lam - h))
         np.testing.assert_allclose(got.coeffs, (hi.coeffs - lo.coeffs) / (2 * h),
                                    atol=1e-8)
 
@@ -452,8 +446,8 @@ class TestApplyChannel:
         ch = fam.eval(0.52)
         r0 = random_unit(rng)
         n, r = 3, 0.2
-        whole = apply_channel(initial_state(n, r, r0), ch, 0)
-        ordered = apply_channel(initial_state_orders(n, r0), ch, 0)
+        whole = apply_channel(initial_state(n, r, r0), ch)
+        ordered = apply_channel(initial_state_orders(n, r0), ch)
         np.testing.assert_allclose(ordered.at_purity(r).coeffs, whole.coeffs,
                                    atol=1e-14)
 

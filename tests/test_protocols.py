@@ -398,7 +398,7 @@ def _lab_series(spec, K: int) -> np.ndarray:
     channel and the generic SLD solve in the full eigenbasis of rho^(0)."""
     ordered = initial_state_orders(spec.n, spec.r0, max_order=min(spec.n, K))
     ordered = conjugate(ordered, u_prep(spec.n, spec.c))
-    orders = oracle_channel_output_orders(ordered, spec.family.eval(spec.lam), 0)
+    orders = oracle_channel_output_orders(ordered, spec.family.eval(spec.lam))
     return oracle_qfi_orders(orders, oracle_sld_orders(orders, K), K)
 
 
