@@ -1,10 +1,10 @@
 """Quantum Fisher information for single-parameter qubit channels on noisy states.
 
 The package cross-checks three views of the same quantity: the exact QFI
-from an eigendecomposition of each Schur-Weyl block of the output state
-(``blocks`` over ``fisher``), a purity-series expansion with closed-form
-lowest orders (``series``), and full protocol simulations with measurement
-statistics (``protocols``), all built on a Bloch-sphere channel
+from an eigendecomposition of each 4x4 piece or Schur-Weyl block of the
+output state (``blocks`` over ``fisher``), a purity-series expansion with
+closed-form lowest orders (``series``), and full protocol simulations with
+measurement statistics (``protocols``), all built on a Bloch-sphere channel
 representation (``bloch``) and an n-qubit Pauli-string state engine
 (``mstate``).  A batch CLI lives in ``noisyqfi.cli``.
 """

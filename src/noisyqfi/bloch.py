@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-_FLAG_TOL = 1e-12  # numerical threshold for "identically zero" d / dd
+_ZERO_TOL = 1e-12  # d or dd of a smaller norm counts as identically zero
 
 
 class DomainError(ValueError):
@@ -208,12 +208,15 @@ def fd_derivative(
 
 
 def classify_unitality(channel: BlochChannel) -> Unitality:
-    """Classify one channel evaluation by the magnitudes of d and dd."""
-    if np.linalg.norm(channel.d) < _FLAG_TOL and np.linalg.norm(channel.dd) < _FLAG_TOL:
-        return Unitality.UNITAL
-    if np.linalg.norm(channel.dd) < _FLAG_TOL:
-        return Unitality.NONUNITAL_CONST_SHIFT
-    return Unitality.NONUNITAL_PARAM_SHIFT
+    """Classify one channel evaluation by the magnitudes of d and dd.
+
+    A vector of norm below 1e-12 counts as zero; this is the one test of
+    unitality that every branch check goes through.
+    """
+    d_zero, dd_zero = (np.linalg.norm(v) < _ZERO_TOL for v in (channel.d, channel.dd))
+    if not dd_zero:
+        return Unitality.NONUNITAL_PARAM_SHIFT
+    return Unitality.UNITAL if d_zero else Unitality.NONUNITAL_CONST_SHIFT
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Exact QFI of a protocol's output state from its Schur-Weyl blocks.
+"""Exact QFI of a protocol's output state from its Schur-Weyl blocks, or from
+4x4 pieces when the control direction c is perpendicular to r0.
 
 Every protocol here invokes the channel on qubit 0 and treats the other
 M = n - 1 qubits alike: the product input, the complete-graph preparation and
@@ -26,20 +27,47 @@ Only the weights a^(j+nu) b^(j-nu) and qubit 0's Bloch vector r r0 depend on
 the purity.  ``exact_qfis`` therefore solves a purity sweep at once: the
 channel in the frame, the qubit-0 maps and the eigenvectors W are built once,
 and the normalised blocks rho_j / t_j of one spin at every purity where the
-trace t_j is nonzero form one (P, 2(2j+1), 2(2j+1)) stack.  Each stack
-is decomposed once (``fisher.in_eigenbasis``); the default cutoff needs
-every block's largest eigenvalue, so all stacks are decomposed first, and
-then each goes through one call of the stacked ``fisher.qfi_exact``.
-``exact_qfi`` is the sweep of one purity.  The single-qubit protocol is the
-M = 0 case: one 2x2 block.  The traces t_j ~ 2^-M and the weights m_j t_j
-are carried as logs, so no t_j underflows.  PIQS uses the same
-decomposition (Shammah et al., PRA 98, 063815 (2018)).
+trace t_j is nonzero form one (P, 2(2j+1), 2(2j+1)) stack, decomposed once
+(``fisher.in_eigenbasis``) and summed by one call of the stacked
+``fisher.qfi_exact``.  The traces t_j ~ 2^-M and the weights m_j t_j are
+carried as logs, so no t_j underflows.  The single-qubit protocol is the
+M = 0 case: one 2x2 block.  PIQS uses the same decomposition (Shammah et
+al., PRA 98, 063815 (2018)).  A dense eigh per spin costs about n^4 in all.
+
+When c is perpendicular to r0 no spin block is needed.  On the whole state
+C = D (|0><0| (x) 1 + |1><1| (x) Z), with D the spectators' own CZ phases and
+Z = sigma_z^(x)M.  D does not depend on lambda and commutes with the channel
+on qubit 0, so it drops out of the QFI.  In the frame of c, r0' lies in the
+xy-plane, so sigma_z anticommutes with r0'.sigma: with |+> its eigenvector of
+eigenvalue 1 and |-> := sigma_z|+>, the spectators are diagonal in the
+product basis |s> of signs, with weight w_s = a^k b^(M-k) for k plus signs,
+and Z|s> = |s'>, the complement of s.  Writing s + 0 = s and s + 1 = s',
+qubit 0's input q0 and the spectators give before the channel
+
+    <a,t|rho|b,u> = q0[a,b] w_(u+b) delta(t + a, u + b),
+
+so the span of {|0,s>, |0,s'>, |1,s>, |1,s'>} is invariant under the channel
+on qubit 0, and the output is a direct sum of 4x4 pieces, one per pair
+{s, s'}.  A piece depends on s only through k: at unit trace its weights
+(w_s, w_s') become (x_k, 1) / (1 + x_k) with x_k = (b/a)^(M - 2k).  With B
+the Binomial(M, a) pmf, the C(M, k) pieces of k < M/2 hold weight
+W_k = B(k) + B(M - k) of the state and the C(M, M/2)/2 pieces of k = M/2
+(M even) hold W_k = B(M/2), so
+
+    QFI = sum_{k <= M/2} W_k Q_k,
+
+with Q_k the QFI of piece k at unit trace.  All pieces of a sweep, M//2 + 1
+per purity, go through one ``in_eigenbasis`` and one ``qfi_exact`` call.  The
+W_k come from Loader's saddle-point form of the binomial pmf (C. Loader,
+"Fast and Accurate Computation of Binomial Probabilities", 2000), which
+forms neither log C(M, k) nor the powers, so they keep sum_k W_k = 1 to
+rounding at any M here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import log
+from math import log, pi
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,11 +78,35 @@ from .mstate import PAULI_MATS, _qubit0_maps
 if TYPE_CHECKING:  # protocols imports this module
     from .protocols import ProtocolSpec
 
-__all__ = ["MAX_QUBITS_BLOCKS", "spin_blocks", "exact_qfi", "exact_qfis"]
+__all__ = ["MAX_QUBITS_BLOCKS", "MAX_QUBITS_PIECES", "PERPENDICULAR_TOL",
+           "spin_blocks", "exact_qfi", "exact_qfis"]
 
 # dense eigh of every spin block, about n^4: one purity at n = 400 takes
 # 50 s on one core (0.33 s at n = 100, 16 s at n = 300)
 MAX_QUBITS_BLOCKS = 400
+# the pieces are O(n): one purity at n = 10^5 takes about 0.1 s on one core
+MAX_QUBITS_PIECES = 100_000
+# |c.r0| below which c counts as perpendicular to r0 and the pieces apply.
+# They drop the spectators' component d = c.r0 along c, which moves the QFI
+# by about d^2 of itself (at most 1.2 d^2 measured, n <= 60, r > 0)
+PERPENDICULAR_TOL = 1e-9
+_WEIGHT_TOL = 1e-12  # how far the blocks' or the pieces' weights may miss 1
+
+# stirlerr(n) = log n! - log(sqrt(2 pi n) (n/e)^n) for n = 1..15 (Loader's
+# table; the entry for 0 is a placeholder)
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+
+# a piece's entries x[a, b, t, u] = q0[a, b] w[u + b] where t + a = u + b,
+# with t, u = 0 for s and 1 for s' and w = (w_s, w_s'); + is the XOR
+_a, _b, _t, _u = np.indices((2, 2, 2, 2))
+_PAIR_INDEX = _u ^ _b
+_PAIR_MASK = (_t ^ _a == _u ^ _b).astype(float)
+del _a, _b, _t, _u
 
 
 def spin_blocks(M: int) -> list[tuple[int, int]]:
@@ -88,52 +140,56 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
                eps: float | None = None) -> np.ndarray:
     """Exact QFI of the spec's output state at each purity (spec.r is not used).
 
-    The channel in the frame of c, the qubit-0 maps and each spin's r0'.J
-    eigenvectors do not depend on the purity and are built once; the blocks
-    of one spin at all purities form one stack, decomposed once, whose pair
-    sums are one ``fisher.qfi_exact`` call.  Each entry equals the sweep of
-    that purity alone, bit for bit.
+    For n >= 2 with |c.r0| < ``PERPENDICULAR_TOL`` the state is solved as
+    4x4 pieces, otherwise as Schur-Weyl blocks.  The channel in the frame of
+    c and the qubit-0 maps are built once per sweep, and so are each spin's
+    r0'.J eigenvectors; all pieces of the sweep, or the blocks of one spin
+    at all purities, form one stack, decomposed once, whose pair sums are
+    one ``fisher.qfi_exact`` call.  Each entry equals the sweep of that
+    purity alone, bit for bit.
 
     eps is the null-pair cutoff of the whole state, as in
     ``fisher.qfi_exact``: eigenvalue pairs of rho with sum <= eps are
-    skipped (default 1e-12 times rho's largest eigenvalue at that purity).
-    A block of trace t_j holds rho's eigenvalues scaled by 1/t_j, so it is
-    solved with the cutoff eps / t_j; a block with t_j = 0 (at r = 1 all but
-    the largest spin) is skipped at that purity.  Before any block is built,
-    a ValueError names a purity where sum_j m_j t_j misses 1 by more than
-    1e-12, which rounding in the log weights reaches from n of about 7000,
-    and a qubit count above ``MAX_QUBITS_BLOCKS``.
+    skipped.  A block or piece of trace t holds rho's eigenvalues scaled by
+    1/t, so it is solved with the cutoff eps / t; one with t = 0 (at r = 1
+    all but the largest spin, or all but the k = 0 piece) is skipped at
+    that purity.  The default cuts pairs at 1e-12 times the largest
+    eigenvalue of the block or piece that holds them.  A ValueError names a
+    qubit count above ``MAX_QUBITS_PIECES`` or ``MAX_QUBITS_BLOCKS``, and
+    then a purity where the weights miss 1 by more than 1e-12, before any
+    block or piece is built.
     """
     rs = np.asarray(purities, dtype=float)
     if rs.ndim != 1 or not all(0.0 <= r <= 1.0 for r in rs.tolist()):
         raise ValueError(f"purities must lie in [0, 1], got {purities}")
     M = spec.n - 1
-    spins = spin_blocks(M)
-    log_t, weight = _log_weights(M, spins, rs)
-    kept = weight.sum(axis=1)
-    if np.any(bad := ~(np.abs(kept - 1.0) <= 1e-12)):  # NaN fails too
-        p = int(np.argmax(bad))
-        raise ValueError(f"exact QFI at n={spec.n}, r={rs[p]:g}: the spin blocks keep "
-                         f"weight {kept[p]:.17g}, not 1 to 1e-12")
+    pieces = M > 0 and abs(float(spec.c @ spec.r0)) < PERPENDICULAR_TOL
+    limit, solve = ((MAX_QUBITS_PIECES, "4x4 pieces") if pieces
+                    else (MAX_QUBITS_BLOCKS, "Schur-Weyl block solve"))
+    if spec.n > limit:
+        raise ValueError(f"qubit count {spec.n} outside supported range "
+                         f"1..{limit} for the {solve}")
+    if pieces:
+        weight = _piece_weights(M, rs)
+    else:
+        spins = spin_blocks(M)
+        log_t, weight = _log_weights(M, spins, rs)
+    _check_weights(spec.n, rs, weight, "pieces" if pieces else "spin blocks")
 
     r0, ch = spec.in_frame()
-    if spec.n > MAX_QUBITS_BLOCKS:
-        raise ValueError(f"qubit count {spec.n} outside supported range "
-                         f"1..{MAX_QUBITS_BLOCKS} for the Schur-Weyl block solve")
     maps = _qubit0_maps(ch)
     bloch = np.ones((len(rs), 4))
     bloch[:, 1:] = rs[:, None] * r0
     qubit0 = (bloch @ PAULI_MATS.reshape(4, 4) / 2.0).reshape(-1, 2, 2, 1, 1)
+    if pieces:
+        return _piece_qfis(M, rs, weight, qubit0, maps, eps)
+
     # (-1)^(N(N-1)/2) for N = 0..n: a basis string's CZ phase D is sign[N]
     # and Z D is sign[N + 1]
     ones = np.arange(M + 2)
     sign = 1 - 2 * (ones * (ones - 1) // 2 % 2)
     q = (1.0 - rs) / (1.0 + rs)  # b / a
-
-    # per spin with weight: the purities where t_j > 0, log t_j and m_j t_j
-    # there, and the stacks of rho_j / t_j and drho_j / t_j, one matrix per
-    # such purity
-    blocks = []
+    qfi = np.zeros(len(rs))
     for s, (two_j, _) in enumerate(spins):
         dim = two_j + 1
         # the purities where the block has weight, as a view when all have
@@ -153,24 +209,112 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
         phase = np.array([sign[low:low + dim], sign[low + 1:low + dim + 1]])
         x = (qubit0[live] * phase[:, None, :, None] * phase[None, :, None, :]
              * S[:, None, None])
-        y = (maps @ x.reshape(-1, 4, dim * dim)).reshape(-1, 2, 2, 2, dim, dim)
-        rho, drho = y.transpose(1, 0, 2, 4, 3, 5).reshape(2, -1, 2 * dim, 2 * dim)
-        blocks.append((live, log_t[live, s], weight[live, s], *in_eigenbasis(rho, drho)))
-
-    with np.errstate(divide="ignore"):
-        if eps is None:
-            # the largest eigenvalue of rho relative to the largest t_j
-            log_top = log_t.max(axis=1)
-            top = np.zeros(len(rs))
-            for live, lt, _, p, _ in blocks:
-                top[live] = np.maximum(top[live], np.exp(lt - log_top[live]) * p[:, -1])
-            log_cut = np.log(1e-12 * top) + log_top
-        else:
-            log_cut = np.log(np.full(len(rs), float(eps)))
-    qfi = np.zeros(len(rs))
-    for live, lt, wt, p, G in blocks:
-        qfi[live] += wt * qfi_exact(p, G, np.exp(log_cut[live] - lt))
+        p, G = in_eigenbasis(*_channel_output(maps, x))
+        with np.errstate(over="ignore"):  # a cut above every pair sum may be inf
+            cut = None if eps is None else np.exp(log(eps) - log_t[live, s])
+        qfi[live] += weight[live, s] * qfi_exact(p, G, cut)
     return qfi
+
+
+def _check_weights(n: int, rs: np.ndarray, weight: np.ndarray, parts: str) -> None:
+    """A ValueError naming the first purity whose weights miss 1 by more than 1e-12."""
+    kept = weight.sum(axis=1)
+    if np.any(bad := ~(np.abs(kept - 1.0) <= _WEIGHT_TOL)):  # NaN fails too
+        p = int(np.argmax(bad))
+        raise ValueError(f"exact QFI at n={n}, r={rs[p]:g}: the {parts} keep "
+                         f"weight {kept[p]:.17g}, not 1 to {_WEIGHT_TOL:g}")
+
+
+def _channel_output(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """rho and drho, (2, stack, 2d, 2d), of the channel on qubit 0 of x.
+
+    x is a stack of inputs (stack, 2, 2, d, d), indexed qubit-0 row and
+    column, then the rest's row and column; maps is ``_qubit0_maps``.
+    """
+    dim = x.shape[-1]
+    y = (maps @ x.reshape(-1, 4, dim * dim)).reshape(-1, 2, 2, 2, dim, dim)
+    return y.transpose(1, 0, 2, 4, 3, 5).reshape(2, -1, 2 * dim, 2 * dim)
+
+
+def _piece_qfis(M: int, rs: np.ndarray, weight: np.ndarray, qubit0: np.ndarray,
+                maps: np.ndarray, eps: float | None) -> np.ndarray:
+    """The QFI at each purity, sum_k W_k Q_k over the pieces with weight."""
+    live = weight > 0.0
+    at, k = np.nonzero(live)  # the purity and the k of each piece
+    m = M - 2 * k
+    # w_s / w_s' = (b/a)^m = exp(-2m artanh r); artanh(1) = inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(m == 0, 1.0, np.exp(-2.0 * m * np.arctanh(rs[at])))
+    w = np.stack([x, np.ones_like(x)], axis=-1) / (1.0 + x)[:, None]  # (w_s, w_s') / t
+    p, G = in_eigenbasis(*_channel_output(maps, qubit0[at] * w[:, _PAIR_INDEX]
+                                          * _PAIR_MASK))
+    cut = None
+    if eps is not None:
+        # a piece's trace t = w_s' (1 + x), w_s' = a^(M - k) b^k
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # log b = -inf at r = 1; a cut above every pair sum may be inf
+            la, lb = np.log1p(rs[at]) - log(2.0), np.log1p(-rs[at]) - log(2.0)
+            log_t = (M - k) * la + np.where(k > 0, k * lb, 0.0) + np.log1p(x)
+            cut = np.exp(log(eps) - log_t)
+    terms = np.zeros(live.shape)
+    terms[live] = weight[live] * qfi_exact(p, G, cut)
+    return terms.sum(axis=1)
+
+
+def _piece_weights(M: int, rs: np.ndarray) -> np.ndarray:
+    """The pieces' weights W_k in the state, shaped (purity, k = 0..M//2)."""
+    k = np.arange(M // 2 + 1)
+    a, b = (1.0 + rs) / 2.0, (1.0 - rs) / 2.0
+    # B(k) at success probability a, then B(M - k) as the pmf of k at b
+    pmf = _binomial_pmf(k, M, np.concatenate([a, b])[:, None],
+                        np.concatenate([b, a])[:, None])
+    weight = pmf[:len(rs)] + pmf[len(rs):]
+    if M % 2 == 0:
+        weight[:, -1] /= 2.0  # B(M/2), taken twice
+    return weight
+
+
+def _binomial_pmf(k: np.ndarray, M: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """C(M, k) p^k q^(M - k) for counts 0 <= k < M (a row) and q = 1 - p (a column).
+
+    Loader's saddle-point form: the Stirling remainders of M, k and M - k,
+    and the deviances bd0 of k and M - k from their means, so no log of size
+    M log M cancels.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 is taken apart
+        err = _stirlerr(np.concatenate([[M], k, M - k]))
+        dev = _bd0(np.stack([k, M - k])[:, None, :], np.stack([M * p, M * q]))
+        log_pmf = (err[0] - err[1:len(k) + 1] - err[len(k) + 1:] - dev[0] - dev[1]
+                   - 0.5 * np.log(2.0 * pi * k * (M - k) / M))
+        # k = 0: q^M, through bd0(M, M q) where q is close to 1
+        none = np.where(p < 0.1, -dev[1][:, :1] - M * p, M * np.log(q))
+        return np.exp(np.where(k == 0, none, log_pmf))
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log n! - log(sqrt(2 pi n) (n/e)^n) for integers n >= 1 (0 gives 0)."""
+    big = np.maximum(n, 16).astype(float)
+    nn = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn)
+              / nn) / big
+    return np.where(n <= 15, _STIRLERR[np.minimum(n, 15)], series)
+
+
+def _bd0(x, mean):
+    """x log(x / mean) + mean - x, the deviance of a count x from its mean.
+
+    Near the mean, |x - mean| < (x + mean) / 10, it is summed as
+    d v + 2x sum_i v^(2i+1) / (2i + 1) with d = x - mean and
+    v = d / (x + mean).  There |v| < 0.1, so term i is below
+    1.1 |v|^(2i-1) / (2i + 1) of d v, and eight terms reach rounding.
+    """
+    d = x - mean
+    near = np.abs(d) < 0.1 * (x + mean)
+    v = np.where(near, d / np.where(near, x + mean, 1.0), 0.0)
+    v2, tail = v * v, 0.0
+    for i in range(8, 0, -1):  # Horner in v^2
+        tail = (tail + 1.0 / (2 * i + 1)) * v2
+    return np.where(near, d * v + 2.0 * x * v * tail, x * np.log(x / mean) + mean - x)
 
 
 def _log_weights(M: int, spins: list[tuple[int, int]],

@@ -10,9 +10,10 @@ summed over the pairs with p_j + p_k above a cutoff eps.  ``in_eigenbasis``
 checks a state and its derivative and returns (p, G); ``qfi_exact`` sums the
 pairs.  Both take stacks (..., d, d) and treat each matrix as on its own, so
 a caller can decompose many matrices at once and read every spectrum before
-it picks the cutoff.  The library decomposes the Schur-Weyl blocks of one
-spin at every purity of a sweep at once (``blocks.exact_qfis``); on the
-whole 2^n state the pair is the test oracle for the blocks and the series.
+it picks the cutoff.  The library decomposes all 4x4 pieces of a purity
+sweep, or the Schur-Weyl blocks of one spin at every purity, at once
+(``blocks.exact_qfis``); on the whole 2^n state the pair is the test oracle
+for the pieces, the blocks and the series.
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ built in the frame of c (``ProtocolSpec.in_frame``), where the preparation
 is the complete-graph CZ circuit.  The state comes from two builders:
 ``build_state`` at fixed purity (Pauli coefficients, for the measurement)
 and ``purity_orders`` (for the series coefficients, which do not depend on
-the purity).  The exact QFI comes from the state's Schur-Weyl blocks
-(``blocks.exact_qfi``, or ``blocks.exact_qfis`` for a purity sweep), one
-small eigensystem per spin in place of the 2^n one.  The local measurement
-scheme re-applies the preparation after the channel and measures every
+the purity).  The exact QFI comes from the state's 4x4 pieces when c is
+perpendicular to r0, and from its Schur-Weyl blocks otherwise
+(``blocks.exact_qfi``, or ``blocks.exact_qfis`` for a purity sweep): small
+eigensystems in place of the 2^n one.  The local measurement scheme
+re-applies the preparation after the channel and measures every
 qubit along the initial direction; outcomes are grouped by the sign of
 qubit 0 and the number of + results among the rest, which is lossless
 because the state is symmetric under any permutation of qubits 1..n-1.
@@ -179,7 +180,7 @@ class ProtocolQfi:
 
 def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
                  eps: float | None = None) -> ProtocolQfi:
-    """Exact QFI (Schur-Weyl blocks) and its purity-series estimate.
+    """Exact QFI (``blocks.exact_qfi``) and its purity-series estimate.
 
     Both numbers are per channel invocation; every protocol here invokes the
     channel exactly once.  The series keeps the dense qubit cap.

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochChannel, ChannelFamily, _unit_vector, classify_unitality, svd3
+from .bloch import BlochChannel, ChannelFamily, Unitality, _unit_vector, classify_unitality, svd3
 from .mstate import OrderedState, apply_channel, apply_channel_derivative, to_dense
 
 __all__ = [
@@ -90,7 +90,6 @@ __all__ = [
     "verify_family_flag",
 ]
 
-_ZERO_TOL = 1e-12
 DEFAULT_MAX_ORDER = 4
 
 
@@ -99,7 +98,7 @@ class BranchError(ValueError):
 
 
 def require_unital(ch: BlochChannel) -> None:
-    if np.linalg.norm(ch.d) > _ZERO_TOL or np.linalg.norm(ch.dd) > _ZERO_TOL:
+    if classify_unitality(ch) is not Unitality.UNITAL:
         raise BranchError(
             f"channel is not unital: |d|={np.linalg.norm(ch.d):.3e}, "
             f"|dd|={np.linalg.norm(ch.dd):.3e}")
@@ -437,7 +436,7 @@ def sqsc_unital_opt(ch: BlochChannel) -> SqscOpt:
 
 def sqsc_nonunital_h0(ch: BlochChannel) -> float:
     """Zeroth-order QFI for a parameter-dependent Bloch shift vector."""
-    if np.linalg.norm(ch.dd) <= _ZERO_TOL:
+    if classify_unitality(ch) is not Unitality.NONUNITAL_PARAM_SHIFT:
         raise BranchError("shift vector is parameter independent; use the r^2 branch")
     dnorm = float(np.linalg.norm(ch.d))
     base = float(ch.dd @ ch.dd)
@@ -449,11 +448,12 @@ def sqsc_nonunital_h0(ch: BlochChannel) -> float:
 
 def sqsc_nonunital_const_h2(ch: BlochChannel, r0) -> float:
     """Lowest-order QFI coefficient for a constant nonzero Bloch shift."""
-    if np.linalg.norm(ch.dd) > _ZERO_TOL:
+    kind = classify_unitality(ch)
+    if kind is Unitality.NONUNITAL_PARAM_SHIFT:
         raise BranchError("shift vector is parameter dependent; use the r^0 branch")
-    dnorm = float(np.linalg.norm(ch.d))
-    if dnorm <= _ZERO_TOL:
+    if kind is Unitality.UNITAL:
         raise BranchError("shift vector vanishes; the channel is unital")
+    dnorm = float(np.linalg.norm(ch.d))
     if dnorm > 1.0 - 1e-9:
         raise BranchError("|d| = 1 forces M = 0 and leaves no parameter dependence")
     v = ch.dM @ _unit_vector(r0, "r0")

@@ -17,7 +17,13 @@ from noisyqfi.bloch import (
     svd3,
     validate,
 )
-from noisyqfi.series import sqsc_nonunital_const_h2, sqsc_unital_h2
+from noisyqfi.series import (
+    BranchError,
+    require_unital,
+    sqsc_nonunital_const_h2,
+    sqsc_nonunital_h0,
+    sqsc_unital_h2,
+)
 
 from support import random_unit
 
@@ -170,6 +176,42 @@ class TestBuiltins:
             lo, hi = fam.domain
             lam = lo + 0.37 * (hi - lo)
             assert classify_unitality(fam.eval(lam)) is fam.unitality, fam.name
+
+    @pytest.mark.parametrize("size, kind", [(0.5e-12, Unitality.UNITAL),
+                                            (1e-12, Unitality.NONUNITAL_CONST_SHIFT)])
+    def test_shift_at_the_zero_tolerance_is_one_branch_everywhere(self, size, kind):
+        # |d| = 1e-12 is a shift for the classifier and every branch check,
+        # and half of it is none for all of them
+        ch = _channel(0.5 * np.eye(3), [0.0, 0.0, size], np.eye(3))
+        assert classify_unitality(ch) is kind
+        with pytest.raises(BranchError, match="parameter independent"):
+            sqsc_nonunital_h0(ch)
+        if kind is Unitality.UNITAL:
+            require_unital(ch)
+            with pytest.raises(BranchError, match="vanishes"):
+                sqsc_nonunital_const_h2(ch, [1, 0, 0])
+        else:
+            with pytest.raises(BranchError, match="not unital"):
+                require_unital(ch)
+            assert sqsc_nonunital_const_h2(ch, [1, 0, 0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("size, kind", [(0.5e-12, Unitality.UNITAL),
+                                            (1e-12, Unitality.NONUNITAL_PARAM_SHIFT)])
+    def test_shift_derivative_at_the_zero_tolerance_is_one_branch_everywhere(self, size, kind):
+        ch = _channel(0.5 * np.eye(3), np.zeros(3), np.eye(3), [0.0, 0.0, size])
+        assert classify_unitality(ch) is kind
+        if kind is Unitality.UNITAL:
+            require_unital(ch)
+            with pytest.raises(BranchError, match="parameter independent"):
+                sqsc_nonunital_h0(ch)
+            with pytest.raises(BranchError, match="vanishes"):
+                sqsc_nonunital_const_h2(ch, [1, 0, 0])
+        else:
+            with pytest.raises(BranchError, match="not unital"):
+                require_unital(ch)
+            assert sqsc_nonunital_h0(ch) == pytest.approx(1e-24)
+            with pytest.raises(BranchError, match="parameter dependent"):
+                sqsc_nonunital_const_h2(ch, [1, 0, 0])
 
 
 class TestCustomDiag:
