@@ -112,6 +112,20 @@ def test_explicit_eps_between_pair_sums():
         _assert_matches(spec, eps=eps)
 
 
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_default_cutoff_is_relative_to_the_whole_state(n):
+    # at few qubits every block's largest eigenvalue sits near the whole
+    # state's, so the per-block default keeps the same pairs as the explicit
+    # cutoff 1e-12 times the dense state's largest eigenvalue, here on
+    # spectra that span many decades
+    rng = np.random.default_rng(10 + n)
+    for r in (0.05, 0.9, 0.999, 1.0):
+        spec = correlated(builtin("phase_flip"), 0.01, n, r, random_unit(rng),
+                          random_unit(rng))
+        top = sld_exact(*dense_pair(build_state(spec))).eigenvalues[-1]
+        assert exact_qfi(spec) == exact_qfi(spec, 1e-12 * top), r
+
+
 def _blocks(spec, purities, eps=None):
     """``exact_qfis`` on the Schur-Weyl blocks, also where c is perpendicular to r0."""
     with pytest.MonkeyPatch.context() as m:
