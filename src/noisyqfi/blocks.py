@@ -176,7 +176,7 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
         log_t, weight = _log_weights(M, spins, rs)
     _check_weights(spec.n, rs, weight, "pieces" if pieces else "spin blocks")
 
-    r0, ch = spec.in_frame()
+    r0, ch = spec.in_frame
     maps = _qubit0_maps(ch)
     bloch = np.ones((len(rs), 4))
     bloch[:, 1:] = rs[:, None] * r0

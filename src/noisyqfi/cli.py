@@ -22,7 +22,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -467,6 +467,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name}", dest=field, help=text)
 
 
+@cache  # parsing leaves the parser as it was, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noisyqfi",

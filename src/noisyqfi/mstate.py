@@ -9,21 +9,30 @@ Letters are coded I=0, X=1, Y=2, Z=3 and qubit 0 is the LEFTMOST tensor
 factor, i.e. the most significant base-4 digit of the string index.  It is
 the one qubit the channel acts on.
 
-Two state forms coexist:
-
-* ``PauliState``   -- a numeric state at fixed purity.
-* ``OrderedState`` -- the same state with the purity tracked symbolically:
-  ``orders[j]`` is the coefficient operator of r^j, so the physical state is
-  sum_j r^j orders[j].  Channels and unitaries act on each order
-  independently, which is what makes the purity-series machinery exact.
+A state at fixed purity is a ``PauliState``, the dense array: every string
+of the product state can be nonzero there.  The purity orders are sparse.
+``OrderedState.orders[j]`` is the coefficient operator of r^j, so the
+physical state is sum_j r^j orders[j], and each order is a
+``PauliStrings``: a read-only index array of its nonzero strings and their
+coefficients.  Order j of the product input holds the strings with j
+letters drawn from r0.sigma, C(n, j) k^j of them for k nonzero components
+of r0 (in the frame of c, where the orders are built), so orders 0..K hold
+sum_{j<=K} C(n, j) k^j strings in place of (K + 1) 4^n entries: at n = 9
+order 4 holds 126 strings for r0 along an axis and 10,206 for an oblique
+r0, of 262,144.  The preparation and the channel act on each order
+independently, which is what makes the purity-series machinery exact, and
+they touch only its strings: the preparation sends each string to one
+string, and the channel mixes only strings that differ on qubit 0.
 
 A single-qubit channel (M, d) acts on qubit 0 by the affine rule
 I -> I + d.sigma and a.sigma -> (M a).sigma; the derivative pass applies
 (dM, dd) with no identity pass-through.  ``_pauli_maps`` writes both as
 (4, 4) maps of qubit 0's Pauli components, and a pass is one matrix product
 of a map with the coefficients viewed as (4, 4^(n-1)), the leading digit
-first.  ``_qubit0_maps`` writes them as one (8, 4) map on 2x2 matrices, for
-the Schur-Weyl blocks, which apply the channel to qubit 0's 2x2 blocks.
+first; on a purity order it multiplies only the columns of the qubit-1..n-1
+tails that the order's strings occupy.  ``_qubit0_maps`` writes them as one
+(8, 4) map on 2x2 matrices, for the Schur-Weyl blocks, which apply the
+channel to qubit 0's 2x2 blocks.
 The pairwise preparation gate with control direction c,
 
     U_c = (I8I + I8(c.sigma) + (c.sigma)8I - (c.sigma)8(c.sigma)) / 2,
@@ -43,8 +52,10 @@ Eisert & Briegel, PRA 69, 062311 (2004); Aaronson & Gottesman, PRA 70,
   string takes the sign (-1)^((w-1)/2).
 
 ``prep_conjugate`` applies this map as one signed gather of the 4^n array,
-with a table cached per qubit count.  The dense preparation path (U_c and
-the full unitary as matrices) is the test oracle in tests/support.py.
+with a table cached per qubit count; on a purity order it reads the table
+at the order's strings.  The dense preparation path (U_c and the full
+unitary as matrices) is the test oracle in tests/support.py, and so are the
+dense 4^n purity orders.
 
 ``to_dense`` pays for the nonzero strings, not for all 4^n.  With Y = iXZ a
 string is i^(#Y) X^f Z^z, where the flip pattern f marks its X and Y
@@ -52,9 +63,10 @@ letters and z its Y and Z letters, and (X^f Z^z)[x + f, x] = (-1)^(z.x)
 (+ is the bitwise XOR).  So the strings that share a flip pattern fill the
 one line D[x + f, x] of the dense matrix, and that line is the
 Walsh-Hadamard transform over z of their coefficients times i^(#Y).  Only
-the nonzero strings are decoded; each line is two Hadamard matrix products
-(sizes 2^floor(n/2) and 2^ceil(n/2)) and is scattered into a zeroed
-matrix.  The slot-by-slot ``tensordot`` contraction over all 4^n strings
+the nonzero strings are decoded (a purity order lists them, a
+``PauliState`` is scanned for them); each line is two Hadamard matrix
+products (sizes 2^floor(n/2) and 2^ceil(n/2)) and is scattered into a
+zeroed matrix.  The slot-by-slot ``tensordot`` contraction over all 4^n strings
 is the test oracle in tests/support.py.
 """
 
@@ -70,6 +82,7 @@ from .bloch import BlochChannel, _unit_vector
 
 __all__ = [
     "PauliState",
+    "PauliStrings",
     "OrderedState",
     "MAX_QUBITS_PAULI",
     "MAX_QUBITS_DENSE",
@@ -150,11 +163,53 @@ class PauliState:
 
 
 @dataclass(frozen=True)
+class PauliStrings:
+    """The nonzero Pauli strings of an n-qubit operator and their coefficients.
+
+    ``strings`` holds distinct string indices (as in ``PauliState``) and
+    ``coeffs`` their real coefficients; every other string has coefficient
+    zero.  Both arrays are read-only, and the constructor copies what it is
+    given; the builders in this module wrap the arrays they have just made
+    with ``_adopt``, which runs the same checks without the copy.
+    """
+
+    n: int
+    strings: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        strings = np.array(self.strings, dtype=np.intp)
+        if strings.size and not 0 <= strings.min() <= strings.max() < 4 ** self.n:
+            raise ValueError(f"string indices must lie in 0..4^{self.n} - 1")
+        self._hold(strings, np.array(self.coeffs, dtype=float))
+
+    def _hold(self, strings: np.ndarray, c: np.ndarray) -> None:
+        _check_pauli_cap(self.n)
+        if strings.ndim != 1 or c.shape != strings.shape:
+            raise ValueError(
+                f"need one coefficient per string, got {c.shape} for {strings.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
+        strings.flags.writeable = False
+        c.flags.writeable = False
+        object.__setattr__(self, "strings", strings)
+        object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _adopt(cls, n: int, strings: np.ndarray, coeffs: np.ndarray) -> PauliStrings:
+        """Terms that take over arrays which no one else holds."""
+        st = object.__new__(cls)
+        object.__setattr__(st, "n", n)
+        st._hold(strings, coeffs)
+        return st
+
+
+@dataclass(frozen=True)
 class OrderedState:
     """A state expanded in powers of the purity: sum_j r^j orders[j]."""
 
     n: int
-    orders: tuple[PauliState, ...]
+    orders: tuple[PauliStrings, ...]
 
     def __post_init__(self):
         for st in self.orders:
@@ -169,7 +224,7 @@ class OrderedState:
     def at_purity(self, r: float) -> PauliState:
         total = np.zeros(4 ** self.n)
         for j, st in enumerate(self.orders):
-            total += (r ** j) * st.coeffs
+            total[st.strings] += (r ** j) * st.coeffs
         return PauliState._adopt(self.n, total)
 
 
@@ -206,10 +261,11 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
 
     orders[j] collects every string with exactly j letters drawn from
     r0.sigma (coefficient (1/2^n) * product of r0 components); orders beyond
-    the requested max_order are truncated, orders beyond n are zero.  The
-    coefficients of all strings and their letter weights are grown one
-    tensor slot at a time, and each string of weight j <= max_order is
-    written into row j of one zeroed array whose rows are the orders.
+    the requested max_order are truncated, orders beyond n are empty.  The
+    strings, their coefficients and their letter weights are grown one
+    tensor slot at a time, and a string leaves as soon as its weight passes
+    max_order or its coefficient is zero: a letter whose r0 component is
+    zero is never appended, so no order holds a zero (or -0) coefficient.
     """
     _check_pauli_cap(n)
     r0 = _unit_vector(r0, "r0")
@@ -218,17 +274,23 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
     slot = 0.5 * np.array([1.0, r0[0], r0[1], r0[2]])
-    letter_weight = np.array([0, 1, 1, 1], dtype=np.int8)
-    product = np.array([1.0])
+    letters = np.flatnonzero(slot)
+    factor, adds = slot[letters], (letters > 0).astype(np.int8)
+    strings = np.zeros(1, dtype=np.intp)
+    product = np.ones(1)
     weight = np.zeros(1, dtype=np.int8)
     for _ in range(n):
-        product = np.multiply.outer(product, slot).ravel()
-        weight = (weight[:, None] + letter_weight).ravel()
-    product += 0.0  # a product through a zero r0 component is +0, never -0
-    orders = np.zeros((max_order + 1, 4 ** n))
-    kept = np.flatnonzero(weight <= max_order)
-    orders[weight[kept], kept] = product[kept]
-    return OrderedState(n, tuple(PauliState._adopt(n, row) for row in orders))
+        strings = (4 * strings[:, None] + letters).ravel()
+        product = np.multiply.outer(product, factor).ravel()
+        weight = (weight[:, None] + adds).ravel()
+        kept = (weight <= max_order) & (product != 0.0)
+        if not kept.all():
+            strings, product, weight = strings[kept], product[kept], weight[kept]
+    orders = []
+    for j in range(max_order + 1):
+        at = weight == j
+        orders.append(PauliStrings._adopt(n, strings[at], product[at]))
+    return OrderedState(n, tuple(orders))
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
@@ -253,28 +315,44 @@ def _hadamard(k: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
 
 
-def to_dense(state: PauliState) -> np.ndarray:
+def _group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in 0..size-1, ascending, and each key's place among them.
+
+    A byte mask finds them.  The rank array is written and read only at the
+    keys, so it is left uninitialised: for few keys and a large size that
+    saves zeroing and scanning size words.
+    """
+    mark = np.zeros(size, dtype=bool)
+    mark[keys] = True
+    distinct = np.flatnonzero(mark)
+    rank = np.empty(size, dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[keys]
+
+
+def to_dense(state: PauliState | PauliStrings) -> np.ndarray:
     """Dense 2^n x 2^n complex matrix of a Pauli-coefficient state.
 
     One line D[x + f, x] per flip pattern f of the nonzero strings (see the
-    module docstring), so the cost follows the nonzero strings.
+    module docstring), so the cost follows the nonzero strings.  A
+    ``PauliStrings`` lists them; a ``PauliState`` is scanned for them.
     """
     _check_dense_cap(state.n)
     n = state.n
     dim = 2 ** n
-    string = np.flatnonzero(state.coeffs != 0.0)  # faster than on the floats
+    if isinstance(state, PauliStrings):
+        string, coeffs = state.strings, state.coeffs
+    else:
+        string = np.flatnonzero(state.coeffs != 0.0)  # faster than on the floats
+        coeffs = state.coeffs[string]
     # letters I, X, Y, Z are the codes 0..3: z is the high bit, f the XOR
     # of both bits, and a Y has both f and z set
     low, z = _bits_of_digits(string), _bits_of_digits(string >> 1)
     f = low ^ z
     # the flip patterns that occur, and each string's line among them
-    rank = np.zeros(dim, dtype=np.intp)
-    rank[f] = 1
-    flips = np.flatnonzero(rank)
-    rank[flips] = np.arange(len(flips))
-    line = rank[f]
+    flips, line = _group(f, dim)
     g = np.zeros((len(flips), dim), dtype=complex)
-    g[line, z] = state.coeffs[string] * _I_POWERS[np.bitwise_count(f & z) & 3]
+    g[line, z] = coeffs * _I_POWERS[np.bitwise_count(f & z) & 3]
     # the transform over z = (z_high, z_low) as H (x) H, one product per factor
     half = n // 2
     g = _hadamard(half) @ g.reshape(-1, 2 ** half, dim >> half) @ _hadamard(n - half)
@@ -284,7 +362,7 @@ def to_dense(state: PauliState) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-State = Union[PauliState, OrderedState]
+State = Union[PauliState, PauliStrings, OrderedState]
 
 
 def _map_orders(state: State, fn) -> State:
@@ -344,12 +422,17 @@ def _cz_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def prep_conjugate(state: State) -> State:
     """Conjugate by the complete-graph CZ circuit (the preparation in the frame
-    of c): one signed gather per order."""
+    of c): one signed gather per order, or the table read at an order's strings."""
 
-    def one(st: PauliState) -> PauliState:
+    def one(st: PauliState | PauliStrings) -> PauliState | PauliStrings:
         if st.n < 2:
             raise ValueError("preparation needs at least two qubits")
         index, sign = _cz_table(st.n)
+        if isinstance(st, PauliStrings):
+            # the map is an involution, so a string's image is index[string],
+            # and the image carries the string's own sign
+            return PauliStrings._adopt(st.n, index[st.strings].astype(np.intp),
+                                       st.coeffs * sign[st.strings])
         # indexing casts the int32 table in buffered chunks, where np.take
         # would make a 4^n intp copy of it
         x = st.coeffs[index]
@@ -359,10 +442,24 @@ def prep_conjugate(state: State) -> State:
     return _map_orders(state, one)
 
 
-def _channel_pass(st: PauliState, F: np.ndarray) -> PauliState:
+def _channel_pass(st: PauliState | PauliStrings, F: np.ndarray):
     """The (4, 4) map F of Pauli components applied to qubit 0, the leading
-    base-4 digit of the string index."""
-    return PauliState._adopt(st.n, (F @ st.coeffs.reshape(4, -1)).reshape(4 ** st.n))
+    base-4 digit of the string index.
+
+    The strings of a ``PauliStrings`` are grouped by their qubit-1..n-1 tail,
+    and F multiplies one column of four leading digits per tail that occurs;
+    the images that come out exactly zero are dropped.
+    """
+    if isinstance(st, PauliState):
+        return PauliState._adopt(st.n, (F @ st.coeffs.reshape(4, -1)).reshape(4 ** st.n))
+    shift = 2 * (st.n - 1)
+    tails, column = _group(st.strings & ((1 << shift) - 1), 1 << shift)
+    t = np.zeros((4, len(tails)))
+    t[st.strings >> shift, column] = st.coeffs
+    out = F @ t
+    strings = (np.arange(4)[:, None] << shift) | tails
+    nonzero = out != 0.0
+    return PauliStrings._adopt(st.n, strings[nonzero], out[nonzero])
 
 
 # A 2x2 operator X as the row-major vector vec(X): vec(X) = _FROM_PAULI @ x

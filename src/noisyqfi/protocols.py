@@ -11,10 +11,11 @@ Two protocol shapes are supported, told apart by the qubit count n:
 No view changes under one rotation of every qubit, so each protocol is
 built in the frame of c (``ProtocolSpec.in_frame``), where the preparation
 is the complete-graph CZ circuit.  The state comes from two builders:
-``build_state`` at fixed purity (Pauli coefficients, for the measurement)
-and ``purity_orders`` (for the series coefficients, which do not depend on
-the purity).  The exact QFI comes from the state's 4x4 pieces when c is
-perpendicular to r0, and from its Schur-Weyl blocks otherwise
+``build_state`` at fixed purity (the 4^n Pauli coefficients, for the
+measurement) and ``purity_orders`` (for the series coefficients, which do
+not depend on the purity; each order is kept as its nonzero Pauli strings
+until it is made dense).  The exact QFI comes from the state's 4x4 pieces
+when c is perpendicular to r0, and from its Schur-Weyl blocks otherwise
 (``blocks.exact_qfi``, or ``blocks.exact_qfis`` for a purity sweep): small
 eigensystems in place of the 2^n one.  The local measurement scheme
 re-applies the preparation after the channel and measures every
@@ -26,6 +27,7 @@ because the state is symmetric under any permutation of qubits 1..n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,19 +114,23 @@ class ProtocolSpec:
                 v.flags.writeable = False
                 object.__setattr__(self, name, v)
 
+    @cached_property
     def in_frame(self) -> tuple[np.ndarray, BlochChannel]:
         """r0 and the channel at lam in the frame of c, where the preparation is CZ.
 
         With R = ``mstate._frame(c)`` (R z = c): r0 -> R^T r0, M -> R^T M R,
         d -> R^T d, and so for the derivative.  The single-qubit protocol has
-        no c; its r0 and channel come unrotated.
+        no c; its r0 and channel come unrotated.  The family is evaluated on
+        first use only, and every view of the spec reads the same read-only
+        result.
         """
         ch = self.family.eval(self.lam)
         if self.c is None:
             return self.r0, ch
         R = _frame(self.c)
-        return R.T @ self.r0, BlochChannel(R.T @ ch.M @ R, R.T @ ch.d,
-                                           R.T @ ch.dM @ R, R.T @ ch.dd)
+        r0 = R.T @ self.r0
+        r0.flags.writeable = False
+        return r0, BlochChannel(R.T @ ch.M @ R, R.T @ ch.d, R.T @ ch.dM @ R, R.T @ ch.dd)
 
 
 def sqsc(family: ChannelFamily, lam: float, r: float, r0) -> ProtocolSpec:
@@ -152,7 +158,7 @@ def build_state(spec: ProtocolSpec) -> PreparedState:
     The input does not depend on lam and the channel acts affinely, so the
     derivative is the derivative channel pass on the same prepared input.
     """
-    r0, ch = spec.in_frame()
+    r0, ch = spec.in_frame
     state = initial_state(spec.n, spec.r, r0)
     if spec.c is not None:
         state = prep_conjugate(state)
@@ -162,9 +168,13 @@ def build_state(spec: ProtocolSpec) -> PreparedState:
 
 def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
     """Dense purity orders of the channel output in the frame of c, up to
-    min(n, max_order).  They do not depend on the spec's purity."""
+    min(n, max_order).  They do not depend on the spec's purity.
+
+    The input orders and the preparation work on each order's nonzero Pauli
+    strings; each output order is made dense once, after the channel.
+    """
     _check_dense_cap(spec.n)  # fail before any large allocation
-    r0, ch = spec.in_frame()
+    r0, ch = spec.in_frame
     ordered = initial_state_orders(spec.n, r0, max_order=min(spec.n, max_order))
     if spec.c is not None:
         ordered = prep_conjugate(ordered)

@@ -34,7 +34,7 @@ traces.  Their factors fill few of the 2^n XOR lines D[x + f, x] (+ the
 bitwise XOR; ``mstate.to_dense`` fills the same lines), so from 256 rows up
 a product is formed from the lines of its factors, at 2^n work per pair of
 lines instead of 8^n (``_product``).  The channel and its derivative act on
-the Pauli coefficients of each input order, and each output order is then
+the nonzero Pauli strings of each input order, and each output order is then
 made dense once (``channel_output_orders``).
 
 The closed-form lowest orders implemented below, with Mdot = dM/dlam and
@@ -183,8 +183,8 @@ def channel_output_orders(input_orders: OrderedState, ch: BlochChannel) -> State
 
     The preparation is parameter independent, so the derivative of each
     final-state order is the derivative channel applied to the same input
-    order.  Both act on the Pauli coefficients of qubit 0 in each input
-    order, and each output order is made dense once.
+    order.  Both act on qubit 0's letter of each input order's nonzero
+    strings, and each output order is made dense once.
     """
     rho = []
     drho = []

@@ -13,13 +13,14 @@ from noisyqfi.mstate import (
     PAULI_MATS,
     OrderedState,
     PauliState,
+    PauliStrings,
     _check_dense_cap,
     _check_pauli_cap,
-    _map_orders,
     apply_channel,
     apply_channel_derivative,
     initial_state,
     prep_conjugate,
+    to_dense,
 )
 from noisyqfi.protocols import _outcome_tensor, correlated, sqsc
 from noisyqfi.fisher import ProbModel, _pairs, cfi, in_eigenbasis, qfi_exact
@@ -184,11 +185,45 @@ def fit_exact_orders(family, lam, n, c, r0, rs, orders=(2, 3, 4)):
     return fit_qfi_orders(np.asarray(rs), np.asarray(qs), orders=orders)
 
 
-# The purity orders grown one slot at a time, each as its own array: the
-# oracle for noisyqfi.mstate.initial_state_orders, which grows one product
-# array and one letter-weight table instead.
+# The purity orders as dense 4^n coefficient arrays: the oracle form of
+# noisyqfi.mstate.OrderedState, whose orders hold only their nonzero strings.
+# The dense operations of the library (the signed gather, the channel pass
+# and to_dense of a PauliState) act on each order of it.
 
-def oracle_initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedState:
+@dataclass(frozen=True)
+class DenseOrders:
+    n: int
+    orders: tuple[PauliState, ...]
+
+
+def dense_state(st: PauliStrings) -> PauliState:
+    """The 4^n coefficient array of an operator given by its strings."""
+    coeffs = np.zeros(4 ** st.n)
+    coeffs[st.strings] = st.coeffs
+    return PauliState(st.n, coeffs)
+
+
+def as_dense(state):
+    """An OrderedState as DenseOrders; any other state as it is."""
+    if isinstance(state, OrderedState):
+        return DenseOrders(state.n, tuple(dense_state(st) for st in state.orders))
+    return state
+
+
+def _map_orders(state, fn):
+    """fn on a dense state, or on each order of a DenseOrders (an
+    OrderedState is made dense first)."""
+    state = as_dense(state)
+    if isinstance(state, DenseOrders):
+        return DenseOrders(state.n, tuple(fn(st) for st in state.orders))
+    return fn(state)
+
+
+# The purity orders grown one slot at a time, each as its own dense array:
+# the oracle for noisyqfi.mstate.initial_state_orders, which grows the
+# strings of weight <= max_order and splits them by weight instead.
+
+def oracle_initial_state_orders(n: int, r0, max_order: int | None = None) -> DenseOrders:
     _check_pauli_cap(n)
     r0 = _unit_vector(r0, "r0")
     if max_order is None:
@@ -208,7 +243,23 @@ def oracle_initial_state_orders(n: int, r0, max_order: int | None = None) -> Ord
         polys = grown
     while len(polys) < max_order + 1:
         polys.append(np.zeros(4 ** n))
-    return OrderedState(n, tuple(PauliState(n, p) for p in polys[: max_order + 1]))
+    return DenseOrders(n, tuple(PauliState(n, p) for p in polys[: max_order + 1]))
+
+
+def oracle_output_orders(spec, max_order: int):
+    """The dense path of the purity orders, one output order at a time.
+
+    Yields (rho^(j), drho^(j)) for j = 0..min(n, max_order): the slot-by-slot
+    input orders in the frame of c, the signed gather of their 4^n arrays,
+    the channel pass on them and to_dense's scan for their nonzero strings.
+    The oracle for protocols.purity_orders, bit for bit; one order at a time,
+    so n = 10 holds no more than one order's matrices.
+    """
+    r0, ch = spec.in_frame
+    for st in oracle_initial_state_orders(spec.n, r0, min(spec.n, max_order)).orders:
+        if spec.c is not None:
+            st = prep_conjugate(st)
+        yield to_dense(apply_channel(st, ch)), to_dense(apply_channel_derivative(st, ch))
 
 
 # Every one of the 4^n strings contracted with the Pauli matrices, one
@@ -231,10 +282,11 @@ def oracle_to_dense(state: PauliState) -> np.ndarray:
 # noisyqfi.series.channel_output_orders, which makes them dense with
 # noisyqfi.mstate.to_dense.
 
-def oracle_channel_output_orders(input_orders: OrderedState, ch) -> StateOrders:
+def oracle_channel_output_orders(input_orders, ch) -> StateOrders:
+    dense = as_dense(input_orders).orders
     return StateOrders(
-        tuple(oracle_to_dense(apply_channel(st, ch)) for st in input_orders.orders),
-        tuple(oracle_to_dense(apply_channel_derivative(st, ch)) for st in input_orders.orders))
+        tuple(oracle_to_dense(apply_channel(st, ch)) for st in dense),
+        tuple(oracle_to_dense(apply_channel_derivative(st, ch)) for st in dense))
 
 
 # Generic order-by-order SLD solver in the full 2^n eigenbasis of rho^(0):
@@ -389,7 +441,7 @@ def rotate_slots(state, R: np.ndarray):
 def lab_prep_conjugate(state, c):
     """Conjugate by the full preparation unitary for control direction c."""
     R = frame_rotation(c)
-    return rotate_slots(prep_conjugate(rotate_slots(state, R.T)), R)
+    return rotate_slots(_map_orders(rotate_slots(state, R.T), prep_conjugate), R)
 
 
 # The dense preparation path: U_c and the full preparation unitary as
@@ -468,8 +520,9 @@ def conjugate(state, U: np.ndarray):
         out[0] = st.coeffs[0]
         return PauliState(st.n, out)
 
+    state = as_dense(state)
     out = _map_orders(state, one)
-    if isinstance(state, OrderedState):
+    if isinstance(state, DenseOrders):
         # the zero-order term is proportional to the identity string and must
         # be fixed by any unitary
         assert np.allclose(out.orders[0].coeffs, state.orders[0].coeffs, atol=1e-12)

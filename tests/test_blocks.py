@@ -349,7 +349,7 @@ WEIGHT_PURITIES = (0.0, 1e-17, 1e-12, 1e-8, 0.01, 0.5, 0.999999, 1.0)
     + [(n, r) for n in (1051, 1100, 5001, 7001, 20001, MAX_QUBITS_PIECES)
        for r in WEIGHT_PURITIES])))
 def test_weights_sum_to_one_below_the_underflow(n, r, monkeypatch):
-    monkeypatch.setattr(ProtocolSpec, "in_frame", _stop_at_the_solve)
+    monkeypatch.setattr(ProtocolSpec, "in_frame", property(_stop_at_the_solve))
     start = time.perf_counter()
     with pytest.raises(_Solved):
         exact_qfi(correlated(builtin("phase_flip"), 0.3, n, r, [0, 1, 0], [1, 0, 0]))
@@ -384,7 +384,7 @@ def test_lost_weight_is_named_on_each_branch(monkeypatch):
                         lambda *args: piece_weights(*args) * (1.0 - 1e-11))
     monkeypatch.setattr(blocks, "_log_weights", lambda *args: tuple(
         w * f for w, f in zip(log_weights(*args), (1.0, 1.0 - 1e-11))))
-    monkeypatch.setattr(ProtocolSpec, "in_frame", _stop_at_the_solve)
+    monkeypatch.setattr(ProtocolSpec, "in_frame", property(_stop_at_the_solve))
     for r0, parts in [([1, 0, 0], "pieces"), ([0.6, 0, 0.8], "spin blocks")]:
         spec = correlated(builtin("phase_flip"), 0.3, 6, 0.2, [0, 0, 1], r0)
         with pytest.raises(ValueError, match=rf"n=6, r=0.2: the {parts} keep weight 0\.99999999999"):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,8 +378,8 @@ class TestMainExitCodes:
         for argv in (["qfi", "--purity", "1e-3"], ["fit-orders"]):
             code = main(argv + ["--channel", "phase_flip", "--lambda", "0.3", "--n", "11"])
             assert code == EXIT_NUMERIC
-            assert "outside supported range 1..10 for dense-matrix operations" in \
-                capsys.readouterr().err
+            assert "n=11: qubit count 11 outside supported range 1..10 for dense-matrix " \
+                "operations\n" in capsys.readouterr().err
 
     def test_only_series_commands_warn_about_validity(self, capsys):
         args = ["--channel", "phase_flip", "--purity", "1", "--n", "3"]
@@ -589,9 +593,10 @@ class TestWorkPerCell:
         # per cell: one preparation, for the purity orders; the exact QFI
         # needs none
         assert len(prep) == 4
-        # per cell: one spec (one eval, one svd3), the flag check, the purity
-        # orders and one block solve for all purities
-        assert len(evals) == 4 * 4
+        # per cell: one spec (one eval, one svd3), the flag check, and the
+        # frame of c, which the purity orders and the block solve for all
+        # purities share
+        assert len(evals) == 4 * 3
         assert len(svds) == 4
         purities = [float(x) for x in default_fit_purities()]
         assert [list(call[1]) for call in sweeps] == [purities] * 4
@@ -599,6 +604,7 @@ class TestWorkPerCell:
     @pytest.mark.parametrize("max_order", [None, 5])
     def test_qfi_solves_sld_to_half_the_order(self, max_order, monkeypatch, capsys):
         sld = _count_calls(monkeypatch, series, "sld_orders")
+        evals = _count_calls(monkeypatch, ChannelFamily, "eval")
         args = ["qfi", "--channel", "gad", "--param", "p=0.8", "--lambda", "0.3",
                 "--purity", "1e-3,1e-2", "--n", "1,2,3"]
         if max_order is not None:
@@ -606,6 +612,9 @@ class TestWorkPerCell:
         assert main(args) == EXIT_OK
         K = 4 if max_order is None else max_order
         assert [call[1] for call in sld] == [K // 2] * 6
+        # per cell: the spec, and the frame of c, which the series and the
+        # exact QFI share
+        assert len(evals) == 2 * 6
 
     def test_qfi_makes_each_order_dense_once(self, monkeypatch, capsys):
         dense = _count_calls(monkeypatch, series, "to_dense")
@@ -653,9 +662,9 @@ class TestWorkPerCell:
         assert code == EXIT_OK
         assert len(sld) == 0
         assert len(prep) == 3 * 2
-        # per cell: the spec, the exact QFI and the measured state; the frame
-        # of c is read with the channel and adds none
-        assert len(evals) == 3 * 2
+        # per cell: the spec, and the frame of c, which the exact QFI and the
+        # measured state share
+        assert len(evals) == 2 * 2
 
     def test_fit_rows_equal_one_protocol_qfi_per_purity(self):
         lam, n, K = 0.5, 3, 4
@@ -697,6 +706,39 @@ class TestDeterminism:
         row = out.read_text().splitlines()[1].split(",")
         assert row[0] == "0.20000000000000001"
         assert float(row[3]) == pytest.approx(0.37205456800330694)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; each call still parses alone."""
+
+    ARGVS = [
+        ["qfi", "--channel", "gad", "--param", "p=0.8", "--param", "p=0.6",
+         "--lambda", "0.3", "--n", "1,2"],
+        ["qfi", "--channel", "custom_diag", "--param", "mx=1-l", "--param", "my=1-l",
+         "--param", "mz=1-2*l", "--lambda", "0.3", "--n", "2"],
+    ]
+
+    def test_calls_in_one_process_match_separate_runs(self, capsys):
+        # a --param list shared between calls would hand the second call the
+        # first one's p, which custom_diag refuses
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        alone = [subprocess.run([sys.executable, "-m", "noisyqfi.cli", *argv], env=env,
+                                capture_output=True, text=True, check=True).stdout
+                 for argv in self.ARGVS]
+        for argv, want in zip(self.ARGVS + self.ARGVS, alone + alone):
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out == want
+        assert cli._build_parser() is cli._build_parser()
+
+
+class TestSeriesAtTheCap:
+    def test_parallel_directions_at_ten_qubits(self, capsys):
+        # c = r0 = z: the purity orders hold only I/Z strings
+        code = main(["qfi", "--channel", "depolarizing", "--c", "0,0,1", "--r0", "0,0,1",
+                     "--n", "10"])
+        assert code == EXIT_OK
+        row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+        assert np.isfinite(float(row["exact"])) and np.isfinite(float(row["series"]))
 
 
 class TestConfigFileDriven:

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisyqfi import builtin, correlated, mstate as ms
+from noisyqfi import builtin, correlated, mstate as ms, sqsc
+from noisyqfi.protocols import purity_orders
 from noisyqfi.mstate import (
     OrderedState,
     PauliState,
+    PauliStrings,
     apply_channel,
     apply_channel_derivative,
     initial_state,
@@ -22,7 +24,9 @@ from noisyqfi.series import canonical_directions
 from support import (
     PAULI,
     _mul_two_qubit,
+    as_dense,
     conjugate,
+    dense_state,
     from_dense,
     kraus_apply,
     kraus_depolarizing,
@@ -30,6 +34,7 @@ from support import (
     kraus_phase_flip,
     lab_prep_conjugate,
     oracle_initial_state_orders,
+    oracle_output_orders,
     oracle_prep_conjugate,
     oracle_to_dense,
     pair_transfer,
@@ -78,34 +83,29 @@ class TestInitialState:
 
 class TestOrderDecomposition:
     def test_single_qubit(self):
-        ordered = initial_state_orders(1, [0, 1, 0])
+        ordered = as_dense(initial_state_orders(1, [0, 1, 0]))
         np.testing.assert_allclose(ordered.orders[0].coeffs, [0.5, 0, 0, 0])
         np.testing.assert_allclose(ordered.orders[1].coeffs, [0, 0, 0.5, 0])
 
     def test_two_qubit_first_order_strings(self):
         ordered = initial_state_orders(2, [0, 0, 1])
-        nz = np.nonzero(ordered.orders[1].coeffs)[0]
-        assert {pauli_label(i, 2) for i in nz} == {"ZI", "IZ"}
+        assert {pauli_label(i, 2) for i in ordered.orders[1].strings} == {"ZI", "IZ"}
 
     def test_three_qubit_second_order(self):
         ordered = initial_state_orders(3, [1, 0, 0])
-        nz = np.nonzero(ordered.orders[2].coeffs)[0]
-        labels = {pauli_label(i, 3) for i in nz}
-        assert labels == {"XXI", "XIX", "IXX"}
-        for i in nz:
-            assert ordered.orders[2].coeffs[i] == pytest.approx(1 / 8)
+        st = ordered.orders[2]
+        assert {pauli_label(i, 3) for i in st.strings} == {"XXI", "XIX", "IXX"}
+        np.testing.assert_allclose(st.coeffs, 1 / 8)
 
     def test_zero_order_is_identity_string(self):
         for n in (1, 2, 4):
-            ordered = initial_state_orders(n, [0, 0, 1])
-            expected = np.zeros(4 ** n)
-            expected[0] = 0.5 ** n
-            np.testing.assert_allclose(ordered.orders[0].coeffs, expected)
+            st = initial_state_orders(n, [0, 0, 1]).orders[0]
+            assert st.strings.tolist() == [0] and st.coeffs.tolist() == [0.5 ** n]
 
     def test_higher_orders_traceless(self):
         ordered = initial_state_orders(3, random_unit(np.random.default_rng(3)))
         for st in ordered.orders[1:]:
-            assert st.coeffs[0] == 0.0
+            assert 0 not in st.strings
 
     def test_matches_numeric_state(self):
         rng = np.random.default_rng(4)
@@ -118,19 +118,19 @@ class TestOrderDecomposition:
     def test_padding_beyond_n(self):
         ordered = initial_state_orders(2, [0, 0, 1], max_order=4)
         assert ordered.max_order == 4
-        assert not ordered.orders[3].coeffs.any()
-        assert not ordered.orders[4].coeffs.any()
+        assert ordered.orders[3].strings.size == 0 == ordered.orders[4].strings.size
 
     def test_bit_identical_to_slot_growth(self):
         # signed axes put exact zeros next to negative factors: the orders
-        # still hold +0.0, as the slot-by-slot sums do
+        # hold no zero, so their dense form has +0.0 where the slot-by-slot
+        # sums do
         rng = np.random.default_rng(6)
         dirs = [[0, 1, 0], [0, 0, -1], [-1, 0, 0], [0.6, -0.8, 0.0]]
         dirs += [random_unit(rng) for _ in range(3)]
         for n in (1, 2, 3, 4, 7, 9):
             for r0 in dirs:
                 for max_order in (None, 0, 2, n + 2):
-                    got = initial_state_orders(n, r0, max_order)
+                    got = as_dense(initial_state_orders(n, r0, max_order))
                     want = oracle_initial_state_orders(n, r0, max_order)
                     assert len(got.orders) == len(want.orders)
                     for a, b in zip(got.orders, want.orders):
@@ -243,8 +243,12 @@ def _directions(rng) -> list[np.ndarray]:
 
 
 def _random_ordered(rng, n: int, orders: int = 3) -> OrderedState:
-    return OrderedState(n, tuple(PauliState(n, rng.normal(size=4 ** n))
-                                 for _ in range(orders)))
+    """Orders on random sets of strings, from a few to all 4^n."""
+    out = []
+    for _ in range(orders):
+        strings = np.flatnonzero(rng.random(4 ** n) < rng.uniform(0.01, 1.0))
+        out.append(PauliStrings(n, strings, rng.normal(size=len(strings))))
+    return OrderedState(n, tuple(out))
 
 
 class TestCliffordGather:
@@ -255,8 +259,9 @@ class TestCliffordGather:
 
     @staticmethod
     def _assert_matches(got, want):
-        got_rows = got.orders if isinstance(got, OrderedState) else (got,)
-        want_rows = want.orders if isinstance(want, OrderedState) else (want,)
+        got, want = as_dense(got), as_dense(want)
+        got_rows = got.orders if hasattr(got, "orders") else (got,)
+        want_rows = want.orders if hasattr(want, "orders") else (want,)
         assert len(got_rows) == len(want_rows)
         for g, w in zip(got_rows, want_rows):
             scale = float(np.max(np.abs(w.coeffs)))
@@ -345,8 +350,8 @@ class TestConjugate:
         rng = np.random.default_rng(15)
         ordered = initial_state_orders(3, random_unit(rng))
         for out in (prep_conjugate(ordered), lab_prep_conjugate(ordered, random_unit(rng))):
-            np.testing.assert_allclose(out.orders[0].coeffs, ordered.orders[0].coeffs,
-                                       atol=1e-15)
+            np.testing.assert_allclose(as_dense(out).orders[0].coeffs,
+                                       as_dense(ordered).orders[0].coeffs, atol=1e-15)
 
     def test_first_order_perpendicular_closed_form(self):
         # two qubits, c perpendicular to r0: (r0.sigma x c.sigma + c.sigma x r0.sigma)/4
@@ -489,11 +494,13 @@ def _one_string_per_flip_pattern(st: PauliState) -> bool:
     return len(np.unique(flips)) == len(flips)
 
 
-def _assert_dense_matches_oracle(st: PauliState) -> bool:
+def _assert_dense_matches_oracle(st: PauliState | PauliStrings) -> bool:
     """to_dense against the tensordot oracle: exactly where every entry is a
     single term (the sign of a zero aside), else to 1e-15 * 2^n * max|c|
     (an entry sums up to 2^n strings).  Returns whether it was exact."""
-    got, want = to_dense(st), oracle_to_dense(st)
+    got = to_dense(st)
+    st = dense_state(st) if isinstance(st, PauliStrings) else st
+    want = oracle_to_dense(st)
     assert got.shape == want.shape and got.dtype == want.dtype
     if _one_string_per_flip_pattern(st):
         assert np.array_equal(got, want)
@@ -506,7 +513,7 @@ def _assert_dense_matches_oracle(st: PauliState) -> bool:
 def _orders_in_frame(fam, lam, n, c, r0):
     """The purity orders after the preparation, the channel and its
     derivative, as the series builds them in the frame of c."""
-    r0_frame, ch = correlated(fam, lam, n, 0.0, c, r0).in_frame()
+    r0_frame, ch = correlated(fam, lam, n, 0.0, c, r0).in_frame
     prepared = prep_conjugate(initial_state_orders(n, r0_frame, min(n, 4)))
     return [*prepared.orders, *apply_channel(prepared, ch).orders,
             *apply_channel_derivative(prepared, ch).orders]
@@ -570,6 +577,96 @@ class TestDenseOracle:
         assert peak <= 1.1 * out.nbytes
 
 
+# (c, r0) pairs by the components of r0 in the frame of c, where the orders
+# are built: along an axis, one exact zero, or all three nonzero (the two
+# tiny ones of c = r0 and of c perpendicular to r0 are rounding)
+_C = [0.48, 0.6, 0.64]
+_C_PERP = np.array([0.0, 0.64, -0.6]) / np.sqrt(0.64 ** 2 + 0.6 ** 2)  # c x x
+FRAME_CASES = {
+    "axis, c perpendicular": ([0, 0, 1], [1, 0, 0], 1),
+    "axis, c parallel": ([0, 0, 1], [0, 0, 1], 1),
+    "one zero, c perpendicular": ([0, 0, 1], [0.6, 0.8, 0], 2),
+    "one zero, oblique": ([0, 0, 1], [0.6, 0, 0.8], 2),
+    "three nonzero, c perpendicular": (_C, _C_PERP, 3),
+    "three nonzero, c parallel": (_C, _C, 3),
+    "three nonzero, oblique": (_C, [0.36, 0.48, 0.8], 3),
+}
+
+
+def _case_spec(n: int, case: str):
+    """A gad spec of the case; n = 1 has no frame and takes r0 as it is."""
+    c, r0, nonzero = FRAME_CASES[case]
+    fam = builtin("gad", p=0.8)
+    if n == 1:
+        return sqsc(fam, 0.3, 0.2, r0)
+    spec = correlated(fam, 0.3, n, 0.2, c, r0)
+    assert np.count_nonzero(spec.in_frame[0]) == nonzero
+    return spec
+
+
+def _string_output_orders(spec, max_order: int):
+    """``protocols.purity_orders`` one output order at a time: the strings of
+    each input order through the preparation, the channel and to_dense."""
+    r0, ch = spec.in_frame
+    ordered = initial_state_orders(spec.n, r0, min(spec.n, max_order))
+    if spec.c is not None:
+        ordered = prep_conjugate(ordered)
+    for st in ordered.orders:
+        yield to_dense(apply_channel(st, ch)), to_dense(apply_channel_derivative(st, ch))
+
+
+class TestStringsAgainstDenseOrders:
+    """The purity orders as strings against the dense 4^n orders of
+    tests/support.py, bit for bit, for every order and derivative."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_order_and_derivative_is_bit_equal(self, n):
+        # at n = 10 the orders through n + 2 take seconds per case where most
+        # strings occur, so there they run for the axis cases and one zero
+        for case in FRAME_CASES:
+            spec = _case_spec(n, case)
+            full = n < 10 or case in ("axis, c perpendicular", "axis, c parallel",
+                                      "one zero, c perpendicular")
+            for K in dict.fromkeys((0, 1, 4, n + 2) if full else (0, 1, 4)):
+                pairs = itertools.zip_longest(_string_output_orders(spec, K),
+                                              oracle_output_orders(spec, K))
+                for j, (got, want) in enumerate(pairs):
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == b.tobytes(), (case, K, j)
+                assert j == min(n, K)
+
+    def test_purity_orders_are_the_stages(self):
+        spec = _case_spec(6, "three nonzero, oblique")
+        orders = purity_orders(spec, 4)
+        for j, (rho, drho) in enumerate(_string_output_orders(spec, 4)):
+            assert np.array_equal(orders.rho[j], rho) and np.array_equal(orders.drho[j], drho)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_at_purity_is_the_product_state(self, n):
+        for case in FRAME_CASES:
+            r0 = _case_spec(n, case).in_frame[0]
+            ordered = initial_state_orders(n, r0)
+            for r in (0.0, 0.3, 1.0):
+                want = initial_state(n, r, r0).coeffs
+                got = ordered.at_purity(r).coeffs
+                assert np.array_equal(got == 0.0, want == 0.0)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_orders_allocate_their_strings_only(self):
+        # the dense orders of n = 10, K = 4 took 5 x 8 MB; the 20,686 strings
+        # of an oblique r0 take 0.3 MB, and the CZ table is built beforehand
+        r0 = [0.36, 0.48, 0.8]
+        prep_conjugate(initial_state_orders(10, r0, 4))
+        tracemalloc.start()
+        try:
+            prepared = prep_conjugate(initial_state_orders(10, r0, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(st.strings) for st in prepared.orders) == 20686
+        assert peak < 2 * 2 ** 20
+
+
 class TestPauliAlgebra:
     def test_product_rule(self):
         # sigma_a sigma_b = (a.b) I + i (a x b).sigma, via dense 2x2 products
@@ -621,6 +718,20 @@ class TestCaps:
         with pytest.raises(ValueError):
             st.coeffs[0] = 1.0
 
+    def test_strings_are_checked(self):
+        with pytest.raises(ValueError, match="1..14"):
+            PauliStrings(15, [0], [1.0])
+        with pytest.raises(ValueError, match=r"0..4\^2 - 1"):
+            PauliStrings(2, [3, 16], [1.0, 1.0])
+        with pytest.raises(ValueError, match="one coefficient per string"):
+            PauliStrings(2, [3, 5], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            PauliStrings(2, [3], [np.nan])
+        st = initial_state_orders(2, [0.6, 0.0, 0.8]).orders[1]
+        for arr in (st.strings, st.coeffs):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
 
 class TestCoefficientOwnership:
     def test_caller_writes_do_not_reach_the_state(self):
@@ -644,9 +755,9 @@ class TestCoefficientOwnership:
     def test_builders_do_not_copy_their_output(self, monkeypatch):
         # the constructor's copy runs in __post_init__, which the builders skip
         copies = []
-        post_init = PauliState.__post_init__
-        monkeypatch.setattr(PauliState, "__post_init__",
-                            lambda self: copies.append(self.n) or post_init(self))
+        for cls in (PauliState, PauliStrings):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, post_init=cls.__post_init__:
+                                copies.append(self.n) or post_init(self))
         ch = builtin("gad", p=0.8).eval(0.3)
         ordered = initial_state_orders(3, [0.6, 0.0, 0.8])
         prepared = prep_conjugate(ordered)
@@ -657,3 +768,4 @@ class TestCoefficientOwnership:
         assert not copies
         for st in states:
             assert not st.coeffs.flags.writeable
+            assert not getattr(st, "strings", st.coeffs).flags.writeable
