@@ -27,7 +27,6 @@ from .blocks import exact_qfi, exact_qfis, spin_blocks
 from .fisher import ProbModel, cfi, qfi_exact
 from .mstate import (
     OrderedState,
-    PauliState,
     PauliStrings,
     apply_channel,
     apply_channel_derivative,

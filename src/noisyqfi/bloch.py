@@ -98,6 +98,12 @@ class BlochChannel:
         object.__setattr__(self, "dd", _as_vector(self.dd, "dd"))
 
 
+def _nonfinite_parts(ch: BlochChannel) -> list[str]:
+    """The names of the channel's arrays (M, d, dM, dd) with a non-finite entry."""
+    return [name for name in ("M", "d", "dM", "dd")
+            if not np.all(np.isfinite(getattr(ch, name)))]
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     passed: bool

@@ -27,7 +27,8 @@ from functools import cache, partial
 import numpy as np
 
 from .blocks import exact_qfi, exact_qfis
-from .bloch import BlochChannel, ChannelFamily, DomainError, Unitality, validate
+from .bloch import (BlochChannel, ChannelFamily, DomainError, Unitality, _nonfinite_parts,
+                    validate)
 from .config import ConfigError, family_from_config, parse_config_text
 from .protocols import (
     VANISHING_QFI,
@@ -203,14 +204,13 @@ def _eval_at(family: ChannelFamily, lam: float) -> BlochChannel:
 
 def _spec_for(family: ChannelFamily, lam: float, r: float, n: int,
               c: tuple | None, r0: tuple | None):
-    c_vec, r0_vec = canonical_directions(family.eval(lam))
-    if r0 is not None:
-        r0_vec = np.asarray(r0)
-    if c is not None:
-        c_vec = np.asarray(c)
+    # the canonical pair costs a channel evaluation: only a missing direction needs it
+    if r0 is None or (c is None and n > 1):
+        c_star, r0_star = canonical_directions(family.eval(lam))
+    r0_vec = r0_star if r0 is None else np.asarray(r0)
     if n == 1:
         return sqsc(family, lam, r, r0_vec)
-    return correlated(family, lam, n, r, c_vec, r0_vec)
+    return correlated(family, lam, n, r, c_star if c is None else np.asarray(c), r0_vec)
 
 
 def _qfi_cell(family: ChannelFamily, cfg: RunConfig, lam: float, r: float, n: int) -> list:
@@ -311,9 +311,7 @@ def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
     failures = []
     for lam in lams:
         ch = _eval_at(family, lam)
-        bad = [name for name in ("M", "d", "dM", "dd")
-               if not np.all(np.isfinite(getattr(ch, name)))]
-        if bad:
+        if bad := _nonfinite_parts(ch):
             raise NumericError(
                 f"channel {family.name!r} has non-finite {', '.join(bad)} "
                 f"at lambda={lam:g}", table=(header, rows))

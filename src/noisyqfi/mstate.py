@@ -1,7 +1,7 @@
 """n-qubit operator algebra in the Pauli-string basis.
 
-An n-qubit Hermitian operator rho is stored as the real coefficient array
-over the 4^n Pauli strings, with the convention
+An n-qubit Hermitian operator rho is expanded over the 4^n Pauli strings
+with real coefficients, in the convention
 
     rho = sum_P coeffs[P] * P,        coeffs[P] = Tr[rho P] / 2^n.
 
@@ -9,30 +9,30 @@ Letters are coded I=0, X=1, Y=2, Z=3 and qubit 0 is the LEFTMOST tensor
 factor, i.e. the most significant base-4 digit of the string index.  It is
 the one qubit the channel acts on.
 
-A state at fixed purity is a ``PauliState``, the dense array: every string
-of the product state can be nonzero there.  The purity orders are sparse.
-``OrderedState.orders[j]`` is the coefficient operator of r^j, so the
-physical state is sum_j r^j orders[j], and each order is a
-``PauliStrings``: a read-only index array of its nonzero strings and their
-coefficients.  Order j of the product input holds the strings with j
-letters drawn from r0.sigma, C(n, j) k^j of them for k nonzero components
-of r0 (in the frame of c, where the orders are built), so orders 0..K hold
-sum_{j<=K} C(n, j) k^j strings in place of (K + 1) 4^n entries: at n = 9
-order 4 holds 126 strings for r0 along an axis and 10,206 for an oblique
-r0, of 262,144.  The preparation and the channel act on each order
-independently, which is what makes the purity-series machinery exact, and
-they touch only its strings: the preparation sends each string to one
-string, and the channel mixes only strings that differ on qubit 0.
+Every operator is a ``PauliStrings``: read-only arrays of its nonzero
+strings and their coefficients.  The states are built in the frame of c
+(``_frame``), where r0 has no v component, so a product state's slot holds
+at most the letters I, X and Z.  The state at fixed purity holds (1 + k)^n
+strings for k nonzero components of r0 in that frame: at most 3^n, and 2^n
+when c is perpendicular to r0.  ``OrderedState.orders[j]`` is the
+coefficient operator of r^j, so the physical state is sum_j r^j orders[j].
+Order j of the product input holds the strings with j letters drawn from
+r0.sigma, C(n, j) k^j of them, so orders 0..K hold sum_{j<=K} C(n, j) k^j
+strings in place of (K + 1) 4^n entries: at n = 9 order 4 holds 126
+strings for r0 along or perpendicular to c and 2,016 for an oblique r0, of
+262,144.  The preparation and the channel act on each order independently,
+which is what makes the purity-series machinery exact, and they touch only
+its strings: the preparation sends each string to one string, and the
+channel mixes only strings that differ on qubit 0.
 
 A single-qubit channel (M, d) acts on qubit 0 by the affine rule
 I -> I + d.sigma and a.sigma -> (M a).sigma; the derivative pass applies
 (dM, dd) with no identity pass-through.  ``_pauli_maps`` writes both as
-(4, 4) maps of qubit 0's Pauli components, and a pass is one matrix product
-of a map with the coefficients viewed as (4, 4^(n-1)), the leading digit
-first; on a purity order it multiplies only the columns of the qubit-1..n-1
-tails that the order's strings occupy.  ``_qubit0_maps`` writes them as one
-(8, 4) map on 2x2 matrices, for the Schur-Weyl blocks, which apply the
-channel to qubit 0's 2x2 blocks.
+(4, 4) maps of qubit 0's Pauli components, and a pass multiplies a map with
+the coefficients viewed as (4, 4^(n-1)), the leading digit first, in the
+columns of the qubit-1..n-1 tails that the strings occupy.  ``_qubit0_maps``
+writes them as one (8, 4) map on 2x2 matrices, for the Schur-Weyl blocks,
+which apply the channel to qubit 0's 2x2 blocks.
 The pairwise preparation gate with control direction c,
 
     U_c = (I8I + I8(c.sigma) + (c.sigma)8I - (c.sigma)8(c.sigma)) / 2,
@@ -51,11 +51,11 @@ Eisert & Briegel, PRA 69, 062311 (2004); Aaronson & Gottesman, PRA 70,
 * w odd:  every I becomes Z and every Z becomes I; X and Y stay, and the
   string takes the sign (-1)^((w-1)/2).
 
-``prep_conjugate`` applies this map as one signed gather of the 4^n array,
-with a table cached per qubit count; on a purity order it reads the table
-at the order's strings.  The dense preparation path (U_c and the full
-unitary as matrices) is the test oracle in tests/support.py, and so are the
-dense 4^n purity orders.
+``prep_conjugate`` reads this map at the strings from a signed gather table
+of all 4^n strings, cached per qubit count.  The dense preparation path (U_c
+and the full unitary as matrices) is the test oracle in tests/support.py,
+and so are the dense 4^n coefficient arrays, their signed gather and their
+channel pass.
 
 ``to_dense`` pays for the nonzero strings, not for all 4^n.  With Y = iXZ a
 string is i^(#Y) X^f Z^z, where the flip pattern f marks its X and Y
@@ -63,8 +63,7 @@ letters and z its Y and Z letters, and (X^f Z^z)[x + f, x] = (-1)^(z.x)
 (+ is the bitwise XOR).  So the strings that share a flip pattern fill the
 one line D[x + f, x] of the dense matrix, and that line is the
 Walsh-Hadamard transform over z of their coefficients times i^(#Y).  Only
-the nonzero strings are decoded (a purity order lists them, a
-``PauliState`` is scanned for them); each line is two Hadamard matrix
+the nonzero strings are decoded; each line is two Hadamard matrix
 products (sizes 2^floor(n/2) and 2^ceil(n/2)) and is scattered into a
 zeroed matrix.  The slot-by-slot ``tensordot`` contraction over all 4^n strings
 is the test oracle in tests/support.py.
@@ -81,13 +80,10 @@ import numpy as np
 from .bloch import BlochChannel, _unit_vector
 
 __all__ = [
-    "PauliState",
     "PauliStrings",
     "OrderedState",
     "MAX_QUBITS_PAULI",
     "MAX_QUBITS_DENSE",
-    "pauli_index",
-    "pauli_label",
     "initial_state",
     "initial_state_orders",
     "to_dense",
@@ -96,10 +92,11 @@ __all__ = [
     "apply_channel_derivative",
 ]
 
-MAX_QUBITS_PAULI = 14   # 4^n coefficient array
+MAX_QUBITS_PAULI = 14   # 4^n gather table and outcome array
 MAX_QUBITS_DENSE = 10   # 2^n x 2^n complex matrices
 
-_LETTERS = "IXYZ"
+# r0's part perpendicular to c at or below this is rounding: r0 is along c
+_PARALLEL = 1e-15
 
 PAULI_MATS = np.array([
     [[1, 0], [0, 1]],
@@ -125,49 +122,11 @@ def _check_dense_cap(n: int) -> None:
 
 
 @dataclass(frozen=True)
-class PauliState:
-    """Real Pauli-string coefficients of an n-qubit operator.
-
-    The coefficients are read-only and share no writable buffer with the
-    caller: the constructor copies the array it is given.  The builders in
-    this module wrap the arrays they have just made with ``_adopt``, which
-    runs the same checks without the copy.
-    """
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self._hold(np.array(self.coeffs, dtype=float))
-
-    def _hold(self, c: np.ndarray) -> None:
-        _check_pauli_cap(self.n)
-        if c.shape != (4 ** self.n,):
-            raise ValueError(
-                f"coefficient array must have length 4^{self.n}, got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def _adopt(cls, n: int, coeffs: np.ndarray) -> PauliState:
-        """A state that takes over a float array which no one else holds."""
-        st = object.__new__(cls)
-        object.__setattr__(st, "n", n)
-        st._hold(coeffs)
-        return st
-
-    def coeff(self, label: str) -> float:
-        return float(self.coeffs[pauli_index(label)])
-
-
-@dataclass(frozen=True)
 class PauliStrings:
     """The nonzero Pauli strings of an n-qubit operator and their coefficients.
 
-    ``strings`` holds distinct string indices (as in ``PauliState``) and
-    ``coeffs`` their real coefficients; every other string has coefficient
+    ``strings`` holds distinct string indices (base 4, qubit 0 the leading
+    digit) and ``coeffs`` their real coefficients; every other string has coefficient
     zero.  Both arrays are read-only, and the constructor copies what it is
     given; the builders in this module wrap the arrays they have just made
     with ``_adopt``, which runs the same checks without the copy.
@@ -221,59 +180,17 @@ class OrderedState:
     def max_order(self) -> int:
         return len(self.orders) - 1
 
-    def at_purity(self, r: float) -> PauliState:
-        total = np.zeros(4 ** self.n)
-        for j, st in enumerate(self.orders):
-            total[st.strings] += (r ** j) * st.coeffs
-        return PauliState._adopt(self.n, total)
 
+def _grow_product(n: int, slot: np.ndarray, max_order: int):
+    """The nonzero strings of the product of n copies of slot (I, X, Y, Z
+    coefficients), their coefficients and their number of non-I letters.
 
-def pauli_index(label: str) -> int:
-    idx = 0
-    for ch in label:
-        idx = 4 * idx + _LETTERS.index(ch)
-    return idx
-
-
-def pauli_label(idx: int, n: int) -> str:
-    out = []
-    for _ in range(n):
-        out.append(_LETTERS[idx % 4])
-        idx //= 4
-    return "".join(reversed(out))
-
-
-def initial_state(n: int, r: float, r0) -> PauliState:
-    """Product state ((I + r * r0.sigma)/2)^(x)n at fixed purity."""
-    _check_pauli_cap(n)
-    r0 = _unit_vector(r0, "r0")
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"purity must lie in [0, 1], got {r}")
-    slot = 0.5 * np.array([1.0, r * r0[0], r * r0[1], r * r0[2]])
-    coeffs = np.array([1.0])
-    for _ in range(n):
-        coeffs = np.multiply.outer(coeffs, slot).ravel()
-    return PauliState._adopt(n, coeffs)
-
-
-def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedState:
-    """Purity-order decomposition of the product initial state.
-
-    orders[j] collects every string with exactly j letters drawn from
-    r0.sigma (coefficient (1/2^n) * product of r0 components); orders beyond
-    the requested max_order are truncated, orders beyond n are empty.  The
-    strings, their coefficients and their letter weights are grown one
-    tensor slot at a time, and a string leaves as soon as its weight passes
-    max_order or its coefficient is zero: a letter whose r0 component is
-    zero is never appended, so no order holds a zero (or -0) coefficient.
+    Grown one tensor slot at a time, multiplying in the order of the dense
+    outer product, so every coefficient is bit-equal to that product's.  A
+    string leaves as soon as its weight passes max_order or its coefficient
+    is zero: a letter whose slot value is zero is never appended, so no
+    coefficient is zero (or -0).
     """
-    _check_pauli_cap(n)
-    r0 = _unit_vector(r0, "r0")
-    if max_order is None:
-        max_order = n
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
-    slot = 0.5 * np.array([1.0, r0[0], r0[1], r0[2]])
     letters = np.flatnonzero(slot)
     factor, adds = slot[letters], (letters > 0).astype(np.int8)
     strings = np.zeros(1, dtype=np.intp)
@@ -286,6 +203,38 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
         kept = (weight <= max_order) & (product != 0.0)
         if not kept.all():
             strings, product, weight = strings[kept], product[kept], weight[kept]
+    return strings, product, weight
+
+
+def initial_state(n: int, r: float, r0) -> PauliStrings:
+    """Product state ((I + r * r0.sigma)/2)^(x)n at fixed purity, as its
+    nonzero strings: (1 + k)^n of them for k nonzero components of r0."""
+    _check_pauli_cap(n)
+    r0 = _unit_vector(r0, "r0")
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"purity must lie in [0, 1], got {r}")
+    slot = 0.5 * np.array([1.0, r * r0[0], r * r0[1], r * r0[2]])
+    strings, product, _ = _grow_product(n, slot, n)
+    return PauliStrings._adopt(n, strings, product)
+
+
+def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedState:
+    """Purity-order decomposition of the product initial state.
+
+    orders[j] collects every string with exactly j letters drawn from
+    r0.sigma (coefficient (1/2^n) * product of r0 components); orders beyond
+    the requested max_order are truncated, orders beyond n are empty.  The
+    strings of weight <= max_order are grown together (``_grow_product``)
+    and split by weight.
+    """
+    _check_pauli_cap(n)
+    r0 = _unit_vector(r0, "r0")
+    if max_order is None:
+        max_order = n
+    if max_order < 0:
+        raise ValueError("max_order must be nonnegative")
+    slot = 0.5 * np.array([1.0, r0[0], r0[1], r0[2]])
+    strings, product, weight = _grow_product(n, slot, max_order)
     orders = []
     for j in range(max_order + 1):
         at = weight == j
@@ -330,21 +279,16 @@ def _group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return distinct, rank[keys]
 
 
-def to_dense(state: PauliState | PauliStrings) -> np.ndarray:
-    """Dense 2^n x 2^n complex matrix of a Pauli-coefficient state.
+def to_dense(state: PauliStrings) -> np.ndarray:
+    """Dense 2^n x 2^n complex matrix of a Pauli-string operator.
 
-    One line D[x + f, x] per flip pattern f of the nonzero strings (see the
-    module docstring), so the cost follows the nonzero strings.  A
-    ``PauliStrings`` lists them; a ``PauliState`` is scanned for them.
+    One line D[x + f, x] per flip pattern f of the strings (see the module
+    docstring), so the cost follows the nonzero strings.
     """
     _check_dense_cap(state.n)
     n = state.n
     dim = 2 ** n
-    if isinstance(state, PauliStrings):
-        string, coeffs = state.strings, state.coeffs
-    else:
-        string = np.flatnonzero(state.coeffs != 0.0)  # faster than on the floats
-        coeffs = state.coeffs[string]
+    string, coeffs = state.strings, state.coeffs
     # letters I, X, Y, Z are the codes 0..3: z is the high bit, f the XOR
     # of both bits, and a Y has both f and z set
     low, z = _bits_of_digits(string), _bits_of_digits(string >> 1)
@@ -362,7 +306,7 @@ def to_dense(state: PauliState | PauliStrings) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-State = Union[PauliState, PauliStrings, OrderedState]
+State = Union[PauliStrings, OrderedState]
 
 
 def _map_orders(state: State, fn) -> State:
@@ -371,17 +315,27 @@ def _map_orders(state: State, fn) -> State:
     return fn(state)
 
 
-def _frame(c) -> np.ndarray:
-    """A rotation with columns (u, v, c): it takes z to c.
+def _frame(c, r0) -> np.ndarray:
+    """A rotation with columns (u, v, c): it takes z to c, and r0 into its
+    u-z plane.
 
-    u is the coordinate axis least aligned with c, made orthogonal to it, so
-    for c along a coordinate axis the rotation is a signed permutation and
-    r0 and the channel enter the frame exactly.
+    u is the part of r0 perpendicular to c, normalised and made orthogonal
+    to c once more.  When that part is no larger than rounding (r0 along c)
+    u is the coordinate axis least aligned with c, made orthogonal to it.
+    For c and r0 along coordinate axes the rotation is a signed permutation,
+    and r0 and the channel enter the frame exactly.
     """
     c = _unit_vector(c, "c")
-    a = int(np.argmin(np.abs(c)))
-    u = -c[a] * c
-    u[a] += 1.0
+    r0 = _unit_vector(r0, "r0")
+    u = r0 - (c @ r0) * c
+    norm = np.linalg.norm(u)
+    if norm > _PARALLEL:
+        u /= norm
+        u -= (c @ u) * c
+    else:
+        a = int(np.argmin(np.abs(c)))
+        u = -c[a] * c
+        u[a] += 1.0
     u /= np.linalg.norm(u)
     # c x u written out: np.cross costs more than the rest of the frame
     v = np.array([c[1] * u[2] - c[2] * u[1], c[2] * u[0] - c[0] * u[2],
@@ -422,36 +376,28 @@ def _cz_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def prep_conjugate(state: State) -> State:
     """Conjugate by the complete-graph CZ circuit (the preparation in the frame
-    of c): one signed gather per order, or the table read at an order's strings."""
+    of c): the signed gather table read at the strings (of each order)."""
 
-    def one(st: PauliState | PauliStrings) -> PauliState | PauliStrings:
+    def one(st: PauliStrings) -> PauliStrings:
         if st.n < 2:
             raise ValueError("preparation needs at least two qubits")
         index, sign = _cz_table(st.n)
-        if isinstance(st, PauliStrings):
-            # the map is an involution, so a string's image is index[string],
-            # and the image carries the string's own sign
-            return PauliStrings._adopt(st.n, index[st.strings].astype(np.intp),
-                                       st.coeffs * sign[st.strings])
-        # indexing casts the int32 table in buffered chunks, where np.take
-        # would make a 4^n intp copy of it
-        x = st.coeffs[index]
-        x *= sign
-        return PauliState._adopt(st.n, x)
+        # the map is an involution, so a string's image is index[string],
+        # and the image carries the string's own sign
+        return PauliStrings._adopt(st.n, index[st.strings].astype(np.intp),
+                                   st.coeffs * sign[st.strings])
 
     return _map_orders(state, one)
 
 
-def _channel_pass(st: PauliState | PauliStrings, F: np.ndarray):
+def _channel_pass(st: PauliStrings, F: np.ndarray) -> PauliStrings:
     """The (4, 4) map F of Pauli components applied to qubit 0, the leading
     base-4 digit of the string index.
 
-    The strings of a ``PauliStrings`` are grouped by their qubit-1..n-1 tail,
-    and F multiplies one column of four leading digits per tail that occurs;
-    the images that come out exactly zero are dropped.
+    The strings are grouped by their qubit-1..n-1 tail, and F multiplies one
+    column of four leading digits per tail that occurs; the images that come
+    out exactly zero are dropped.
     """
-    if isinstance(st, PauliState):
-        return PauliState._adopt(st.n, (F @ st.coeffs.reshape(4, -1)).reshape(4 ** st.n))
     shift = 2 * (st.n - 1)
     tails, column = _group(st.strings & ((1 << shift) - 1), 1 << shift)
     t = np.zeros((4, len(tails)))

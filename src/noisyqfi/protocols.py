@@ -10,11 +10,12 @@ Two protocol shapes are supported, told apart by the qubit count n:
 
 No view changes under one rotation of every qubit, so each protocol is
 built in the frame of c (``ProtocolSpec.in_frame``), where the preparation
-is the complete-graph CZ circuit.  The state comes from two builders:
-``build_state`` at fixed purity (the 4^n Pauli coefficients, for the
-measurement) and ``purity_orders`` (for the series coefficients, which do
-not depend on the purity; each order is kept as its nonzero Pauli strings
-until it is made dense).  The exact QFI comes from the state's 4x4 pieces
+is the complete-graph CZ circuit and r0 has no v component.  The state
+comes from two builders, both on nonzero Pauli strings: ``build_state`` at
+fixed purity (at most 3^n strings, for the measurement) and
+``purity_orders`` (for the series coefficients, which do not depend on the
+purity; each order is kept as strings until it is made dense).  The exact
+QFI comes from the state's 4x4 pieces
 when c is perpendicular to r0, and from its Schur-Weyl blocks otherwise
 (``blocks.exact_qfi``, or ``blocks.exact_qfis`` for a purity sweep): small
 eigensystems in place of the 2^n one.  The local measurement scheme
@@ -32,10 +33,11 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import exact_qfi
-from .bloch import BlochChannel, ChannelFamily, Unitality, _unit_vector, svd3
+from .bloch import (BlochChannel, ChannelFamily, Unitality, _nonfinite_parts, _unit_vector,
+                    svd3)
 from .fisher import ProbModel, cfi
 from .mstate import (
-    PauliState,
+    PauliStrings,
     _check_dense_cap,
     _frame,
     apply_channel,
@@ -118,17 +120,22 @@ class ProtocolSpec:
     def in_frame(self) -> tuple[np.ndarray, BlochChannel]:
         """r0 and the channel at lam in the frame of c, where the preparation is CZ.
 
-        With R = ``mstate._frame(c)`` (R z = c): r0 -> R^T r0, M -> R^T M R,
+        With R = ``mstate._frame(c, r0)`` (R z = c, r0 in the plane of R x
+        and c): r0 -> R^T r0 = (|r0 - (c.r0) c|, 0, c.r0), M -> R^T M R,
         d -> R^T d, and so for the derivative.  The single-qubit protocol has
         no c; its r0 and channel come unrotated.  The family is evaluated on
         first use only, and every view of the spec reads the same read-only
         result.
         """
         ch = self.family.eval(self.lam)
+        if bad := _nonfinite_parts(ch):
+            raise ValueError(f"channel {self.family.name!r} has non-finite "
+                             f"{', '.join(bad)} at lambda={self.lam:g}")
         if self.c is None:
             return self.r0, ch
-        R = _frame(self.c)
+        R = _frame(self.c, self.r0)
         r0 = R.T @ self.r0
+        r0[1] = 0.0  # rounding: r0 lies in the frame's u-z plane
         r0.flags.writeable = False
         return r0, BlochChannel(R.T @ ch.M @ R, R.T @ ch.d, R.T @ ch.dM @ R, R.T @ ch.dd)
 
@@ -148,8 +155,8 @@ class PreparedState:
     the initial direction r0, all in the frame of c (``ProtocolSpec.in_frame``)."""
 
     r0: np.ndarray
-    pauli: PauliState
-    dpauli: PauliState
+    pauli: PauliStrings
+    dpauli: PauliStrings
 
 
 def build_state(spec: ProtocolSpec) -> PreparedState:
@@ -204,11 +211,14 @@ def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
 # local measurement scheme for the correlated protocol
 # ---------------------------------------------------------------------------
 
-def _outcome_tensor(state: PauliState, axis: np.ndarray) -> np.ndarray:
-    """Joint probabilities of per-qubit projective measurements along axis."""
+def _outcome_tensor(state: PauliStrings, axis: np.ndarray) -> np.ndarray:
+    """Joint probabilities of per-qubit projective measurements along axis,
+    contracted from the strings scattered into the 4^n coefficient array."""
     W = np.array([[1.0, axis[0], axis[1], axis[2]],
                   [1.0, -axis[0], -axis[1], -axis[2]]])
-    t = state.coeffs.reshape((4,) * state.n)
+    t = np.zeros(4 ** state.n)
+    t[state.strings] = state.coeffs
+    t = t.reshape((4,) * state.n)
     for _ in range(state.n):
         t = np.tensordot(t, W, axes=([0], [1]))
     return t

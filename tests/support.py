@@ -12,17 +12,13 @@ from noisyqfi.bloch import ChannelFamily, Unitality, _unit_vector
 from noisyqfi.mstate import (
     PAULI_MATS,
     OrderedState,
-    PauliState,
     PauliStrings,
     _check_dense_cap,
     _check_pauli_cap,
-    apply_channel,
-    apply_channel_derivative,
-    initial_state,
+    _cz_table,
     prep_conjugate,
-    to_dense,
 )
-from noisyqfi.protocols import _outcome_tensor, correlated, sqsc
+from noisyqfi.protocols import correlated, sqsc
 from noisyqfi.fisher import ProbModel, _pairs, cfi, in_eigenbasis, qfi_exact
 from noisyqfi.series import StateOrders, fit_qfi_orders
 
@@ -161,14 +157,15 @@ def dense_pair(prep) -> tuple[np.ndarray, np.ndarray]:
 def lab_output(spec) -> tuple[PauliState, PauliState]:
     """A spec's channel output and its lam derivative in the lab frame.
 
-    The product input along r0, the dense preparation unitary u_prep(n, c)
-    and the unrotated channel: none of the frame code of the library.
+    The dense product input along r0, the dense preparation unitary
+    u_prep(n, c) and the dense channel pass of the unrotated channel: none
+    of the frame or string code of the library.
     """
     ch = spec.family.eval(spec.lam)
-    state = initial_state(spec.n, spec.r, spec.r0)
+    state = oracle_initial_state(spec.n, spec.r, spec.r0)
     if spec.c is not None:
         state = conjugate(state, u_prep(spec.n, spec.c))
-    return apply_channel(state, ch), apply_channel_derivative(state, ch)
+    return oracle_channel(state, ch), oracle_channel_derivative(state, ch)
 
 
 def dense_exact_qfi(spec, eps: float | None = None) -> float:
@@ -185,10 +182,52 @@ def fit_exact_orders(family, lam, n, c, r0, rs, orders=(2, 3, 4)):
     return fit_qfi_orders(np.asarray(rs), np.asarray(qs), orders=orders)
 
 
-# The purity orders as dense 4^n coefficient arrays: the oracle form of
-# noisyqfi.mstate.OrderedState, whose orders hold only their nonzero strings.
-# The dense operations of the library (the signed gather, the channel pass
-# and to_dense of a PauliState) act on each order of it.
+# The dense form of an operator: all 4^n Pauli coefficients, in the string
+# indexing of noisyqfi.mstate (letters I, X, Y, Z = 0..3, qubit 0 the
+# leading base-4 digit).  It is the oracle form of noisyqfi.mstate.PauliStrings,
+# which holds only the nonzero strings, and DenseOrders is the oracle form
+# of noisyqfi.mstate.OrderedState.
+
+_LETTERS = "IXYZ"
+
+
+def pauli_index(label: str) -> int:
+    idx = 0
+    for ch in label:
+        idx = 4 * idx + _LETTERS.index(ch)
+    return idx
+
+
+def pauli_label(idx: int, n: int) -> str:
+    out = []
+    for _ in range(n):
+        out.append(_LETTERS[idx % 4])
+        idx //= 4
+    return "".join(reversed(out))
+
+
+@dataclass(frozen=True)
+class PauliState:
+    """Real coefficients of all 4^n Pauli strings of an n-qubit operator:
+    a read-only copy of the array it is given."""
+
+    n: int
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        _check_pauli_cap(self.n)
+        c = np.array(self.coeffs, dtype=float)
+        if c.shape != (4 ** self.n,):
+            raise ValueError(
+                f"coefficient array must have length 4^{self.n}, got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
+
+    def coeff(self, label: str) -> float:
+        return float(self.coeffs[pauli_index(label)])
+
 
 @dataclass(frozen=True)
 class DenseOrders:
@@ -203,20 +242,97 @@ def dense_state(st: PauliStrings) -> PauliState:
     return PauliState(st.n, coeffs)
 
 
+def as_strings(state):
+    """The nonzero strings of a dense operator; DenseOrders as an OrderedState."""
+    if isinstance(state, DenseOrders):
+        return OrderedState(state.n, tuple(as_strings(st) for st in state.orders))
+    strings = np.flatnonzero(state.coeffs)
+    return PauliStrings(state.n, strings, state.coeffs[strings])
+
+
+def full_strings(rng, n: int) -> PauliStrings:
+    """Random coefficients on all 4^n strings."""
+    return PauliStrings(n, np.arange(4 ** n), rng.normal(size=4 ** n))
+
+
 def as_dense(state):
-    """An OrderedState as DenseOrders; any other state as it is."""
+    """An OrderedState as DenseOrders, PauliStrings as a PauliState; any
+    other state as it is."""
     if isinstance(state, OrderedState):
         return DenseOrders(state.n, tuple(dense_state(st) for st in state.orders))
+    if isinstance(state, PauliStrings):
+        return dense_state(state)
     return state
 
 
 def _map_orders(state, fn):
-    """fn on a dense state, or on each order of a DenseOrders (an
-    OrderedState is made dense first)."""
+    """fn on a dense state, or on each order of a DenseOrders (the string
+    forms are made dense first)."""
     state = as_dense(state)
     if isinstance(state, DenseOrders):
         return DenseOrders(state.n, tuple(fn(st) for st in state.orders))
     return fn(state)
+
+
+def at_purity(ordered: OrderedState, r: float) -> PauliState:
+    """The state sum_j r^j orders[j] of an OrderedState, dense."""
+    total = np.zeros(4 ** ordered.n)
+    for j, st in enumerate(ordered.orders):
+        total[st.strings] += (r ** j) * st.coeffs
+    return PauliState(ordered.n, total)
+
+
+def same_coeffs(got, want: PauliState) -> bool:
+    """Bit-equal coefficients, but for the sign of a zero: the dense passes
+    keep the -0.0 that a sign or a product gives, the strings drop zeros."""
+    return (as_dense(got).coeffs + 0.0).tobytes() == (want.coeffs + 0.0).tobytes()
+
+
+# The dense pipeline: the product state as an outer product, the signed
+# gather of all 4^n coefficients and the channel pass on all of them.  The
+# oracle for noisyqfi.mstate.initial_state, prep_conjugate and
+# apply_channel(_derivative), which touch only the nonzero strings; both
+# multiply in the same order, so they agree bit for bit.
+
+def oracle_initial_state(n: int, r: float, r0) -> PauliState:
+    """Product state ((I + r * r0.sigma)/2)^(x)n at fixed purity, dense."""
+    r0 = _unit_vector(r0, "r0")
+    slot = 0.5 * np.array([1.0, r * r0[0], r * r0[1], r * r0[2]])
+    coeffs = np.array([1.0])
+    for _ in range(n):
+        coeffs = np.multiply.outer(coeffs, slot).ravel()
+    return PauliState(n, coeffs)
+
+
+def oracle_gather(state):
+    """The complete-graph CZ conjugation as one signed gather of the 4^n
+    array (each order separately)."""
+
+    def one(st: PauliState) -> PauliState:
+        index, sign = _cz_table(st.n)
+        return PauliState(st.n, st.coeffs[index] * sign)
+
+    return _map_orders(state, one)
+
+
+def _oracle_pass(state, F: np.ndarray):
+    return _map_orders(state, lambda st: PauliState(
+        st.n, (F @ st.coeffs.reshape(4, -1)).reshape(4 ** st.n)))
+
+
+def oracle_channel(state, ch):
+    """The channel on qubit 0: I -> I + d.sigma, a.sigma -> (M a).sigma."""
+    F = np.zeros((4, 4))
+    F[0, 0] = 1.0
+    F[1:, 0], F[1:, 1:] = ch.d, ch.M
+    return _oracle_pass(state, F)
+
+
+def oracle_channel_derivative(state, ch):
+    """The derivative channel on qubit 0: I -> dd.sigma, a.sigma -> (dM a).sigma."""
+    F = np.zeros((4, 4))
+    F[1:, 0], F[1:, 1:] = ch.dd, ch.dM
+    return _oracle_pass(state, F)
 
 
 # The purity orders grown one slot at a time, each as its own dense array:
@@ -247,26 +363,50 @@ def oracle_initial_state_orders(n: int, r0, max_order: int | None = None) -> Den
 
 
 def oracle_output_orders(spec, max_order: int):
-    """The dense path of the purity orders, one output order at a time.
+    """The dense path of the purity orders, one channel output order at a time.
 
-    Yields (rho^(j), drho^(j)) for j = 0..min(n, max_order): the slot-by-slot
-    input orders in the frame of c, the signed gather of their 4^n arrays,
-    the channel pass on them and to_dense's scan for their nonzero strings.
-    The oracle for protocols.purity_orders, bit for bit; one order at a time,
-    so n = 10 holds no more than one order's matrices.
+    Yields the dense coefficients (rho^(j), drho^(j)) for j = 0..min(n,
+    max_order): the slot-by-slot input orders in the frame of c, their
+    signed gather and the channel pass on them.  The oracle for the strings
+    that protocols.purity_orders makes dense, bit for bit up to the sign of
+    a zero (``same_coeffs``).
     """
     r0, ch = spec.in_frame
     for st in oracle_initial_state_orders(spec.n, r0, min(spec.n, max_order)).orders:
         if spec.c is not None:
-            st = prep_conjugate(st)
-        yield to_dense(apply_channel(st, ch)), to_dense(apply_channel_derivative(st, ch))
+            st = oracle_gather(st)
+        yield oracle_channel(st, ch), oracle_channel_derivative(st, ch)
+
+
+def oracle_measured_state(spec):
+    """The dense path of the fixed-purity state that the local measurement
+    reads: the product input in the frame of c, the signed gather, the
+    channel pass (and its derivative), the signed gather again.
+
+    Yields the input, the prepared input, the channel output and its
+    derivative, and the measured pair, all dense: the oracle for
+    protocols.build_state and local_measurement_sim's state, stage by stage.
+    """
+    r0, ch = spec.in_frame
+    state = oracle_initial_state(spec.n, spec.r, r0)
+    yield state
+    if spec.c is not None:
+        state = oracle_gather(state)
+        yield state
+    out, dout = oracle_channel(state, ch), oracle_channel_derivative(state, ch)
+    yield out
+    yield dout
+    if spec.c is not None:
+        yield oracle_gather(out)
+        yield oracle_gather(dout)
 
 
 # Every one of the 4^n strings contracted with the Pauli matrices, one
 # tensor slot per tensordot: the oracle for noisyqfi.mstate.to_dense, which
 # transforms the lines of the nonzero strings' flip patterns instead.
 
-def oracle_to_dense(state: PauliState) -> np.ndarray:
+def oracle_to_dense(state) -> np.ndarray:
+    state = as_dense(state)
     _check_dense_cap(state.n)
     n = state.n
     out = state.coeffs.reshape((4,) * n).astype(complex)
@@ -277,16 +417,16 @@ def oracle_to_dense(state: PauliState) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(perm)).reshape(2 ** n, 2 ** n)
 
 
-# The channel pass on the Pauli coefficients of each order, then one dense
-# matrix per output by the slot-by-slot contraction: the oracle for
-# noisyqfi.series.channel_output_orders, which makes them dense with
-# noisyqfi.mstate.to_dense.
+# The dense channel pass on the Pauli coefficients of each order, then one
+# dense matrix per output by the slot-by-slot contraction: the oracle for
+# noisyqfi.series.channel_output_orders, which passes the strings and makes
+# them dense with noisyqfi.mstate.to_dense.
 
 def oracle_channel_output_orders(input_orders, ch) -> StateOrders:
-    dense = as_dense(input_orders).orders
+    dense = as_dense(input_orders)
     return StateOrders(
-        tuple(oracle_to_dense(apply_channel(st, ch)) for st in dense),
-        tuple(oracle_to_dense(apply_channel_derivative(st, ch)) for st in dense))
+        tuple(oracle_to_dense(st) for st in oracle_channel(dense, ch).orders),
+        tuple(oracle_to_dense(st) for st in oracle_channel_derivative(dense, ch).orders))
 
 
 # Generic order-by-order SLD solver in the full 2^n eigenbasis of rho^(0):
@@ -441,7 +581,9 @@ def rotate_slots(state, R: np.ndarray):
 def lab_prep_conjugate(state, c):
     """Conjugate by the full preparation unitary for control direction c."""
     R = frame_rotation(c)
-    return rotate_slots(_map_orders(rotate_slots(state, R.T), prep_conjugate), R)
+    gathered = _map_orders(rotate_slots(state, R.T),
+                           lambda st: dense_state(prep_conjugate(as_strings(st))))
+    return rotate_slots(gathered, R)
 
 
 # The dense preparation path: U_c and the full preparation unitary as
@@ -590,5 +732,15 @@ def local_measurement_cfi_ungrouped(spec) -> float:
         raise ValueError("the local measurement scheme is defined for correlated specs")
     U = u_prep(spec.n, spec.c)
     state, dstate = (conjugate(st, U) for st in lab_output(spec))
-    return cfi(ProbModel(_outcome_tensor(state, spec.r0).reshape(-1),
-                         _outcome_tensor(dstate, spec.r0).reshape(-1)))
+    return cfi(ProbModel(outcome_tensor(state, spec.r0).reshape(-1),
+                         outcome_tensor(dstate, spec.r0).reshape(-1)))
+
+
+def outcome_tensor(state: PauliState, axis) -> np.ndarray:
+    """Joint probabilities of measuring every qubit of a dense state along axis."""
+    W = np.array([[1.0, axis[0], axis[1], axis[2]],
+                  [1.0, -axis[0], -axis[1], -axis[2]]])
+    t = state.coeffs.reshape((4,) * state.n)
+    for _ in range(state.n):
+        t = np.tensordot(t, W, axes=([0], [1]))
+    return t

@@ -26,7 +26,6 @@ from noisyqfi.bloch import apply_bloch, svd3, validate
 from noisyqfi.cli import RunConfig, run_fit_orders
 from noisyqfi.fisher import ProbModel, cfi
 from noisyqfi.mstate import (
-    PauliState,
     apply_channel,
     initial_state,
     initial_state_orders,
@@ -54,11 +53,15 @@ from noisyqfi.series import (
 
 from support import (
     PAULI,
+    as_dense,
+    as_strings,
+    at_purity,
     conjugate,
     dense_exact_qfi,
     dense_qfi,
     fit_exact_orders,
     from_dense,
+    full_strings,
     lab_prep_conjugate,
     local_measurement_cfi_ungrouped,
     permute_qubits,
@@ -393,7 +396,7 @@ def _prop_prep_pairwise_vs_dense(rng, failures):
     for _ in range(20):
         n = int(rng.integers(2, 5))
         c = random_unit(rng)
-        st = PauliState(n, rng.normal(size=4 ** n))
+        st = full_strings(rng, n)
         got = lab_prep_conjugate(st, c)
         want = conjugate(st, u_prep(n, c))
         if not np.allclose(got.coeffs, want.coeffs, atol=1e-11):
@@ -465,7 +468,7 @@ def _prop_corr_h2_vs_solver(rng, failures):
         c, r0 = random_unit(rng), random_unit(rng)
         n = int(rng.integers(2, 5))
         ordered = lab_prep_conjugate(initial_state_orders(n, r0, max_order=2), c)
-        orders = channel_output_orders(ordered, ch)
+        orders = channel_output_orders(as_strings(ordered), ch)
         series = qfi_orders(orders, 2)
         if abs(corr_h2(ch, n, c, r0) - series.orders[2]) > 1e-9:
             failures.append(("corr_h2_vs_solver", fam.name, n))
@@ -487,7 +490,7 @@ def _prop_permutation_symmetry(rng, failures):
         perms = list(itertools.permutations(range(1, n)))[1:4]
         for perm in perms:
             moved = permute_qubits(prep.pauli, (0,) + perm)
-            if not np.allclose(moved.coeffs, prep.pauli.coeffs, atol=1e-12):
+            if not np.allclose(moved.coeffs, as_dense(prep.pauli).coeffs, atol=1e-12):
                 failures.append(("permutation", fam.name, n, perm))
             count += 1
     return count
@@ -516,9 +519,9 @@ def _prop_order_decomposition(rng, failures):
         r0 = random_unit(rng)
         r = float(rng.uniform(0.0, 1.0))
         ch = fam.eval(float(rng.uniform(0.05, 0.9)))
-        whole = apply_channel(initial_state(n, r, r0), ch)
+        whole = as_dense(apply_channel(initial_state(n, r, r0), ch))
         ordered = apply_channel(initial_state_orders(n, r0), ch)
-        if not np.allclose(ordered.at_purity(r).coeffs, whole.coeffs, atol=1e-13):
+        if not np.allclose(at_purity(ordered, r).coeffs, whole.coeffs, atol=1e-13):
             failures.append(("order_decomposition", n))
         count += 1
     return count
@@ -531,7 +534,7 @@ def _prop_dense_round_trip(rng, failures):
         dim = 2 ** n
         A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         H = (A + A.conj().T) / 2.0
-        if np.max(np.abs(to_dense(from_dense(H)) - H)) > 1e-13:
+        if np.max(np.abs(to_dense(as_strings(from_dense(H))) - H)) > 1e-13:
             failures.append(("dense_round_trip", n))
         count += 1
     return count

@@ -330,6 +330,18 @@ class TestMainExitCodes:
         assert rows[1].startswith("2,0.4") and rows[1].endswith(",pass")
         assert "non-finite M, dM at lambda=0.5" in captured.err
 
+    @pytest.mark.parametrize("command", ["qfi", "measure", "fit-orders"])
+    def test_nonfinite_channel_with_given_directions(self, command, capsys):
+        # --c and --r0 given: no canonical pair is formed, so the frame of c
+        # is what names the non-finite channel
+        with np.errstate(invalid="ignore"):
+            code = main([command, "--channel", "custom_diag",
+                         "--param", "mx=exp(800*l)*exp(800*l)*1e-280",
+                         "--param", "my=0", "--param", "mz=1", "--lambda", "0.5",
+                         "--n", "3", "--c", "0,0,1", "--r0", "1,0,0"])
+        assert code == EXIT_NUMERIC
+        assert "non-finite M, dM at lambda=0.5" in capsys.readouterr().err
+
     def test_validate_channel_reports_a_bloch_matrix_that_stretches(self, capsys):
         # M = 2 I maps the Bloch ball outside itself; it once passed every row
         code = main(["validate-channel", "--channel", "custom_diag", "--param", "mx=2",
@@ -665,6 +677,16 @@ class TestWorkPerCell:
         # per cell: the spec, and the frame of c, which the exact QFI and the
         # measured state share
         assert len(evals) == 2 * 2
+
+    @pytest.mark.parametrize("command", ["qfi", "measure"])
+    def test_given_directions_need_one_evaluation(self, command, monkeypatch, capsys):
+        # with --c and --r0 both given the cell needs no canonical pair: the
+        # frame of c, which every view shares, is its only evaluation
+        evals = _count_calls(monkeypatch, ChannelFamily, "eval")
+        assert main([command, "--channel", "gad", "--param", "p=0.8", "--lambda", "0.3",
+                     "--purity", "1e-3", "--n", "3",
+                     "--c", "0.3,0.5,0.8", "--r0=-0.6,0,0.8"]) == EXIT_OK
+        assert len(evals) == 1
 
     def test_fit_rows_equal_one_protocol_qfi_per_purity(self):
         lam, n, K = 0.5, 3, 4

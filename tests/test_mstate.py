@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin, correlated, mstate as ms, sqsc
-from noisyqfi.protocols import purity_orders
+from noisyqfi.protocols import build_state, purity_orders
 from noisyqfi.mstate import (
     OrderedState,
-    PauliState,
     PauliStrings,
     apply_channel,
     apply_channel_derivative,
     initial_state,
     initial_state_orders,
-    pauli_index,
-    pauli_label,
     prep_conjugate,
     to_dense,
 )
@@ -23,24 +20,32 @@ from noisyqfi.series import canonical_directions
 
 from support import (
     PAULI,
+    PauliState,
     _mul_two_qubit,
     as_dense,
+    as_strings,
+    at_purity,
     conjugate,
     dense_state,
     from_dense,
+    full_strings,
     kraus_apply,
     kraus_depolarizing,
     kraus_gad,
     kraus_phase_flip,
     lab_prep_conjugate,
     oracle_initial_state_orders,
+    oracle_measured_state,
     oracle_output_orders,
     oracle_prep_conjugate,
     oracle_to_dense,
     pair_transfer,
+    pauli_index,
+    pauli_label,
     permute_qubits,
     perpendicular_pair,
     random_unit,
+    same_coeffs,
     sigma,
     u_c,
     u_prep,
@@ -61,18 +66,18 @@ def pauli_term(slots) -> np.ndarray:
 class TestInitialState:
     def test_maximally_mixed(self):
         st = initial_state(1, 0.0, [0, 0, 1])
-        np.testing.assert_allclose(st.coeffs, [0.5, 0, 0, 0])
+        assert st.strings.tolist() == [0] and st.coeffs.tolist() == [0.5]
 
     def test_pure_z(self):
         st = initial_state(1, 1.0, [0, 0, 1])
-        assert st.coeff("I") == 0.5 and st.coeff("Z") == 0.5
+        assert dense_state(st).coeff("I") == 0.5 and dense_state(st).coeff("Z") == 0.5
         np.testing.assert_allclose(to_dense(st), [[1, 0], [0, 0]], atol=1e-15)
 
     def test_two_qubit_coefficients(self):
-        st = initial_state(2, 0.1, [1, 0, 0])
+        st = dense_state(initial_state(2, 0.1, [1, 0, 0]))
         assert st.coeff("XI") == pytest.approx(0.1 / 4)
         assert st.coeff("XX") == pytest.approx(0.01 / 4)
-        assert np.trace(to_dense(st)).real == pytest.approx(1.0)
+        assert np.trace(oracle_to_dense(st)).real == pytest.approx(1.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -112,8 +117,9 @@ class TestOrderDecomposition:
         r0 = random_unit(rng)
         for n, r in [(1, 0.3), (2, 0.15), (3, 0.08)]:
             ordered = initial_state_orders(n, r0)
-            np.testing.assert_allclose(ordered.at_purity(r).coeffs,
-                                       initial_state(n, r, r0).coeffs, atol=1e-15)
+            np.testing.assert_allclose(at_purity(ordered, r).coeffs,
+                                       dense_state(initial_state(n, r, r0)).coeffs,
+                                       atol=1e-15)
 
     def test_padding_beyond_n(self):
         ordered = initial_state_orders(2, [0, 0, 1], max_order=4)
@@ -182,7 +188,7 @@ class TestPairGate:
             st = PauliState(2, rng.normal(size=16))
             got = PauliState(2, pair_transfer(c) @ st.coeffs)
             U = u_c(c)
-            want = from_dense(U @ to_dense(st) @ U.conj().T)
+            want = from_dense(U @ oracle_to_dense(st) @ U.conj().T)
             np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-12)
 
 
@@ -228,8 +234,8 @@ class TestPrepUnitary:
         rng = np.random.default_rng(13)
         for n in (2, 3, 4):
             c = random_unit(rng)
-            st = PauliState(n, rng.normal(size=4 ** n))
-            np.testing.assert_allclose(prep_conjugate(st).coeffs,
+            st = full_strings(rng, n)
+            np.testing.assert_allclose(dense_state(prep_conjugate(st)).coeffs,
                                        conjugate(st, u_prep(n, [0, 0, 1])).coeffs,
                                        atol=1e-11)
             got = lab_prep_conjugate(st, c)
@@ -270,8 +276,7 @@ class TestCliffordGather:
     def test_matches_pair_passes(self):
         rng = np.random.default_rng(19)
         for n in range(2, 9):
-            for state in (PauliState(n, rng.normal(size=4 ** n)),
-                          _random_ordered(rng, n)):
+            for state in (full_strings(rng, n), _random_ordered(rng, n)):
                 self._assert_matches(prep_conjugate(state),
                                      oracle_prep_conjugate(state, self.Z))
                 for c in _directions(rng):
@@ -286,8 +291,7 @@ class TestCliffordGather:
     def test_matches_pair_passes_at_ten_qubits(self):
         rng = np.random.default_rng(20)
         c = random_unit(rng)
-        for state in (PauliState(10, rng.normal(size=4 ** 10)),
-                      _random_ordered(rng, 10, orders=2)):
+        for state in (full_strings(rng, 10), _random_ordered(rng, 10, orders=2)):
             self._assert_matches(prep_conjugate(state),
                                  oracle_prep_conjugate(state, self.Z))
             self._assert_matches(lab_prep_conjugate(state, c),
@@ -297,8 +301,8 @@ class TestCliffordGather:
         # the gather is free of rounding, and so is a signed-permutation frame
         rng = np.random.default_rng(21)
         for n in (2, 3, 5):
-            state = PauliState(n, rng.normal(size=4 ** n))
-            assert np.array_equal(prep_conjugate(state).coeffs,
+            state = full_strings(rng, n)
+            assert np.array_equal(dense_state(prep_conjugate(state)).coeffs,
                                   oracle_prep_conjugate(state, self.Z).coeffs)
             for c in _directions(rng)[2:]:
                 got = lab_prep_conjugate(state, c).coeffs
@@ -324,10 +328,10 @@ class TestCliffordGather:
 
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError, match="two qubits"):
-            prep_conjugate(PauliState(1, np.array([0.5, 0.1, 0.0, 0.0])))
+            prep_conjugate(PauliStrings(1, [0, 1], [0.5, 0.1]))
 
     def test_gather_allocates_little_beyond_the_output(self):
-        # the cached int32 index is read as it is, not copied to 4^n intp
+        # the cached 4^n table is read at the strings, not copied
         st = initial_state(10, 0.3, [0.6, 0.0, 0.8])
         prep_conjugate(st)  # builds the table
         tracemalloc.start()
@@ -336,7 +340,7 @@ class TestCliffordGather:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * out.coeffs.nbytes
+        assert peak <= 1.5 * (out.strings.nbytes + out.coeffs.nbytes)
 
 
 class TestConjugate:
@@ -399,22 +403,21 @@ class TestApplyChannel:
         ch = builtin("phase_flip").eval(0.3)
         st = initial_state(3, 0.0, [0, 0, 1])
         out = apply_channel(st, ch)
+        assert out.strings.tolist() == st.strings.tolist() == [0]
         np.testing.assert_allclose(out.coeffs, st.coeffs, atol=1e-15)
 
     def test_phase_flip_scales_xz_string(self):
         lam = 0.23
         ch = builtin("phase_flip").eval(lam)
-        coeffs = np.zeros(16)
-        coeffs[pauli_index("XZ")] = 1.0
-        out = apply_channel(PauliState(2, coeffs), ch)
+        out = apply_channel(PauliStrings(2, [pauli_index("XZ")], [1.0]), ch)
         want = np.zeros(16)
         want[pauli_index("XZ")] = 1.0 - 2.0 * lam
-        np.testing.assert_allclose(out.coeffs, want, atol=1e-15)
+        np.testing.assert_allclose(dense_state(out).coeffs, want, atol=1e-15)
 
     def test_gad_shifts_identity(self):
         lam = 0.37
         ch = builtin("gad", p=1.0).eval(lam)
-        out = apply_channel(initial_state(1, 0.0, [0, 0, 1]), ch)
+        out = dense_state(apply_channel(initial_state(1, 0.0, [0, 0, 1]), ch))
         assert out.coeff("I") == pytest.approx(0.5)
         assert out.coeff("Z") == pytest.approx(lam / 2.0)
 
@@ -429,7 +432,7 @@ class TestApplyChannel:
         ch = fam.eval(lam)
         ks = maker(lam)
         for n in (1, 2, 3):
-            st = PauliState(n, rng.normal(size=4 ** n))
+            st = full_strings(rng, n)
             got = to_dense(apply_channel(st, ch))
             want = kraus_apply(to_dense(st), ks, n)
             assert np.max(np.abs(got - want)) < 1e-12
@@ -438,10 +441,10 @@ class TestApplyChannel:
         rng = np.random.default_rng(20)
         fam = builtin("gad", p=0.7)
         lam, h = 0.3, 1e-6
-        st = PauliState(2, rng.normal(size=16))
-        got = apply_channel_derivative(st, fam.eval(lam))
-        hi = apply_channel(st, fam.eval(lam + h))
-        lo = apply_channel(st, fam.eval(lam - h))
+        st = full_strings(rng, 2)
+        got, hi, lo = (dense_state(x) for x in (
+            apply_channel_derivative(st, fam.eval(lam)), apply_channel(st, fam.eval(lam + h)),
+            apply_channel(st, fam.eval(lam - h))))
         np.testing.assert_allclose(got.coeffs, (hi.coeffs - lo.coeffs) / (2 * h),
                                    atol=1e-8)
 
@@ -451,15 +454,15 @@ class TestApplyChannel:
         ch = fam.eval(0.52)
         r0 = random_unit(rng)
         n, r = 3, 0.2
-        whole = apply_channel(initial_state(n, r, r0), ch)
+        whole = dense_state(apply_channel(initial_state(n, r, r0), ch))
         ordered = apply_channel(initial_state_orders(n, r0), ch)
-        np.testing.assert_allclose(ordered.at_purity(r).coeffs, whole.coeffs,
+        np.testing.assert_allclose(at_purity(ordered, r).coeffs, whole.coeffs,
                                    atol=1e-14)
 
 
 class TestDenseConversion:
     def test_pure_state_matrix(self):
-        st = PauliState(1, [0.5, 0.0, 0.0, 0.5])
+        st = PauliStrings(1, [0, 3], [0.5, 0.5])
         np.testing.assert_allclose(to_dense(st), [[1, 0], [0, 0]], atol=1e-15)
 
     def test_round_trip_random_hermitian(self):
@@ -468,11 +471,11 @@ class TestDenseConversion:
         A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         H = (A + A.conj().T) / 2.0
         st = from_dense(H)
-        np.testing.assert_allclose(to_dense(st), H, atol=1e-13)
+        np.testing.assert_allclose(to_dense(as_strings(st)), H, atol=1e-13)
 
     def test_round_trip_coeffs(self):
         rng = np.random.default_rng(24)
-        st = PauliState(2, rng.normal(size=16))
+        st = full_strings(rng, 2)
         out = from_dense(to_dense(st))
         np.testing.assert_allclose(out.coeffs, st.coeffs, atol=1e-13)
 
@@ -486,20 +489,19 @@ class TestDenseConversion:
             from_dense(np.eye(3))
 
 
-def _one_string_per_flip_pattern(st: PauliState) -> bool:
+def _one_string_per_flip_pattern(st: PauliStrings) -> bool:
     """No two nonzero strings share their X/Y slots, so every dense entry is
     one string's term times +-1 or +-i."""
-    digits = np.flatnonzero(st.coeffs)[:, None] // 4 ** np.arange(st.n) % 4
+    digits = st.strings[st.coeffs != 0.0, None] // 4 ** np.arange(st.n) % 4
     flips = ((digits == 1) | (digits == 2)) @ 2 ** np.arange(st.n)
     return len(np.unique(flips)) == len(flips)
 
 
-def _assert_dense_matches_oracle(st: PauliState | PauliStrings) -> bool:
+def _assert_dense_matches_oracle(st: PauliStrings) -> bool:
     """to_dense against the tensordot oracle: exactly where every entry is a
     single term (the sign of a zero aside), else to 1e-15 * 2^n * max|c|
     (an entry sums up to 2^n strings).  Returns whether it was exact."""
     got = to_dense(st)
-    st = dense_state(st) if isinstance(st, PauliStrings) else st
     want = oracle_to_dense(st)
     assert got.shape == want.shape and got.dtype == want.dtype
     if _one_string_per_flip_pattern(st):
@@ -526,11 +528,12 @@ class TestDenseOracle:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_random_full_arrays(self, n):
         rng = np.random.default_rng(40 + n)
-        _assert_dense_matches_oracle(PauliState(n, rng.uniform(-1.0, 1.0, 4 ** n)))
+        _assert_dense_matches_oracle(
+            PauliStrings(n, np.arange(4 ** n), rng.uniform(-1.0, 1.0, 4 ** n)))
 
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_zero_state(self, n):
-        got = to_dense(PauliState(n, np.zeros(4 ** n)))
+        got = to_dense(PauliStrings(n, [], []))
         assert got.shape == (2 ** n, 2 ** n) and not got.any()
 
     def test_single_strings(self):
@@ -538,9 +541,8 @@ class TestDenseOracle:
         labels = list("IXYZ") + ["YYYYYYYYYY", "XIZYXYZIIX",
                                  "".join(rng.choice(list("IXYZ"), 10))]
         for label in labels:
-            coeffs = np.zeros(4 ** len(label))
-            coeffs[pauli_index(label)] = -0.75
-            assert _assert_dense_matches_oracle(PauliState(len(label), coeffs)), label
+            st = PauliStrings(len(label), [pauli_index(label)], [-0.75])
+            assert _assert_dense_matches_oracle(st), label
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_purity_orders(self, n):
@@ -564,9 +566,7 @@ class TestDenseOracle:
 
     def test_single_string_allocates_only_the_output(self):
         # the oracle holds two 2^n x 2^n complex arrays at its peak
-        coeffs = np.zeros(4 ** 10)
-        coeffs[pauli_index("XIZYXYZIIX")] = 1.0
-        st = PauliState(10, coeffs)
+        st = PauliStrings(10, [pauli_index("XIZYXYZIIX")], [1.0])
         to_dense(st)
         tracemalloc.start()
         try:
@@ -577,42 +577,44 @@ class TestDenseOracle:
         assert peak <= 1.1 * out.nbytes
 
 
-# (c, r0) pairs by the components of r0 in the frame of c, where the orders
-# are built: along an axis, one exact zero, or all three nonzero (the two
-# tiny ones of c = r0 and of c perpendicular to r0 are rounding)
+# (c, r0) pairs by the nonzero components of r0' = (|r0 - (c.r0) c|, 0, c.r0),
+# r0 in the frame of c, where the states are built: one when r0 lies along
+# c or exactly perpendicular to it, two otherwise (the tiny one of an
+# oblique c along or perpendicular to r0 is rounding)
 _C = [0.48, 0.6, 0.64]
 _C_PERP = np.array([0.0, 0.64, -0.6]) / np.sqrt(0.64 ** 2 + 0.6 ** 2)  # c x x
 FRAME_CASES = {
     "axis, c perpendicular": ([0, 0, 1], [1, 0, 0], 1),
     "axis, c parallel": ([0, 0, 1], [0, 0, 1], 1),
-    "one zero, c perpendicular": ([0, 0, 1], [0.6, 0.8, 0], 2),
-    "one zero, oblique": ([0, 0, 1], [0.6, 0, 0.8], 2),
-    "three nonzero, c perpendicular": (_C, _C_PERP, 3),
-    "three nonzero, c parallel": (_C, _C, 3),
-    "three nonzero, oblique": (_C, [0.36, 0.48, 0.8], 3),
+    "plane, c perpendicular": ([0, 0, 1], [0.6, 0.8, 0], 1),
+    "axis c, oblique": ([0, 0, 1], [0.6, 0, 0.8], 2),
+    "oblique c, c perpendicular": (_C, _C_PERP, 2),
+    "oblique c, c parallel": (_C, _C, 2),
+    "oblique": (_C, [0.36, 0.48, 0.8], 2),
 }
 
 
-def _case_spec(n: int, case: str):
+def _case_spec(n: int, case: str, r: float = 0.2):
     """A gad spec of the case; n = 1 has no frame and takes r0 as it is."""
     c, r0, nonzero = FRAME_CASES[case]
     fam = builtin("gad", p=0.8)
     if n == 1:
-        return sqsc(fam, 0.3, 0.2, r0)
-    spec = correlated(fam, 0.3, n, 0.2, c, r0)
+        return sqsc(fam, 0.3, r, r0)
+    spec = correlated(fam, 0.3, n, r, c, r0)
     assert np.count_nonzero(spec.in_frame[0]) == nonzero
     return spec
 
 
 def _string_output_orders(spec, max_order: int):
-    """``protocols.purity_orders`` one output order at a time: the strings of
-    each input order through the preparation, the channel and to_dense."""
+    """``protocols.purity_orders`` one output order at a time, before
+    to_dense: the strings of each input order through the preparation and
+    the channel (and its derivative)."""
     r0, ch = spec.in_frame
     ordered = initial_state_orders(spec.n, r0, min(spec.n, max_order))
     if spec.c is not None:
         ordered = prep_conjugate(ordered)
     for st in ordered.orders:
-        yield to_dense(apply_channel(st, ch)), to_dense(apply_channel_derivative(st, ch))
+        yield apply_channel(st, ch), apply_channel_derivative(st, ch)
 
 
 class TestStringsAgainstDenseOrders:
@@ -621,25 +623,22 @@ class TestStringsAgainstDenseOrders:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_order_and_derivative_is_bit_equal(self, n):
-        # at n = 10 the orders through n + 2 take seconds per case where most
-        # strings occur, so there they run for the axis cases and one zero
         for case in FRAME_CASES:
             spec = _case_spec(n, case)
-            full = n < 10 or case in ("axis, c perpendicular", "axis, c parallel",
-                                      "one zero, c perpendicular")
-            for K in dict.fromkeys((0, 1, 4, n + 2) if full else (0, 1, 4)):
+            for K in dict.fromkeys((0, 1, 4, n + 2)):
                 pairs = itertools.zip_longest(_string_output_orders(spec, K),
                                               oracle_output_orders(spec, K))
                 for j, (got, want) in enumerate(pairs):
                     for a, b in zip(got, want):
-                        assert a.tobytes() == b.tobytes(), (case, K, j)
+                        assert same_coeffs(a, b), (case, K, j)
                 assert j == min(n, K)
 
     def test_purity_orders_are_the_stages(self):
-        spec = _case_spec(6, "three nonzero, oblique")
+        spec = _case_spec(6, "oblique")
         orders = purity_orders(spec, 4)
         for j, (rho, drho) in enumerate(_string_output_orders(spec, 4)):
-            assert np.array_equal(orders.rho[j], rho) and np.array_equal(orders.drho[j], drho)
+            assert np.array_equal(orders.rho[j], to_dense(rho))
+            assert np.array_equal(orders.drho[j], to_dense(drho))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_at_purity_is_the_product_state(self, n):
@@ -647,8 +646,8 @@ class TestStringsAgainstDenseOrders:
             r0 = _case_spec(n, case).in_frame[0]
             ordered = initial_state_orders(n, r0)
             for r in (0.0, 0.3, 1.0):
-                want = initial_state(n, r, r0).coeffs
-                got = ordered.at_purity(r).coeffs
+                want = dense_state(initial_state(n, r, r0)).coeffs
+                got = at_purity(ordered, r).coeffs
                 assert np.array_equal(got == 0.0, want == 0.0)
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -665,6 +664,114 @@ class TestStringsAgainstDenseOrders:
             tracemalloc.stop()
         assert sum(len(st.strings) for st in prepared.orders) == 20686
         assert peak < 2 * 2 ** 20
+
+
+def _string_measured_state(spec):
+    """The fixed-purity stages of ``local_measurement_sim`` as strings, in
+    the order of ``oracle_measured_state``."""
+    r0, ch = spec.in_frame
+    state = initial_state(spec.n, spec.r, r0)
+    yield state
+    if spec.c is not None:
+        state = prep_conjugate(state)
+        yield state
+    out, dout = apply_channel(state, ch), apply_channel_derivative(state, ch)
+    yield out
+    yield dout
+    if spec.c is not None:
+        yield prep_conjugate(out)
+        yield prep_conjugate(dout)
+
+
+class TestFixedPurityStrings:
+    """The state at fixed purity as strings against the dense 4^n pipeline
+    of tests/support.py, bit for bit, stage by stage."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_stage_is_bit_equal(self, n):
+        gad = builtin("gad", p=0.8)
+        canonical = canonical_directions(gad.eval(0.3))
+        for r in (0.0, 1e-3, 0.5, 1.0):
+            specs = [_case_spec(n, case, r) for case in FRAME_CASES]
+            if n > 1:
+                specs.append(correlated(gad, 0.3, n, r, *canonical))
+            for spec in specs:
+                stages = itertools.zip_longest(_string_measured_state(spec),
+                                               oracle_measured_state(spec))
+                for k, (got, want) in enumerate(stages):
+                    assert same_coeffs(got, want), (spec.c, spec.r0, r, k)
+                assert k == (5 if n > 1 else 2)
+
+    def test_build_state_is_the_stages(self):
+        spec = _case_spec(5, "oblique")
+        prep = build_state(spec)
+        _, _, out, dout, _, _ = _string_measured_state(spec)
+        for a, b in ((prep.pauli, out), (prep.dpauli, dout)):
+            assert np.array_equal(a.strings, b.strings) and np.array_equal(a.coeffs, b.coeffs)
+
+    def test_string_counts(self):
+        # (1 + k)^n strings for k nonzero components of r0 in the frame of
+        # c, before and after the preparation (a signed permutation)
+        for n in range(2, 12):
+            for case, (_, _, k) in FRAME_CASES.items():
+                spec = _case_spec(n, case, 0.5)
+                state = initial_state(n, spec.r, spec.in_frame[0])
+                assert len(state.strings) == len(prep_conjugate(state).strings) == (1 + k) ** n
+                # at r = 0 every letter but I has a zero coefficient
+                assert initial_state(n, 0.0, spec.in_frame[0]).strings.tolist() == [0]
+            counts = {case: len(initial_state(n, 0.5, _case_spec(n, case).in_frame[0]).strings)
+                      for case in ("oblique", "plane, c perpendicular")}
+            assert counts == {"oblique": 3 ** n, "plane, c perpendicular": 2 ** n}
+
+
+class TestFrame:
+    """``mstate._frame(c, r0)``: a rotation that takes z to c and r0 into
+    its u-z plane, and ``ProtocolSpec.in_frame``'s r0' = (|r0 - (c.r0) c|, 0, c.r0)."""
+
+    # phase_shift is left out: its canonical pair turns with lambda in the xy plane
+    BUILTINS = [builtin("phase_flip"), builtin("depolarizing"), builtin("gad", p=0.5),
+                builtin("gad", p=0.8), builtin("gad", p=1.0),
+                *(builtin("pauli", lam_on=axis) for axis in "xyz"),
+                builtin("custom_diag", mx="1-l", my="1-2*l", mz="1-3*l")]
+
+    @staticmethod
+    def _check_rotation(c, r0):
+        R = ms._frame(c, r0)
+        assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-15
+        assert np.array_equal(R[:, 2], c)
+        r0_frame = correlated(builtin("phase_flip"), 0.3, 2, 0.1, c, r0).in_frame[0]
+        assert r0_frame[1] == 0.0
+        return R, r0_frame
+
+    @pytest.mark.parametrize("fam", BUILTINS, ids=lambda f: f.name)
+    def test_canonical_pairs_enter_exactly(self, fam):
+        lo, hi = fam.domain
+        for lam in np.linspace(lo, hi, 13)[1:-1]:
+            c, r0 = canonical_directions(fam.eval(lam))
+            R, r0_frame = self._check_rotation(c, r0)
+            assert np.all((R == 0.0) | (np.abs(R) == 1.0)), (lam, R)
+            assert r0_frame.tolist() == [1.0, 0.0, 0.0]
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(90)
+        for _ in range(500):
+            c, r0 = random_unit(rng), random_unit(rng)
+            _, r0_frame = self._check_rotation(c, r0)
+            assert r0_frame[0] >= 0.0 and r0_frame[2] == pytest.approx(c @ r0, abs=1e-15)
+            np.testing.assert_allclose(r0_frame[0], np.linalg.norm(r0 - (c @ r0) * c),
+                                       atol=1e-15)
+
+    def test_r0_along_c(self):
+        # exactly along c, and within 1e-14 of it: the part of r0
+        # perpendicular to c is rounding or barely above it
+        rng = np.random.default_rng(91)
+        for _ in range(200):
+            c = random_unit(rng)
+            near = c + 1e-14 * random_unit(rng)
+            for r0 in (c, -c, near / np.linalg.norm(near)):
+                _, r0_frame = self._check_rotation(c, r0)
+                assert abs(r0_frame[0]) <= 2e-14
+                assert abs(abs(r0_frame[2]) - 1.0) <= 1e-15
 
 
 class TestPauliAlgebra:
@@ -693,9 +800,9 @@ class TestPermutation:
 
     def test_matches_dense_permutation(self):
         rng = np.random.default_rng(27)
-        st = PauliState(3, rng.normal(size=64))
+        st = full_strings(rng, 3)
         perm = (2, 0, 1)
-        got = to_dense(permute_qubits(st, perm))
+        got = to_dense(as_strings(permute_qubits(st, perm)))
         t = to_dense(st).reshape((2,) * 6)
         want = t.transpose(perm + tuple(3 + p for p in perm)).reshape(8, 8)
         np.testing.assert_allclose(got, want, atol=1e-13)
@@ -704,7 +811,7 @@ class TestPermutation:
 class TestCaps:
     def test_pauli_cap(self):
         with pytest.raises(ValueError, match="1..14"):
-            PauliState(15, np.zeros(4 ** 15 // 4 ** 15))
+            initial_state(15, 0.1, [0, 0, 1])
         with pytest.raises(ValueError):
             initial_state(0, 0.1, [0, 0, 1])
 
@@ -715,8 +822,9 @@ class TestCaps:
 
     def test_immutable_coefficients(self):
         st = initial_state(2, 0.2, [1, 0, 0])
-        with pytest.raises(ValueError):
-            st.coeffs[0] = 1.0
+        for arr in (st.strings, st.coeffs):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_strings_are_checked(self):
         with pytest.raises(ValueError, match="1..14"):
@@ -735,37 +843,38 @@ class TestCaps:
 
 class TestCoefficientOwnership:
     def test_caller_writes_do_not_reach_the_state(self):
-        mine = np.arange(16.0)
-        st = PauliState(2, mine)
+        mine, strings = np.arange(16.0), np.arange(16)
+        st = PauliStrings(2, strings, mine)
         mine[0] = 99.0
+        strings[0] = 5
         # a read-only view of the caller's writable array
         view = mine[:]
         view.flags.writeable = False
-        from_view = PauliState(2, view)
+        from_view = PauliStrings(2, np.arange(16), view)
         mine[1] = 99.0
         # a read-only array that its owner makes writable again
         frozen = np.arange(16.0)
         frozen.flags.writeable = False
-        from_frozen = PauliState(2, frozen)
+        from_frozen = PauliStrings(2, np.arange(16), frozen)
         frozen.flags.writeable = True
         frozen[2] = 99.0
-        assert st.coeffs[0] == 0.0 and from_view.coeffs[1] == 1.0
+        assert st.coeffs[0] == 0.0 and st.strings[0] == 0 and from_view.coeffs[1] == 1.0
         assert from_frozen.coeffs[2] == 2.0
 
     def test_builders_do_not_copy_their_output(self, monkeypatch):
         # the constructor's copy runs in __post_init__, which the builders skip
         copies = []
-        for cls in (PauliState, PauliStrings):
-            monkeypatch.setattr(cls, "__post_init__", lambda self, post_init=cls.__post_init__:
-                                copies.append(self.n) or post_init(self))
+        monkeypatch.setattr(PauliStrings, "__post_init__",
+                            lambda self, post_init=PauliStrings.__post_init__:
+                            copies.append(self.n) or post_init(self))
         ch = builtin("gad", p=0.8).eval(0.3)
         ordered = initial_state_orders(3, [0.6, 0.0, 0.8])
         prepared = prep_conjugate(ordered)
-        states = [initial_state(3, 0.2, [0, 0, 1]), *ordered.orders, *prepared.orders,
-                  *apply_channel(prepared, ch).orders,
-                  *apply_channel_derivative(prepared, ch).orders,
-                  prepared.at_purity(0.2)]
+        fixed = prep_conjugate(initial_state(3, 0.2, [0.6, 0.0, 0.8]))
+        states = [fixed, apply_channel(fixed, ch), apply_channel_derivative(fixed, ch),
+                  *ordered.orders, *prepared.orders, *apply_channel(prepared, ch).orders,
+                  *apply_channel_derivative(prepared, ch).orders]
         assert not copies
         for st in states:
             assert not st.coeffs.flags.writeable
-            assert not getattr(st, "strings", st.coeffs).flags.writeable
+            assert not st.strings.flags.writeable

@@ -7,7 +7,7 @@ from noisyqfi import builtin
 from noisyqfi import series as series_module
 from noisyqfi.bloch import ChannelFamily, Unitality
 from noisyqfi.fisher import ProbModel, cfi
-from noisyqfi.mstate import initial_state_orders, prep_conjugate, to_dense
+from noisyqfi.mstate import initial_state_orders, prep_conjugate
 from noisyqfi.protocols import correlated, sqsc
 from noisyqfi.series import (
     BranchError,
@@ -33,12 +33,14 @@ from noisyqfi.series import (
 )
 
 from support import (
+    as_strings,
     dense_exact_qfi,
     fit_exact_orders,
     lab_output,
     lab_prep_conjugate,
     oracle_channel_output_orders,
     oracle_qfi_orders,
+    oracle_to_dense,
     oracle_sld_orders,
     perpendicular_pair,
     random_state,
@@ -61,7 +63,7 @@ def final_orders(fam, lam, n, c, r0, K):
     """Purity orders of the channel output in the lab frame."""
     ordered = initial_state_orders(n, r0, max_order=min(n, K))
     if n >= 2:
-        ordered = lab_prep_conjugate(ordered, c)
+        ordered = as_strings(lab_prep_conjugate(ordered, c))
     return channel_output_orders(ordered, fam.eval(lam))
 
 
@@ -679,7 +681,7 @@ class TestSaturatingBasis:
         orders = final_orders(fam, lam, n, c, r0, 1)
         projs = saturating_basis_lowest_order(orders.drho[1])
         spec = correlated(fam, lam, n, r, c, r0)
-        rho, drho = (to_dense(st) for st in lab_output(spec))
+        rho, drho = (oracle_to_dense(st) for st in lab_output(spec))
         p = np.array([np.trace(P @ rho).real for P in projs])
         dp = np.array([np.trace(P @ drho).real for P in projs])
         got = cfi(ProbModel(p, dp))
