@@ -28,6 +28,7 @@ from .fisher import ProbModel, cfi, qfi_exact
 from .mstate import (
     OrderedState,
     PauliStrings,
+    XorLines,
     apply_channel,
     apply_channel_derivative,
     initial_state,

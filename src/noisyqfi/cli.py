@@ -203,10 +203,11 @@ def _eval_at(family: ChannelFamily, lam: float) -> BlochChannel:
 
 
 def _spec_for(family: ChannelFamily, lam: float, r: float, n: int,
-              c: tuple | None, r0: tuple | None):
-    # the canonical pair costs a channel evaluation: only a missing direction needs it
+              c: tuple | None, r0: tuple | None, ch: BlochChannel | None = None):
+    # the canonical pair costs a channel evaluation (ch, when the caller has
+    # one): only a missing direction needs it
     if r0 is None or (c is None and n > 1):
-        c_star, r0_star = canonical_directions(family.eval(lam))
+        c_star, r0_star = canonical_directions(family.eval(lam) if ch is None else ch)
     r0_vec = r0_star if r0 is None else np.asarray(r0)
     if n == 1:
         return sqsc(family, lam, r, r0_vec)
@@ -239,7 +240,7 @@ def _fit_cell(family: ChannelFamily, cfg: RunConfig, lam: float, r: None,
     verify_family_flag(family, ch)
     if family.unitality is not Unitality.UNITAL:
         raise BranchError("order fitting is defined for unital channels")
-    spec = _spec_for(family, lam, float(rs[-1]), n, cfg.c, cfg.r0)
+    spec = _spec_for(family, lam, float(rs[-1]), n, cfg.c, cfg.r0, ch)
     # one series per cell: the purity orders do not depend on r
     series = qfi_orders(purity_orders(spec, K), K)
     qfis = exact_qfis(spec, rs, cfg.eps)  # one block solve for all purities

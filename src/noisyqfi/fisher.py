@@ -92,10 +92,9 @@ def _pairs(p: np.ndarray, eps: float | np.ndarray | None):
 def _pair_sum(G: np.ndarray, denom: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """sum over kept pairs of 2 |G_jk|^2 / (p_j + p_k), one per matrix (shape G.shape[:-2])."""
     terms = np.divide(2.0 * np.abs(G) ** 2, denom, out=np.zeros(G.shape), where=keep)
-    size = G.shape[-2] * G.shape[-1]
-    # the kept pairs of each matrix alone, so a sum does not depend on the stack
-    sums = [t[k].sum() for t, k in zip(terms.reshape(-1, size), keep.reshape(-1, size))]
-    return np.array(sums).reshape(G.shape[:-2])
+    # one reduction over each contiguous matrix, so a sum does not depend on
+    # the stack; the dropped pairs add exact zeros
+    return terms.sum(axis=(-2, -1))
 
 
 def qfi_exact(p: np.ndarray, G: np.ndarray,

@@ -57,22 +57,24 @@ and the full unitary as matrices) is the test oracle in tests/support.py,
 and so are the dense 4^n coefficient arrays, their signed gather and their
 channel pass.
 
-``to_dense`` pays for the nonzero strings, not for all 4^n.  With Y = iXZ a
-string is i^(#Y) X^f Z^z, where the flip pattern f marks its X and Y
-letters and z its Y and Z letters, and (X^f Z^z)[x + f, x] = (-1)^(z.x)
-(+ is the bitwise XOR).  So the strings that share a flip pattern fill the
-one line D[x + f, x] of the dense matrix, and that line is the
-Walsh-Hadamard transform over z of their coefficients times i^(#Y).  Only
-the nonzero strings are decoded; each line is two Hadamard matrix
-products (sizes 2^floor(n/2) and 2^ceil(n/2)) and is scattered into a
-zeroed matrix.  The slot-by-slot ``tensordot`` contraction over all 4^n strings
-is the test oracle in tests/support.py.
+``to_dense`` pays for the nonzero strings, not for all 4^n, and returns
+the operator's nonzero XOR lines (``XorLines``), never its 2^n x 2^n
+matrix.  With Y = iXZ a string is i^(#Y) X^f Z^z, where the flip pattern f
+marks its X and Y letters and z its Y and Z letters, and
+(X^f Z^z)[x + f, x] = (-1)^(z.x) (+ is the bitwise XOR).  So the strings
+that share a flip pattern fill the one line D[x + f, x] of the dense
+matrix, and that line is the Walsh-Hadamard transform over z of their
+coefficients times i^(#Y).  Only the nonzero strings are decoded; each
+line is two Hadamard matrix products (sizes 2^floor(n/2) and
+2^ceil(n/2)).  The purity series computes on these lines.  The scatter of
+the lines into a matrix and the slot-by-slot ``tensordot`` contraction over
+all 4^n strings are the test oracles in tests/support.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -82,6 +84,7 @@ from .bloch import BlochChannel, _unit_vector
 __all__ = [
     "PauliStrings",
     "OrderedState",
+    "XorLines",
     "MAX_QUBITS_PAULI",
     "MAX_QUBITS_DENSE",
     "initial_state",
@@ -93,7 +96,7 @@ __all__ = [
 ]
 
 MAX_QUBITS_PAULI = 14   # 4^n gather table and outcome array
-MAX_QUBITS_DENSE = 10   # 2^n x 2^n complex matrices
+MAX_QUBITS_DENSE = 10   # the purity series: up to 2^n lines of 2^n entries
 
 # r0's part perpendicular to c at or below this is rounding: r0 is along c
 _PARALLEL = 1e-15
@@ -279,11 +282,32 @@ def _group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return distinct, rank[keys]
 
 
-def to_dense(state: PauliStrings) -> np.ndarray:
-    """Dense 2^n x 2^n complex matrix of a Pauli-string operator.
+@dataclass(frozen=True)
+class XorLines:
+    """An n-qubit operator A as its nonzero XOR lines.
 
-    One line D[x + f, x] per flip pattern f of the strings (see the module
-    docstring), so the cost follows the nonzero strings.
+    ``flips`` holds distinct flips f, ascending, and ``lines[i, x]`` is
+    A[x + f_i, x] (+ the bitwise XOR) for x = 0..2^n-1; every other line of
+    A is zero.  Qubit 0 is the top bit of x, so lines f and f + 2^(n-1)
+    are the ones that a map of qubit 0's 2x2 blocks mixes.
+    """
+
+    n: int
+    flips: np.ndarray
+    lines: np.ndarray
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Each flip's row in ``lines``, and -1 for the flips A has no line of."""
+        rank = np.full(2 ** self.n, -1)
+        rank[self.flips] = np.arange(len(self.flips))
+        return rank
+
+
+def to_dense(state: PauliStrings) -> XorLines:
+    """The XOR lines of a Pauli-string operator: one line D[x + f, x] per
+    flip pattern f of the strings (see the module docstring), so the cost
+    follows the nonzero strings and no 2^n x 2^n matrix is formed.
     """
     _check_dense_cap(state.n)
     n = state.n
@@ -300,10 +324,7 @@ def to_dense(state: PauliStrings) -> np.ndarray:
     # the transform over z = (z_high, z_low) as H (x) H, one product per factor
     half = n // 2
     g = _hadamard(half) @ g.reshape(-1, 2 ** half, dim >> half) @ _hadamard(n - half)
-    x = np.arange(dim)
-    out = np.zeros(dim * dim, dtype=complex)
-    out[((flips[:, None] ^ x) << n) | x] = g.reshape(-1, dim)
-    return out.reshape(dim, dim)
+    return XorLines(n, flips, g.reshape(-1, dim))
 
 
 State = Union[PauliStrings, OrderedState]

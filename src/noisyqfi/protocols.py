@@ -14,8 +14,8 @@ is the complete-graph CZ circuit and r0 has no v component.  The state
 comes from two builders, both on nonzero Pauli strings: ``build_state`` at
 fixed purity (at most 3^n strings, for the measurement) and
 ``purity_orders`` (for the series coefficients, which do not depend on the
-purity; each order is kept as strings until it is made dense).  The exact
-QFI comes from the state's 4x4 pieces
+purity; each order is kept as strings until it is transformed to its XOR
+lines).  The exact QFI comes from the state's 4x4 pieces
 when c is perpendicular to r0, and from its Schur-Weyl blocks otherwise
 (``blocks.exact_qfi``, or ``blocks.exact_qfis`` for a purity sweep): small
 eigensystems in place of the 2^n one.  The local measurement scheme
@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import exact_qfi
+from .blocks import PERPENDICULAR_TOL, exact_qfi
 from .bloch import (BlochChannel, ChannelFamily, Unitality, _nonfinite_parts, _unit_vector,
                     svd3)
 from .fisher import ProbModel, cfi
@@ -122,7 +122,10 @@ class ProtocolSpec:
 
         With R = ``mstate._frame(c, r0)`` (R z = c, r0 in the plane of R x
         and c): r0 -> R^T r0 = (|r0 - (c.r0) c|, 0, c.r0), M -> R^T M R,
-        d -> R^T d, and so for the derivative.  The single-qubit protocol has
+        d -> R^T d, and so for the derivative.  For |c.r0| below
+        ``blocks.PERPENDICULAR_TOL``, where the exact QFI takes the 4x4
+        pieces, r0' is (1, 0, 0) exactly, so the series and the measured
+        state hold the strings of perpendicular directions too.  The single-qubit protocol has
         no c; its r0 and channel come unrotated.  The family is evaluated on
         first use only, and every view of the spec reads the same read-only
         result.
@@ -134,8 +137,11 @@ class ProtocolSpec:
         if self.c is None:
             return self.r0, ch
         R = _frame(self.c, self.r0)
-        r0 = R.T @ self.r0
-        r0[1] = 0.0  # rounding: r0 lies in the frame's u-z plane
+        if abs(float(self.c @ self.r0)) < PERPENDICULAR_TOL:
+            r0 = np.array([1.0, 0.0, 0.0])  # perpendicular, as for the pieces
+        else:
+            r0 = R.T @ self.r0
+            r0[1] = 0.0  # rounding: r0 lies in the frame's u-z plane
         r0.flags.writeable = False
         return r0, BlochChannel(R.T @ ch.M @ R, R.T @ ch.d, R.T @ ch.dM @ R, R.T @ ch.dd)
 
@@ -174,11 +180,12 @@ def build_state(spec: ProtocolSpec) -> PreparedState:
 
 
 def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
-    """Dense purity orders of the channel output in the frame of c, up to
-    min(n, max_order).  They do not depend on the spec's purity.
+    """Purity orders of the channel output in the frame of c, as XOR lines,
+    up to min(n, max_order).  They do not depend on the spec's purity.
 
     The input orders and the preparation work on each order's nonzero Pauli
-    strings; each output order is made dense once, after the channel.
+    strings; each output order is transformed to its lines once, after the
+    channel.
     """
     _check_dense_cap(spec.n)  # fail before any large allocation
     r0, ch = spec.in_frame

@@ -27,15 +27,23 @@ QFI order through K:
     H^(k) = 2 sum_{a+b=k} Tr[d(rho^(a))/dlam L^(b)]
             - sum_{a+b+c=k} Tr[rho^(a) L^(b) L^(c)],      b, c <= K // 2.
 
-Every product with rho^(0) or L^(0) as a factor is a 2x2 contraction on the
-qubit-0 blocks, so at K = 4 only two matrix products remain: L^(1) rho^(1),
-formed in the SLD solve and reused by the traces, and L^(1) rho^(2) in the
-traces.  Their factors fill few of the 2^n XOR lines D[x + f, x] (+ the
-bitwise XOR; ``mstate.to_dense`` fills the same lines), so from 256 rows up
-a product is formed from the lines of its factors, at 2^n work per pair of
-lines instead of 8^n (``_product``).  The channel and its derivative act on
-the nonzero Pauli strings of each input order, and each output order is then
-made dense once (``channel_output_orders``).
+Every operator of the series is held as its nonzero XOR lines
+D[x + f, x] (+ the bitwise XOR; ``mstate.XorLines``), which the purity
+orders fill sparsely: at n = 9 and the canonical directions orders 0..4
+fill 1, 9, 36, 84 and 126 of the 512 lines.  No 2^n x 2^n matrix is formed,
+and every step costs (number of lines) 2^n in place of 4^n:
+
+* a map of the qubit-0 2x2 blocks (the products with rho^(0) and L^(0),
+  and the 2x2 inverse of the solve) mixes line f with f + 2^(n-1) only;
+* the adjoint is line f read at x + f and conjugated;
+* Re Tr[A^dagger B] sums over the lines A and B share;
+* a product costs 2^n per pair of lines (``_product``).
+
+At K = 4 only two products remain: L^(1) rho^(1), formed in the SLD solve
+and reused by the traces, and L^(1) rho^(2) in the traces.  The channel and
+its derivative act on the nonzero Pauli strings of each input order, and
+each output order is then transformed to its lines once
+(``channel_output_orders``).
 
 The closed-form lowest orders implemented below, with Mdot = dM/dlam and
 s1 >= s2 >= s3 its singular values:
@@ -60,7 +68,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochChannel, ChannelFamily, Unitality, _unit_vector, classify_unitality, svd3
-from .mstate import OrderedState, apply_channel, apply_channel_derivative, to_dense
+from .mstate import (OrderedState, XorLines, _group, apply_channel, apply_channel_derivative,
+                     to_dense)
 
 __all__ = [
     "BranchError",
@@ -115,10 +124,10 @@ def verify_family_flag(family: ChannelFamily, ch: BlochChannel) -> None:
 
 @dataclass(frozen=True)
 class StateOrders:
-    """Dense purity orders of the final state and their lam derivatives."""
+    """Purity orders of the final state and their lam derivatives, as XOR lines."""
 
-    rho: tuple[np.ndarray, ...]
-    drho: tuple[np.ndarray, ...]
+    rho: tuple[XorLines, ...]
+    drho: tuple[XorLines, ...]
 
     def __post_init__(self):
         if len(self.rho) != len(self.drho) or not self.rho:
@@ -142,7 +151,7 @@ class SldSeries:
     them; ``qfi_orders`` reads them instead of deriving them again.
     """
 
-    orders: tuple[np.ndarray, ...]
+    orders: tuple[XorLines, ...]
     products: dict = field(compare=False, repr=False)
     rho0_factor: np.ndarray = field(compare=False, repr=False)
     sld0_factor: np.ndarray = field(compare=False, repr=False)
@@ -156,35 +165,13 @@ class QfiSeries:
         return float(sum(h * r ** j for j, h in enumerate(self.orders)))
 
 
-def _map_blocks(maps: np.ndarray, x: np.ndarray, out: np.ndarray,
-                scratch: np.ndarray) -> None:
-    """Write a linear map of the qubit-0 2x2 blocks of x into out.
-
-    x and out are dense matrices viewed as (2, m, 2, m), so block (i, j) is
-    x[i, :, j, :].  Row r of the (4, 4) maps sets block (r // 2, r % 2) of
-    out to sum_c maps[r, c] x-block (c // 2, c % 2).  The sums run in place
-    on the strided blocks, with one block-sized scratch and no transposed
-    copy.
-    """
-    for row, coeffs in enumerate(maps):
-        dst = out[row // 2, :, row % 2, :]
-        terms = [(w, x[col // 2, :, col % 2, :])
-                 for col, w in enumerate(coeffs) if w != 0.0]
-        if not terms:
-            dst[...] = 0.0
-            continue
-        np.multiply(terms[0][1], terms[0][0], out=dst)
-        for w, src in terms[1:]:
-            dst += np.multiply(src, w, out=scratch)
-
-
 def channel_output_orders(input_orders: OrderedState, ch: BlochChannel) -> StateOrders:
     """Push the purity orders of the channel input through (M, d) and (dM, dd).
 
     The preparation is parameter independent, so the derivative of each
     final-state order is the derivative channel applied to the same input
     order.  Both act on qubit 0's letter of each input order's nonzero
-    strings, and each output order is made dense once.
+    strings, and each output order is then transformed to its XOR lines once.
     """
     rho = []
     drho = []
@@ -194,29 +181,102 @@ def channel_output_orders(input_orders: OrderedState, ch: BlochChannel) -> State
     return StateOrders(tuple(rho), tuple(drho))
 
 
-def _qubit0_factor(mat: np.ndarray, what: str, form: str) -> np.ndarray:
-    """The 2x2 factor q of mat = q (x) I, with I the identity on qubits 1..n-1.
+def _at(A: XorLines, flips: np.ndarray) -> np.ndarray:
+    """A's lines at the given flips, zero where A has none."""
+    at = A.rank[flips]
+    has = at >= 0
+    if has.all():
+        return A.lines[at]
+    out = np.zeros((len(flips), 2 ** A.n), dtype=complex)
+    out[has] = A.lines[at[has]]
+    return out
 
-    Every entry is checked to 1e-12; a ValueError names the matrix and the
-    expected form when mat does not act on qubit 0 alone.
+
+def _sum(n: int, terms: list) -> XorLines:
+    """sum of w A over the (w, A) terms, on the union of their flips, added
+    in the order given."""
+    if not terms:
+        return XorLines(n, np.zeros(0, dtype=np.intp), np.zeros((0, 2 ** n), dtype=complex))
+    flips, rows = _group(np.concatenate([A.flips for _, A in terms]), 2 ** n)
+    out = np.zeros((len(flips), 2 ** n), dtype=complex)
+    start = 0
+    for w, A in terms:
+        out[rows[start:start + len(A.flips)]] += w * A.lines
+        start += len(A.flips)
+    return XorLines(n, flips, out)
+
+
+def _adjoint(A: XorLines) -> XorLines:
+    """A^dagger: line f of A read at x + f and conjugated."""
+    rows = np.arange(len(A.flips))[:, None]
+    return XorLines(A.n, A.flips, A.lines[rows, A.flips[:, None] ^ np.arange(2 ** A.n)].conj())
+
+
+# T[i, j, k, l] read at (t, j, u, s), for an output line with top bit t at
+# a column of top bit j and the source term toggled by u in rows and by s in
+# columns: i = j + t, k = i + u, l = j + s
+_T, _J, _U, _S = np.indices((2, 2, 2, 2))
+_W_INDEX = (((_J ^ _T) * 2 + _J) * 2 + (_J ^ _T ^ _U)) * 2 + (_J ^ _S)
+
+
+def _block_map(T: np.ndarray):
+    """The linear map T of qubit 0's 2x2 blocks, as a function of XorLines.
+
+    X[(i, a), (j, b)] = sum_{k, l} T[i, j, k, l] A[(k, a), (l, b)], with
+    qubit 0's row and column bits first.  Output line g at a column x of
+    top bit j reads A's line g + (u + s) 2^(n-1) at x + s 2^(n-1), for
+    k = i + u and l = j + s, i = j + top(g): only lines f and
+    f + 2^(n-1) mix, and the output keeps A's flips unless T couples them.
+    The terms (u, s) whose weights all vanish are left out.
     """
-    dim = mat.shape[0]
-    if dim % 2:
-        raise ValueError(f"{what} must have even dimension 2^n")
-    m = dim // 2
-    blocks = mat.reshape(2, m, 2, m)
-    # the contiguous copy makes the sum pairwise, which keeps q exact when
-    # the diagonal entries are equal
-    diag = np.ascontiguousarray(blocks.diagonal(axis1=1, axis2=3))
-    q = diag.sum(axis=-1) / m
-    off = np.abs(blocks)
-    i = np.arange(m)
-    off[:, i, :, i] = 0.0
-    if max(off.max(), np.abs(diag - q[..., None]).max()) > 1e-12:
+    W = T.reshape(16)[_W_INDEX]
+    live = W.reshape(4, 4).any(axis=0).tolist()
+    terms = [(k // 2, k % 2, W[:, :, k // 2, k % 2]) for k in range(4) if live[k]]
+    mixes = any(u != s for u, s, _ in terms)
+
+    def apply(A: XorLines) -> XorLines:
+        n, m = A.n, 2 ** (A.n - 1)
+        flips = A.flips
+        if mixes:
+            flips, _ = _group(np.concatenate([flips, flips ^ m]), 2 * m)
+            src = [_at(A, f).reshape(-1, 2, m) for f in (flips, flips ^ m)]
+        else:
+            src = [A.lines.reshape(-1, 2, m)]
+        out = np.zeros_like(src[0])
+        top = flips >> (n - 1)
+        for u, s, w in terms:
+            part = src[u ^ s][:, ::-1] if s else src[u ^ s]
+            out += w[top][:, :, None] * part
+        return XorLines(n, flips, out.reshape(len(flips), 2 * m))
+
+    return apply
+
+
+def _left(q: np.ndarray):
+    """A -> (q (x) I) A: the block map T[i, j, k, l] = q[i, k] delta_jl."""
+    return _block_map(q[:, None, :, None] * np.eye(2)[None, :, None, :])
+
+
+def _qubit0_factor(A: XorLines, what: str, form: str) -> np.ndarray:
+    """The 2x2 factor q of A = q (x) I, with I the identity on qubits 1..n-1.
+
+    Only lines 0 and 2^(n-1) may be nonzero, and each must be constant on
+    the halves of x that qubit 0 splits it into; every entry is checked to
+    1e-12, and a ValueError names the operator and the expected form when A
+    does not act on qubit 0 alone.
+    """
+    m = 2 ** (A.n - 1)
+    # halves[t, j]: the diagonal of block (j + t, j), contiguous, so the
+    # pairwise sum keeps q exact when its entries are equal
+    halves = _at(A, np.array([0, m])).reshape(2, 2, m)
+    mean = halves.sum(axis=-1) / m
+    rest = A.lines[(A.flips != 0) & (A.flips != m)]
+    if max(np.abs(rest).max(initial=0.0),
+           np.abs(halves - mean[..., None]).max()) > 1e-12:
         raise ValueError(
             f"{what} does not factor as {form}; the order-by-order SLD solve "
             "needs qubit-0 operators times the identity on the rest")
-    return q
+    return mean[[[0, 1], [1, 0]], [0, 1]]  # q[i, j] = mean[i + j, j]
 
 
 def _zeroth_order_inverse(h: np.ndarray, m: int) -> np.ndarray:
@@ -236,79 +296,36 @@ def _zeroth_order_inverse(h: np.ndarray, m: int) -> np.ndarray:
     return np.einsum("xa,za,ab,yb,wb->xyzw", V, V.conj(), scale, V.conj(), V)
 
 
-def _on_qubit0(q: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """(q (x) I) A as a 2x2 contraction on the qubit-0 row blocks of A."""
-    return (q @ A.reshape(2, -1)).reshape(A.shape)
+def _re_inner(A: XorLines, B: XorLines) -> float:
+    """Re Tr[A^dagger B], summed line by line over the flips A and B share,
+    and then pairwise (one running sum over every entry drifts by about
+    3e-14 relative at n = 9 on an order-4 trace)."""
+    if A.flips is B.flips:
+        return float(np.vecdot(A.lines, B.lines).sum().real)
+    at = B.rank[A.flips]
+    common = at >= 0
+    return float(np.vecdot(A.lines[common], B.lines[at[common]]).sum().real)
 
 
-def _re_inner(A: np.ndarray, B: np.ndarray) -> float:
-    """Re vdot(A, B), summed row by row and then pairwise.
+def _product(A: XorLines, B: XorLines) -> XorLines:
+    """A B from the XOR lines of its factors.
 
-    np.vdot keeps one running sum over all 4^n entries; at n = 9 that is off
-    by about 3e-14 relative on an order-4 trace whose entries all share one
-    sign, where the row sums stay within 4e-16.
+    With a_f[x] = A[x + f, x] and b_g[x] = B[x + g, x] (+ the bitwise XOR),
+
+        (AB)[x + f + g, x] = sum over (f, g) of a_f[x + g] b_g[x],
+
+    so every pair of lines costs 2^n work.  One pass per line f of A: the
+    lines of B meet distinct output lines f + g, so each += adds to
+    distinct rows.
     """
-    return float(np.vecdot(A, B).sum().real)
-
-
-# Below 2^8 rows a product goes to BLAS, whatever its lines: on the series'
-# factors the lines take 1.1 (n = 7) to 6 (n = 4) times the BLAS time there,
-# against 0.4 at n = 8.
-_LINE_MIN_DIM = 256
-# kappa: one pair of lines (2^n terms) of the line product costs about
-# kappa / 4^n of the 8^n of A @ B, so the lines are taken while
-# F_A F_B kappa < 4^n.  Measured with BLAS on one thread: on low-weight
-# flips, as the series has, the two break even at F_A F_B = 4^n / 64 for
-# n = 8, 9, 10 (1.00, 1.09, 0.95 times the BLAS time there), and the
-# n = 9 K = 4 products (9 x 9 and 9 x 36 lines) take 0.2 of it.  Random
-# flips, whose pairs reach distinct output lines, break even nearer
-# 4^n / 128 (n = 9, 10) and 4^n / 256 (n = 8).
-_LINE_PAIR_COST = 64
-
-
-def _flips(A: np.ndarray) -> np.ndarray:
-    """The flips f, ascending, whose XOR line A[x ^ f, x] has a nonzero entry."""
-    dim = A.shape[0]
-    at = np.flatnonzero(A != 0)
-    seen = np.zeros(dim, dtype=bool)
-    seen[(at >> (dim.bit_length() - 1)) ^ (at & (dim - 1))] = True
-    return np.flatnonzero(seen)
-
-
-def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for dense 2^n x 2^n factors, from their XOR lines when few.
-
-    With a_f[x] = A[x ^ f, x] and b_g[x] = B[x ^ g, x] (^ the bitwise XOR),
-
-        (AB)[x ^ f ^ g, x] = sum over (f, g) of a_f[x ^ g] b_g[x],
-
-    so the nonzero lines of the factors give the product at 2^n work per
-    pair of lines.  Below 2^8 rows, or when the pairs cost more than the
-    8^n of BLAS, the product is A @ B.
-    """
-    dim = A.shape[0]
-    n = dim.bit_length() - 1
-    if dim < _LINE_MIN_DIM:
-        return A @ B
-    fa, fb = _flips(A), _flips(B)
-    if len(fa) * len(fb) * _LINE_PAIR_COST >= dim * dim:
-        return A @ B
-    x = np.arange(dim)
-    a, b = A[fa[:, None] ^ x, x], B[fb[:, None] ^ x, x]
-    # the output lines f ^ g, and each one's row in out
-    rank = np.zeros(dim, dtype=np.intp)
-    rank[(fa[:, None] ^ fb).ravel()] = 1
-    fh = np.flatnonzero(rank)
-    rank[fh] = np.arange(len(fh))
-    out = np.zeros((len(fh), dim), dtype=np.result_type(A, B))
-    # one pass per line f of A: the lines of B meet distinct output lines
-    # f ^ g, so each += adds to distinct rows
-    shifted = x ^ fb[:, None]
-    for f, af in zip(fa, a):
-        out[rank[f ^ fb]] += af[shifted] * b
-    dense = np.zeros(dim * dim, dtype=out.dtype)
-    dense[((fh[:, None] ^ x) << n) | x] = out
-    return dense.reshape(dim, dim)
+    n = A.n
+    flips, rows = _group((A.flips[:, None] ^ B.flips).ravel(), 2 ** n)
+    rows = rows.reshape(len(A.flips), len(B.flips))
+    out = np.zeros((len(flips), 2 ** n), dtype=complex)
+    shifted = B.flips[:, None] ^ np.arange(2 ** n)
+    for to, af in zip(rows, A.lines):
+        out[to] += af[shifted] * B.lines
+    return XorLines(n, flips, out)
 
 
 def sld_orders(orders: StateOrders, K: int) -> SldSeries:
@@ -319,38 +336,31 @@ def sld_orders(orders: StateOrders, K: int) -> SldSeries:
     only the 2x2 eigensystem of h.  Order k takes the right-hand side
     R = 2 d(rho^(k))/dlam - (Y + Y^dagger) with Y = sum_j L^(k-j) rho^(j)
     and maps it through the 2x2 inverse on the qubit-0 blocks.  The term
-    L^(0) rho^(k) is a 2x2 contraction; the others are one matrix product
+    L^(0) rho^(k) is a 2x2 contraction; the others are one line product
     each (``_product``), and the series keeps them for ``qfi_orders`` (at
     K = 2 that is L^(1) rho^(1) alone).
     """
-    dim = orders.rho[0].shape[0]
-    m = dim // 2
+    n = orders.rho[0].n
+    m = 2 ** (n - 1)
     q = _qubit0_factor(orders.rho[0], "zeroth-order state", "h (x) I/2^(n-1)")
     h = m * q
     hdot = _qubit0_factor(orders.drho[0], "zeroth-order derivative",
                           "hdot (x) I/2^(n-1)")
     T = _zeroth_order_inverse(h, m)
     ell = np.tensordot(T, 2.0 * hdot, axes=2)
-    L: list[np.ndarray] = [np.kron(ell, np.eye(m))]
+    identity = XorLines(n, np.zeros(1, dtype=np.intp), np.ones((1, 2 * m), dtype=complex))
+    solve, times_ell = _block_map(T), _left(ell)
+    L: list[XorLines] = [times_ell(identity)]
     products = {}
-    scratch = np.empty((m, m), dtype=complex)
     for k in range(1, K + 1):
-        if k <= orders.max_order:
-            R = np.multiply(orders.drho[k], 2.0, dtype=complex)
-        else:
-            R = np.zeros((dim, dim), dtype=complex)
+        terms = [(2.0, orders.drho[k])] if k <= orders.max_order else []
         for j in range(1, min(k, orders.max_order) + 1):
             if j == k:
-                Y = _on_qubit0(ell, orders.rho[k])
+                Y = times_ell(orders.rho[k])
             else:
                 Y = products[k - j, j] = _product(L[k - j], orders.rho[j])
-            R -= Y
-            R -= Y.conj().T
-            del Y  # the products live on in products; the rest go now
-        X = np.empty((dim, dim), dtype=complex)
-        _map_blocks(T.reshape(4, 4), R.reshape(2, m, 2, m), X.reshape(2, m, 2, m),
-                    scratch)
-        L.append(X)
+            terms += [(-1.0, Y), (-1.0, _adjoint(Y))]
+        L.append(solve(_sum(n, terms)))
     return SldSeries(tuple(L), products, q, ell)
 
 
@@ -368,13 +378,13 @@ def qfi_orders(orders: StateOrders, K: int) -> QfiSeries:
                 - sum_{a+b+c=k, b,c<=m} Tr[rho^(a) L^(b) L^(c)].
 
     The SLD orders come from ``sld_orders(orders, m)``.  Each trace is an
-    O(4^n) inner product of one product with one order: the real part of
-    Tr[rho^(a) L^(b) L^(c)] is Re vdot(P, L^(c)) for P either
-    rho^(a) L^(b) or L^(b) rho^(a), and it is symmetric in b and c.  When
-    rho^(0) or L^(0) is a factor of P, P is a 2x2 contraction on the
-    qubit-0 blocks; only P = L^(b) rho^(a) with a, b >= 1 is a matrix
-    product (L^(1) rho^(1) and L^(1) rho^(2) at K = 4).  A product that the
-    SLD solve already formed is taken out of its series (L^(1) rho^(1) at
+    inner product of one product with one order over their common lines:
+    the real part of Tr[rho^(a) L^(b) L^(c)] is Re Tr[P^dagger L^(c)] for P
+    either rho^(a) L^(b) or L^(b) rho^(a), and it is symmetric in b and c.
+    When rho^(0) or L^(0) is a factor of P, P is a 2x2 contraction on the
+    qubit-0 blocks; only P = L^(b) rho^(a) with a, b >= 1 is a line product
+    (L^(1) rho^(1) and L^(1) rho^(2) at K = 4).  A product that the SLD
+    solve already formed is taken out of its series (L^(1) rho^(1) at
     K = 4), so a K = 4 cell makes two products in all, and each is dropped
     after its last trace.
     """
@@ -382,7 +392,7 @@ def qfi_orders(orders: StateOrders, K: int) -> QfiSeries:
     sld = sld_orders(orders, top)
     L, shared = sld.orders, sld.products
     rho, drho, last = orders.rho, orders.drho, orders.max_order
-    h0, ell = sld.rho0_factor, sld.sld0_factor
+    times_h0, times_ell = _left(sld.rho0_factor), _left(sld.sld0_factor)
     H = np.zeros(K + 1)
     for b, Lb in enumerate(L):
         for a in range(min(K - b, last) + 1):
@@ -390,9 +400,9 @@ def qfi_orders(orders: StateOrders, K: int) -> QfiSeries:
     for a in range(min(K, last) + 1):
         for b in range(min(top, (K - a) // 2) + 1):
             if a == 0:
-                P = _on_qubit0(h0, L[b])
+                P = times_h0(L[b])
             elif b == 0:
-                P = _on_qubit0(ell, rho[a])
+                P = times_ell(rho[a])
             else:
                 P = shared.pop((b, a), None)
                 if P is None:

@@ -13,6 +13,7 @@ from noisyqfi.mstate import (
     PAULI_MATS,
     OrderedState,
     PauliStrings,
+    XorLines,
     _check_dense_cap,
     _check_pauli_cap,
     _cz_table,
@@ -417,14 +418,60 @@ def oracle_to_dense(state) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(perm)).reshape(2 ** n, 2 ** n)
 
 
+# The XOR lines of an operator scattered into its 2^n x 2^n matrix, and a
+# matrix gathered into its nonzero lines: the dense side of the line form
+# that noisyqfi.mstate.to_dense returns and noisyqfi.series computes on.
+
+def dense_of(op: XorLines) -> np.ndarray:
+    """The matrix whose XOR lines D[x ^ f, x] are op's lines."""
+    dim = 2 ** op.n
+    x = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[op.flips[:, None] ^ x, x] = op.lines
+    return out
+
+
+def lines_of(A: np.ndarray) -> XorLines:
+    """The XOR lines of a 2^n x 2^n matrix that hold a nonzero entry."""
+    dim = A.shape[0]
+    x = np.arange(dim)
+    lines = A[x[:, None] ^ x, x]
+    flips = np.flatnonzero(np.any(lines != 0, axis=1))
+    return XorLines(dim.bit_length() - 1, flips, lines[flips].astype(complex))
+
+
+@dataclass(frozen=True)
+class DenseStateOrders:
+    """Dense purity orders rho^(j) and d(rho^(j))/dlam: the oracle's input."""
+
+    rho: tuple
+    drho: tuple
+
+    @property
+    def max_order(self) -> int:
+        return len(self.rho) - 1
+
+
+def dense_orders(orders) -> DenseStateOrders:
+    """Dense orders as they are, and the dense matrices of line orders."""
+    if isinstance(orders, DenseStateOrders):
+        return orders
+    return DenseStateOrders(tuple(map(dense_of, orders.rho)), tuple(map(dense_of, orders.drho)))
+
+
+def line_orders(rho, drho) -> StateOrders:
+    """StateOrders of the given dense matrices."""
+    return StateOrders(tuple(map(lines_of, rho)), tuple(map(lines_of, drho)))
+
+
 # The dense channel pass on the Pauli coefficients of each order, then one
 # dense matrix per output by the slot-by-slot contraction: the oracle for
-# noisyqfi.series.channel_output_orders, which passes the strings and makes
-# them dense with noisyqfi.mstate.to_dense.
+# noisyqfi.series.channel_output_orders, which passes the strings and
+# transforms them to XOR lines with noisyqfi.mstate.to_dense.
 
-def oracle_channel_output_orders(input_orders, ch) -> StateOrders:
+def oracle_channel_output_orders(input_orders, ch) -> DenseStateOrders:
     dense = as_dense(input_orders)
-    return StateOrders(
+    return DenseStateOrders(
         tuple(oracle_to_dense(st) for st in oracle_channel(dense, ch).orders),
         tuple(oracle_to_dense(st) for st in oracle_channel_derivative(dense, ch).orders))
 
@@ -433,6 +480,7 @@ def oracle_channel_output_orders(input_orders, ch) -> StateOrders:
 # the differential oracle for noisyqfi.series.sld_orders / qfi_orders.
 
 def oracle_sld_orders(orders, K: int) -> list[np.ndarray]:
+    orders = dense_orders(orders)
     rho0 = orders.rho[0]
     q, V = np.linalg.eigh(rho0)
     if q[0] <= 1e-14:
@@ -454,6 +502,7 @@ def oracle_sld_orders(orders, K: int) -> list[np.ndarray]:
 
 
 def oracle_qfi_orders(orders, L, K: int) -> np.ndarray:
+    orders = dense_orders(orders)
     H = np.zeros(K + 1)
     for j in range(K + 1):
         H[j] = sum(float(np.trace(orders.drho[j - k] @ L[k]).real)

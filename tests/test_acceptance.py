@@ -58,6 +58,7 @@ from support import (
     at_purity,
     conjugate,
     dense_exact_qfi,
+    dense_of,
     dense_qfi,
     fit_exact_orders,
     from_dense,
@@ -534,7 +535,7 @@ def _prop_dense_round_trip(rng, failures):
         dim = 2 ** n
         A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         H = (A + A.conj().T) / 2.0
-        if np.max(np.abs(to_dense(as_strings(from_dense(H))) - H)) > 1e-13:
+        if np.max(np.abs(dense_of(to_dense(as_strings(from_dense(H)))) - H)) > 1e-13:
             failures.append(("dense_round_trip", n))
         count += 1
     return count

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -573,23 +575,6 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-class _CountedProducts(np.ndarray):
-    """An array that records the operand shapes of each matrix product it enters."""
-
-    shapes: list = []
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        def plain(x):
-            return x.view(np.ndarray) if isinstance(x, _CountedProducts) else x
-
-        inputs = tuple(plain(x) for x in inputs)
-        if "out" in kwargs:
-            kwargs["out"] = tuple(plain(x) for x in kwargs["out"])
-        if ufunc is np.matmul:
-            _CountedProducts.shapes.append(tuple(np.shape(x) for x in inputs))
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
 class TestWorkPerCell:
     def test_fit_orders_solves_one_series_per_cell(self, monkeypatch, capsys):
         sld = _count_calls(monkeypatch, series, "sld_orders")
@@ -605,10 +590,10 @@ class TestWorkPerCell:
         # per cell: one preparation, for the purity orders; the exact QFI
         # needs none
         assert len(prep) == 4
-        # per cell: one spec (one eval, one svd3), the flag check, and the
-        # frame of c, which the purity orders and the block solve for all
-        # purities share
-        assert len(evals) == 4 * 3
+        # per cell: one eval for the flag check and the spec's canonical
+        # pair (one svd3), and the frame of c, which the purity orders and
+        # the block solve for all purities share
+        assert len(evals) == 4 * 2
         assert len(svds) == 4
         purities = [float(x) for x in default_fit_purities()]
         assert [list(call[1]) for call in sweeps] == [purities] * 4
@@ -632,38 +617,43 @@ class TestWorkPerCell:
         dense = _count_calls(monkeypatch, series, "to_dense")
         assert main(["qfi", "--channel", "gad", "--param", "p=0.8", "--lambda", "0.3",
                      "--purity", "1e-3", "--n", "1,2,3,6"]) == EXIT_OK
-        # one per output order and one per derivative, for the input orders
-        # 0..min(n, K) of the default K = 4
+        # one transform to XOR lines per output order and one per
+        # derivative, for the input orders 0..min(n, K) of the default K = 4
         assert [call[0].n for call in dense] == [1] * 4 + [2] * 6 + [3] * 8 + [6] * 10
 
-    def test_k4_cell_makes_two_dense_products(self, monkeypatch, capsys):
+    def test_k4_cell_makes_two_line_products(self, monkeypatch, capsys):
         # L^(1) rho^(1), formed in the SLD solve and reused by the traces, and
         # L^(1) rho^(2); every other product is a 2x2 contraction on qubit 0.
-        # Below 256 rows (n <= 7) both are BLAS products; at n = 9 both come
-        # from the XOR lines of their factors, with no matmul of the two.
-        original = protocols.channel_output_orders
+        # Both are formed from the XOR lines of their factors at every n: at
+        # the canonical directions L^(1) fills the n lines of weight-1 flips
+        # and rho^(j) those of weight j
+        products = []
+        original = series._product
 
-        def counted(*args):
-            out = original(*args)
-            return series.StateOrders(
-                tuple(a.view(_CountedProducts) for a in out.rho),
-                tuple(a.view(_CountedProducts) for a in out.drho))
+        def counted(A, B):
+            products.append((A.n, len(A.flips), len(B.flips)))
+            return original(A, B)
 
-        monkeypatch.setattr(protocols, "channel_output_orders", counted)
-        monkeypatch.setattr(_CountedProducts, "shapes", [])
-        products = _count_calls(monkeypatch, series, "_product")
+        monkeypatch.setattr(series, "_product", counted)
         assert main(["qfi", "--channel", "phase_flip", "--lambda", "0.3",
                      "--purity", "1e-3", "--n", "2,3,5,7,9"]) == EXIT_OK
-        assert [(a.shape, b.shape) for a, b in products] == [
-            ((d, d), (d, d)) for d in (4, 4, 8, 8, 32, 32, 128, 128, 512, 512)]
-        dense = [a for a, b in _CountedProducts.shapes if a == b and a[0] > 2]
-        assert dense == [(4, 4)] * 2 + [(8, 8)] * 2 + [(32, 32)] * 2 + [(128, 128)] * 2
-        # the rows are the ones the plain arrays give
-        out = capsys.readouterr().out
-        monkeypatch.undo()
-        assert main(["qfi", "--channel", "phase_flip", "--lambda", "0.3",
-                     "--purity", "1e-3", "--n", "2,3,5,7,9"]) == EXIT_OK
-        assert capsys.readouterr().out == out
+        assert products == [(n, n, math.comb(n, j)) for n in (2, 3, 5, 7, 9) for j in (1, 2)]
+
+    def test_qfi_cell_holds_no_dense_matrix(self, capsys):
+        # the purity series runs on XOR lines: an n = 9 cell peaked at
+        # 65.1 MiB when the orders were dense 2^9 x 2^9 matrices (4 MiB
+        # each) and peaks at 5.0 MiB on lines (tracemalloc, after a warm-up
+        # cell that fills the gather table's cache)
+        argv = ["qfi", "--channel", "phase_flip", "--lambda", "0.3",
+                "--purity", "1e-3", "--n", "9"]
+        assert main(argv) == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_measure_solves_no_series(self, monkeypatch, capsys):
         sld = _count_calls(monkeypatch, series, "sld_orders")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin
-from noisyqfi.fisher import ProbModel, cfi, in_eigenbasis, qfi_exact
+from noisyqfi.fisher import ProbModel, _pair_sum, _pairs, cfi, in_eigenbasis, qfi_exact
 from noisyqfi.protocols import build_state, sqsc
 
 from support import (
@@ -117,6 +117,18 @@ class TestStackedQfi:
             assert got.tolist() == [dense_qfi(r, d, e) for r, d, e in zip(rho, drho, cuts)]
         # the explicit cutoffs drop pairs the default keeps
         assert dense_qfi(rho, drho, per_matrix).tolist() != dense_qfi(rho, drho).tolist()
+
+    def test_pair_sum_is_the_sum_of_kept_pairs(self):
+        # the one masked reduction against a loop over each matrix's kept
+        # pairs alone; the dropped pairs add exact zeros, so only the order
+        # of the additions differs
+        rho, drho = _stack(np.random.default_rng(44))
+        p, G = in_eigenbasis(rho, drho)
+        denom, keep = _pairs(p, np.array([1e-14, 0.3, 1e-3, 0.2, 0.05, 0.5]))
+        got = _pair_sum(G, denom, keep)
+        terms = 2.0 * np.abs(G) ** 2
+        want = [(t[k] / d[k]).sum() for t, d, k in zip(terms, denom, keep)]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_stack_of_stacks_keeps_its_shape(self):
         rho, drho = _stack(np.random.default_rng(42))

@@ -1,10 +1,12 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from noisyqfi import builtin, correlated, mstate as ms, sqsc
+from noisyqfi.blocks import PERPENDICULAR_TOL
 from noisyqfi.protocols import build_state, purity_orders
 from noisyqfi.mstate import (
     OrderedState,
@@ -26,6 +28,7 @@ from support import (
     as_strings,
     at_purity,
     conjugate,
+    dense_of,
     dense_state,
     from_dense,
     full_strings,
@@ -71,7 +74,7 @@ class TestInitialState:
     def test_pure_z(self):
         st = initial_state(1, 1.0, [0, 0, 1])
         assert dense_state(st).coeff("I") == 0.5 and dense_state(st).coeff("Z") == 0.5
-        np.testing.assert_allclose(to_dense(st), [[1, 0], [0, 0]], atol=1e-15)
+        np.testing.assert_allclose(dense_of(to_dense(st)), [[1, 0], [0, 0]], atol=1e-15)
 
     def test_two_qubit_coefficients(self):
         st = dense_state(initial_state(2, 0.1, [1, 0, 0]))
@@ -433,8 +436,8 @@ class TestApplyChannel:
         ks = maker(lam)
         for n in (1, 2, 3):
             st = full_strings(rng, n)
-            got = to_dense(apply_channel(st, ch))
-            want = kraus_apply(to_dense(st), ks, n)
+            got = dense_of(to_dense(apply_channel(st, ch)))
+            want = kraus_apply(dense_of(to_dense(st)), ks, n)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_derivative_matches_fd_of_channel(self):
@@ -463,7 +466,7 @@ class TestApplyChannel:
 class TestDenseConversion:
     def test_pure_state_matrix(self):
         st = PauliStrings(1, [0, 3], [0.5, 0.5])
-        np.testing.assert_allclose(to_dense(st), [[1, 0], [0, 0]], atol=1e-15)
+        np.testing.assert_allclose(dense_of(to_dense(st)), [[1, 0], [0, 0]], atol=1e-15)
 
     def test_round_trip_random_hermitian(self):
         rng = np.random.default_rng(22)
@@ -471,12 +474,12 @@ class TestDenseConversion:
         A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         H = (A + A.conj().T) / 2.0
         st = from_dense(H)
-        np.testing.assert_allclose(to_dense(as_strings(st)), H, atol=1e-13)
+        np.testing.assert_allclose(dense_of(to_dense(as_strings(st))), H, atol=1e-13)
 
     def test_round_trip_coeffs(self):
         rng = np.random.default_rng(24)
         st = full_strings(rng, 2)
-        out = from_dense(to_dense(st))
+        out = from_dense(dense_of(to_dense(st)))
         np.testing.assert_allclose(out.coeffs, st.coeffs, atol=1e-13)
 
     def test_rejects_non_hermitian(self):
@@ -501,8 +504,9 @@ def _assert_dense_matches_oracle(st: PauliStrings) -> bool:
     """to_dense against the tensordot oracle: exactly where every entry is a
     single term (the sign of a zero aside), else to 1e-15 * 2^n * max|c|
     (an entry sums up to 2^n strings).  Returns whether it was exact."""
-    got = to_dense(st)
-    want = oracle_to_dense(st)
+    lines = to_dense(st)
+    assert np.array_equal(lines.flips, np.unique(lines.flips))
+    got, want = dense_of(lines), oracle_to_dense(st)
     assert got.shape == want.shape and got.dtype == want.dtype
     if _one_string_per_flip_pattern(st):
         assert np.array_equal(got, want)
@@ -534,7 +538,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_zero_state(self, n):
         got = to_dense(PauliStrings(n, [], []))
-        assert got.shape == (2 ** n, 2 ** n) and not got.any()
+        assert got.n == n and got.flips.size == 0 and got.lines.shape == (0, 2 ** n)
 
     def test_single_strings(self):
         rng = np.random.default_rng(41)
@@ -565,7 +569,10 @@ class TestDenseOracle:
             _assert_dense_matches_oracle(st)
 
     def test_single_string_allocates_only_the_output(self):
-        # the oracle holds two 2^n x 2^n complex arrays at its peak
+        # the oracle holds two 2^n x 2^n complex arrays at its peak (32 MiB
+        # at n = 10); one string fills one line of 2^n entries, and the
+        # flip grouping and the Hadamard factors take a few lines more
+        # (75 KB measured)
         st = PauliStrings(10, [pauli_index("XIZYXYZIIX")], [1.0])
         to_dense(st)
         tracemalloc.start()
@@ -574,13 +581,15 @@ class TestDenseOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * out.nbytes
+        assert out.lines.shape == (1, 2 ** 10)
+        assert peak <= 8 * out.lines.nbytes
 
 
 # (c, r0) pairs by the nonzero components of r0' = (|r0 - (c.r0) c|, 0, c.r0),
 # r0 in the frame of c, where the states are built: one when r0 lies along
-# c or exactly perpendicular to it, two otherwise (the tiny one of an
-# oblique c along or perpendicular to r0 is rounding)
+# c or perpendicular to it (|c.r0| below blocks.PERPENDICULAR_TOL gives
+# r0' = x exactly), two otherwise (the tiny one of an oblique c along r0 is
+# rounding)
 _C = [0.48, 0.6, 0.64]
 _C_PERP = np.array([0.0, 0.64, -0.6]) / np.sqrt(0.64 ** 2 + 0.6 ** 2)  # c x x
 FRAME_CASES = {
@@ -588,7 +597,7 @@ FRAME_CASES = {
     "axis, c parallel": ([0, 0, 1], [0, 0, 1], 1),
     "plane, c perpendicular": ([0, 0, 1], [0.6, 0.8, 0], 1),
     "axis c, oblique": ([0, 0, 1], [0.6, 0, 0.8], 2),
-    "oblique c, c perpendicular": (_C, _C_PERP, 2),
+    "oblique c, c perpendicular": (_C, _C_PERP, 1),
     "oblique c, c parallel": (_C, _C, 2),
     "oblique": (_C, [0.36, 0.48, 0.8], 2),
 }
@@ -637,8 +646,9 @@ class TestStringsAgainstDenseOrders:
         spec = _case_spec(6, "oblique")
         orders = purity_orders(spec, 4)
         for j, (rho, drho) in enumerate(_string_output_orders(spec, 4)):
-            assert np.array_equal(orders.rho[j], to_dense(rho))
-            assert np.array_equal(orders.drho[j], to_dense(drho))
+            for got, want in ((orders.rho[j], to_dense(rho)), (orders.drho[j], to_dense(drho))):
+                assert np.array_equal(got.flips, want.flips)
+                assert np.array_equal(got.lines, want.lines)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_at_purity_is_the_product_state(self, n):
@@ -752,6 +762,23 @@ class TestFrame:
             assert np.all((R == 0.0) | (np.abs(R) == 1.0)), (lam, R)
             assert r0_frame.tolist() == [1.0, 0.0, 0.0]
 
+    def test_phase_shift_pairs_are_perpendicular(self):
+        # phase_shift's canonical pair turns with lambda in the xy plane, so
+        # R is a rotation about z rather than a signed permutation, and c.r0
+        # comes out as rounding (up to 2.6e-17) at 7 of these 21 points.
+        # Below blocks.PERPENDICULAR_TOL r0' is x exactly, as the exact QFI's
+        # pieces take it, so the state holds 2^n strings and order j C(n, j)
+        fam, n = builtin("phase_shift"), 5
+        lo, hi = fam.domain
+        for lam in np.linspace(lo, hi, 23)[1:-1]:
+            c, r0 = canonical_directions(fam.eval(lam))
+            assert abs(c @ r0) < PERPENDICULAR_TOL
+            _, r0_frame = self._check_rotation(c, r0)
+            assert r0_frame.tolist() == [1.0, 0.0, 0.0], lam
+            assert len(initial_state(n, 0.2, r0_frame).strings) == 2 ** n
+            orders = initial_state_orders(n, r0_frame).orders
+            assert [len(st.strings) for st in orders] == [math.comb(n, j) for j in range(n + 1)]
+
     def test_random_pairs(self):
         rng = np.random.default_rng(90)
         for _ in range(500):
@@ -802,8 +829,8 @@ class TestPermutation:
         rng = np.random.default_rng(27)
         st = full_strings(rng, 3)
         perm = (2, 0, 1)
-        got = to_dense(as_strings(permute_qubits(st, perm)))
-        t = to_dense(st).reshape((2,) * 6)
+        got = dense_of(to_dense(as_strings(permute_qubits(st, perm))))
+        t = dense_of(to_dense(st)).reshape((2,) * 6)
         want = t.transpose(perm + tuple(3 + p for p in perm)).reshape(8, 8)
         np.testing.assert_allclose(got, want, atol=1e-13)
 

@@ -95,8 +95,8 @@ class TestBuildState:
         r0 = np.array([1.0, 0.0, 0.0])
         lam = 0.5
         spec = correlated(DEPOL, lam, 2, 0.2, c, r0)
-        rho1 = purity_orders(spec, 1).rho[1]
-        from support import sigma
+        from support import dense_of, sigma
+        rho1 = dense_of(purity_orders(spec, 1).rho[1])
         want = lam * (np.kron(sigma(r0), sigma(c)) + np.kron(sigma(c), sigma(r0))) / 4.0
         np.testing.assert_allclose(rho1, want, atol=1e-13)
 

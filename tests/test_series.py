@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin
+from noisyqfi import protocols as protocols_module
 from noisyqfi import series as series_module
 from noisyqfi.bloch import ChannelFamily, Unitality
 from noisyqfi.fisher import ProbModel, cfi
@@ -35,9 +36,13 @@ from noisyqfi.series import (
 from support import (
     as_strings,
     dense_exact_qfi,
+    dense_of,
+    dense_orders,
     fit_exact_orders,
     lab_output,
     lab_prep_conjugate,
+    line_orders,
+    lines_of,
     oracle_channel_output_orders,
     oracle_qfi_orders,
     oracle_to_dense,
@@ -74,14 +79,14 @@ class TestSldOrders:
         c, r0 = perpendicular_pair(rng)
         n, K = 2, 2
         orders = final_orders(fam, 0.3, n, c, r0, K)
-        sld = sld_orders(orders, K)
+        L = [dense_of(Lk) for Lk in sld_orders(orders, K).orders]
+        rho, drho = (dense_of(A) for A in (orders.rho[1], orders.drho[1]))
         N = 2 ** n
-        np.testing.assert_allclose(sld.orders[0], np.zeros((N, N)), atol=1e-14)
-        np.testing.assert_allclose(sld.orders[1], N * orders.drho[1], atol=1e-12)
+        np.testing.assert_allclose(L[0], np.zeros((N, N)), atol=1e-14)
+        np.testing.assert_allclose(L[1], N * drho, atol=1e-12)
         # second order picks up the quadratic correction
-        want = N * orders.drho[2] - 0.5 * N ** 2 * (
-            orders.drho[1] @ orders.rho[1] + orders.rho[1] @ orders.drho[1])
-        np.testing.assert_allclose(sld.orders[2], want, atol=1e-12)
+        want = N * dense_of(orders.drho[2]) - 0.5 * N ** 2 * (drho @ rho + rho @ drho)
+        np.testing.assert_allclose(L[2], want, atol=1e-12)
 
     def test_orders_are_hermitian(self):
         rng = np.random.default_rng(42)
@@ -89,7 +94,7 @@ class TestSldOrders:
         c, r0 = perpendicular_pair(rng)
         orders = final_orders(fam, 0.4, 3, c, r0, 4)
         sld = sld_orders(orders, 4)
-        for L in sld.orders:
+        for L in map(dense_of, sld.orders):
             assert np.max(np.abs(L - L.conj().T)) < 1e-10
 
     def test_nonunital_constant_shift_defining_equation(self):
@@ -103,10 +108,10 @@ class TestSldOrders:
         rng = np.random.default_rng(43)
         for _ in range(10):
             r0 = random_unit(rng)
-            orders = final_orders(fam, 0.3, 1, None, r0, 1)
-            sld = sld_orders(orders, 1)
-            lhs = (sld.orders[1] @ orders.rho[0] + orders.rho[0] @ sld.orders[1]
-                   + sld.orders[0] @ orders.rho[1] + orders.rho[1] @ sld.orders[0])
+            orders = dense_orders(final_orders(fam, 0.3, 1, None, r0, 1))
+            L = [dense_of(Lk) for Lk in sld_orders(line_orders(orders.rho, orders.drho), 1).orders]
+            lhs = (L[1] @ orders.rho[0] + orders.rho[0] @ L[1]
+                   + L[0] @ orders.rho[1] + orders.rho[1] @ L[0])
             np.testing.assert_allclose(lhs, 2.0 * orders.drho[1], atol=1e-10)
 
     def test_singular_zero_order_rejected(self):
@@ -120,7 +125,7 @@ class TestSldOrders:
 
     def test_unfactored_zero_order_rejected(self):
         rho0 = random_state(np.random.default_rng(46), 2)
-        orders = StateOrders((rho0,), (np.zeros_like(rho0),))
+        orders = line_orders((rho0,), (np.zeros_like(rho0),))
         with pytest.raises(ValueError, match=r"does not factor as h \(x\) I/2\^\(n-1\)"):
             sld_orders(orders, 1)
 
@@ -129,7 +134,7 @@ class TestSldOrders:
         # L^(0) would then not act on qubit 0 alone
         rho0 = np.eye(4, dtype=complex) / 4
         drho0 = np.kron(np.eye(2), sigma([0.0, 0.0, 0.1])) / 2
-        orders = StateOrders((rho0,), (drho0,))
+        orders = line_orders((rho0,), (drho0,))
         with pytest.raises(ValueError, match=r"zeroth-order derivative does not "
                                              r"factor as hdot \(x\) I/2\^\(n-1\)"):
             sld_orders(orders, 1)
@@ -162,7 +167,7 @@ class TestChannelOutputOrders:
             if n >= 2:
                 ordered = prep_conjugate(ordered)
             ch = fam.eval(lam)
-            got = channel_output_orders(ordered, ch)
+            got = dense_orders(channel_output_orders(ordered, ch))
             want = oracle_channel_output_orders(ordered, ch)
             for pair in zip(got.rho + got.drho, want.rho + want.drho):
                 scale = np.max(np.abs(pair[1]))
@@ -230,8 +235,13 @@ def _line_matrix(rng, n: int, flips, real: bool = False) -> np.ndarray:
     return A
 
 
+def _line_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """series._product on the XOR lines of two matrices, scattered back."""
+    return dense_of(series_module._product(lines_of(A), lines_of(B)))
+
+
 class TestLineProduct:
-    """series._product (the XOR lines from 256 rows up, else BLAS) against @."""
+    """series._product (one 2^n pass per pair of XOR lines) against BLAS's @."""
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_line_sparse_factors(self, n):
@@ -241,7 +251,7 @@ class TestLineProduct:
             fa = rng.choice(dim, min(dim, count_a), replace=False)
             fb = rng.choice(dim, min(dim, count_b), replace=False)
             A, B = _line_matrix(rng, n, fa), _line_matrix(rng, n, fb)
-            got, want = series_module._product(A, B), A @ B
+            got, want = _line_product(A, B), A @ B
             assert got.shape == want.shape and got.dtype == want.dtype
             # an entry sums at most 2^n terms
             tol = 1e-15 * dim * np.abs(A).max() * np.abs(B).max()
@@ -257,13 +267,19 @@ class TestLineProduct:
         fa = rng.choice(low, min(low, 4), replace=False)
         fb = low * rng.choice(high, min(high, 6), replace=False)
         A, B = _line_matrix(rng, n, fa, real=True), _line_matrix(rng, n, fb)
-        assert np.array_equal(series_module._product(A, B), A @ B)
+        assert np.array_equal(_line_product(A, B), A @ B)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_dense_factors_take_blas(self, n):
+        # every line of both factors filled: the line product against the
+        # BLAS product, which costs the same 8^n there (at n = 10 one factor
+        # keeps 32 lines, so the test stays short)
         rng = np.random.default_rng(80 + n)
-        A, B = (_line_matrix(rng, n, range(2 ** n)) for _ in range(2))
-        assert np.array_equal(series_module._product(A, B), A @ B)
+        dim = 2 ** n
+        A = _line_matrix(rng, n, range(dim if n < 10 else 32))
+        B = _line_matrix(rng, n, range(dim))
+        tol = 1e-15 * dim * np.abs(A).max() * np.abs(B).max()
+        assert np.abs(_line_product(A, B) - A @ B).max() <= tol
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_zero_factors(self, n):
@@ -271,9 +287,9 @@ class TestLineProduct:
         zero = np.zeros((2 ** n, 2 ** n), dtype=complex)
         A = _line_matrix(rng, n, [0, 2 ** n - 1])
         for left, right in ((zero, A), (A, zero), (zero, zero)):
-            got = series_module._product(left, right)
-            assert got.shape == zero.shape and got.dtype == complex
-            assert not got.any()
+            got = series_module._product(lines_of(left), lines_of(right))
+            assert got.flips.size == 0 and got.lines.shape == (0, 2 ** n)
+            assert got.lines.dtype == complex
 
 
 DIFFERENTIAL_FAMILIES = {
@@ -309,7 +325,7 @@ class TestDenseSolverAgreement:
                     top = min(n, K) + 1
                     orders = StateOrders(full.rho[:top], full.drho[:top])
                     sld = sld_orders(orders, K)
-                    for k, (got, want) in enumerate(zip(sld.orders, L_ref)):
+                    for k, (got, want) in enumerate(zip(map(dense_of, sld.orders), L_ref)):
                         scale = np.max(np.abs(want))
                         if scale < 1e-9 * L_max:
                             # an order that vanishes analytically holds only
@@ -320,6 +336,118 @@ class TestDenseSolverAgreement:
                     scale = np.max(np.abs(H_ref[:K + 1]))
                     H = qfi_orders(orders, K).orders
                     assert np.max(np.abs(H - H_ref[:K + 1])) <= 1e-12 * scale, (n, K)
+
+
+def _random_lines(rng, n: int, count: int) -> np.ndarray:
+    """A matrix with random complex entries on `count` random XOR lines."""
+    return _line_matrix(rng, n, rng.choice(2 ** n, min(2 ** n, count), replace=False))
+
+
+# (n, line count) of the operands: empty operators, n = 1, and the top-bit
+# pairs f, f ^ 2^(n-1) both present and not
+LINE_CASES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 3), (3, 1), (4, 5), (5, 32), (7, 9)]
+
+
+class TestLineOperations:
+    """Each operation of the series on XOR lines against its dense counterpart."""
+
+    @pytest.mark.parametrize("n, count", LINE_CASES)
+    def test_qubit0_contraction(self, n, count):
+        rng = np.random.default_rng(100 + n + count)
+        A = _random_lines(rng, n, count)
+        for q in (np.diag([0.3, -0.7]), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))):
+            got = series_module._left(q)(lines_of(A))
+            want = np.kron(q, np.eye(2 ** (n - 1))) @ A
+            assert np.abs(dense_of(got) - want).max(initial=0.0) <= 1e-15
+            # a diagonal q keeps the lines; an off-diagonal one pairs f, f ^ 2^(n-1)
+            if q[0, 1] == 0.0:
+                assert np.array_equal(got.flips, lines_of(A).flips)
+
+    @pytest.mark.parametrize("n, count", LINE_CASES)
+    def test_block_map(self, n, count):
+        rng = np.random.default_rng(110 + n + count)
+        A = _random_lines(rng, n, count)
+        m = 2 ** (n - 1)
+        T = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+        got = dense_of(series_module._block_map(T)(lines_of(A)))
+        want = np.einsum("ijkl,kalb->iajb", T, A.reshape(2, m, 2, m)).reshape(2 * m, 2 * m)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("n, count", LINE_CASES)
+    def test_adjoint_inner_and_sum(self, n, count):
+        rng = np.random.default_rng(120 + n + count)
+        A, B = _random_lines(rng, n, count), _random_lines(rng, n, count + 1)
+        a, b = lines_of(A), lines_of(B)
+        assert np.array_equal(dense_of(series_module._adjoint(a)), A.conj().T)
+        assert series_module._re_inner(a, b) == pytest.approx(np.vdot(A, B).real, abs=1e-13)
+        total = series_module._sum(n, [(2.0, a), (-1.0, b), (-1.0, a)])
+        assert np.array_equal(total.flips, np.unique(np.concatenate([a.flips, b.flips])))
+        assert np.abs(dense_of(total) - (2.0 * A - B - A)).max(initial=0.0) <= 1e-15
+        assert series_module._sum(n, []).lines.shape == (0, 2 ** n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_product_of_empty_and_n1(self, n):
+        rng = np.random.default_rng(130 + n)
+        A = _random_lines(rng, n, 2)
+        for left, right in ((A, A), (A, 0 * A), (0 * A, A)):
+            got = series_module._product(lines_of(left), lines_of(right))
+            assert np.abs(dense_of(got) - left @ right).max(initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_zeroth_order_factor(self, n):
+        rng = np.random.default_rng(140 + n)
+        q = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        A = np.kron(q, np.eye(2 ** (n - 1)))
+        got = series_module._qubit0_factor(lines_of(A), "state", "q (x) I")
+        assert np.abs(got - q).max() <= 1e-15
+        # lines 0 and 2^(n-1) only; each constant on the halves of x
+        assert np.array_equal(series_module._qubit0_factor(lines_of(0 * A), "s", "f"),
+                              np.zeros((2, 2)))
+        if n == 1:
+            return
+        spread = A.copy()
+        spread[1, 1] += 1e-9
+        with pytest.raises(ValueError, match=r"state does not factor as q \(x\) I"):
+            series_module._qubit0_factor(lines_of(spread), "state", "q (x) I")
+        other = A.copy()
+        other[0, 1] = 1e-9  # line 1, which qubit 0 does not reach
+        with pytest.raises(ValueError, match=r"state does not factor as q \(x\) I"):
+            series_module._qubit0_factor(lines_of(other), "state", "q (x) I")
+
+
+# directions of the differential test: the canonical pair (c perpendicular
+# to r0), an oblique pair, and r0 along c
+DIRECTIONS = {
+    "canonical": None,
+    "oblique": (np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8]),
+                np.array([-0.6, 0.0, 0.8])),
+    "parallel": (np.array([0.0, 0.6, 0.8]), np.array([0.0, 0.6, 0.8])),
+}
+
+
+class TestLinesAgainstDenseOracle:
+    """sld_orders and qfi_orders on XOR lines against the dense eigenbasis
+    solver, for the orders that protocols.purity_orders builds (n <= 10)."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_matches_oracle(self, n, direction):
+        fam, lam = builtin("gad", p=0.8), 0.3
+        pair = DIRECTIONS[direction] or canonical_directions(fam.eval(lam))
+        spec = (sqsc(fam, lam, 0.1, pair[1]) if n == 1
+                else correlated(fam, lam, n, 0.1, *pair))
+        # at n = 10 the dense oracle costs about 0.2 s per product: K <= 4
+        ks = (2, 4) if n == 10 else (2, 4, 5, 6)
+        orders = protocols_module.purity_orders(spec, max(ks))
+        L_ref = oracle_sld_orders(orders, max(ks))
+        for K in ks:
+            H_ref = oracle_qfi_orders(orders, L_ref, K)
+            H = qfi_orders(orders, K).orders
+            assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max(), K
+            L = sld_orders(orders, K // 2).orders
+            L_max = max(np.abs(Lk).max() for Lk in L_ref[:K // 2 + 1])
+            for k in range(K // 2 + 1):
+                assert np.abs(dense_of(L[k]) - L_ref[k]).max() <= 1e-12 * L_max, (K, k)
 
 
 class TestQfiOrders:
@@ -344,7 +472,8 @@ class TestQfiOrders:
         n = 2
         orders = final_orders(fam, 0.35, n, c, r0, 2)
         series = qfi_orders(orders, 2)
-        want = 2 ** n * np.trace(orders.drho[1] @ orders.drho[1]).real
+        drho = dense_of(orders.drho[1])
+        want = 2 ** n * np.trace(drho @ drho).real
         assert series.orders[2] == pytest.approx(want, rel=1e-12)
 
     def test_zero_derivatives_give_zero(self):
@@ -663,7 +792,7 @@ class TestSaturatingBasis:
         fam = builtin("phase_flip")
         r0 = np.array([1.0, 0.0, 0.0])
         orders = final_orders(fam, 0.3, 1, None, r0, 1)
-        projs = saturating_basis_lowest_order(orders.drho[1])
+        projs = saturating_basis_lowest_order(dense_of(orders.drho[1]))
         from support import PAULI, sigma
         expected = [0.5 * (PAULI["I"] + sigma(r0)), 0.5 * (PAULI["I"] - sigma(r0))]
         match = [min(np.max(np.abs(P - E)) for P in projs) for E in expected]
@@ -679,7 +808,7 @@ class TestSaturatingBasis:
         ch = fam.eval(lam)
         c, r0 = canonical_directions(ch)
         orders = final_orders(fam, lam, n, c, r0, 1)
-        projs = saturating_basis_lowest_order(orders.drho[1])
+        projs = saturating_basis_lowest_order(dense_of(orders.drho[1]))
         spec = correlated(fam, lam, n, r, c, r0)
         rho, drho = (oracle_to_dense(st) for st in lab_output(spec))
         p = np.array([np.trace(P @ rho).real for P in projs])
