@@ -297,14 +297,18 @@ def _zeroth_order_inverse(h: np.ndarray, m: int) -> np.ndarray:
 
 
 def _re_inner(A: XorLines, B: XorLines) -> float:
-    """Re Tr[A^dagger B], summed line by line over the flips A and B share,
-    and then pairwise (one running sum over every entry drifts by about
-    3e-14 relative at n = 9 on an order-4 trace)."""
+    """Re Tr[A^dagger B] over the flips A and B share, summed in runs of
+    2^(n // 2) entries and then pairwise: one running sum over a line drifts
+    by about 1e-15 relative at n = 10 on h0 (and one over every entry by
+    3e-14 at n = 9 on an order-4 trace)."""
     if A.flips is B.flips:
-        return float(np.vecdot(A.lines, B.lines).sum().real)
-    at = B.rank[A.flips]
-    common = at >= 0
-    return float(np.vecdot(A.lines[common], B.lines[at[common]]).sum().real)
+        a, b = A.lines, B.lines
+    else:
+        at = B.rank[A.flips]
+        common = at >= 0
+        a, b = A.lines[common], B.lines[at[common]]
+    run = 2 ** (A.n // 2)
+    return float(np.vecdot(a.reshape(-1, run), b.reshape(-1, run)).sum().real)
 
 
 def _product(A: XorLines, B: XorLines) -> XorLines:
