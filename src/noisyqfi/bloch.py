@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +43,25 @@ _ZERO_TOL = 1e-12  # d or dd of a smaller norm counts as identically zero
 
 class DomainError(ValueError):
     """Parameter value outside a channel family's domain."""
+
+
+class _ReadOnly:
+    """A holder whose attributes ``__init__`` sets once, through ``vars(self)``.
+
+    Assigning or deleting one afterwards raises AttributeError, as on a
+    record; instances compare by identity.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {type(self).__name__}.{name}: it is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}: it is read-only")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in vars(self).items()
+                          if k not in type(self).__dict__)  # skip cached properties
+        return f"{type(self).__name__}({shown})"
 
 
 class Unitality(enum.Enum):
@@ -82,20 +100,13 @@ def _as_vector(x, name: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class BlochChannel:
-    """A single-qubit channel at one parameter value, plus derivatives."""
+class BlochChannel(_ReadOnly):
+    """A single-qubit channel at one parameter value, plus derivatives:
+    read-only float copies of M, d, dM and dd."""
 
-    M: np.ndarray
-    d: np.ndarray
-    dM: np.ndarray
-    dd: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "M", _as_matrix(self.M, "M"))
-        object.__setattr__(self, "d", _as_vector(self.d, "d"))
-        object.__setattr__(self, "dM", _as_matrix(self.dM, "dM"))
-        object.__setattr__(self, "dd", _as_vector(self.dd, "dd"))
+    def __init__(self, M, d, dM, dd):
+        vars(self).update(M=_as_matrix(M, "M"), d=_as_vector(d, "d"),
+                          dM=_as_matrix(dM, "dM"), dd=_as_vector(dd, "dd"))
 
 
 def _nonfinite_parts(ch: BlochChannel) -> list[str]:
@@ -104,8 +115,7 @@ def _nonfinite_parts(ch: BlochChannel) -> list[str]:
             if not np.all(np.isfinite(getattr(ch, name)))]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     passed: bool
     failures: tuple[tuple[str, float], ...]
 
@@ -156,8 +166,7 @@ def apply_bloch(channel: BlochChannel, r: float, r_i: np.ndarray) -> np.ndarray:
     return r * (channel.M @ _unit_vector(r_i, "r_i")) + channel.d
 
 
-@dataclass(frozen=True)
-class SvdDecomp:
+class SvdDecomp(NamedTuple):
     """Deterministic SVD of a real 3x3 matrix, input = A @ diag(S) @ B.
 
     S is sorted descending; the sign ambiguity is resolved by forcing the
@@ -225,17 +234,20 @@ def classify_unitality(channel: BlochChannel) -> Unitality:
     return Unitality.UNITAL if d_zero else Unitality.NONUNITAL_CONST_SHIFT
 
 
-@dataclass(frozen=True)
-class ChannelFamily:
-    """A parameterized channel: lam -> BlochChannel over a closed domain."""
+class ChannelFamily(_ReadOnly):
+    """A parameterized channel: lam -> BlochChannel over a closed domain.
 
-    name: str
-    unitality: Unitality
-    domain: tuple[float, float]
-    value: Callable[[float], tuple[np.ndarray, np.ndarray]]
-    deriv: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
-    fd_step: float = 1e-6
-    params: dict = field(default_factory=dict)
+    value(lam) gives (M, d) and deriv(lam) (dM, dd); without deriv the
+    derivative is a central difference of step fd_step.
+    """
+
+    def __init__(self, name: str, unitality: Unitality, domain: tuple[float, float],
+                 value: Callable[[float], tuple[np.ndarray, np.ndarray]],
+                 deriv: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None,
+                 fd_step: float = 1e-6, params: dict | None = None):
+        vars(self).update(name=name, unitality=unitality, domain=domain, value=value,
+                          deriv=deriv, fd_step=fd_step,
+                          params={} if params is None else params)
 
     def contains(self, lam: float) -> bool:
         lo, hi = self.domain

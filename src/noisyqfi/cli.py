@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, partial
 
@@ -204,14 +203,15 @@ def _eval_at(family: ChannelFamily, lam: float) -> BlochChannel:
 
 def _spec_for(family: ChannelFamily, lam: float, r: float, n: int,
               c: tuple | None, r0: tuple | None, ch: BlochChannel | None = None):
-    # the canonical pair costs a channel evaluation (ch, when the caller has
-    # one): only a missing direction needs it
+    # one channel evaluation per cell (ch, when the caller has one): the
+    # canonical pair and every view of the spec read it
+    ch = family.eval(lam) if ch is None else ch
     if r0 is None or (c is None and n > 1):
-        c_star, r0_star = canonical_directions(family.eval(lam) if ch is None else ch)
+        c_star, r0_star = canonical_directions(ch)
     r0_vec = r0_star if r0 is None else np.asarray(r0)
     if n == 1:
-        return sqsc(family, lam, r, r0_vec)
-    return correlated(family, lam, n, r, c_star if c is None else np.asarray(c), r0_vec)
+        return sqsc(family, lam, r, r0_vec, ch)
+    return correlated(family, lam, n, r, c_star if c is None else np.asarray(c), r0_vec, ch)
 
 
 def _qfi_cell(family: ChannelFamily, cfg: RunConfig, lam: float, r: float, n: int) -> list:
@@ -272,6 +272,8 @@ def _map_cells(fn, cells: list[tuple], jobs: int) -> list:
     """``_run_cell(fn, cfg, lam, r, n)`` over the cells, in order."""
     if jobs <= 1:
         return [_run_cell(fn, *cell) for cell in cells]
+    # imported here: the pool pulls in multiprocessing, which only --jobs > 1 needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(partial(_run_cell, fn), *zip(*cells)))
 

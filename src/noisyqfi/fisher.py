@@ -18,9 +18,9 @@ for the pieces, the blocks and the series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .bloch import _ReadOnly
 
 __all__ = [
     "ProbModel",
@@ -115,20 +115,15 @@ def qfi_exact(p: np.ndarray, G: np.ndarray,
     return float(qfi) if qfi.ndim == 0 else qfi
 
 
-@dataclass(frozen=True)
-class ProbModel:
+class ProbModel(_ReadOnly):
     """Outcome probabilities and their parameter derivatives."""
 
-    p: np.ndarray
-    dp: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        dp = np.asarray(self.dp, dtype=float)
+    def __init__(self, p, dp):
+        p = np.asarray(p, dtype=float)
+        dp = np.asarray(dp, dtype=float)
         if p.shape != dp.shape or p.ndim != 1:
             raise ValueError("p and dp must be 1-d arrays of equal length")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "dp", dp)
+        vars(self).update(p=p, dp=dp)
 
     def validate(self) -> None:
         if abs(float(np.sum(self.p)) - 1.0) > 1e-10:

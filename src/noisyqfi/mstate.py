@@ -73,13 +73,12 @@ all 4^n strings are the test oracles in tests/support.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
 
-from .bloch import BlochChannel, _unit_vector
+from .bloch import BlochChannel, _ReadOnly, _unit_vector
 
 __all__ = [
     "PauliStrings",
@@ -124,8 +123,7 @@ def _check_dense_cap(n: int) -> None:
             "for dense-matrix operations")
 
 
-@dataclass(frozen=True)
-class PauliStrings:
+class PauliStrings(_ReadOnly):
     """The nonzero Pauli strings of an n-qubit operator and their coefficients.
 
     ``strings`` holds distinct string indices (base 4, qubit 0 the leading
@@ -135,18 +133,14 @@ class PauliStrings:
     with ``_adopt``, which runs the same checks without the copy.
     """
 
-    n: int
-    strings: np.ndarray
-    coeffs: np.ndarray
+    def __init__(self, n: int, strings, coeffs):
+        strings = np.array(strings, dtype=np.intp)
+        if strings.size and not 0 <= strings.min() <= strings.max() < 4 ** n:
+            raise ValueError(f"string indices must lie in 0..4^{n} - 1")
+        self._hold(n, strings, np.array(coeffs, dtype=float))
 
-    def __post_init__(self):
-        strings = np.array(self.strings, dtype=np.intp)
-        if strings.size and not 0 <= strings.min() <= strings.max() < 4 ** self.n:
-            raise ValueError(f"string indices must lie in 0..4^{self.n} - 1")
-        self._hold(strings, np.array(self.coeffs, dtype=float))
-
-    def _hold(self, strings: np.ndarray, c: np.ndarray) -> None:
-        _check_pauli_cap(self.n)
+    def _hold(self, n: int, strings: np.ndarray, c: np.ndarray) -> None:
+        _check_pauli_cap(n)
         if strings.ndim != 1 or c.shape != strings.shape:
             raise ValueError(
                 f"need one coefficient per string, got {c.shape} for {strings.shape}")
@@ -154,30 +148,25 @@ class PauliStrings:
             raise ValueError("coefficients must be finite")
         strings.flags.writeable = False
         c.flags.writeable = False
-        object.__setattr__(self, "strings", strings)
-        object.__setattr__(self, "coeffs", c)
+        vars(self).update(n=n, strings=strings, coeffs=c)
 
     @classmethod
     def _adopt(cls, n: int, strings: np.ndarray, coeffs: np.ndarray) -> PauliStrings:
         """Terms that take over arrays which no one else holds."""
         st = object.__new__(cls)
-        object.__setattr__(st, "n", n)
-        st._hold(strings, coeffs)
+        st._hold(n, strings, coeffs)
         return st
 
 
-@dataclass(frozen=True)
-class OrderedState:
+class OrderedState(_ReadOnly):
     """A state expanded in powers of the purity: sum_j r^j orders[j]."""
 
-    n: int
-    orders: tuple[PauliStrings, ...]
-
-    def __post_init__(self):
-        for st in self.orders:
-            if st.n != self.n:
+    def __init__(self, n: int, orders):
+        orders = tuple(orders)
+        for st in orders:
+            if st.n != n:
                 raise ValueError("all orders must share the qubit count")
-        object.__setattr__(self, "orders", tuple(self.orders))
+        vars(self).update(n=n, orders=orders)
 
     @property
     def max_order(self) -> int:
@@ -261,10 +250,16 @@ def _bits_of_digits(p: np.ndarray) -> np.ndarray:
     return (p | (p >> 8)) & 0x0000FFFF
 
 
+@lru_cache(maxsize=None)
 def _hadamard(k: int) -> np.ndarray:
-    """The 2^k x 2^k Walsh-Hadamard matrix: (-1)^(z.x) at row z, column x."""
+    """The 2^k x 2^k Walsh-Hadamard matrix: (-1)^(z.x) at row z, column x.
+
+    Read-only and cached, one per k: ``to_dense`` reads two per call.
+    """
     i = np.arange(2 ** k)
-    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+    h = 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+    h.flags.writeable = False
+    return h
 
 
 def _group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +277,7 @@ def _group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return distinct, rank[keys]
 
 
-@dataclass(frozen=True)
-class XorLines:
+class XorLines(_ReadOnly):
     """An n-qubit operator A as its nonzero XOR lines.
 
     ``flips`` holds distinct flips f, ascending, and ``lines[i, x]`` is
@@ -292,9 +286,8 @@ class XorLines:
     are the ones that a map of qubit 0's 2x2 blocks mixes.
     """
 
-    n: int
-    flips: np.ndarray
-    lines: np.ndarray
+    def __init__(self, n: int, flips: np.ndarray, lines: np.ndarray):
+        vars(self).update(n=n, flips=flips, lines=lines)
 
     @cached_property
     def rank(self) -> np.ndarray:

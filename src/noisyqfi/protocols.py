@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,7 +92,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Everything needed to build one pre-measurement state; n names the protocol."""
+    """Everything needed to build one pre-measurement state; n names the protocol.
+
+    ch, when given, is family.eval(lam) as the caller already holds it;
+    ``in_frame`` then evaluates nothing.  A copy with another lam needs its
+    own ch.
+    """
 
     family: ChannelFamily
     lam: float
@@ -99,6 +105,7 @@ class ProtocolSpec:
     r: float
     r0: np.ndarray
     c: np.ndarray | None = None
+    ch: BlochChannel | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -126,11 +133,11 @@ class ProtocolSpec:
         ``blocks.PERPENDICULAR_TOL``, where the exact QFI takes the 4x4
         pieces, r0' is (1, 0, 0) exactly, so the series and the measured
         state hold the strings of perpendicular directions too.  The single-qubit protocol has
-        no c; its r0 and channel come unrotated.  The family is evaluated on
-        first use only, and every view of the spec reads the same read-only
-        result.
+        no c; its r0 and channel come unrotated.  Without ch the family is
+        evaluated on first use only, and every view of the spec reads the
+        same read-only result.
         """
-        ch = self.family.eval(self.lam)
+        ch = self.family.eval(self.lam) if self.ch is None else self.ch
         if bad := _nonfinite_parts(ch):
             raise ValueError(f"channel {self.family.name!r} has non-finite "
                              f"{', '.join(bad)} at lambda={self.lam:g}")
@@ -146,17 +153,18 @@ class ProtocolSpec:
         return r0, BlochChannel(R.T @ ch.M @ R, R.T @ ch.d, R.T @ ch.dM @ R, R.T @ ch.dd)
 
 
-def sqsc(family: ChannelFamily, lam: float, r: float, r0) -> ProtocolSpec:
-    return ProtocolSpec(family, lam, 1, r, np.asarray(r0, dtype=float))
+def sqsc(family: ChannelFamily, lam: float, r: float, r0,
+         ch: BlochChannel | None = None) -> ProtocolSpec:
+    return ProtocolSpec(family, lam, 1, r, np.asarray(r0, dtype=float), ch=ch)
 
 
-def correlated(family: ChannelFamily, lam: float, n: int, r: float, c, r0) -> ProtocolSpec:
+def correlated(family: ChannelFamily, lam: float, n: int, r: float, c, r0,
+               ch: BlochChannel | None = None) -> ProtocolSpec:
     return ProtocolSpec(family, lam, n, r, np.asarray(r0, dtype=float),
-                        np.asarray(c, dtype=float))
+                        np.asarray(c, dtype=float), ch)
 
 
-@dataclass(frozen=True)
-class PreparedState:
+class PreparedState(NamedTuple):
     """The channel output at the spec's fixed purity, its lam derivative and
     the initial direction r0, all in the frame of c (``ProtocolSpec.in_frame``)."""
 
@@ -195,8 +203,7 @@ def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
     return channel_output_orders(ordered, ch)
 
 
-@dataclass(frozen=True)
-class ProtocolQfi:
+class ProtocolQfi(NamedTuple):
     exact: float
     series_estimate: float
     series: QfiSeries
@@ -241,8 +248,7 @@ def _grouped(joint: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return p_plus, p_minus
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """Grouped outcome statistics p(sign, k) and the classical Fisher information.
 
     k counts + results among qubits 1..n-1; the sign is qubit 0's outcome.
@@ -309,8 +315,7 @@ def measurement_cfi_lowest_order_general(ch: BlochChannel, n: int, c, r0) -> flo
 # protocol comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GainReport:
+class GainReport(NamedTuple):
     """Per-invocation QFI ratio of two protocols.
 
     ratio_exact comes from the exact QFI at the specs' finite purity;
@@ -379,8 +384,7 @@ def compare(spec_a: ProtocolSpec, spec_b: ProtocolSpec,
 # phase-flip bound demonstration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EscherRow:
+class EscherRow(NamedTuple):
     lam: float
     r: float
     bound: float
@@ -417,8 +421,7 @@ def escher_phase_flip_demo(lams, rs) -> tuple[EscherRow, ...]:
 # non-unital channels: nothing to gain at lowest order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoGainReport:
+class NoGainReport(NamedTuple):
     qfi_sqsc: float
     qfi_corr: float
     equal: bool

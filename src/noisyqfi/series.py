@@ -64,10 +64,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import BlochChannel, ChannelFamily, Unitality, _unit_vector, classify_unitality, svd3
+from .bloch import (BlochChannel, ChannelFamily, Unitality, _ReadOnly, _unit_vector,
+                    classify_unitality, svd3)
 from .mstate import (OrderedState, XorLines, _group, apply_channel, apply_channel_derivative,
                      to_dense)
 
@@ -122,18 +124,14 @@ def verify_family_flag(family: ChannelFamily, ch: BlochChannel) -> None:
             f"flag {family.unitality.value}, evaluation says {actual.value}")
 
 
-@dataclass(frozen=True)
-class StateOrders:
+class StateOrders(_ReadOnly):
     """Purity orders of the final state and their lam derivatives, as XOR lines."""
 
-    rho: tuple[XorLines, ...]
-    drho: tuple[XorLines, ...]
-
-    def __post_init__(self):
-        if len(self.rho) != len(self.drho) or not self.rho:
+    def __init__(self, rho, drho):
+        rho, drho = tuple(rho), tuple(drho)
+        if len(rho) != len(drho) or not rho:
             raise ValueError("rho and drho order lists must be nonempty and equal length")
-        object.__setattr__(self, "rho", tuple(self.rho))
-        object.__setattr__(self, "drho", tuple(self.drho))
+        vars(self).update(rho=rho, drho=drho)
 
     @property
     def max_order(self) -> int:
@@ -157,8 +155,7 @@ class SldSeries:
     sld0_factor: np.ndarray = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class QfiSeries:
+class QfiSeries(NamedTuple):
     orders: np.ndarray
 
     def evaluate(self, r: float) -> float:
@@ -429,8 +426,7 @@ def sqsc_unital_h2(ch: BlochChannel, r0) -> float:
     return float(v @ v)
 
 
-@dataclass(frozen=True)
-class SqscOpt:
+class SqscOpt(NamedTuple):
     h2_opt: float
     r0_opt: np.ndarray
     meas_dir: np.ndarray
@@ -577,8 +573,7 @@ def sphere_directions(k: int) -> np.ndarray:
     return np.stack([rxy * np.cos(phi), rxy * np.sin(phi), z], axis=1)
 
 
-@dataclass(frozen=True)
-class GridMax:
+class GridMax(NamedTuple):
     value: float
     c: np.ndarray
     r0: np.ndarray
@@ -601,8 +596,7 @@ def corr_h2_grid_max(ch: BlochChannel, n: int, grid: int) -> GridMax:
 # coefficient extraction by polynomial fit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     coeffs: dict[int, float]
     cond: float
     residual: float

@@ -24,6 +24,7 @@ from noisyqfi.cli import (
     run_bounds,
     run_escher,
     run_fit_orders,
+    run_measure,
     run_qfi,
 )
 from noisyqfi.config import ConfigError, family_from_config, parse_config_text
@@ -241,6 +242,16 @@ class TestRunFitOrders:
                         lams=[0.25, 0.5], ns=[2, 3, 4])
         h1, rows1 = run_fit_orders(cfg)
         h2, rows2 = run_fit_orders(replace(cfg, jobs=2))
+        assert h1 == h2
+        assert cli.format_csv(h1, rows1) == cli.format_csv(h2, rows2)
+
+
+class TestRunMeasure:
+    def test_jobs_do_not_change_output(self):
+        cfg = RunConfig(command="measure", channel={"name": "phase_flip", "params": {}},
+                        lams=[0.2, 0.3, 0.4], purities=[1e-3, 0.1], ns=[2, 3])
+        h1, rows1 = run_measure(cfg)
+        h2, rows2 = run_measure(replace(cfg, jobs=2))
         assert h1 == h2
         assert cli.format_csv(h1, rows1) == cli.format_csv(h2, rows2)
 
@@ -590,10 +601,10 @@ class TestWorkPerCell:
         # per cell: one preparation, for the purity orders; the exact QFI
         # needs none
         assert len(prep) == 4
-        # per cell: one eval for the flag check and the spec's canonical
-        # pair (one svd3), and the frame of c, which the purity orders and
-        # the block solve for all purities share
-        assert len(evals) == 4 * 2
+        # per cell: one eval, which the flag check, the spec's canonical pair
+        # (one svd3) and the frame of c share; the purity orders and the
+        # block solve for all purities read that frame
+        assert len(evals) == 4
         assert len(svds) == 4
         purities = [float(x) for x in default_fit_purities()]
         assert [list(call[1]) for call in sweeps] == [purities] * 4
@@ -609,9 +620,9 @@ class TestWorkPerCell:
         assert main(args) == EXIT_OK
         K = 4 if max_order is None else max_order
         assert [call[1] for call in sld] == [K // 2] * 6
-        # per cell: the spec, and the frame of c, which the series and the
-        # exact QFI share
-        assert len(evals) == 2 * 6
+        # per cell: one eval, which the canonical pair and the frame of c
+        # share; the series and the exact QFI read that frame
+        assert len(evals) == 6
 
     def test_qfi_makes_each_order_dense_once(self, monkeypatch, capsys):
         dense = _count_calls(monkeypatch, series, "to_dense")
@@ -664,9 +675,9 @@ class TestWorkPerCell:
         assert code == EXIT_OK
         assert len(sld) == 0
         assert len(prep) == 3 * 2
-        # per cell: the spec, and the frame of c, which the exact QFI and the
-        # measured state share
-        assert len(evals) == 2 * 2
+        # per cell: one eval, which the canonical pair and the frame of c
+        # share; the exact QFI and the measured state read that frame
+        assert len(evals) == 2
 
     @pytest.mark.parametrize("command", ["qfi", "measure"])
     def test_given_directions_need_one_evaluation(self, command, monkeypatch, capsys):

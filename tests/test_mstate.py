@@ -889,11 +889,11 @@ class TestCoefficientOwnership:
         assert from_frozen.coeffs[2] == 2.0
 
     def test_builders_do_not_copy_their_output(self, monkeypatch):
-        # the constructor's copy runs in __post_init__, which the builders skip
+        # the constructor's copy runs in __init__, which the builders skip
         copies = []
-        monkeypatch.setattr(PauliStrings, "__post_init__",
-                            lambda self, post_init=PauliStrings.__post_init__:
-                            copies.append(self.n) or post_init(self))
+        monkeypatch.setattr(PauliStrings, "__init__",
+                            lambda self, n, *arrays, init=PauliStrings.__init__:
+                            copies.append(n) or init(self, n, *arrays))
         ch = builtin("gad", p=0.8).eval(0.3)
         ordered = initial_state_orders(3, [0.6, 0.0, 0.8])
         prepared = prep_conjugate(ordered)
