@@ -20,8 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from functools import cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +123,7 @@ _OPTIONS = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     channel: dict                      # {"name": ..., "params": {...}, "lambda_domain": ...}
     lams: list[float] | None = None
@@ -367,7 +366,7 @@ def run_fit_orders(cfg: RunConfig) -> tuple[list[str], list[list]]:
         raise ConfigError(
             f"order fitting needs at least {cfg.max_order} purity samples, got {len(rs)}")
     header = ["n", "lambda", "order", "fitted", "closed_form", "rel_error"]
-    cfg = replace(cfg, purities=rs)
+    cfg = cfg._replace(purities=rs)
     cells = [(cfg, lam, None, n) for lam in lams for n in cfg.qubit_counts()]
     return header, [row for rows in _map_cells(_fit_cell, cells, cfg.jobs) for row in rows]
 

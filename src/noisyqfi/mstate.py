@@ -51,11 +51,11 @@ Eisert & Briegel, PRA 69, 062311 (2004); Aaronson & Gottesman, PRA 70,
 * w odd:  every I becomes Z and every Z becomes I; X and Y stay, and the
   string takes the sign (-1)^((w-1)/2).
 
-``prep_conjugate`` reads this map at the strings from a signed gather table
-of all 4^n strings, cached per qubit count.  The dense preparation path (U_c
-and the full unitary as matrices) is the test oracle in tests/support.py,
-and so are the dense 4^n coefficient arrays, their signed gather and their
-channel pass.
+``prep_conjugate`` decodes each string's image and sign from its own
+base-4 digits, so it touches nothing but the strings.  The dense
+preparation path (U_c and the full unitary as matrices) is the test oracle
+in tests/support.py, and so are the dense 4^n coefficient arrays, the
+signed gather table of all 4^n strings and their channel pass.
 
 ``to_dense`` pays for the nonzero strings, not for all 4^n, and returns
 the operator's nonzero XOR lines (``XorLines``), never its 2^n x 2^n
@@ -94,7 +94,9 @@ __all__ = [
     "apply_channel_derivative",
 ]
 
-MAX_QUBITS_PAULI = 14   # 4^n gather table and outcome array
+# an oblique state holds 3^n strings, and the channel pass groups their
+# qubit-1..n-1 tails with a mask of 4^(n-1) bytes (``_group``)
+MAX_QUBITS_PAULI = 14
 MAX_QUBITS_DENSE = 10   # the purity series: up to 2^n lines of 2^n entries
 
 # r0's part perpendicular to c at or below this is rounding: r0 is along c
@@ -357,49 +359,32 @@ def _frame(c, r0) -> np.ndarray:
     return np.column_stack([u, v, c])
 
 
-@lru_cache(maxsize=None)
-def _cz_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather table of the complete-graph CZ conjugation on n slots.
-
-    out[P] = sign[P] * in[index[P]].  Letters I, X, Y, Z are the codes
-    0..3, so X <-> Y and I <-> Z are both the XOR of a letter with 3: an
-    even-w string flips its X/Y slots, an odd-w string flips its I/Z
-    slots.  The map is an involution, so index[P] is also the image of P
-    and sign[P] is its sign: (-1)^(number of Y) for even w, (-1)^((w-1)/2)
-    for odd w.  Built one slot at a time, with no (n, 4^n) temporaries;
-    the cache holds at most one table per qubit count.
-    """
-    xy = np.array([0, 1, 1, 0], dtype=np.int8)
-    is_y = np.array([0, 0, 1, 0], dtype=np.int8)
-    flip = np.zeros(1, dtype=np.int32)    # 3 on every X/Y slot
-    w = np.zeros(1, dtype=np.int8)        # number of X/Y letters
-    ny = np.zeros(1, dtype=np.int8)       # number of Y letters
-    for _ in range(n):
-        flip = (4 * flip[:, None] + 3 * xy).ravel()
-        w = (w[:, None] + xy).ravel()
-        ny = (ny[:, None] + is_y).ravel()
-    odd = (w & 1).astype(bool)
-    index = np.arange(4 ** n, dtype=np.int32) ^ flip
-    index[odd] ^= 4 ** n - 1
-    negative = np.where(odd, (w & 3) == 3, (ny & 1) == 1)
-    sign = np.where(negative, -1, 1).astype(np.int8)
-    index.flags.writeable = False
-    sign.flags.writeable = False
-    return index, sign
-
-
 def prep_conjugate(state: State) -> State:
     """Conjugate by the complete-graph CZ circuit (the preparation in the frame
-    of c): the signed gather table read at the strings (of each order)."""
+    of c): each string's image and sign decoded in place from its digits (of
+    each order).  The bits of a digit differ on X and Y only, and X <-> Y and
+    I <-> Z are both the XOR of a digit with 3."""
 
     def one(st: PauliStrings) -> PauliStrings:
         if st.n < 2:
             raise ValueError("preparation needs at least two qubits")
-        index, sign = _cz_table(st.n)
-        # the map is an involution, so a string's image is index[string],
-        # and the image carries the string's own sign
-        return PauliStrings._adopt(st.n, index[st.strings].astype(np.intp),
-                                   st.coeffs * sign[st.strings])
+        strings, full = st.strings, 4 ** st.n - 1
+        high = strings >> 1
+        xy = high ^ strings
+        xy &= full // 3                     # the low bit of each X/Y digit
+        high &= xy                          # the low bit of each Y digit
+        ny = np.bitwise_count(high)
+        del high
+        w = np.bitwise_count(xy)
+        odd = (w & 1).view(bool)
+        # (-1)^((w - 1)/2) for odd w, (-1)^#Y for even w
+        negative = (np.where(odd, w >> 1, ny) & 1).view(bool)
+        signed = st.coeffs.copy()
+        np.negative(signed, out=signed, where=negative)
+        xy *= 3
+        xy ^= strings                       # even w: X <-> Y
+        np.bitwise_xor(xy, full, out=xy, where=odd)  # odd w: I <-> Z instead
+        return PauliStrings._adopt(st.n, xy, signed)
 
     return _map_orders(state, one)
 

@@ -23,19 +23,20 @@ re-applies the preparation after the channel and measures every
 qubit along the initial direction; outcomes are grouped by the sign of
 qubit 0 and the number of + results among the rest, which is lossless
 because the state is symmetric under any permutation of qubits 1..n-1.
+Each string's share of the grouped outcomes follows from its letter counts
+(``_outcomes``), so no array of all 2^n outcomes or 4^n strings is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .blocks import PERPENDICULAR_TOL, exact_qfi
-from .bloch import (BlochChannel, ChannelFamily, Unitality, _nonfinite_parts, _unit_vector,
-                    svd3)
+from .bloch import (BlochChannel, ChannelFamily, Unitality, _as_vector, _nonfinite_parts,
+                    _ReadOnly, _unit_vector, svd3)
 from .fisher import ProbModel, cfi
 from .mstate import (
     PauliStrings,
@@ -90,38 +91,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(_ReadOnly):
     """Everything needed to build one pre-measurement state; n names the protocol.
 
     ch, when given, is family.eval(lam) as the caller already holds it;
-    ``in_frame`` then evaluates nothing.  A copy with another lam needs its
-    own ch.
+    ``in_frame`` then evaluates nothing.  A spec with another lam needs its
+    own ch.  r0 and c are kept as read-only copies.
     """
 
-    family: ChannelFamily
-    lam: float
-    n: int
-    r: float
-    r0: np.ndarray
-    c: np.ndarray | None = None
-    ch: BlochChannel | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"a protocol needs at least one qubit, got n={self.n}")
-        if self.n == 1 and self.c is not None:
+    def __init__(self, family: ChannelFamily, lam: float, n: int, r: float, r0,
+                 c=None, ch: BlochChannel | None = None):
+        if n < 1:
+            raise ValueError(f"a protocol needs at least one qubit, got n={n}")
+        if n == 1 and c is not None:
             raise ValueError("single-qubit protocol (n = 1) takes no control direction")
-        if self.n >= 2 and self.c is None:
+        if n >= 2 and c is None:
             raise ValueError("correlated protocol (n >= 2) requires a control direction c")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"purity must lie in [0, 1], got {self.r}")
-        for name in ("r0", "c"):
-            v = getattr(self, name)
-            if v is not None:
-                v = _unit_vector(v, name).copy()  # a read-only copy of its own
-                v.flags.writeable = False
-                object.__setattr__(self, name, v)
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"purity must lie in [0, 1], got {r}")
+        r0 = _as_vector(_unit_vector(r0, "r0"), "r0")
+        c = None if c is None else _as_vector(_unit_vector(c, "c"), "c")
+        vars(self).update(family=family, lam=lam, n=n, r=r, r0=r0, c=c, ch=ch)
 
     @cached_property
     def in_frame(self) -> tuple[np.ndarray, BlochChannel]:
@@ -155,13 +145,12 @@ class ProtocolSpec:
 
 def sqsc(family: ChannelFamily, lam: float, r: float, r0,
          ch: BlochChannel | None = None) -> ProtocolSpec:
-    return ProtocolSpec(family, lam, 1, r, np.asarray(r0, dtype=float), ch=ch)
+    return ProtocolSpec(family, lam, 1, r, r0, ch=ch)
 
 
 def correlated(family: ChannelFamily, lam: float, n: int, r: float, c, r0,
                ch: BlochChannel | None = None) -> ProtocolSpec:
-    return ProtocolSpec(family, lam, n, r, np.asarray(r0, dtype=float),
-                        np.asarray(c, dtype=float), ch)
+    return ProtocolSpec(family, lam, n, r, r0, c, ch)
 
 
 class PreparedState(NamedTuple):
@@ -225,27 +214,48 @@ def protocol_qfi(spec: ProtocolSpec, K: int = DEFAULT_MAX_ORDER,
 # local measurement scheme for the correlated protocol
 # ---------------------------------------------------------------------------
 
-def _outcome_tensor(state: PauliStrings, axis: np.ndarray) -> np.ndarray:
-    """Joint probabilities of per-qubit projective measurements along axis,
-    contracted from the strings scattered into the 4^n coefficient array."""
-    W = np.array([[1.0, axis[0], axis[1], axis[2]],
-                  [1.0, -axis[0], -axis[1], -axis[2]]])
-    t = np.zeros(4 ** state.n)
-    t[state.strings] = state.coeffs
-    t = t.reshape((4,) * state.n)
-    for _ in range(state.n):
-        t = np.tensordot(t, W, axes=([0], [1]))
-    return t
+def _sign_counts(n: int) -> np.ndarray:
+    """S[m, k] = [t^k] (1 + t)^(n-1-m) (t - 1)^m, exact integers: over the
+    outcomes of qubits 1..n-1 with k + results, the sum of the product of
+    the signs at m fixed qubits.  Grown one factor per step, row m taking
+    t - 1 at its first m steps."""
+    S = np.zeros((n, n))
+    S[:, 0] = 1.0
+    for step in range(n - 1):
+        root = np.where(np.arange(n) > step, -1.0, 1.0)
+        S[:, 1:] = S[:, :-1] + root[:, None] * S[:, 1:]
+        S[:, 0] *= root
+    return S
 
 
-def _grouped(joint: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum joint outcomes by qubit 0's sign and the + count among the rest."""
-    flat = joint.reshape(2, -1)
-    rest = np.arange(flat.shape[1], dtype=np.uint64)
-    k_plus = (n - 1) - np.bitwise_count(rest).astype(int)
-    p_plus = np.bincount(k_plus, weights=flat[0], minlength=n)
-    p_minus = np.bincount(k_plus, weights=flat[1], minlength=n)
-    return p_plus, p_minus
+def _outcomes(st: PauliStrings, axis: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """p(sign, k) of measuring every qubit along axis, grouped by qubit 0's
+    sign (rows +, -) and the number k of + results among the rest.
+
+    A string P contributes c_P prod_i W[o_i, P_i] to the outcome o, with
+    W[o] = (1, o a_x, o a_y, o a_z).  Summed over the outcomes of qubits
+    1..n-1 with k + results, that is c_P W[o_0, P_0] a_x^#X a_y^#Y a_z^#Z
+    S[m, k] (``_sign_counts``), where the letter counts and m = #X + #Y + #Z
+    are those of P's tail.  So the strings are summed by (P_0, m) first,
+    pairwise within each group, since S amplifies the rounding of those sums.
+    """
+    n = st.n
+    shift = 2 * (n - 1)
+    ones = (4 ** (n - 1) - 1) // 3          # the low bit of each digit of the tail
+    low, high = st.strings & ones, (st.strings >> 1) & ones
+    nz = np.bitwise_count(low & high)       # Z is 3: both bits set
+    nx, ny = np.bitwise_count(low) - nz, np.bitwise_count(high) - nz
+    del low, high
+    powers = axis[:, None] ** np.arange(n)
+    weight = st.coeffs * powers[0, nx] * powers[1, ny] * powers[2, nz]
+    key = ((st.strings >> shift) * n + (nx + ny + nz)).astype(np.uint8)
+    order = np.argsort(key, kind="stable")  # a radix sort on bytes
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    by_letter = np.zeros(4 * n)
+    by_letter[key[first]] = np.add.reduceat(weight[order], first)
+    W = np.array([[1.0, *axis], [1.0, *-axis]])
+    return W @ by_letter.reshape(4, n) @ counts
 
 
 class MeasurementRecord(NamedTuple):
@@ -274,8 +284,9 @@ def local_measurement_sim(spec: ProtocolSpec) -> MeasurementRecord:
     prep = build_state(spec)
     # the preparation does not depend on lam: the derivative passes through it
     state, dstate = prep_conjugate(prep.pauli), prep_conjugate(prep.dpauli)
-    p_plus, p_minus = _grouped(_outcome_tensor(state, prep.r0), spec.n)
-    dp_plus, dp_minus = _grouped(_outcome_tensor(dstate, prep.r0), spec.n)
+    counts = _sign_counts(spec.n)
+    p_plus, p_minus = _outcomes(state, prep.r0, counts)
+    dp_plus, dp_minus = _outcomes(dstate, prep.r0, counts)
     model = ProbModel(np.concatenate([p_plus, p_minus]),
                       np.concatenate([dp_plus, dp_minus]))
     return MeasurementRecord(p_plus=p_plus, p_minus=p_minus,
@@ -286,8 +297,9 @@ def local_measurement_sim(spec: ProtocolSpec) -> MeasurementRecord:
 def measurement_cfi_lowest_order(ch: BlochChannel, n: int, c, r0) -> float:
     """Lowest-order CFI coefficient (n-1)s1^2 + s2^2 for the canonical directions.
 
-    Requires c = B^T e1 and r0 = B^T e2 (up to sign) from the SVD of dM;
-    other directions should use the general form instead.
+    Requires c = B^T e1 and r0 = B^T e2 (up to sign) from the SVD dM = A S B,
+    and that dM maps each onto +- itself (|A[:, i].B[i]| = 1, as for a
+    symmetric dM); other directions and channels should use the general form.
     """
     require_unital(ch)
     if n < 2:
@@ -298,6 +310,9 @@ def measurement_cfi_lowest_order(ch: BlochChannel, n: int, c, r0) -> float:
     if abs(abs(float(c @ dec.B[0])) - 1.0) > 1e-9 or \
             abs(abs(float(r0 @ dec.B[1])) - 1.0) > 1e-9:
         raise ValueError("directions are not the canonical pair (B^T e1, B^T e2)")
+    if any(abs(abs(float(dec.A[:, i] @ dec.B[i])) - 1.0) > 1e-9 for i in (0, 1)):
+        raise ValueError("dM does not map the canonical pair onto itself; "
+                         "use measurement_cfi_lowest_order_general")
     return float((n - 1) * dec.S[0] ** 2 + dec.S[1] ** 2)
 
 

@@ -63,7 +63,6 @@ s1 >= s2 >= s3 its singular values:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -138,8 +137,7 @@ class StateOrders(_ReadOnly):
         return len(self.rho) - 1
 
 
-@dataclass(frozen=True)
-class SldSeries:
+class SldSeries(_ReadOnly):
     """SLD orders L^(0)..L^(K), and the products L^(b) rho^(a) the solve formed.
 
     products maps (b, a) to L^(b) rho^(a) for the state orders the series
@@ -149,10 +147,10 @@ class SldSeries:
     them; ``qfi_orders`` reads them instead of deriving them again.
     """
 
-    orders: tuple[XorLines, ...]
-    products: dict = field(compare=False, repr=False)
-    rho0_factor: np.ndarray = field(compare=False, repr=False)
-    sld0_factor: np.ndarray = field(compare=False, repr=False)
+    def __init__(self, orders: tuple[XorLines, ...], products: dict,
+                 rho0_factor: np.ndarray, sld0_factor: np.ndarray):
+        vars(self).update(orders=orders, products=products, rho0_factor=rho0_factor,
+                          sld0_factor=sld0_factor)
 
 
 class QfiSeries(NamedTuple):

@@ -4,6 +4,7 @@ and the slower reference paths that the library's fast paths are checked against
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from noisyqfi.mstate import (
     XorLines,
     _check_dense_cap,
     _check_pauli_cap,
-    _cz_table,
     prep_conjugate,
 )
 from noisyqfi.protocols import correlated, sqsc
@@ -305,15 +305,62 @@ def oracle_initial_state(n: int, r: float, r0) -> PauliState:
     return PauliState(n, coeffs)
 
 
+@lru_cache(maxsize=None)
+def cz_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table of the complete-graph CZ conjugation on n slots.
+
+    out[P] = sign[P] * in[index[P]].  Letters I, X, Y, Z are the codes
+    0..3, so X <-> Y and I <-> Z are both the XOR of a letter with 3: an
+    even-w string flips its X/Y slots, an odd-w string flips its I/Z
+    slots.  The map is an involution, so index[P] is also the image of P
+    and sign[P] is its sign: (-1)^(number of Y) for even w, (-1)^((w-1)/2)
+    for odd w.  Built one slot at a time over all 4^n strings, the oracle
+    of the per-string decode of noisyqfi.mstate.prep_conjugate.
+    """
+    xy = np.array([0, 1, 1, 0], dtype=np.int8)
+    is_y = np.array([0, 0, 1, 0], dtype=np.int8)
+    flip = np.zeros(1, dtype=np.int32)    # 3 on every X/Y slot
+    w = np.zeros(1, dtype=np.int8)        # number of X/Y letters
+    ny = np.zeros(1, dtype=np.int8)       # number of Y letters
+    for _ in range(n):
+        flip = (4 * flip[:, None] + 3 * xy).ravel()
+        w = (w[:, None] + xy).ravel()
+        ny = (ny[:, None] + is_y).ravel()
+    odd = (w & 1).astype(bool)
+    index = np.arange(4 ** n, dtype=np.int32) ^ flip
+    index[odd] ^= 4 ** n - 1
+    negative = np.where(odd, (w & 3) == 3, (ny & 1) == 1)
+    sign = np.where(negative, -1, 1).astype(np.int8)
+    index.flags.writeable = False
+    sign.flags.writeable = False
+    return index, sign
+
+
 def oracle_gather(state):
     """The complete-graph CZ conjugation as one signed gather of the 4^n
     array (each order separately)."""
 
     def one(st: PauliState) -> PauliState:
-        index, sign = _cz_table(st.n)
+        index, sign = cz_table(st.n)
         return PauliState(st.n, st.coeffs[index] * sign)
 
     return _map_orders(state, one)
+
+
+def oracle_outcomes(st: PauliStrings, axis) -> np.ndarray:
+    """p(sign, k) of measuring every qubit along axis, rows +, -: the joint
+    outcomes contracted from the 4^n coefficient array in long double
+    (``outcome_tensor``), then summed by qubit 0's sign and the number k of
+    + results among the rest.  The oracle of noisyqfi.protocols._outcomes."""
+    n = st.n
+    coeffs = np.zeros(4 ** n, dtype=np.longdouble)
+    coeffs[st.strings] = st.coeffs
+    joint = outcome_tensor(coeffs, np.asarray(axis, dtype=np.longdouble)).reshape(2, -1)
+    k_plus = (n - 1) - np.bitwise_count(np.arange(2 ** (n - 1)))
+    out = np.zeros((2, n), dtype=np.longdouble)
+    for grouped, outcomes in zip(out, joint):
+        np.add.at(grouped, k_plus, outcomes)
+    return out.astype(float)
 
 
 def _oracle_pass(state, F: np.ndarray):
@@ -781,15 +828,17 @@ def local_measurement_cfi_ungrouped(spec) -> float:
         raise ValueError("the local measurement scheme is defined for correlated specs")
     U = u_prep(spec.n, spec.c)
     state, dstate = (conjugate(st, U) for st in lab_output(spec))
-    return cfi(ProbModel(outcome_tensor(state, spec.r0).reshape(-1),
-                         outcome_tensor(dstate, spec.r0).reshape(-1)))
+    return cfi(ProbModel(outcome_tensor(state.coeffs, spec.r0).reshape(-1),
+                         outcome_tensor(dstate.coeffs, spec.r0).reshape(-1)))
 
 
-def outcome_tensor(state: PauliState, axis) -> np.ndarray:
-    """Joint probabilities of measuring every qubit of a dense state along axis."""
+def outcome_tensor(coeffs: np.ndarray, axis) -> np.ndarray:
+    """Joint probabilities of measuring every qubit along axis, from the 4^n
+    coefficient array, in its dtype; qubit 0's outcome is the first index."""
+    n = (coeffs.size.bit_length() - 1) // 2
     W = np.array([[1.0, axis[0], axis[1], axis[2]],
-                  [1.0, -axis[0], -axis[1], -axis[2]]])
-    t = state.coeffs.reshape((4,) * state.n)
-    for _ in range(state.n):
+                  [1.0, -axis[0], -axis[1], -axis[2]]], dtype=coeffs.dtype)
+    t = coeffs.reshape((4,) * n)
+    for _ in range(n):
         t = np.tensordot(t, W, axes=([0], [1]))
     return t

@@ -2,7 +2,6 @@
 and against the dense 2^n eigendecomposition oracle."""
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +49,13 @@ def _families(rng):
 
 def _spec(fam, lam, n, r, c, r0):
     return sqsc(fam, lam, r, r0) if n == 1 else correlated(fam, lam, n, r, c, r0)
+
+
+def _respec(spec: ProtocolSpec, **changes) -> ProtocolSpec:
+    """The spec with the given fields changed."""
+    fields = dict(family=spec.family, lam=spec.lam, n=spec.n, r=spec.r, r0=spec.r0,
+                  c=spec.c, ch=spec.ch)
+    return ProtocolSpec(**{**fields, **changes})
 
 
 def _direction_pairs(rng, fam, lam):
@@ -184,7 +190,7 @@ def test_sweep_equals_one_purity_calls(n):
         spec = _spec(fam, 0.3, n, 0.5, random_unit(rng), random_unit(rng))
         for eps in (None, 1e-2):
             got = exact_qfis(spec, SWEEP, eps)
-            assert got.tolist() == [exact_qfi(replace(spec, r=r), eps) for r in SWEEP], \
+            assert got.tolist() == [exact_qfi(_respec(spec, r=r), eps) for r in SWEEP], \
                 (fam.name, n, eps)
         dropped |= got.tolist() != exact_qfis(spec, SWEEP).tolist()
     # the explicit cutoff drops pairs the default keeps; a single qubit's two
@@ -207,7 +213,7 @@ def test_piece_sweep_equals_one_purity_calls(n):
         spec = correlated(fam, 0.3, n, 0.5, *canonical_directions(fam.eval(0.3)))
         for eps in (None, 1e-2):
             got = exact_qfis(spec, SWEEP, eps)
-            assert got.tolist() == [exact_qfi(replace(spec, r=r), eps) for r in SWEEP], \
+            assert got.tolist() == [exact_qfi(_respec(spec, r=r), eps) for r in SWEEP], \
                 (fam.name, n, eps)
 
 
@@ -424,4 +430,4 @@ def test_pieces_reach_ten_thousand_qubits():
     got = exact_qfi(spec)
     assert time.perf_counter() - start < 0.5
     # the QFI per channel use saturates in n at the unit-purity value
-    assert exact_qfi(replace(spec, n=5000)) < got < exact_qfi(replace(spec, r=1.0))
+    assert exact_qfi(_respec(spec, n=5000)) < got < exact_qfi(_respec(spec, r=1.0))

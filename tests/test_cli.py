@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -241,7 +240,7 @@ class TestRunFitOrders:
                         channel={"name": "depolarizing", "params": {}},
                         lams=[0.25, 0.5], ns=[2, 3, 4])
         h1, rows1 = run_fit_orders(cfg)
-        h2, rows2 = run_fit_orders(replace(cfg, jobs=2))
+        h2, rows2 = run_fit_orders(cfg._replace(jobs=2))
         assert h1 == h2
         assert cli.format_csv(h1, rows1) == cli.format_csv(h2, rows2)
 
@@ -251,7 +250,7 @@ class TestRunMeasure:
         cfg = RunConfig(command="measure", channel={"name": "phase_flip", "params": {}},
                         lams=[0.2, 0.3, 0.4], purities=[1e-3, 0.1], ns=[2, 3])
         h1, rows1 = run_measure(cfg)
-        h2, rows2 = run_measure(replace(cfg, jobs=2))
+        h2, rows2 = run_measure(cfg._replace(jobs=2))
         assert h1 == h2
         assert cli.format_csv(h1, rows1) == cli.format_csv(h2, rows2)
 
@@ -654,7 +653,7 @@ class TestWorkPerCell:
         # the purity series runs on XOR lines: an n = 9 cell peaked at
         # 65.1 MiB when the orders were dense 2^9 x 2^9 matrices (4 MiB
         # each) and peaks at 5.0 MiB on lines (tracemalloc, after a warm-up
-        # cell that fills the gather table's cache)
+        # cell that fills the Hadamard matrix cache)
         argv = ["qfi", "--channel", "phase_flip", "--lambda", "0.3",
                 "--purity", "1e-3", "--n", "9"]
         assert main(argv) == EXIT_OK
@@ -665,6 +664,21 @@ class TestWorkPerCell:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    def test_measure_cell_holds_no_4n_array(self, capsys):
+        # the CZ images and the grouped outcomes come from the strings: an
+        # n = 12 cell peaked at 336 MiB with the 4^n gather table and outcome
+        # contraction; what is left is the 4^(n-1) tail mask of the channel
+        # pass and its rank array (tracemalloc, no warm-up cell)
+        argv = ["measure", "--channel", "phase_flip", "--lambda", "0.3",
+                "--purity", "1e-3", "--n", "12"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
 
     def test_measure_solves_no_series(self, monkeypatch, capsys):
         sld = _count_calls(monkeypatch, series, "sld_orders")

@@ -28,6 +28,7 @@ from support import (
     as_strings,
     at_purity,
     conjugate,
+    cz_table,
     dense_of,
     dense_state,
     from_dense,
@@ -261,8 +262,9 @@ def _random_ordered(rng, n: int, orders: int = 3) -> OrderedState:
 
 
 class TestCliffordGather:
-    """prep_conjugate (the CZ signed gather) against the pair passes for c = z,
-    and for a general c through the frame identity (tests/support.py)."""
+    """prep_conjugate (the CZ conjugation decoded string by string) against
+    the pair passes for c = z, for a general c through the frame identity,
+    and against the signed gather table of all 4^n strings (tests/support.py)."""
 
     Z = np.array([0.0, 0.0, 1.0])
 
@@ -312,11 +314,10 @@ class TestCliffordGather:
                 want = oracle_prep_conjugate(state, c).coeffs
                 assert np.array_equal(got, want)
 
-    def test_table_follows_weight_rule(self):
+    def test_image_follows_weight_rule(self):
         # w = number of X/Y letters.  Even w: X -> Y, Y -> -X.  Odd w: I <-> Z
         # and the string takes the sign (-1)^((w-1)/2).
-        for n in (1, 2, 3, 4):
-            index, sign = ms._cz_table(n)
+        for n in (2, 3, 4):
             for p in range(4 ** n):
                 label = pauli_label(p, n)
                 w = sum(ch in "XY" for ch in label)
@@ -326,17 +327,40 @@ class TestCliffordGather:
                 else:
                     image = label.translate(str.maketrans("IZ", "ZI"))
                     s = (-1) ** ((w - 1) // 2)
-                q = pauli_index(image)
-                assert index[q] == p and sign[q] == s, (label, image)
+                out = prep_conjugate(PauliStrings(n, [p], [1.0]))
+                assert out.strings.tolist() == [pauli_index(image)], (label, image)
+                assert out.coeffs.tolist() == [s], label
+
+    @staticmethod
+    def _assert_is_table_gather(st: PauliStrings):
+        # the image of P is index[P] (the map is an involution) with P's sign
+        index, sign = cz_table(st.n)
+        out = prep_conjugate(st)
+        assert out.strings.dtype == np.intp
+        assert np.array_equal(out.strings, index[st.strings])
+        assert out.coeffs.tobytes() == (st.coeffs * sign[st.strings]).tobytes()
+
+    def test_decode_is_the_table_on_every_string(self):
+        rng = np.random.default_rng(22)
+        for n in range(2, 8):
+            self._assert_is_table_gather(full_strings(rng, n))
+
+    def test_decode_is_the_table_at_ten_qubits(self):
+        rng = np.random.default_rng(23)
+        r0 = random_unit(rng)
+        self._assert_is_table_gather(initial_state(10, 0.3, r0))
+        for st in initial_state_orders(10, r0, max_order=4).orders:
+            self._assert_is_table_gather(st)
+        strings = np.flatnonzero(rng.random(4 ** 10) < 0.01)
+        self._assert_is_table_gather(PauliStrings(10, strings, rng.normal(size=len(strings))))
 
     def test_needs_two_qubits(self):
         with pytest.raises(ValueError, match="two qubits"):
             prep_conjugate(PauliStrings(1, [0, 1], [0.5, 0.1]))
 
-    def test_gather_allocates_little_beyond_the_output(self):
-        # the cached 4^n table is read at the strings, not copied
+    def test_decode_allocates_little_beyond_the_output(self):
+        # decoded in place from the strings: no 4^n table, no warm-up call
         st = initial_state(10, 0.3, [0.6, 0.0, 0.8])
-        prep_conjugate(st)  # builds the table
         tracemalloc.start()
         try:
             out = prep_conjugate(st)

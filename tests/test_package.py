@@ -46,13 +46,14 @@ def test_declared_numpy_floor_is_at_least_two():
 
 
 # What a fresh interpreter holds after importing the CLI: the process-pool
-# modules that are loaded, and the dataclasses that noisyqfi defines.
+# and record modules that are loaded, and the dataclasses that noisyqfi defines.
 _STARTUP_PROBE = """
 import json, sys
 import noisyqfi.cli
 modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "noisyqfi"]
 print(json.dumps({
     "pool": sorted({"concurrent.futures.process", "multiprocessing"} & set(sys.modules)),
+    "records": sorted({"dataclasses", "copy"} & set(sys.modules)),
     "dataclasses": sorted(f"{m.__name__}.{name}" for m in modules
                           for name, v in vars(m).items()
                           if isinstance(v, type) and v.__module__ == m.__name__
@@ -64,11 +65,13 @@ print(json.dumps({
 def test_cli_import_loads_no_pool_and_few_dataclasses():
     # every CLI call pays these imports: the process pool is only for
     # --jobs > 1, and on Python 3.11 a dataclass takes about 1.1 ms to
-    # create against 0.1 ms for a NamedTuple
+    # create against 0.1 ms for a NamedTuple; the records are NamedTuples
+    # and read-only holders, so neither dataclasses nor copy is imported
     src = Path(noisyqfi.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
                           capture_output=True, text=True, check=True)
     loaded = json.loads(proc.stdout)
     assert loaded["pool"] == []
-    assert len(loaded["dataclasses"]) <= 3, loaded["dataclasses"]
+    assert loaded["records"] == []
+    assert loaded["dataclasses"] == []

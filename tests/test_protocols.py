@@ -1,11 +1,12 @@
 import itertools
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
-from noisyqfi import builtin, mstate as ms
-from noisyqfi.mstate import initial_state_orders
+from noisyqfi import builtin
+from noisyqfi.mstate import PauliStrings, initial_state_orders, prep_conjugate
 from noisyqfi.protocols import (
     ProtocolSpec,
     build_state,
@@ -19,6 +20,8 @@ from noisyqfi.protocols import (
     protocol_qfi,
     purity_orders,
     sqsc,
+    _outcomes,
+    _sign_counts,
 )
 from noisyqfi.series import BranchError, canonical_directions, corr_bounds
 
@@ -29,6 +32,7 @@ from support import (
     dense_pair,
     local_measurement_cfi_ungrouped,
     oracle_channel_output_orders,
+    oracle_outcomes,
     oracle_qfi_orders,
     oracle_sld_orders,
     permute_qubits,
@@ -150,7 +154,6 @@ class TestProtocolQfi:
 class TestLocalMeasurement:
     def test_probability_structure_at_small_purity(self):
         # p(+,k) = C(n-1,k)/2^n [1 + r r0.M r0 + r c.M c (2k-n+1)] + O(r^2)
-        from math import comb
         lam, n, r = 0.3, 3, 1e-4
         c = np.array([1.0, 0.0, 0.0])
         r0 = np.array([0.0, 1.0, 0.0])
@@ -167,7 +170,6 @@ class TestLocalMeasurement:
             assert rec.p_minus[k] == pytest.approx(want_m, abs=5 * r ** 2)
 
     def test_zero_purity_gives_flat_counts_and_no_information(self):
-        from math import comb
         n = 4
         spec = correlated(PF, 0.35, n, 0.0, [1, 0, 0], [0, 1, 0])
         rec = local_measurement_sim(spec)
@@ -230,6 +232,43 @@ class TestLocalMeasurement:
         with pytest.raises(ValueError):
             local_measurement_sim(sqsc(PF, 0.3, 0.1, [1, 0, 0]))
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_sign_counts_are_exact(self, n):
+        # [t^k] (1 + t)^(n-1-m) (t - 1)^m, term by term in integers
+        want = [[sum((-1) ** (m - j) * comb(m, j) * comb(n - 1 - m, k - j)
+                     for j in range(max(0, k - (n - 1 - m)), min(m, k) + 1))
+                 for k in range(n)] for m in range(n)]
+        assert _sign_counts(n).tolist() == want
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_grouped_outcomes_match_dense_contraction(self, n):
+        rng = np.random.default_rng(900 + n)
+        # random strings with all four letters, along an axis off the frame's u-z plane
+        strings = np.flatnonzero(rng.random(4 ** n) < 0.5)
+        states = [PauliStrings(n, strings, rng.normal(size=len(strings)))]
+        axes = [random_unit(rng)]
+        # and the measured states of oblique cells at high purity
+        for fam in (builtin("gad", p=0.8), builtin("phase_shift")):
+            prep = build_state(correlated(fam, 0.3, n, 0.95, random_unit(rng),
+                                          random_unit(rng)))
+            states += [prep_conjugate(prep.pauli), prep_conjugate(prep.dpauli)]
+            axes += [prep.r0, prep.r0]
+        for st, axis in zip(states, axes):
+            got, want = _outcomes(st, axis, _sign_counts(n)), oracle_outcomes(st, axis)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", (2, 3, 6, 10, 12))
+    def test_outcomes_sum_to_one_and_derivatives_to_zero(self, n):
+        rng = np.random.default_rng(940 + n)
+        for fam in (PF, builtin("gad", p=0.8), builtin("phase_shift")):
+            ch = fam.eval(0.3)
+            for c, r0 in (canonical_directions(ch), (random_unit(rng), random_unit(rng))):
+                for r in (1e-3, 0.9):
+                    rec = local_measurement_sim(correlated(fam, 0.3, n, r, c, r0))
+                    assert abs(rec.p_plus.sum() + rec.p_minus.sum() - 1.0) <= 1e-14
+                    scale = max(np.abs(rec.dp_plus).max(), np.abs(rec.dp_minus).max())
+                    assert abs(rec.dp_plus.sum() + rec.dp_minus.sum()) <= 1e-14 * scale
+
 
 class TestScale:
     def test_ten_qubit_protocol_supported(self):
@@ -253,12 +292,11 @@ class TestScale:
         assert rec.cfi / r ** 2 == pytest.approx(44.0, rel=2e-2)
 
     def test_oblique_measurement_memory(self):
-        # the fixed-purity state holds its 3^11 strings until the outcome
-        # tensor; a dense 4^11 state through the same stages peaks at about
-        # 170 MB, the strings (with the CZ table built inside) at about 90 MB
+        # the fixed-purity state holds its 3^11 strings up to the grouped
+        # outcomes; with the 4^n gather table and outcome contraction it
+        # peaked at 91 MiB, summed from the strings at about 37 MiB
         c = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
         spec = correlated(PF, 0.3, 11, 1e-3, c, [-0.6, 0.0, 0.8])
-        ms._cz_table.cache_clear()
         tracemalloc.start()
         try:
             rec = local_measurement_sim(spec)
@@ -266,7 +304,7 @@ class TestScale:
         finally:
             tracemalloc.stop()
         assert np.isfinite(rec.cfi) and rec.cfi > 0.0
-        assert peak < 128 * 2 ** 20
+        assert peak < 48 * 2 ** 20
 
     def test_rank_one_measurement_example(self):
         fam = builtin("custom_diag", mx="0", my="0", mz="1-2*l")
@@ -290,9 +328,26 @@ class TestMeasurementLowestOrder:
         assert measurement_cfi_lowest_order(ch, 4, c, r0) == pytest.approx(12.0, rel=1e-7)
 
     def test_phase_shift_two_qubits(self):
-        ch = builtin("phase_shift").eval(0.7)
+        # at a quarter turn dM is -1 on the plane of rotation: symmetric
+        ch = builtin("phase_shift").eval(np.pi / 2)
         c, r0 = canonical_directions(ch)
         assert measurement_cfi_lowest_order(ch, 2, c, r0) == pytest.approx(2.0)
+        for n in (2, 3, 5):
+            assert measurement_cfi_lowest_order(ch, n, c, r0) == pytest.approx(
+                measurement_cfi_lowest_order_general(ch, n, c, r0), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", (0.3, 0.7))
+    def test_phase_shift_off_a_quarter_turn_rejected(self, lam):
+        # dM turns c and r0 off themselves: (n-1)s1^2 + s2^2 = n, while the
+        # general form and the simulation give n sin^2(lam)
+        ch = builtin("phase_shift").eval(lam)
+        c, r0 = canonical_directions(ch)
+        with pytest.raises(ValueError, match="measurement_cfi_lowest_order_general"):
+            measurement_cfi_lowest_order(ch, 3, c, r0)
+        want = 3 * np.sin(lam) ** 2
+        assert measurement_cfi_lowest_order_general(ch, 3, c, r0) == pytest.approx(want)
+        rec = local_measurement_sim(correlated(builtin("phase_shift"), lam, 3, 1e-3, c, r0))
+        assert rec.cfi / 1e-6 == pytest.approx(want, rel=1e-3)
 
     def test_non_canonical_directions_rejected(self):
         ch = DEPOL.eval(0.5)

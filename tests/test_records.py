@@ -5,14 +5,16 @@ import pytest
 
 from noisyqfi import builtin
 from noisyqfi.bloch import BlochChannel, SvdDecomp, ValidationReport, validate
+from noisyqfi.cli import RunConfig
 from noisyqfi.fisher import ProbModel
 from noisyqfi.mstate import OrderedState, PauliStrings, XorLines, to_dense
 from noisyqfi.protocols import (EscherRow, GainReport, MeasurementRecord, NoGainReport,
-                                PreparedState, ProtocolQfi)
-from noisyqfi.series import FitResult, GridMax, QfiSeries, SqscOpt, StateOrders
+                                PreparedState, ProtocolQfi, correlated)
+from noisyqfi.series import FitResult, GridMax, QfiSeries, SldSeries, SqscOpt, StateOrders
 
 RECORDS = [ValidationReport, SvdDecomp, PreparedState, ProtocolQfi, MeasurementRecord,
-           GainReport, EscherRow, NoGainReport, QfiSeries, SqscOpt, GridMax, FitResult]
+           GainReport, EscherRow, NoGainReport, QfiSeries, SqscOpt, GridMax, FitResult,
+           RunConfig]
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda t: t.__name__)
@@ -47,6 +49,8 @@ HOLDERS = {
     "BlochChannel": lambda: builtin("phase_flip").eval(0.3),
     "ChannelFamily": lambda: builtin("phase_flip"),
     "ProbModel": lambda: ProbModel([0.5, 0.5], [1.0, -1.0]),
+    "ProtocolSpec": lambda: correlated(builtin("phase_flip"), 0.3, 2, 0.1, [0, 0, 1], [1, 0, 0]),
+    "SldSeries": lambda: SldSeries((_lines(),), {}, np.eye(2), np.eye(2)),
 }
 
 

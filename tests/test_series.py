@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from noisyqfi.protocols import correlated, sqsc
 from noisyqfi.series import (
     BranchError,
     GridMax,
+    SldSeries,
     StateOrders,
     canonical_directions,
     channel_output_orders,
@@ -184,7 +183,9 @@ def _record_solves(monkeypatch, strip_products: bool = False) -> list:
     def solve(orders, K):
         sld = sld_orders(orders, K)
         solves.append((K, sorted(sld.products), sld))
-        return replace(sld, products={}) if strip_products else sld
+        if strip_products:
+            return SldSeries(sld.orders, {}, sld.rho0_factor, sld.sld0_factor)
+        return sld
 
     monkeypatch.setattr(series_module, "sld_orders", solve)
     return solves
