@@ -18,6 +18,7 @@ failure (the message names the failing cell).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from functools import cache, partial
@@ -533,7 +534,35 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc keep freed blocks of up to 32 MiB in the heap for reuse.
+
+    By default glibc maps every block above its mmap threshold (128 KiB,
+    raised as such blocks are freed) afresh and unmaps it when it is
+    freed, and returns a heap top of more than 128 KiB to the system, so
+    every cell faults its line arrays in again.  Setting the thresholds
+    keeps that memory for the next cell; it holds for the whole process.
+    On any other C library this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None or not hasattr(libc, "gnu_get_libc_version"):
+        return  # the parameter numbers above are glibc's
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

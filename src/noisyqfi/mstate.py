@@ -52,10 +52,11 @@ Eisert & Briegel, PRA 69, 062311 (2004); Aaronson & Gottesman, PRA 70,
   string takes the sign (-1)^((w-1)/2).
 
 ``prep_conjugate`` decodes each string's image and sign from its own
-base-4 digits, so it touches nothing but the strings.  The dense
-preparation path (U_c and the full unitary as matrices) is the test oracle
-in tests/support.py, and so are the dense 4^n coefficient arrays, the
-signed gather table of all 4^n strings and their channel pass.
+base-4 digits, the strings of all orders at once, so it touches nothing
+but the strings.  The dense preparation path (U_c and the full unitary as
+matrices) is the test oracle in tests/support.py, and so are the dense 4^n
+coefficient arrays, the signed gather table of all 4^n strings and their
+channel pass.
 
 ``to_dense`` pays for the nonzero strings, not for all 4^n, and returns
 the operator's nonzero XOR lines (``XorLines``), never its 2^n x 2^n
@@ -64,11 +65,16 @@ marks its X and Y letters and z its Y and Z letters, and
 (X^f Z^z)[x + f, x] = (-1)^(z.x) (+ is the bitwise XOR).  So the strings
 that share a flip pattern fill the one line D[x + f, x] of the dense
 matrix, and that line is the Walsh-Hadamard transform over z of their
-coefficients times i^(#Y).  Only the nonzero strings are decoded; each
-line is two Hadamard matrix products (sizes 2^floor(n/2) and
-2^ceil(n/2)).  The purity series computes on these lines.  The scatter of
-the lines into a matrix and the slot-by-slot ``tensordot`` contraction over
-all 4^n strings are the test oracles in tests/support.py.
+coefficients times i^(#Y).  Only the nonzero strings are decoded.  Each
+term is real or imaginary, so the two parts are transformed as one real
+array, by two Hadamard matrix products: over the high floor(n/2) bits of z
+on the (part, line, low bits of z) rows that hold a string, then over the
+low bits on every row.  An ``OrderedState`` takes one pass for all its
+orders, its strings grouped by (order, flip pattern), and each order's
+lines are a row slice of one array.  The purity series computes on these
+lines.  The scatter of the lines into a matrix and the slot-by-slot
+``tensordot`` contraction over all 4^n strings are the test oracles in
+tests/support.py.
 """
 
 from __future__ import annotations
@@ -94,8 +100,9 @@ __all__ = [
     "apply_channel_derivative",
 ]
 
-# an oblique state holds 3^n strings, and the channel pass groups their
-# qubit-1..n-1 tails with a mask of 4^(n-1) bytes (``_group``)
+# an oblique state holds 3^n strings (4.8 million at n = 14), and each pass
+# holds a few arrays of their length: the channel pass sorts their
+# qubit-1..n-1 tails
 MAX_QUBITS_PAULI = 14
 MAX_QUBITS_DENSE = 10   # the purity series: up to 2^n lines of 2^n entries
 
@@ -175,6 +182,28 @@ class OrderedState(_ReadOnly):
         return len(self.orders) - 1
 
 
+State = Union[PauliStrings, OrderedState]
+
+
+def _orders(state: State) -> tuple[PauliStrings, ...]:
+    return state.orders if isinstance(state, OrderedState) else (state,)
+
+
+def _map_orders(state: State, fn) -> State:
+    if isinstance(state, OrderedState):
+        return OrderedState(state.n, tuple(fn(st) for st in state.orders))
+    return fn(state)
+
+
+def _joined(orders: tuple[PauliStrings, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The strings and the coefficients of the operators, end to end; those
+    of a lone operator are its own arrays, not a copy."""
+    if len(orders) == 1:
+        return orders[0].strings, orders[0].coeffs
+    return (np.concatenate([np.empty(0, dtype=np.intp), *(st.strings for st in orders)]),
+            np.concatenate([np.empty(0), *(st.coeffs for st in orders)]))
+
+
 def _grow_product(n: int, slot: np.ndarray, max_order: int):
     """The nonzero strings of the product of n copies of slot (I, X, Y, Z
     coefficients), their coefficients and their number of non-I letters.
@@ -234,9 +263,6 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
         at = weight == j
         orders.append(PauliStrings._adopt(n, strings[at], product[at]))
     return OrderedState(n, tuple(orders))
-
-
-_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def _bits_of_digits(p: np.ndarray) -> np.ndarray:
@@ -299,36 +325,45 @@ class XorLines(_ReadOnly):
         return rank
 
 
-def to_dense(state: PauliStrings) -> XorLines:
+def to_dense(state: State) -> XorLines | tuple[XorLines, ...]:
     """The XOR lines of a Pauli-string operator: one line D[x + f, x] per
     flip pattern f of the strings (see the module docstring), so the cost
     follows the nonzero strings and no 2^n x 2^n matrix is formed.
+
+    An ``OrderedState`` gives one ``XorLines`` per order, all from one pass:
+    their lines are row slices of one array.
     """
     _check_dense_cap(state.n)
     n = state.n
     dim = 2 ** n
-    string, coeffs = state.strings, state.coeffs
+    orders = _orders(state)
+    string, coeffs = _joined(orders)
     # letters I, X, Y, Z are the codes 0..3: z is the high bit, f the XOR
     # of both bits, and a Y has both f and z set
     low, z = _bits_of_digits(string), _bits_of_digits(string >> 1)
     f = low ^ z
-    # the flip patterns that occur, and each string's line among them
-    flips, line = _group(f, dim)
-    g = np.zeros((len(flips), dim), dtype=complex)
-    g[line, z] = coeffs * _I_POWERS[np.bitwise_count(f & z) & 3]
-    # the transform over z = (z_high, z_low) as H (x) H, one product per factor
-    half = n // 2
-    g = _hadamard(half) @ g.reshape(-1, 2 ** half, dim >> half) @ _hadamard(n - half)
-    return XorLines(n, flips, g.reshape(-1, dim))
-
-
-State = Union[PauliStrings, OrderedState]
-
-
-def _map_orders(state: State, fn) -> State:
-    if isinstance(state, OrderedState):
-        return OrderedState(state.n, tuple(fn(st) for st in state.orders))
-    return fn(state)
+    # the (order, flip pattern) pairs that occur, and each string's line
+    order = np.repeat(np.arange(len(orders)), [len(st.strings) for st in orders])
+    keys, line = _group(order * dim + f, len(orders) * dim)
+    # the power of i: even powers are real, odd ones imaginary, 2 and 3 negative
+    power = np.bitwise_count(f & z).astype(np.intp) & 3
+    # the transform over z = (z_high, z_low) as H (x) H on the real and the
+    # imaginary parts: first over z_high on the (part, line, z_low) rows that
+    # hold a string, then over z_low on every row
+    half, rest = n // 2, n - n // 2
+    z_low = z & ((1 << rest) - 1)
+    rows, row = _group(((power & 1) * len(keys) + line) << rest | z_low, 2 * len(keys) << rest)
+    g = np.zeros((len(rows), 2 ** half))
+    g[row, z >> rest] = np.where(power & 2, -coeffs, coeffs)
+    t = np.zeros((2 * len(keys), 2 ** half, 2 ** rest))
+    t[rows >> rest, :, rows & ((1 << rest) - 1)] = g @ _hadamard(half)
+    t = (t.reshape(-1, 2 ** rest) @ _hadamard(rest)).reshape(2, len(keys), dim)
+    lines = np.empty((len(keys), dim), dtype=complex)
+    lines.real, lines.imag = t
+    ends = np.searchsorted(keys, dim * np.arange(len(orders) + 1))
+    out = tuple(XorLines(n, keys[a:b] - j * dim, lines[a:b])
+                for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])))
+    return out if isinstance(state, OrderedState) else out[0]
 
 
 def _frame(c, r0) -> np.ndarray:
@@ -361,32 +396,37 @@ def _frame(c, r0) -> np.ndarray:
 
 def prep_conjugate(state: State) -> State:
     """Conjugate by the complete-graph CZ circuit (the preparation in the frame
-    of c): each string's image and sign decoded in place from its digits (of
-    each order).  The bits of a digit differ on X and Y only, and X <-> Y and
-    I <-> Z are both the XOR of a digit with 3."""
-
-    def one(st: PauliStrings) -> PauliStrings:
-        if st.n < 2:
-            raise ValueError("preparation needs at least two qubits")
-        strings, full = st.strings, 4 ** st.n - 1
-        high = strings >> 1
-        xy = high ^ strings
-        xy &= full // 3                     # the low bit of each X/Y digit
-        high &= xy                          # the low bit of each Y digit
-        ny = np.bitwise_count(high)
-        del high
-        w = np.bitwise_count(xy)
-        odd = (w & 1).view(bool)
-        # (-1)^((w - 1)/2) for odd w, (-1)^#Y for even w
-        negative = (np.where(odd, w >> 1, ny) & 1).view(bool)
-        signed = st.coeffs.copy()
-        np.negative(signed, out=signed, where=negative)
-        xy *= 3
-        xy ^= strings                       # even w: X <-> Y
-        np.bitwise_xor(xy, full, out=xy, where=odd)  # odd w: I <-> Z instead
-        return PauliStrings._adopt(st.n, xy, signed)
-
-    return _map_orders(state, one)
+    of c): each string's image and sign decoded in place from its digits, for
+    the strings of every order at once.  The bits of a digit differ on X and
+    Y only, and X <-> Y and I <-> Z are both the XOR of a digit with 3."""
+    if state.n < 2:
+        raise ValueError("preparation needs at least two qubits")
+    orders = _orders(state)
+    strings, coeffs = _joined(orders)
+    full = 4 ** state.n - 1
+    high = strings >> 1
+    xy = high ^ strings
+    xy &= full // 3                     # the low bit of each X/Y digit
+    high &= xy                          # the low bit of each Y digit
+    ny = np.bitwise_count(high)
+    del high
+    w = np.bitwise_count(xy)
+    odd = (w & 1).view(bool)
+    # (-1)^((w - 1)/2) for odd w, (-1)^#Y for even w
+    negative = (np.where(odd, w >> 1, ny) & 1).view(bool)
+    signed = coeffs.copy()
+    np.negative(signed, out=signed, where=negative)
+    xy *= 3
+    xy ^= strings                       # even w: X <-> Y
+    np.bitwise_xor(xy, full, out=xy, where=odd)  # odd w: I <-> Z instead
+    if not isinstance(state, OrderedState):
+        return PauliStrings._adopt(state.n, xy, signed)
+    out, start = [], 0
+    for st in orders:
+        end = start + len(st.strings)
+        out.append(PauliStrings._adopt(state.n, xy[start:end], signed[start:end]))
+        start = end
+    return OrderedState(state.n, tuple(out))
 
 
 def _channel_pass(st: PauliStrings, F: np.ndarray) -> PauliStrings:
@@ -398,10 +438,11 @@ def _channel_pass(st: PauliStrings, F: np.ndarray) -> PauliStrings:
     out exactly zero are dropped.
     """
     shift = 2 * (st.n - 1)
-    tails, column = _group(st.strings & ((1 << shift) - 1), 1 << shift)
+    tails, column = np.unique(st.strings & ((1 << shift) - 1), return_inverse=True)
     t = np.zeros((4, len(tails)))
     t[st.strings >> shift, column] = st.coeffs
     out = F @ t
+    del t
     strings = (np.arange(4)[:, None] << shift) | tails
     nonzero = out != 0.0
     return PauliStrings._adopt(st.n, strings[nonzero], out[nonzero])

@@ -181,8 +181,8 @@ def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
     up to min(n, max_order).  They do not depend on the spec's purity.
 
     The input orders and the preparation work on each order's nonzero Pauli
-    strings; each output order is transformed to its lines once, after the
-    channel.
+    strings; after the channel the output orders are transformed to their
+    lines in one pass, and their derivatives in another.
     """
     _check_dense_cap(spec.n)  # fail before any large allocation
     r0, ch = spec.in_frame

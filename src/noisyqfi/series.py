@@ -42,8 +42,8 @@ and every step costs (number of lines) 2^n in place of 4^n:
 At K = 4 only two products remain: L^(1) rho^(1), formed in the SLD solve
 and reused by the traces, and L^(1) rho^(2) in the traces.  The channel and
 its derivative act on the nonzero Pauli strings of each input order, and
-each output order is then transformed to its lines once
-(``channel_output_orders``).
+the output orders are then transformed to their lines in one pass, and
+their derivatives in another (``channel_output_orders``).
 
 The closed-form lowest orders implemented below, with Mdot = dM/dlam and
 s1 >= s2 >= s3 its singular values:
@@ -166,14 +166,11 @@ def channel_output_orders(input_orders: OrderedState, ch: BlochChannel) -> State
     The preparation is parameter independent, so the derivative of each
     final-state order is the derivative channel applied to the same input
     order.  Both act on qubit 0's letter of each input order's nonzero
-    strings, and each output order is then transformed to its XOR lines once.
+    strings, and the output orders and their derivatives are then
+    transformed to their XOR lines in one pass each.
     """
-    rho = []
-    drho = []
-    for st in input_orders.orders:
-        rho.append(to_dense(apply_channel(st, ch)))
-        drho.append(to_dense(apply_channel_derivative(st, ch)))
-    return StateOrders(tuple(rho), tuple(drho))
+    return StateOrders(to_dense(apply_channel(input_orders, ch)),
+                       to_dense(apply_channel_derivative(input_orders, ch)))
 
 
 def _at(A: XorLines, flips: np.ndarray) -> np.ndarray:
