@@ -544,10 +544,12 @@ def _keep_freed_memory() -> None:
 
     By default glibc maps every block above its mmap threshold (128 KiB,
     raised as such blocks are freed) afresh and unmaps it when it is
-    freed, and returns a heap top of more than 128 KiB to the system, so
-    every cell faults its line arrays in again.  Setting the thresholds
-    keeps that memory for the next cell; it holds for the whole process.
-    On any other C library this does nothing.
+    freed, and returns a heap top of more than 128 KiB to the system.  A
+    cell at n >= 8 frees line-sized arrays and asks for them again, within
+    its own series and from one cell to the next, and each time faults the
+    memory in anew.  Setting the thresholds keeps that memory for reuse;
+    it holds for the whole process.  On any other C library this does
+    nothing.
     """
     try:
         libc = ctypes.CDLL(None)

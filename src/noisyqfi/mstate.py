@@ -68,8 +68,9 @@ matrix, and that line is the Walsh-Hadamard transform over z of their
 coefficients times i^(#Y).  Only the nonzero strings are decoded.  Each
 term is real or imaginary, so the two parts are transformed as one real
 array, by two Hadamard matrix products: over the high floor(n/2) bits of z
-on the (part, line, low bits of z) rows that hold a string, then over the
-low bits on every row.  An ``OrderedState`` takes one pass for all its
+on the (line, part, low bits of z) rows that hold a string, then over the
+low bits on every row, a block of lines at a time so that the output is
+the one array of its size.  An ``OrderedState`` takes one pass for all its
 orders, its strings grouped by (order, flip pattern), and each order's
 lines are a row slice of one array.  The purity series computes on these
 lines.  The scatter of the lines into a matrix and the slot-by-slot
@@ -105,6 +106,8 @@ __all__ = [
 # qubit-1..n-1 tails
 MAX_QUBITS_PAULI = 14
 MAX_QUBITS_DENSE = 10   # the purity series: up to 2^n lines of 2^n entries
+# real entries of the per-block transform arrays in ``to_dense`` (512 KiB)
+_BLOCK_ENTRIES = 1 << 16
 
 # r0's part perpendicular to c at or below this is rounding: r0 is along c
 _PARALLEL = 1e-15
@@ -348,18 +351,26 @@ def to_dense(state: State) -> XorLines | tuple[XorLines, ...]:
     # the power of i: even powers are real, odd ones imaginary, 2 and 3 negative
     power = np.bitwise_count(f & z).astype(np.intp) & 3
     # the transform over z = (z_high, z_low) as H (x) H on the real and the
-    # imaginary parts: first over z_high on the (part, line, z_low) rows that
-    # hold a string, then over z_low on every row
+    # imaginary parts: first over z_high on the (line, part, z_low) rows that
+    # hold a string, then over z_low on every row.  A block of lines holds a
+    # run of those rows, so the lines are transformed a block at a time and
+    # the output is the only array of their full size.
     half, rest = n // 2, n - n // 2
-    z_low = z & ((1 << rest) - 1)
-    rows, row = _group(((power & 1) * len(keys) + line) << rest | z_low, 2 * len(keys) << rest)
+    low = (1 << rest) - 1
+    rows, row = _group((2 * line + (power & 1)) << rest | (z & low), 2 * len(keys) << rest)
     g = np.zeros((len(rows), 2 ** half))
     g[row, z >> rest] = np.where(power & 2, -coeffs, coeffs)
-    t = np.zeros((2 * len(keys), 2 ** half, 2 ** rest))
-    t[rows >> rest, :, rows & ((1 << rest) - 1)] = g @ _hadamard(half)
-    t = (t.reshape(-1, 2 ** rest) @ _hadamard(rest)).reshape(2, len(keys), dim)
     lines = np.empty((len(keys), dim), dtype=complex)
-    lines.real, lines.imag = t
+    step = max(1, _BLOCK_ENTRIES // (2 * dim))
+    starts = np.arange(0, len(keys) + step, step)
+    runs = np.searchsorted(rows, 2 * starts << rest)
+    for a, ra, rb in zip(starts[:-1], runs[:-1], runs[1:]):
+        block = lines[a:a + step]
+        t = np.zeros((2 * len(block), 2 ** half, 2 ** rest))
+        r = rows[ra:rb] - (2 * a << rest)
+        t[r >> rest, :, r & low] = g[ra:rb] @ _hadamard(half)
+        t = (t.reshape(-1, 2 ** rest) @ _hadamard(rest)).reshape(len(block), 2, dim)
+        block.real, block.imag = t[:, 0], t[:, 1]
     ends = np.searchsorted(keys, dim * np.arange(len(orders) + 1))
     out = tuple(XorLines(n, keys[a:b] - j * dim, lines[a:b])
                 for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])))

@@ -776,7 +776,7 @@ _GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
 
 
 class TestAllocatorSetting:
-    """main lets glibc keep freed blocks of up to 32 MiB for the next cell."""
+    """main lets glibc keep freed blocks of up to 32 MiB for reuse."""
 
     ARGV = ["qfi", "--channel", "gad", "--param", "p=0.8", "--lambda", "0.3",
             "--purity", "1e-3", "--n", "9"]
@@ -792,6 +792,28 @@ class TestAllocatorSetting:
         assert main(self.ARGV) == EXIT_OK
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50
         assert capsys.readouterr().out.count("\n") == 4
+
+    @pytest.mark.skipif(not _GLIBC, reason="the setting is glibc's mallopt")
+    def test_grid_in_a_fresh_process_faults_less(self):
+        # one command-line call of two cells: the second cell reuses the
+        # first one's freed line arrays (about 2,100 minor faults against
+        # 4,660 without the setting; a single cell makes 1,950 against 2,770)
+        code = (
+            "import contextlib, io, resource, sys\n"
+            "from noisyqfi import cli\n"
+            "if sys.argv[1] == 'off':\n"
+            "    cli._keep_freed_memory = lambda: None\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(sys.argv[2:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        argv = [*self.ARGV[:-3], "1e-3,0.1", "--n", "9"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        faults = {setting: int(subprocess.run(
+            [sys.executable, "-c", code, setting, *argv], env=env,
+            capture_output=True, text=True, check=True).stdout) for setting in ("on", "off")}
+        assert faults["on"] <= 0.6 * faults["off"], faults
 
     @pytest.mark.parametrize("library", ["missing", "no mallopt", "not glibc"])
     def test_runs_without_mallopt(self, library, monkeypatch, capsys):
