@@ -14,25 +14,27 @@ strings and their coefficients.  The states are built in the frame of c
 (``_frame``), where r0 has no v component, so a product state's slot holds
 at most the letters I, X and Z.  The state at fixed purity holds (1 + k)^n
 strings for k nonzero components of r0 in that frame: at most 3^n, and 2^n
-when c is perpendicular to r0.  ``OrderedState.orders[j]`` is the
-coefficient operator of r^j, so the physical state is sum_j r^j orders[j].
+when c is perpendicular to r0.  An ``OrderedState`` holds the coefficient
+operators orders[j] of r^j end to end in one strings/coeffs pair, so the
+physical state is sum_j r^j orders[j].
 Order j of the product input holds the strings with j letters drawn from
 r0.sigma, C(n, j) k^j of them, so orders 0..K hold sum_{j<=K} C(n, j) k^j
 strings in place of (K + 1) 4^n entries: at n = 9 order 4 holds 126
 strings for r0 along or perpendicular to c and 2,016 for an oblique r0, of
 262,144.  The preparation and the channel act on each order independently,
-which is what makes the purity-series machinery exact, and they touch only
-its strings: the preparation sends each string to one string, and the
-channel mixes only strings that differ on qubit 0.
+which makes the purity-series machinery exact, and on all orders in one
+call, touching only their strings: the preparation sends each string to
+one string, and the channel mixes only strings of one order that differ on
+qubit 0.
 
 A single-qubit channel (M, d) acts on qubit 0 by the affine rule
 I -> I + d.sigma and a.sigma -> (M a).sigma; the derivative pass applies
 (dM, dd) with no identity pass-through.  ``_pauli_maps`` writes both as
 (4, 4) maps of qubit 0's Pauli components, and a pass multiplies a map with
 the coefficients viewed as (4, 4^(n-1)), the leading digit first, in the
-columns of the qubit-1..n-1 tails that the strings occupy.  ``_qubit0_maps``
-writes them as one (8, 4) map on 2x2 matrices, for the Schur-Weyl blocks,
-which apply the channel to qubit 0's 2x2 blocks.
+columns of the qubit-1..n-1 tails that each order's strings occupy.
+``_qubit0_maps`` writes them as one (8, 4) map on 2x2 matrices, for the
+Schur-Weyl blocks, which apply the channel to qubit 0's 2x2 blocks.
 The pairwise preparation gate with control direction c,
 
     U_c = (I8I + I8(c.sigma) + (c.sigma)8I - (c.sigma)8(c.sigma)) / 2,
@@ -81,7 +83,7 @@ tests/support.py.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Union
+from itertools import accumulate
 
 import numpy as np
 
@@ -138,11 +140,14 @@ def _check_dense_cap(n: int) -> None:
 class PauliStrings(_ReadOnly):
     """The nonzero Pauli strings of an n-qubit operator and their coefficients.
 
-    ``strings`` holds distinct string indices (base 4, qubit 0 the leading
-    digit) and ``coeffs`` their real coefficients; every other string has coefficient
-    zero.  Both arrays are read-only, and the constructor copies what it is
-    given; the builders in this module wrap the arrays they have just made
-    with ``_adopt``, which runs the same checks without the copy.
+    ``strings`` holds string indices (base 4, qubit 0 the leading digit) and
+    ``coeffs`` their real coefficients; every other string has coefficient
+    zero.  ``ends`` holds the offsets of the purity orders, order j at
+    ends[j]:ends[j + 1], in each of which a string occurs at most once: a
+    lone operator is the one order (0, len(strings)).  The arrays are
+    read-only, and the constructor copies what it is given; the builders in
+    this module wrap the arrays they have just made with ``_adopt``, which
+    runs the same checks without the copy.
     """
 
     def __init__(self, n: int, strings, coeffs):
@@ -151,60 +156,53 @@ class PauliStrings(_ReadOnly):
             raise ValueError(f"string indices must lie in 0..4^{n} - 1")
         self._hold(n, strings, np.array(coeffs, dtype=float))
 
-    def _hold(self, n: int, strings: np.ndarray, c: np.ndarray) -> None:
+    def _hold(self, n: int, strings: np.ndarray, c: np.ndarray, ends=None) -> None:
         _check_pauli_cap(n)
         if strings.ndim != 1 or c.shape != strings.shape:
             raise ValueError(
                 f"need one coefficient per string, got {c.shape} for {strings.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         strings.flags.writeable = False
         c.flags.writeable = False
-        vars(self).update(n=n, strings=strings, coeffs=c)
+        vars(self).update(n=n, strings=strings, coeffs=c, ends=ends or (0, strings.size))
 
     @classmethod
-    def _adopt(cls, n: int, strings: np.ndarray, coeffs: np.ndarray) -> PauliStrings:
-        """Terms that take over arrays which no one else holds."""
+    def _adopt(cls, n: int, strings: np.ndarray, coeffs: np.ndarray, ends=None) -> PauliStrings:
+        """Terms that take over arrays which no one else holds (one order by default)."""
         st = object.__new__(cls)
-        st._hold(n, strings, coeffs)
+        st._hold(n, strings, coeffs, ends)
         return st
 
 
-class OrderedState(_ReadOnly):
-    """A state expanded in powers of the purity: sum_j r^j orders[j]."""
+class OrderedState(PauliStrings):
+    """A state expanded in powers of the purity, sum_j r^j orders[j], with
+    its orders end to end in one strings/coeffs pair."""
 
     def __init__(self, n: int, orders):
         orders = tuple(orders)
-        for st in orders:
-            if st.n != n:
-                raise ValueError("all orders must share the qubit count")
-        vars(self).update(n=n, orders=orders)
+        if any(st.n != n for st in orders):
+            raise ValueError("all orders must share the qubit count")
+        self._hold(n, np.concatenate([np.empty(0, dtype=np.intp), *(st.strings for st in orders)]),
+                   np.concatenate([np.empty(0), *(st.coeffs for st in orders)]),
+                   (0, *accumulate(st.strings.size for st in orders)))
+
+    @cached_property
+    def orders(self) -> tuple[PauliStrings, ...]:
+        """Each order as a lone operator, on read-only views of the arrays."""
+        return tuple(PauliStrings._adopt(self.n, self.strings[a:b], self.coeffs[a:b])
+                     for a, b in zip(self.ends[:-1], self.ends[1:]))
 
     @property
     def max_order(self) -> int:
-        return len(self.orders) - 1
+        return len(self.ends) - 2
 
 
-State = Union[PauliStrings, OrderedState]
-
-
-def _orders(state: State) -> tuple[PauliStrings, ...]:
-    return state.orders if isinstance(state, OrderedState) else (state,)
-
-
-def _map_orders(state: State, fn) -> State:
-    if isinstance(state, OrderedState):
-        return OrderedState(state.n, tuple(fn(st) for st in state.orders))
-    return fn(state)
-
-
-def _joined(orders: tuple[PauliStrings, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The strings and the coefficients of the operators, end to end; those
-    of a lone operator are its own arrays, not a copy."""
-    if len(orders) == 1:
-        return orders[0].strings, orders[0].coeffs
-    return (np.concatenate([np.empty(0, dtype=np.intp), *(st.strings for st in orders)]),
-            np.concatenate([np.empty(0), *(st.coeffs for st in orders)]))
+def _by_order(keys: np.ndarray, ends: tuple[int, ...], shift: int) -> np.ndarray:
+    """keys with each string's order above bit shift; a lone order's as they are."""
+    if len(ends) > 2:
+        keys = keys | np.repeat(np.arange(len(ends) - 1) << shift, np.diff(ends))
+    return keys
 
 
 def _grow_product(n: int, slot: np.ndarray, max_order: int):
@@ -251,7 +249,7 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
     r0.sigma (coefficient (1/2^n) * product of r0 components); orders beyond
     the requested max_order are truncated, orders beyond n are empty.  The
     strings of weight <= max_order are grown together (``_grow_product``)
-    and split by weight.
+    and put in order of weight by a stable sort.
     """
     _check_pauli_cap(n)
     r0 = _unit_vector(r0, "r0")
@@ -261,11 +259,9 @@ def initial_state_orders(n: int, r0, max_order: int | None = None) -> OrderedSta
         raise ValueError("max_order must be nonnegative")
     slot = 0.5 * np.array([1.0, r0[0], r0[1], r0[2]])
     strings, product, weight = _grow_product(n, slot, max_order)
-    orders = []
-    for j in range(max_order + 1):
-        at = weight == j
-        orders.append(PauliStrings._adopt(n, strings[at], product[at]))
-    return OrderedState(n, tuple(orders))
+    by = np.argsort(weight, kind="stable")
+    ends = np.searchsorted(weight[by], np.arange(max_order + 2))
+    return OrderedState._adopt(n, strings[by], product[by], tuple(ends.tolist()))
 
 
 def _bits_of_digits(p: np.ndarray) -> np.ndarray:
@@ -328,7 +324,7 @@ class XorLines(_ReadOnly):
         return rank
 
 
-def to_dense(state: State) -> XorLines | tuple[XorLines, ...]:
+def to_dense(state: PauliStrings) -> XorLines | tuple[XorLines, ...]:
     """The XOR lines of a Pauli-string operator: one line D[x + f, x] per
     flip pattern f of the strings (see the module docstring), so the cost
     follows the nonzero strings and no 2^n x 2^n matrix is formed.
@@ -337,17 +333,14 @@ def to_dense(state: State) -> XorLines | tuple[XorLines, ...]:
     their lines are row slices of one array.
     """
     _check_dense_cap(state.n)
-    n = state.n
+    n, ends = state.n, state.ends
     dim = 2 ** n
-    orders = _orders(state)
-    string, coeffs = _joined(orders)
     # letters I, X, Y, Z are the codes 0..3: z is the high bit, f the XOR
     # of both bits, and a Y has both f and z set
-    low, z = _bits_of_digits(string), _bits_of_digits(string >> 1)
+    low, z = _bits_of_digits(state.strings), _bits_of_digits(state.strings >> 1)
     f = low ^ z
     # the (order, flip pattern) pairs that occur, and each string's line
-    order = np.repeat(np.arange(len(orders)), [len(st.strings) for st in orders])
-    keys, line = _group(order * dim + f, len(orders) * dim)
+    keys, line = _group(_by_order(f, ends, n), (len(ends) - 1) * dim)
     # the power of i: even powers are real, odd ones imaginary, 2 and 3 negative
     power = np.bitwise_count(f & z).astype(np.intp) & 3
     # the transform over z = (z_high, z_low) as H (x) H on the real and the
@@ -359,7 +352,7 @@ def to_dense(state: State) -> XorLines | tuple[XorLines, ...]:
     low = (1 << rest) - 1
     rows, row = _group((2 * line + (power & 1)) << rest | (z & low), 2 * len(keys) << rest)
     g = np.zeros((len(rows), 2 ** half))
-    g[row, z >> rest] = np.where(power & 2, -coeffs, coeffs)
+    g[row, z >> rest] = np.where(power & 2, -state.coeffs, state.coeffs)
     lines = np.empty((len(keys), dim), dtype=complex)
     step = max(1, _BLOCK_ENTRIES // (2 * dim))
     starts = np.arange(0, len(keys) + step, step)
@@ -371,9 +364,9 @@ def to_dense(state: State) -> XorLines | tuple[XorLines, ...]:
         t[r >> rest, :, r & low] = g[ra:rb] @ _hadamard(half)
         t = (t.reshape(-1, 2 ** rest) @ _hadamard(rest)).reshape(len(block), 2, dim)
         block.real, block.imag = t[:, 0], t[:, 1]
-    ends = np.searchsorted(keys, dim * np.arange(len(orders) + 1))
+    cut = np.searchsorted(keys, dim * np.arange(len(ends)))
     out = tuple(XorLines(n, keys[a:b] - j * dim, lines[a:b])
-                for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])))
+                for j, (a, b) in enumerate(zip(cut[:-1], cut[1:])))
     return out if isinstance(state, OrderedState) else out[0]
 
 
@@ -405,15 +398,14 @@ def _frame(c, r0) -> np.ndarray:
     return np.column_stack([u, v, c])
 
 
-def prep_conjugate(state: State) -> State:
+def prep_conjugate(state: PauliStrings) -> PauliStrings:
     """Conjugate by the complete-graph CZ circuit (the preparation in the frame
     of c): each string's image and sign decoded in place from its digits, for
     the strings of every order at once.  The bits of a digit differ on X and
     Y only, and X <-> Y and I <-> Z are both the XOR of a digit with 3."""
     if state.n < 2:
         raise ValueError("preparation needs at least two qubits")
-    orders = _orders(state)
-    strings, coeffs = _joined(orders)
+    strings, coeffs = state.strings, state.coeffs
     full = 4 ** state.n - 1
     high = strings >> 1
     xy = high ^ strings
@@ -430,33 +422,41 @@ def prep_conjugate(state: State) -> State:
     xy *= 3
     xy ^= strings                       # even w: X <-> Y
     np.bitwise_xor(xy, full, out=xy, where=odd)  # odd w: I <-> Z instead
-    if not isinstance(state, OrderedState):
-        return PauliStrings._adopt(state.n, xy, signed)
-    out, start = [], 0
-    for st in orders:
-        end = start + len(st.strings)
-        out.append(PauliStrings._adopt(state.n, xy[start:end], signed[start:end]))
-        start = end
-    return OrderedState(state.n, tuple(out))
+    return type(state)._adopt(state.n, xy, signed, state.ends)
 
 
-def _channel_pass(st: PauliStrings, F: np.ndarray) -> PauliStrings:
+def _channel_pass(state: PauliStrings, F: np.ndarray) -> PauliStrings:
     """The (4, 4) map F of Pauli components applied to qubit 0, the leading
-    base-4 digit of the string index.
+    base-4 digit of the string index, in every purity order at once.
 
-    The strings are grouped by their qubit-1..n-1 tail, and F multiplies one
-    column of four leading digits per tail that occurs; the images that come
-    out exactly zero are dropped.
+    The strings are grouped by (order, qubit-1..n-1 tail), and F multiplies
+    one column of four leading digits per pair that occurs.  Each order's
+    columns, padded with zeros to the widest order's count, are one matrix
+    of a stack, so its images come out as a lone order's, by leading digit,
+    then tail (bit for bit, but for an order of one tail among wider ones:
+    numpy multiplies one column by gemv).  Exact zeros are dropped.
     """
-    shift = 2 * (st.n - 1)
-    tails, column = np.unique(st.strings & ((1 << shift) - 1), return_inverse=True)
-    t = np.zeros((4, len(tails)))
-    t[st.strings >> shift, column] = st.coeffs
-    out = F @ t
+    n, ends, shift = state.n, state.ends, 2 * (state.n - 1)
+    tail = (1 << shift) - 1
+    keys, column = np.unique(_by_order(state.strings & tail, ends, shift), return_inverse=True)
+    count, width = len(ends) - 1, len(keys)
+    if count > 1:  # each column's place among the padded ones, order by order
+        order = keys >> shift
+        widths = np.bincount(order, minlength=count)
+        width = widths.max()
+        place = np.arange(len(keys)) + order * width - (np.cumsum(widths) - widths)[order]
+        padded = np.zeros(count * width, dtype=np.intp)
+        padded[place] = keys & tail
+        keys, column = padded, place[column]
+    t = np.zeros((4, count * width))
+    t[state.strings >> shift, column] = state.coeffs
+    del column
+    out = F @ t.reshape(4, count, width).transpose(1, 0, 2)
     del t
-    strings = (np.arange(4)[:, None] << shift) | tails
+    strings = keys.reshape(count, 1, width) | (np.arange(4)[:, None] << shift)
     nonzero = out != 0.0
-    return PauliStrings._adopt(st.n, strings[nonzero], out[nonzero])
+    ends = None if count == 1 else (0, *accumulate(map(np.count_nonzero, nonzero)))
+    return type(state)._adopt(n, strings[nonzero], out[nonzero], ends)
 
 
 # A 2x2 operator X as the row-major vector vec(X): vec(X) = _FROM_PAULI @ x
@@ -483,18 +483,16 @@ def _qubit0_maps(ch: BlochChannel) -> np.ndarray:
     return (_FROM_PAULI @ _pauli_maps(ch) @ _TO_PAULI).reshape(8, 4)
 
 
-def apply_channel(state: State, ch: BlochChannel) -> State:
+def apply_channel(state: PauliStrings, ch: BlochChannel) -> PauliStrings:
     """Apply a single-qubit channel to qubit 0."""
-    F = _pauli_maps(ch)[0]
-    return _map_orders(state, lambda st: _channel_pass(st, F))
+    return _channel_pass(state, _pauli_maps(ch)[0])
 
 
-def apply_channel_derivative(state: State, ch: BlochChannel) -> State:
+def apply_channel_derivative(state: PauliStrings, ch: BlochChannel) -> PauliStrings:
     """Apply the parameter derivative of the channel to qubit 0.
 
     The channel input is parameter independent, so the derivative of the
     output state is obtained by pushing the input through (dM, dd) with no
     identity pass-through.
     """
-    F = _pauli_maps(ch)[1]
-    return _map_orders(state, lambda st: _channel_pass(st, F))
+    return _channel_pass(state, _pauli_maps(ch)[1])

@@ -180,9 +180,9 @@ def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
     """Purity orders of the channel output in the frame of c, as XOR lines,
     up to min(n, max_order).  They do not depend on the spec's purity.
 
-    The input orders and the preparation work on each order's nonzero Pauli
-    strings; after the channel the output orders are transformed to their
-    lines in one pass, and their derivatives in another.
+    The input orders, the preparation and the channel work on the nonzero
+    Pauli strings of all orders at once; the output orders are then
+    transformed to their lines in one pass, and their derivatives in another.
     """
     _check_dense_cap(spec.n)  # fail before any large allocation
     r0, ch = spec.in_frame
@@ -460,8 +460,8 @@ def nonunital_corr_equals_sqsc_check(family: ChannelFamily, lam: float,
     verify_family_flag(family, ch)
     r0 = np.array([1.0, 0.0, 0.0])
     c = np.array([0.0, 0.0, 1.0])
-    q_sqsc = protocol_qfi(sqsc(family, lam, 0.0, r0), K=0).exact
-    q_corr = protocol_qfi(correlated(family, lam, n, 0.0, c, r0), K=0).exact
+    q_sqsc = protocol_qfi(sqsc(family, lam, 0.0, r0, ch=ch), K=0).exact
+    q_corr = protocol_qfi(correlated(family, lam, n, 0.0, c, r0, ch=ch), K=0).exact
     h0 = sqsc_nonunital_h0(ch)
     scale = max(1.0, abs(q_sqsc))
     return NoGainReport(

@@ -41,9 +41,9 @@ and every step costs (number of lines) 2^n in place of 4^n:
 
 At K = 4 only two products remain: L^(1) rho^(1), formed in the SLD solve
 and reused by the traces, and L^(1) rho^(2) in the traces.  The channel and
-its derivative act on the nonzero Pauli strings of each input order, and
-the output orders are then transformed to their lines in one pass, and
-their derivatives in another (``channel_output_orders``).
+its derivative each make one pass over the nonzero Pauli strings of all
+input orders, and the output orders are then transformed to their lines in
+one pass, and their derivatives in another (``channel_output_orders``).
 
 The closed-form lowest orders implemented below, with Mdot = dM/dlam and
 s1 >= s2 >= s3 its singular values:
@@ -165,9 +165,9 @@ def channel_output_orders(input_orders: OrderedState, ch: BlochChannel) -> State
 
     The preparation is parameter independent, so the derivative of each
     final-state order is the derivative channel applied to the same input
-    order.  Both act on qubit 0's letter of each input order's nonzero
-    strings, and the output orders and their derivatives are then
-    transformed to their XOR lines in one pass each.
+    order.  Each makes one pass over qubit 0's letter of the nonzero strings
+    of all input orders, and the output orders and their derivatives are
+    then transformed to their XOR lines in one pass each.
     """
     return StateOrders(to_dense(apply_channel(input_orders, ch)),
                        to_dense(apply_channel_derivative(input_orders, ch)))

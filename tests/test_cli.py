@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisyqfi import builtin, cli, protocols, series
+from noisyqfi import builtin, cli, mstate, protocols, series
 from noisyqfi.bloch import ChannelFamily
 from noisyqfi.cli import (
     EXIT_CONFIG,
@@ -633,6 +633,33 @@ class TestWorkPerCell:
         # of the default K = 4 in one pass
         assert [(call[0].n, len(call[0].orders)) for call in dense] == [
             (n, min(n, 4) + 1) for n in (1, 2, 3, 6) for _ in range(2)]
+
+    @pytest.mark.parametrize("command", ["qfi", "fit-orders"])
+    def test_cell_makes_one_pass_a_state(self, command, monkeypatch, capsys):
+        # the channel and its derivative each make one pass over the strings
+        # of all input orders 0..min(n, K), for the default K = 4, where one
+        # pass an order would make 2(min(n, K) + 1)
+        passes = _count_calls(monkeypatch, mstate, "_channel_pass")
+        adopted = []
+        adopt = mstate.PauliStrings._adopt.__func__
+        monkeypatch.setattr(mstate.PauliStrings, "_adopt", classmethod(
+            lambda cls, *args: adopted.append(cls) or adopt(cls, *args)))
+        preps, prep = [], protocols.prep_conjugate
+
+        def counted(state):
+            before = len(adopted)
+            out = prep(state)
+            preps.append((state.max_order + 1, adopted[before:]))
+            return out
+
+        monkeypatch.setattr(protocols, "prep_conjugate", counted)
+        args = [command, "--channel", "depolarizing", "--lambda", "0.3", "--n", "1,2,3,6"]
+        assert main(args + (["--purity", "1e-3"] if command == "qfi" else [])) == EXIT_OK
+        assert [(call[0].n, call[0].max_order + 1) for call in passes] == [
+            (n, min(n, 4) + 1) for n in (1, 2, 3, 6) for _ in range(2)]
+        # the preparation decodes the strings of all orders in one pass, into
+        # one state: no order is split off as a state of its own
+        assert preps == [(min(n, 4) + 1, [mstate.OrderedState]) for n in (2, 3, 6)]
 
     def test_k4_cell_makes_two_line_products(self, monkeypatch, capsys):
         # L^(1) rho^(1), formed in the SLD solve and reused by the traces, and

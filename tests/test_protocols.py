@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin
+from noisyqfi.bloch import ChannelFamily
 from noisyqfi.mstate import PauliStrings, initial_state_orders, prep_conjugate
 from noisyqfi.protocols import (
     ProtocolSpec,
@@ -457,6 +458,17 @@ class TestNonUnitalNoGain:
 
     def test_gad_partial_damping(self):
         rep = nonunital_corr_equals_sqsc_check(builtin("gad", p=0.8), 0.55, 2)
+        assert rep.equal and rep.h0_matches
+
+    def test_evaluates_the_channel_once(self, monkeypatch):
+        # the flag check, the closed form and both specs' frames share one
+        # evaluation; specs built without it evaluated the family twice more
+        calls = []
+        original = ChannelFamily.eval
+        monkeypatch.setattr(ChannelFamily, "eval",
+                            lambda self, lam: calls.append(lam) or original(self, lam))
+        rep = nonunital_corr_equals_sqsc_check(builtin("gad", p=0.8), 0.55, 3)
+        assert calls == [0.55]
         assert rep.equal and rep.h0_matches
 
     def test_unital_input_rejected(self):
