@@ -18,7 +18,6 @@ from .bloch import (
     apply_bloch,
     builtin,
     classify_unitality,
-    family_from_callables,
     fd_derivative,
     svd3,
     validate,

@@ -32,7 +32,6 @@ __all__ = [
     "svd3",
     "fd_derivative",
     "builtin",
-    "family_from_callables",
     "classify_unitality",
     "BUILTIN_NAMES",
 ]
@@ -238,16 +237,22 @@ class ChannelFamily(_ReadOnly):
     """A parameterized channel: lam -> BlochChannel over a closed domain.
 
     value(lam) gives (M, d) and deriv(lam) (dM, dd); without deriv the
-    derivative is a central difference of step fd_step.
+    derivative is a central difference of step fd_step.  The domain must be
+    finite with lo < hi and fd_step finite and positive.  A family carries
+    no unitality class: that is ``classify_unitality(family.eval(lam))``.
     """
 
-    def __init__(self, name: str, unitality: Unitality, domain: tuple[float, float],
+    def __init__(self, name: str, domain: tuple[float, float],
                  value: Callable[[float], tuple[np.ndarray, np.ndarray]],
                  deriv: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None,
                  fd_step: float = 1e-6, params: dict | None = None):
-        vars(self).update(name=name, unitality=unitality, domain=domain, value=value,
-                          deriv=deriv, fd_step=fd_step,
-                          params={} if params is None else params)
+        lo, hi = domain = tuple(domain)
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"domain must be finite with lo < hi, got {list(domain)}")
+        if not 0.0 < fd_step < math.inf:
+            raise ValueError(f"fd_step must be positive and finite, got {fd_step}")
+        vars(self).update(name=name, domain=domain, value=value, deriv=deriv,
+                          fd_step=fd_step, params={} if params is None else params)
 
     def contains(self, lam: float) -> bool:
         lo, hi = self.domain
@@ -275,8 +280,7 @@ def _phase_shift_family() -> ChannelFamily:
         c, s = math.cos(lam), math.sin(lam)
         return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]]), np.zeros(3)
 
-    return ChannelFamily("phase_shift", Unitality.UNITAL, (-2.0 * math.pi, 2.0 * math.pi),
-                         value, deriv)
+    return ChannelFamily("phase_shift", (-2.0 * math.pi, 2.0 * math.pi), value, deriv)
 
 
 def _phase_flip_family() -> ChannelFamily:
@@ -286,7 +290,7 @@ def _phase_flip_family() -> ChannelFamily:
     def deriv(lam):
         return np.diag([-2.0, -2.0, 0.0]), np.zeros(3)
 
-    return ChannelFamily("phase_flip", Unitality.UNITAL, (0.0, 1.0), value, deriv)
+    return ChannelFamily("phase_flip", (0.0, 1.0), value, deriv)
 
 
 def _depolarizing_family() -> ChannelFamily:
@@ -296,7 +300,7 @@ def _depolarizing_family() -> ChannelFamily:
     def deriv(lam):
         return np.eye(3), np.zeros(3)
 
-    return ChannelFamily("depolarizing", Unitality.UNITAL, (0.0, 1.0), value, deriv)
+    return ChannelFamily("depolarizing", (0.0, 1.0), value, deriv)
 
 
 # Keep the gad parameter strictly below 1 so dM stays finite on the domain.
@@ -318,8 +322,7 @@ def _gad_family(p: float) -> ChannelFamily:
         return (np.diag([droot, droot, -1.0]),
                 np.array([0.0, 0.0, shift]))
 
-    flag = Unitality.UNITAL if shift == 0.0 else Unitality.NONUNITAL_PARAM_SHIFT
-    return ChannelFamily("gad", flag, (0.0, _GAD_LAM_MAX), value, deriv, params={"p": p})
+    return ChannelFamily("gad", (0.0, _GAD_LAM_MAX), value, deriv, params={"p": p})
 
 
 def _pauli_family(lam_on: str, **fixed: float) -> ChannelFamily:
@@ -354,7 +357,7 @@ def _pauli_family(lam_on: str, **fixed: float) -> ChannelFamily:
         return dm, np.zeros(3)
 
     hi = 1.0 - sum(probs.values())
-    return ChannelFamily("pauli", Unitality.UNITAL, (0.0, hi), value, deriv,
+    return ChannelFamily("pauli", (0.0, hi), value, deriv,
                          params={"lam_on": lam_on, **{f"p{a}": probs[a] for a in others}})
 
 
@@ -371,8 +374,7 @@ def _custom_diag_family(mx: str, my: str, mz: str,
     def value(lam):
         return np.diag([fn(lam) for fn in fns]), np.zeros(3)
 
-    return ChannelFamily("custom_diag", Unitality.UNITAL, tuple(domain), value,
-                         deriv=None, fd_step=fd_step,
+    return ChannelFamily("custom_diag", domain, value, fd_step=fd_step,
                          params={"mx": mx, "my": my, "mz": mz})
 
 
@@ -407,33 +409,3 @@ def builtin(name: str, **params) -> ChannelFamily:
     if params:
         raise ValueError(f"unexpected parameters for {name}: {sorted(params)}")
     return fam
-
-
-def family_from_callables(
-    name: str,
-    value: Callable[[float], tuple[np.ndarray, np.ndarray]],
-    domain: tuple[float, float],
-    deriv: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None,
-    unitality: Unitality | None = None,
-    fd_step: float = 1e-6,
-) -> ChannelFamily:
-    """Wrap user callables as a channel family.
-
-    Derivatives default to central differences with the given step.  If the
-    unitality flag is not supplied it is inferred by probing the family at a
-    handful of interior points.
-    """
-    fam = ChannelFamily(name, Unitality.UNITAL, tuple(domain), value, deriv,
-                        fd_step=fd_step)
-    if unitality is None:
-        lo, hi = fam.domain
-        pad = max(fd_step * 2.0, (hi - lo) * 1e-6)
-        samples = np.linspace(lo + pad, hi - pad, 7)
-        flags = {classify_unitality(fam.eval(lam)) for lam in samples}
-        if flags == {Unitality.UNITAL}:
-            unitality = Unitality.UNITAL
-        elif Unitality.NONUNITAL_PARAM_SHIFT in flags:
-            unitality = Unitality.NONUNITAL_PARAM_SHIFT
-        else:
-            unitality = Unitality.NONUNITAL_CONST_SHIFT
-    return ChannelFamily(name, unitality, fam.domain, value, deriv, fd_step=fd_step)

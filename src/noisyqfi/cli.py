@@ -28,7 +28,7 @@ import numpy as np
 
 from .blocks import exact_qfi, exact_qfis
 from .bloch import (BlochChannel, ChannelFamily, DomainError, Unitality, _nonfinite_parts,
-                    validate)
+                    classify_unitality, validate)
 from .config import ConfigError, family_from_config, parse_config_text
 from .protocols import (
     VANISHING_QFI,
@@ -49,7 +49,6 @@ from .series import (
     default_fit_purities,
     fit_qfi_orders,
     qfi_orders,
-    verify_family_flag,
 )
 
 EXIT_OK = 0
@@ -237,8 +236,7 @@ def _fit_cell(family: ChannelFamily, cfg: RunConfig, lam: float, r: None,
     rs = np.asarray(cfg.purities, dtype=float)
     K = cfg.max_order
     ch = family.eval(lam)
-    verify_family_flag(family, ch)
-    if family.unitality is not Unitality.UNITAL:
+    if classify_unitality(ch) is not Unitality.UNITAL:
         raise BranchError("order fitting is defined for unital channels")
     spec = _spec_for(family, lam, float(rs[-1]), n, cfg.c, cfg.r0, ch)
     # one series per cell: the purity orders do not depend on r
@@ -304,10 +302,6 @@ def run_qfi(cfg: RunConfig) -> tuple[list[str], list[list]]:
 
 def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
     family = _build_family(cfg.channel)
-    if family.unitality is not Unitality.UNITAL:
-        raise ConfigError(
-            f"bounds need a unital channel; {family.name!r} is "
-            f"{family.unitality.value} (use the single-qubit closed forms instead)")
     lams = cfg.lams if cfg.lams is not None else [0.5]
     header = ["n", "lambda", "lower", "canonical", "grid_max", "upper", "status"]
     rows = []
@@ -318,7 +312,10 @@ def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
             raise NumericError(
                 f"channel {family.name!r} has non-finite {', '.join(bad)} "
                 f"at lambda={lam:g}", table=(header, rows))
-        verify_family_flag(family, ch)
+        if (kind := classify_unitality(ch)) is not Unitality.UNITAL:
+            raise ConfigError(
+                f"bounds need a unital channel; {family.name!r} is {kind.value} "
+                f"at lambda={lam:g} (use the single-qubit closed forms instead)")
         c_star, r0_star = canonical_directions(ch)
         for n in cfg.qubit_counts():
             lower, upper = corr_bounds(ch, n)

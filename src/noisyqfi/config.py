@@ -45,11 +45,10 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
 
 def _parse_domain(text: str) -> tuple[float, float]:
     parts = [p for p in re.split(r"[,\s]+", text.strip().strip("[]")) if p]
-    if len(parts) != 2:
-        raise ConfigError(f"lambda_domain must be two numbers, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    if not lo < hi:
-        raise ConfigError(f"lambda_domain must satisfy lo < hi, got {text!r}")
+    try:
+        lo, hi = (float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"lambda_domain must be two numbers, got {text!r}") from exc
     return lo, hi
 
 
@@ -70,8 +69,6 @@ def family_from_config(channel: dict[str, str],
             kwargs[key] = params.pop(key)
         if "lambda_domain" in channel:
             kwargs["domain"] = _parse_domain(channel["lambda_domain"])
-        if "fd_step" in params:
-            kwargs["fd_step"] = float(params.pop("fd_step"))
     for key, value in params.items():
         if name == "pauli" and key == "lam_on":
             kwargs[key] = value

@@ -36,7 +36,7 @@ import numpy as np
 
 from .blocks import PERPENDICULAR_TOL, exact_qfi
 from .bloch import (BlochChannel, ChannelFamily, Unitality, _as_vector, _nonfinite_parts,
-                    _ReadOnly, _unit_vector, svd3)
+                    _ReadOnly, _unit_vector, classify_unitality, svd3)
 from .fisher import ProbModel, cfi
 from .mstate import (
     PauliStrings,
@@ -58,7 +58,6 @@ from .series import (
     qfi_orders,
     require_unital,
     sqsc_nonunital_h0,
-    verify_family_flag,
 )
 
 # a QFI at or below this is rounding noise: no ratio over it is defined
@@ -369,11 +368,10 @@ def compare(spec_a: ProtocolSpec, spec_b: ProtocolSpec,
     qb = protocol_qfi(spec_b, K)
 
     gain_lo = gain_hi = None
-    if spec_a.c is not None and spec_b.c is None \
-            and spec_a.family.unitality is Unitality.UNITAL:
+    if spec_a.c is not None and spec_b.c is None:
         try:
             gain_lo, gain_hi = corr_gain_ratio(spec_a.family.eval(spec_a.lam), spec_a.n)
-        except BranchError:  # s1 = 0: the channel carries no information
+        except BranchError:  # not unital at lam, or s1 = 0: no gain bounds
             pass
 
     if qb.exact <= VANISHING_QFI:
@@ -453,11 +451,10 @@ def nonunital_corr_equals_sqsc_check(family: ChannelFamily, lam: float,
     must therefore agree between the correlated protocol and the single
     qubit baseline, and both must match the closed form.
     """
-    if family.unitality is not Unitality.NONUNITAL_PARAM_SHIFT:
+    ch = family.eval(lam)
+    if classify_unitality(ch) is not Unitality.NONUNITAL_PARAM_SHIFT:
         raise BranchError(
             f"channel {family.name!r} does not have a parameter-dependent shift")
-    ch = family.eval(lam)
-    verify_family_flag(family, ch)
     r0 = np.array([1.0, 0.0, 0.0])
     c = np.array([0.0, 0.0, 1.0])
     q_sqsc = protocol_qfi(sqsc(family, lam, 0.0, r0, ch=ch), K=0).exact

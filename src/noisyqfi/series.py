@@ -67,8 +67,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import (BlochChannel, ChannelFamily, Unitality, _ReadOnly, _unit_vector,
-                    classify_unitality, svd3)
+from .bloch import (BlochChannel, Unitality, _ReadOnly, _unit_vector, classify_unitality,
+                    svd3)
 from .mstate import (OrderedState, XorLines, _group, apply_channel, apply_channel_derivative,
                      to_dense)
 
@@ -97,7 +97,6 @@ __all__ = [
     "fit_qfi_orders",
     "default_fit_purities",
     "require_unital",
-    "verify_family_flag",
 ]
 
 DEFAULT_MAX_ORDER = 4
@@ -112,15 +111,6 @@ def require_unital(ch: BlochChannel) -> None:
         raise BranchError(
             f"channel is not unital: |d|={np.linalg.norm(ch.d):.3e}, "
             f"|dd|={np.linalg.norm(ch.dd):.3e}")
-
-
-def verify_family_flag(family: ChannelFamily, ch: BlochChannel) -> None:
-    """Re-verify a family's unitality flag against one evaluation."""
-    actual = classify_unitality(ch)
-    if actual != family.unitality:
-        raise BranchError(
-            f"unitality flag mismatch for channel {family.name!r}: "
-            f"flag {family.unitality.value}, evaluation says {actual.value}")
 
 
 class StateOrders(_ReadOnly):

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from noisyqfi import bloch, builtin
-from noisyqfi.bloch import ChannelFamily, Unitality, _unit_vector
+from noisyqfi.bloch import ChannelFamily, _unit_vector
 from noisyqfi.mstate import (
     PAULI_MATS,
     OrderedState,
@@ -71,7 +71,7 @@ def random_unital_family(rng, name: str = "rotated") -> ChannelFamily:
         dM, _ = base.deriv(lam)
         return A0 @ dM @ B0, np.zeros(3)
 
-    return ChannelFamily(name, Unitality.UNITAL, base.domain, value, deriv)
+    return ChannelFamily(name, base.domain, value, deriv)
 
 
 def random_state(rng, n: int) -> np.ndarray:

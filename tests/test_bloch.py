@@ -7,12 +7,12 @@ from hypothesis.extra.numpy import arrays
 from noisyqfi import bloch
 from noisyqfi.bloch import (
     BlochChannel,
+    ChannelFamily,
     DomainError,
     Unitality,
     apply_bloch,
     builtin,
     classify_unitality,
-    family_from_callables,
     fd_derivative,
     svd3,
     validate,
@@ -132,9 +132,9 @@ class TestBuiltins:
 
     def test_gad_balanced_is_unital(self):
         fam = builtin("gad", p=0.5)
-        assert fam.unitality is Unitality.UNITAL
         for lam in np.linspace(0, 0.9, 10):
             np.testing.assert_allclose(fam.eval(lam).d, np.zeros(3), atol=1e-15)
+            assert classify_unitality(fam.eval(lam)) is Unitality.UNITAL
 
     def test_gad_carries_p(self):
         fam = builtin("gad", p=0.8)
@@ -172,10 +172,15 @@ class TestBuiltins:
                 assert report.passed, (fam.name, lam, report.failures)
 
     def test_unitality_flags_consistent(self):
+        # a builtin's class is the same across its domain: only gad away from
+        # p = 1/2 has a shift, and that shift moves with lam
         for fam in ALL_BUILTINS:
+            want = (Unitality.NONUNITAL_PARAM_SHIFT
+                    if fam.name == "gad" and fam.params["p"] != 0.5 else Unitality.UNITAL)
             lo, hi = fam.domain
-            lam = lo + 0.37 * (hi - lo)
-            assert classify_unitality(fam.eval(lam)) is fam.unitality, fam.name
+            for t in (0.1, 0.37, 0.9):
+                lam = lo + t * (hi - lo)
+                assert classify_unitality(fam.eval(lam)) is want, (fam.name, lam)
 
     @pytest.mark.parametrize("size, kind", [(0.5e-12, Unitality.UNITAL),
                                             (1e-12, Unitality.NONUNITAL_CONST_SHIFT)])
@@ -220,7 +225,7 @@ class TestCustomDiag:
         ch = fam.eval(0.4)
         np.testing.assert_allclose(ch.M, np.diag([0.0, 0.0, 0.2]), atol=1e-12)
         np.testing.assert_allclose(ch.dM, np.diag([0.0, 0.0, -2.0]), atol=1e-8)
-        assert fam.unitality is Unitality.UNITAL
+        assert classify_unitality(ch) is Unitality.UNITAL
 
     def test_expression_domain(self):
         fam = builtin("custom_diag", mx="sqrt(1-l)", my="sqrt(1-l)", mz="1-l",
@@ -335,32 +340,47 @@ class TestSvd3:
 
 
 class TestFamilyFromCallables:
+    """A user family is ``ChannelFamily(name, domain, value, deriv=None)``;
+    its class at lam is that of its evaluation there."""
+
     def test_infers_constant_shift(self):
         def value(lam):
             return lam * np.eye(3) * 0.5, np.array([0.0, 0.0, 0.5])
 
-        fam = family_from_callables("shifted", value, domain=(0.0, 1.0))
-        assert fam.unitality is Unitality.NONUNITAL_CONST_SHIFT
+        fam = ChannelFamily("shifted", (0.0, 1.0), value)
+        assert classify_unitality(fam.eval(0.5)) is Unitality.NONUNITAL_CONST_SHIFT
 
     def test_infers_unital(self):
         def value(lam):
             return np.diag([lam, lam, 1.0]), np.zeros(3)
 
-        fam = family_from_callables("diagish", value, domain=(0.0, 1.0))
-        assert fam.unitality is Unitality.UNITAL
+        fam = ChannelFamily("diagish", (0.0, 1.0), value)
+        assert classify_unitality(fam.eval(0.5)) is Unitality.UNITAL
 
     def test_infers_param_shift(self):
         def value(lam):
             return 0.1 * np.eye(3), np.array([0.0, 0.0, 0.5 * lam])
 
-        fam = family_from_callables("drift", value, domain=(0.0, 1.0))
-        assert fam.unitality is Unitality.NONUNITAL_PARAM_SHIFT
+        fam = ChannelFamily("drift", (0.0, 1.0), value)
+        assert classify_unitality(fam.eval(0.5)) is Unitality.NONUNITAL_PARAM_SHIFT
+
+    @pytest.mark.parametrize("domain", [(1.0, 0.0), (0.5, 0.5), (0.0, np.inf),
+                                        (-np.inf, 0.0), (0.0, np.nan)])
+    def test_domain_must_be_finite_and_ordered(self, domain):
+        with pytest.raises(ValueError, match="domain must be finite with lo < hi"):
+            ChannelFamily("bad", domain, lambda lam: (np.eye(3), np.zeros(3)))
+
+    @pytest.mark.parametrize("fd_step", [0.0, -1.0, np.inf, np.nan])
+    def test_fd_step_must_be_positive_and_finite(self, fd_step):
+        with pytest.raises(ValueError, match="fd_step must be positive and finite"):
+            ChannelFamily("bad", (0.0, 1.0), lambda lam: (np.eye(3), np.zeros(3)),
+                          fd_step=fd_step)
 
     def test_fd_fallback_matches_hand_derivative(self):
         def value(lam):
             return np.diag([np.cos(lam), np.cos(lam), 1.0]), np.zeros(3)
 
-        fam = family_from_callables("cosine", value, domain=(0.0, 1.0))
+        fam = ChannelFamily("cosine", (0.0, 1.0), value)
         ch = fam.eval(0.5)
         np.testing.assert_allclose(ch.dM, np.diag([-np.sin(0.5), -np.sin(0.5), 0.0]),
                                    atol=1e-9)

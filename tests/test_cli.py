@@ -284,7 +284,33 @@ class TestMainExitCodes:
         code = main(["bounds", "--channel", "gad", "--param", "p=0.9",
                      "--lambda", "0.3", "--n", "2"])
         assert code == EXIT_CONFIG
-        assert "unital" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the class is that of the channel at lambda, which the message names
+        assert captured.err == ("config error: bounds need a unital channel; 'gad' is "
+                                "nonunital_param_shift at lambda=0.3 (use the single-qubit "
+                                "closed forms instead)\n")
+
+    @pytest.mark.parametrize("command, domain, param, message", [
+        ("qfi", None, "fd_step=x", "parameter 'fd_step' must be a number, got 'x'"),
+        ("qfi", None, "fd_step=-1", "fd_step must be positive and finite, got -1.0"),
+        ("qfi", None, "fd_step=nan", "fd_step must be positive and finite, got nan"),
+        ("qfi", "[0, x]", None, "lambda_domain must be two numbers, got '[0, x]'"),
+        ("validate-channel", "[0, inf]", None,
+         "domain must be finite with lo < hi, got [0.0, inf]"),
+    ])
+    def test_malformed_custom_diag_setting_is_config_error(self, command, domain, param,
+                                                           message, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[channel]\nname = custom_diag\n"
+                           + (f"lambda_domain = {domain}\n" if domain else "")
+                           + "[params]\nmx = 1-l\nmy = 1-l\nmz = 1\n")
+        argv = [command, "--config", str(cfgfile)]
+        code = main(argv + (["--param", param] if param else []))
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and message in captured.err
 
     def test_numeric_failure_names_cell(self, capsys):
         # a Bloch matrix of 3 I maps the state outside the Bloch ball, so the
@@ -601,7 +627,7 @@ class TestWorkPerCell:
         # per cell: one preparation, for the purity orders; the exact QFI
         # needs none
         assert len(prep) == 4
-        # per cell: one eval, which the flag check, the spec's canonical pair
+        # per cell: one eval, which the class check, the spec's canonical pair
         # (one svd3) and the frame of c share; the purity orders and the
         # block solve for all purities read that frame
         assert len(evals) == 4

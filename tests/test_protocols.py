@@ -47,6 +47,18 @@ PF = builtin("phase_flip")
 DEPOL = builtin("depolarizing")
 
 
+def _dip_family() -> ChannelFamily:
+    """d = (lam - 1/2)^2 z: a lam-dependent shift that, with its derivative,
+    vanishes at lam = 1/2, where the channel is unital."""
+    def value(lam):
+        return np.diag([1.0 - lam, 1.0 - lam, 0.5]), np.array([0.0, 0.0, (lam - 0.5) ** 2])
+
+    def deriv(lam):
+        return np.diag([-1.0, -1.0, 0.0]), np.array([0.0, 0.0, 2.0 * (lam - 0.5)])
+
+    return ChannelFamily("dip", (0.0, 1.0), value, deriv)
+
+
 class TestProtocolSpec:
     # the qubit count names the protocol: n = 1 without c, n >= 2 with one
     def test_sqsc_forces_single_qubit(self):
@@ -412,6 +424,20 @@ class TestCompare:
         assert rep.qfi_a.series.orders[2] == pytest.approx(8.0)
         assert rep.qfi_b.series.orders[2] == pytest.approx(4.0)
 
+    def test_unital_point_of_a_shifted_family_has_gain_bounds(self):
+        # the class is that of the channel at lam: at lam = 1/2 the dip
+        # family is unital and the gain bounds apply; at 0.3 it is not
+        fam, r = _dip_family(), 1e-3
+        ch = fam.eval(0.5)
+        c, r0 = canonical_directions(ch)
+        rep = compare(correlated(fam, 0.5, 3, r, c, r0), sqsc(fam, 0.5, r, c))
+        s = np.linalg.svd(ch.dM, compute_uv=False)
+        assert rep.gain_lo == pytest.approx(3.0 - (1.0 - s[1] ** 2 / s[0] ** 2))
+        assert rep.gain_hi == 3.0
+        assert rep.status == "ok" and not rep.violations
+        rep = compare(correlated(fam, 0.3, 3, r, c, r0), sqsc(fam, 0.3, r, c))
+        assert rep.gain_lo is None and rep.gain_hi is None
+
     def test_mismatched_specs_rejected(self):
         with pytest.raises(ValueError):
             compare(correlated(PF, 0.3, 2, 1e-3, [1, 0, 0], [0, 1, 0]),
@@ -461,7 +487,7 @@ class TestNonUnitalNoGain:
         assert rep.equal and rep.h0_matches
 
     def test_evaluates_the_channel_once(self, monkeypatch):
-        # the flag check, the closed form and both specs' frames share one
+        # the class check, the closed form and both specs' frames share one
         # evaluation; specs built without it evaluated the family twice more
         calls = []
         original = ChannelFamily.eval
@@ -476,6 +502,13 @@ class TestNonUnitalNoGain:
             nonunital_corr_equals_sqsc_check(PF, 0.3, 2)
         with pytest.raises(BranchError):
             nonunital_corr_equals_sqsc_check(builtin("gad", p=0.5), 0.3, 2)
+
+    def test_class_is_read_at_lam(self):
+        fam = _dip_family()
+        rep = nonunital_corr_equals_sqsc_check(fam, 0.3, 3)
+        assert rep.equal and rep.h0_matches
+        with pytest.raises(BranchError, match="does not have a parameter-dependent shift"):
+            nonunital_corr_equals_sqsc_check(fam, 0.5, 3)
 
 
 def _lab_series(spec, K: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 from noisyqfi import builtin
 from noisyqfi import protocols as protocols_module
 from noisyqfi import series as series_module
-from noisyqfi.bloch import ChannelFamily, Unitality
+from noisyqfi.bloch import ChannelFamily
 from noisyqfi.fisher import ProbModel, cfi
 from noisyqfi.mstate import initial_state_orders, prep_conjugate
 from noisyqfi.protocols import correlated, sqsc
@@ -29,7 +29,6 @@ from noisyqfi.series import (
     sqsc_nonunital_h0,
     sqsc_unital_h2,
     sqsc_unital_opt,
-    verify_family_flag,
 )
 
 from support import (
@@ -102,8 +101,7 @@ class TestSldOrders:
         def value(lam):
             return np.diag([lam, lam, lam]), np.array([0.0, 0.0, 0.5])
 
-        fam = ChannelFamily("const_shift", Unitality.NONUNITAL_CONST_SHIFT,
-                            (0.0, 1.0), value)
+        fam = ChannelFamily("const_shift", (0.0, 1.0), value)
         rng = np.random.default_rng(43)
         for _ in range(10):
             r0 = random_unit(rng)
@@ -117,7 +115,7 @@ class TestSldOrders:
         def value(lam):
             return np.zeros((3, 3)), np.array([0.0, 0.0, 1.0])
 
-        fam = ChannelFamily("pin", Unitality.NONUNITAL_CONST_SHIFT, (0.0, 1.0), value)
+        fam = ChannelFamily("pin", (0.0, 1.0), value)
         orders = final_orders(fam, 0.5, 1, None, np.array([1.0, 0, 0]), 1)
         with pytest.raises(ValueError, match="singular"):
             sld_orders(orders, 1)
@@ -577,8 +575,7 @@ class TestSqscClosedForms:
         def deriv(lam):
             return np.zeros((3, 3)), np.array([1.0, 0.0, 0.0])
 
-        fam = ChannelFamily("drift", Unitality.NONUNITAL_PARAM_SHIFT, (0.0, 0.5),
-                            value, deriv)
+        fam = ChannelFamily("drift", (0.0, 0.5), value, deriv)
         assert sqsc_nonunital_h0(fam.eval(0.0)) == pytest.approx(1.0)
         # cross-check against the exact oracle at zero purity
         got = dense_exact_qfi(sqsc(fam, 1e-5, 0.0, [1, 0, 0]))
@@ -588,8 +585,7 @@ class TestSqscClosedForms:
         def value(lam):
             return np.diag([lam, lam, lam]), np.array([0.0, 0.0, 0.5])
 
-        fam = ChannelFamily("const_shift", Unitality.NONUNITAL_CONST_SHIFT,
-                            (0.0, 1.0), value)
+        fam = ChannelFamily("const_shift", (0.0, 1.0), value)
         ch = fam.eval(0.3)
         assert sqsc_nonunital_const_h2(ch, [0, 0, 1]) == pytest.approx(4.0 / 3.0, rel=1e-8)
         # perpendicular direction: the projector term dies
@@ -603,7 +599,7 @@ class TestSqscClosedForms:
         def maker(eps):
             def value(lam):
                 return np.diag([lam, lam, lam]), np.array([0.0, 0.0, eps])
-            return ChannelFamily("c", Unitality.NONUNITAL_CONST_SHIFT, (0.0, 1.0), value)
+            return ChannelFamily("c", (0.0, 1.0), value)
 
         ch_unital = builtin("depolarizing").eval(0.3)
         want = sqsc_unital_h2(ch_unital, [0, 0, 1])
@@ -867,19 +863,6 @@ class TestSeriesOracleAgreement:
                 exact = dense_exact_qfi(spec)
                 approx = corr_h2(ch, n, c, r0) * r ** 2
                 assert abs(approx - exact) / exact < 0.02
-
-
-class TestVerifyFamilyFlag:
-    def test_mismatch_raises(self):
-        fam = builtin("phase_flip")
-        bad = ChannelFamily("phase_flip", Unitality.NONUNITAL_CONST_SHIFT,
-                            fam.domain, fam.value, fam.deriv)
-        with pytest.raises(BranchError, match="mismatch"):
-            verify_family_flag(bad, bad.eval(0.3))
-
-    def test_consistent_flag_passes(self):
-        fam = builtin("gad", p=0.8)
-        verify_family_flag(fam, fam.eval(0.3))
 
 
 class TestFit:
