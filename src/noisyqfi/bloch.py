@@ -206,8 +206,8 @@ def fd_derivative(
     domain: tuple[float, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference derivative of a (M, d) family at lam0."""
-    if h <= 0.0:
-        raise ValueError("fd step must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("fd step must be finite and positive")
     if domain is not None:
         lo, hi = domain
         if lam0 - h < lo - 1e-12 or lam0 + h > hi + 1e-12:

@@ -72,12 +72,14 @@ term is real or imaginary, so the two parts are transformed as one real
 array, by two Hadamard matrix products: over the high floor(n/2) bits of z
 on the (line, part, low bits of z) rows that hold a string, then over the
 low bits on every row, a block of lines at a time so that the output is
-the one array of its size.  An ``OrderedState`` takes one pass for all its
-orders, its strings grouped by (order, flip pattern), and each order's
-lines are a row slice of one array.  The purity series computes on these
-lines.  The scatter of the lines into a matrix and the slot-by-slot
-``tensordot`` contraction over all 4^n strings are the test oracles in
-tests/support.py.
+the one array of its size.  When no string has an odd number of Y letters
+every term is real: the imaginary part is not transformed, and the lines
+are float64 in place of complex.  An ``OrderedState`` takes one pass for
+all its orders, its strings grouped by (order, flip pattern), and each
+order's lines are a row slice of one array.  The purity series computes
+on these lines.  The scatter of the lines into a matrix and the
+slot-by-slot ``tensordot`` contraction over all 4^n strings are the test
+oracles in tests/support.py.
 """
 
 from __future__ import annotations
@@ -310,7 +312,9 @@ class XorLines(_ReadOnly):
     ``flips`` holds distinct flips f, ascending, and ``lines[i, x]`` is
     A[x + f_i, x] (+ the bitwise XOR) for x = 0..2^n-1; every other line of
     A is zero.  Qubit 0 is the top bit of x, so lines f and f + 2^(n-1)
-    are the ones that a map of qubit 0's 2x2 blocks mixes.
+    are the ones that a map of qubit 0's 2x2 blocks mixes.  ``lines`` is
+    float64 when A's entries are real (from ``to_dense``: no string with an
+    odd number of Y letters) and complex otherwise.
     """
 
     def __init__(self, n: int, flips: np.ndarray, lines: np.ndarray):
@@ -330,7 +334,8 @@ def to_dense(state: PauliStrings) -> XorLines | tuple[XorLines, ...]:
     follows the nonzero strings and no 2^n x 2^n matrix is formed.
 
     An ``OrderedState`` gives one ``XorLines`` per order, all from one pass:
-    their lines are row slices of one array.
+    their lines are row slices of one array.  The lines are float64 when no
+    string of the call has an odd number of Y letters, and complex otherwise.
     """
     _check_dense_cap(state.n)
     n, ends = state.n, state.ends
@@ -343,27 +348,34 @@ def to_dense(state: PauliStrings) -> XorLines | tuple[XorLines, ...]:
     keys, line = _group(_by_order(f, ends, n), (len(ends) - 1) * dim)
     # the power of i: even powers are real, odd ones imaginary, 2 and 3 negative
     power = np.bitwise_count(f & z).astype(np.intp) & 3
-    # the transform over z = (z_high, z_low) as H (x) H on the real and the
-    # imaginary parts: first over z_high on the (line, part, z_low) rows that
-    # hold a string, then over z_low on every row.  A block of lines holds a
-    # run of those rows, so the lines are transformed a block at a time and
-    # the output is the only array of their full size.
+    # with no odd power (an even number of Y letters in every string) the
+    # lines are real, and only the real part is transformed
+    parts = 2 if (power & 1).any() else 1
+    # the transform over z = (z_high, z_low) as H (x) H on each part: first
+    # over z_high on the (line, part, z_low) rows that hold a string, then
+    # over z_low on every row.  A block of lines holds a run of those rows,
+    # so the lines are transformed a block at a time and the output is the
+    # only array of their full size.
     half, rest = n // 2, n - n // 2
     low = (1 << rest) - 1
-    rows, row = _group((2 * line + (power & 1)) << rest | (z & low), 2 * len(keys) << rest)
+    rows, row = _group((parts * line + (power & 1)) << rest | (z & low),
+                       parts * len(keys) << rest)
     g = np.zeros((len(rows), 2 ** half))
     g[row, z >> rest] = np.where(power & 2, -state.coeffs, state.coeffs)
-    lines = np.empty((len(keys), dim), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // (2 * dim))
+    lines = np.empty((len(keys), dim), dtype=complex if parts == 2 else float)
+    # entry x of line i, part p (real, imaginary)
+    entries = lines.view(float).reshape(len(keys), dim, parts)
+    step = max(1, _BLOCK_ENTRIES // (parts * dim))
     starts = np.arange(0, len(keys) + step, step)
-    runs = np.searchsorted(rows, 2 * starts << rest)
+    runs = np.searchsorted(rows, parts * starts << rest)
     for a, ra, rb in zip(starts[:-1], runs[:-1], runs[1:]):
-        block = lines[a:a + step]
-        t = np.zeros((2 * len(block), 2 ** half, 2 ** rest))
-        r = rows[ra:rb] - (2 * a << rest)
+        block = entries[a:a + step]
+        t = np.zeros((parts * len(block), 2 ** half, 2 ** rest))
+        r = rows[ra:rb] - (parts * a << rest)
         t[r >> rest, :, r & low] = g[ra:rb] @ _hadamard(half)
-        t = (t.reshape(-1, 2 ** rest) @ _hadamard(rest)).reshape(len(block), 2, dim)
-        block.real, block.imag = t[:, 0], t[:, 1]
+        t = (t.reshape(-1, 2 ** rest) @ _hadamard(rest)).reshape(len(block), parts, dim)
+        for p in range(parts):
+            block[:, :, p] = t[:, p]
     cut = np.searchsorted(keys, dim * np.arange(len(ends)))
     out = tuple(XorLines(n, keys[a:b] - j * dim, lines[a:b])
                 for j, (a, b) in enumerate(zip(cut[:-1], cut[1:])))

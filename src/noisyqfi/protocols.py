@@ -369,8 +369,8 @@ def compare(spec_a: ProtocolSpec, spec_b: ProtocolSpec,
 
     gain_lo = gain_hi = None
     if spec_a.c is not None and spec_b.c is None:
-        try:
-            gain_lo, gain_hi = corr_gain_ratio(spec_a.family.eval(spec_a.lam), spec_a.n)
+        try:  # B's channel comes unrotated: the channel at lam itself
+            gain_lo, gain_hi = corr_gain_ratio(spec_b.in_frame[1], spec_a.n)
         except BranchError:  # not unital at lam, or s1 = 0: no gain bounds
             pass
 

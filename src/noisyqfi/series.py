@@ -39,6 +39,12 @@ and every step costs (number of lines) 2^n in place of 4^n:
 * Re Tr[A^dagger B] sums over the lines A and B share;
 * a product costs 2^n per pair of lines (``_product``).
 
+The lines of an operator are float64 when every entry is real, which
+``to_dense`` decides from the strings (an odd number of Y letters makes
+them complex): at the canonical directions every order is real.  Each
+operation takes its dtype from its operands, so the series stays in the
+dtype of its input orders, and a complex operand makes the result complex.
+
 At K = 4 only two products remain: L^(1) rho^(1), formed in the SLD solve
 and reused by the traces, and L^(1) rho^(2) in the traces.  The channel and
 its derivative each make one pass over the nonzero Pauli strings of all
@@ -169,18 +175,18 @@ def _at(A: XorLines, flips: np.ndarray) -> np.ndarray:
     has = at >= 0
     if has.all():
         return A.lines[at]
-    out = np.zeros((len(flips), 2 ** A.n), dtype=complex)
+    out = np.zeros((len(flips), 2 ** A.n), dtype=A.lines.dtype)
     out[has] = A.lines[at[has]]
     return out
 
 
 def _sum(n: int, terms: list) -> XorLines:
     """sum of w A over the (w, A) terms, on the union of their flips, added
-    in the order given."""
+    in the order given; real weights keep the dtype of the lines."""
     if not terms:
-        return XorLines(n, np.zeros(0, dtype=np.intp), np.zeros((0, 2 ** n), dtype=complex))
+        return XorLines(n, np.zeros(0, dtype=np.intp), np.zeros((0, 2 ** n)))
     flips, rows = _group(np.concatenate([A.flips for _, A in terms]), 2 ** n)
-    out = np.zeros((len(flips), 2 ** n), dtype=complex)
+    out = np.zeros((len(flips), 2 ** n), dtype=np.result_type(*(A.lines for _, A in terms)))
     start = 0
     for w, A in terms:
         out[rows[start:start + len(A.flips)]] += w * A.lines
@@ -224,7 +230,7 @@ def _block_map(T: np.ndarray):
             src = [_at(A, f).reshape(-1, 2, m) for f in (flips, flips ^ m)]
         else:
             src = [A.lines.reshape(-1, 2, m)]
-        out = np.zeros_like(src[0])
+        out = np.zeros(src[0].shape, dtype=np.result_type(src[0], W))
         top = flips >> (n - 1)
         for u, s, w in terms:
             part = src[u ^ s][:, ::-1] if s else src[u ^ s]
@@ -282,7 +288,9 @@ def _re_inner(A: XorLines, B: XorLines) -> float:
     """Re Tr[A^dagger B] over the flips A and B share, summed in runs of
     2^(n // 2) entries and then pairwise: one running sum over a line drifts
     by about 1e-15 relative at n = 10 on h0 (and one over every entry by
-    3e-14 at n = 9 on an order-4 trace)."""
+    3e-14 at n = 9 on an order-4 trace).  Real lines are summed as complex
+    ones: numpy reduces a real run in another order, which moves the last
+    digits of a trace with the dtype of its operands."""
     if A.flips is B.flips:
         a, b = A.lines, B.lines
     else:
@@ -290,7 +298,8 @@ def _re_inner(A: XorLines, B: XorLines) -> float:
         common = at >= 0
         a, b = A.lines[common], B.lines[at[common]]
     run = 2 ** (A.n // 2)
-    return float(np.vecdot(a.reshape(-1, run), b.reshape(-1, run)).sum().real)
+    a, b = (np.asarray(v, dtype=complex).reshape(-1, run) for v in (a, b))
+    return float(np.vecdot(a, b).sum().real)
 
 
 def _product(A: XorLines, B: XorLines) -> XorLines:
@@ -307,7 +316,7 @@ def _product(A: XorLines, B: XorLines) -> XorLines:
     n = A.n
     flips, rows = _group((A.flips[:, None] ^ B.flips).ravel(), 2 ** n)
     rows = rows.reshape(len(A.flips), len(B.flips))
-    out = np.zeros((len(flips), 2 ** n), dtype=complex)
+    out = np.zeros((len(flips), 2 ** n), dtype=np.result_type(A.lines, B.lines))
     shifted = B.flips[:, None] ^ np.arange(2 ** n)
     for to, af in zip(rows, A.lines):
         out[to] += af[shifted] * B.lines
@@ -334,7 +343,7 @@ def sld_orders(orders: StateOrders, K: int) -> SldSeries:
                           "hdot (x) I/2^(n-1)")
     T = _zeroth_order_inverse(h, m)
     ell = np.tensordot(T, 2.0 * hdot, axes=2)
-    identity = XorLines(n, np.zeros(1, dtype=np.intp), np.ones((1, 2 * m), dtype=complex))
+    identity = XorLines(n, np.zeros(1, dtype=np.intp), np.ones((1, 2 * m)))
     solve, times_ell = _block_map(T), _left(ell)
     L: list[XorLines] = [times_ell(identity)]
     products = {}

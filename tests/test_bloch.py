@@ -275,6 +275,12 @@ class TestFdDerivative:
         np.testing.assert_allclose(dM, np.zeros((3, 3)), atol=1e-12)
         np.testing.assert_allclose(dd, np.zeros(3), atol=1e-12)
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), -1.0])
+    def test_step_must_be_finite_and_positive(self, h):
+        fam = builtin("phase_flip")
+        with pytest.raises(ValueError, match="fd step must be finite and positive"):
+            fd_derivative(fam.value, 0.3, h=h)
+
     def test_domain_violation(self):
         fam = builtin("phase_flip")
         with pytest.raises(DomainError):

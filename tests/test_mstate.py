@@ -615,7 +615,9 @@ class TestDenseOracle:
         for fam in (builtin("phase_flip"), builtin("depolarizing"), builtin("gad", p=0.8)):
             c, r0 = canonical_directions(fam.eval(0.3))
             for st in _orders_in_frame(fam, 0.3, n, c, r0):
-                exact += _assert_dense_matches_oracle(st)
+                lines = to_dense(st)
+                assert lines.lines.dtype == float  # no string has an odd Y count
+                exact += _assert_dense_matches_oracle(st, lines)
         # r0 with all three components in the frame of c
         for st in _orders_in_frame(builtin("gad", p=0.8), 0.3, n, random_unit(rng),
                                    random_unit(rng)):
@@ -719,21 +721,67 @@ class TestOrdersInOnePass:
         # pass holds the decoded strings and the high-bit rows (2^(n//2)
         # reals each, at most one row a string) and one block.  Transforming
         # all lines at once held about twice the output (49 MiB against the
-        # 29 MiB measured here)
+        # 29 MiB measured here on the oblique case).  The canonical lines are
+        # real, 8 bytes an entry (9.2 MiB measured; 16 bytes an entry held
+        # 17 MiB)
         fam = builtin("gad", p=0.8)
-        c, r0 = random_unit(np.random.default_rng(61)), random_unit(np.random.default_rng(62))
-        r0_frame, ch = correlated(fam, 0.3, 9, 0.0, c, r0).in_frame
-        ordered = apply_channel(prep_conjugate(initial_state_orders(9, r0_frame, 8)), ch)
-        strings = sum(len(st.strings) for st in ordered.orders)
-        tracemalloc.start()
-        try:
-            out = to_dense(ordered)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        output = sum(x.lines.nbytes for x in out)
-        assert output > 10 * 2 ** 20
-        assert peak <= output + 2 * 2 ** (9 // 2) * 8 * strings + 2 ** 20
+        oblique = random_unit(np.random.default_rng(61)), random_unit(np.random.default_rng(62))
+        # (n, c, r0, bytes of a line entry)
+        for n, c, r0, entry_bytes in ((9, *oblique, 16),
+                                      (10, *canonical_directions(fam.eval(0.3)), 8)):
+            r0_frame, ch = correlated(fam, 0.3, n, 0.0, c, r0).in_frame
+            ordered = apply_channel(prep_conjugate(initial_state_orders(n, r0_frame, 8)), ch)
+            strings = sum(len(st.strings) for st in ordered.orders)
+            tracemalloc.start()
+            try:
+                out = to_dense(ordered)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            entries = sum(x.lines.size for x in out)
+            assert entries > 10 ** 6
+            assert peak <= entry_bytes * entries + 2 * 2 ** (n // 2) * 8 * strings + 2 ** 20, n
+
+
+def _odd_y(st: PauliStrings) -> bool:
+    """Whether some string of st has an odd number of Y letters."""
+    digits = st.strings[:, None] // 4 ** np.arange(st.n) % 4
+    return bool((np.count_nonzero(digits == 2, axis=1) % 2).any())
+
+
+class TestRealLines:
+    """to_dense writes float64 lines when no string has an odd number of Y
+    letters (every entry is real), and complex ones otherwise."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 10])
+    def test_dtype_follows_the_y_letters(self, n):
+        for label, ordered in _ordered_cases(n):
+            lines = to_dense(ordered)
+            dtype = complex if _odd_y(ordered) else float
+            assert all(x.lines.dtype == dtype for x in lines), label
+            if n > 1 and label.startswith("canonical"):
+                assert dtype is float, label
+            if n > 1 and label.startswith("oblique") and not label.endswith("input"):
+                assert dtype is complex, label
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 10])
+    def test_real_part_of_the_complex_path(self, n):
+        # one more order holding a lone Y sends the same strings through the
+        # complex path: their lines come out as its real part, bit for bit
+        y = PauliStrings(n, [pauli_index("Y" + "I" * (n - 1))], [0.25])
+        real = 0
+        for label, ordered in _ordered_cases(n):
+            if _odd_y(ordered):
+                continue
+            real += 1
+            got = to_dense(ordered)
+            via = to_dense(OrderedState(n, (*ordered.orders, y)))[:-1]
+            for j, (a, b) in enumerate(zip(got, via)):
+                assert a.lines.dtype == float and b.lines.dtype == complex, (label, j)
+                assert np.array_equal(a.flips, b.flips), (label, j)
+                assert a.lines.tobytes() == np.ascontiguousarray(b.lines.real).tobytes(), (label, j)
+                assert not b.lines.imag.any(), (label, j)
+        assert real >= 2
 
 
 def _assert_same_strings(got: PauliStrings, want: PauliStrings, label) -> None:

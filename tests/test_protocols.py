@@ -424,6 +424,24 @@ class TestCompare:
         assert rep.qfi_a.series.orders[2] == pytest.approx(8.0)
         assert rep.qfi_b.series.orders[2] == pytest.approx(4.0)
 
+    def test_evaluates_the_family_once_a_spec(self, monkeypatch):
+        # the gain bounds read the single-qubit spec's channel, the channel
+        # at lam itself; a third evaluation took them once more
+        calls = []
+        original = ChannelFamily.eval
+        monkeypatch.setattr(ChannelFamily, "eval",
+                            lambda self, lam: calls.append(lam) or original(self, lam))
+        c, r0 = canonical_directions(original(PF, 0.3))
+        rep = compare(correlated(PF, 0.3, 3, 1e-3, c, r0), sqsc(PF, 0.3, 1e-3, r0))
+        assert calls == [0.3, 0.3]
+        assert rep.gain_lo == pytest.approx(3.0) and rep.gain_hi == 3.0
+        calls.clear()
+        ch = original(PF, 0.3)
+        again = compare(correlated(PF, 0.3, 3, 1e-3, c, r0, ch=ch),
+                        sqsc(PF, 0.3, 1e-3, r0, ch=ch))
+        assert calls == []
+        assert (again.ratio_exact, again.gain_lo) == (rep.ratio_exact, rep.gain_lo)
+
     def test_unital_point_of_a_shifted_family_has_gain_bounds(self):
         # the class is that of the channel at lam: at lam = 1/2 the dip
         # family is unital and the gain bounds apply; at 0.3 it is not

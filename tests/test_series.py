@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from noisyqfi import protocols as protocols_module
 from noisyqfi import series as series_module
 from noisyqfi.bloch import ChannelFamily
 from noisyqfi.fisher import ProbModel, cfi
-from noisyqfi.mstate import initial_state_orders, prep_conjugate
+from noisyqfi.mstate import XorLines, initial_state_orders, prep_conjugate
 from noisyqfi.protocols import correlated, sqsc
 from noisyqfi.series import (
     BranchError,
@@ -412,6 +414,80 @@ class TestLineOperations:
         other[0, 1] = 1e-9  # line 1, which qubit 0 does not reach
         with pytest.raises(ValueError, match=r"state does not factor as q \(x\) I"):
             series_module._qubit0_factor(lines_of(other), "state", "q (x) I")
+
+
+def _as_complex(orders: StateOrders) -> StateOrders:
+    """The same orders with their lines cast to complex."""
+    def cast(ops):
+        return tuple(XorLines(A.n, A.flips, A.lines.astype(complex)) for A in ops)
+    return StateOrders(cast(orders.rho), cast(orders.drho))
+
+
+def _same_lines(got: XorLines, want: XorLines) -> bool:
+    return np.array_equal(got.flips, want.flips) and np.array_equal(got.lines, want.lines)
+
+
+# unital and not, diagonal and not: at the canonical directions each holds
+# strings with an even number of Y letters only
+REAL_FAMILIES = {
+    "gad": builtin("gad", p=0.8),
+    "phase_flip": builtin("phase_flip"),
+    "depolarizing": builtin("depolarizing"),
+    "phase_shift": builtin("phase_shift"),
+}
+
+
+class TestRealLines:
+    """The series keeps the dtype of its input lines: the canonical orders
+    are real, and the series on them equals the series on the same lines
+    cast to complex, bit for bit."""
+
+    @pytest.mark.parametrize("K", [4, 8])
+    @pytest.mark.parametrize("n", [2, 5, 9, 10])
+    @pytest.mark.parametrize("name", REAL_FAMILIES)
+    def test_matches_the_series_on_complex_lines(self, name, n, K):
+        fam = REAL_FAMILIES[name]
+        spec = correlated(fam, 0.3, n, 0.0, *canonical_directions(fam.eval(0.3)))
+        orders = protocols_module.purity_orders(spec, K)
+        assert all(A.lines.dtype == float for A in orders.rho + orders.drho)
+        cast = _as_complex(orders)
+        L, L_complex = sld_orders(orders, K // 2).orders, sld_orders(cast, K // 2).orders
+        for k, (got, want) in enumerate(zip(L, L_complex)):
+            assert got.lines.dtype == float and want.lines.dtype == complex, k
+            assert _same_lines(got, want), k
+        assert np.array_equal(qfi_orders(orders, K).orders, qfi_orders(cast, K).orders)
+
+    def test_canonical_series_memory(self):
+        # real lines take half the bytes of complex ones: gad at n = 9, K = 4
+        # peaked at 3.27 MiB (6.50 MiB with every operator complex)
+        fam = REAL_FAMILIES["gad"]
+        ch = fam.eval(0.3)
+        spec = correlated(fam, 0.3, 9, 1e-3, *canonical_directions(ch), ch=ch)
+        qfi_orders(protocols_module.purity_orders(spec, 4), 4)
+        tracemalloc.start()
+        try:
+            H = qfi_orders(protocols_module.purity_orders(spec, 4), 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(H.orders).all()
+        assert peak <= 4.5 * 2 ** 20
+
+    def test_one_complex_operand_makes_a_complex_result(self):
+        rng = np.random.default_rng(150)
+        A = lines_of(_random_lines(rng, 4, 5))
+        real = XorLines(4, A.flips, A.lines.real.copy())
+        T = rng.normal(size=(2, 2, 2, 2))
+        for left, right in ((real, A), (A, real)):
+            assert series_module._product(left, right).lines.dtype == complex
+            assert series_module._sum(4, [(1.0, left), (-1.0, right)]).lines.dtype == complex
+        assert series_module._product(real, real).lines.dtype == float
+        assert series_module._sum(4, [(1.0, real), (-1.0, real)]).lines.dtype == float
+        assert series_module._sum(4, []).lines.dtype == float
+        # real lines and complex weights, and the other way round
+        assert series_module._block_map(T + 1e-3j)(real).lines.dtype == complex
+        assert series_module._block_map(T)(A).lines.dtype == complex
+        assert series_module._block_map(T)(real).lines.dtype == float
 
 
 # directions of the differential test: the canonical pair (c perpendicular
