@@ -41,7 +41,7 @@ _ZERO_TOL = 1e-12  # d or dd of a smaller norm counts as identically zero
 
 
 class DomainError(ValueError):
-    """Parameter value outside a channel family's domain."""
+    """A value outside what the program can evaluate: a parameter or a qubit count."""
 
 
 class _ReadOnly:
@@ -203,17 +203,10 @@ def fd_derivative(
     value: Callable[[float], tuple[np.ndarray, np.ndarray]],
     lam0: float,
     h: float = 1e-6,
-    domain: tuple[float, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference derivative of a (M, d) family at lam0."""
     if not 0.0 < h < math.inf:
         raise ValueError("fd step must be finite and positive")
-    if domain is not None:
-        lo, hi = domain
-        if lam0 - h < lo - 1e-12 or lam0 + h > hi + 1e-12:
-            raise DomainError(
-                f"central difference at {lam0} with h={h} leaves domain [{lo}, {hi}]"
-            )
     Mp, dp = value(lam0 + h)
     Mm, dm = value(lam0 - h)
     dM = (_real(Mp, "M") - _real(Mm, "M")) / (2.0 * h)
@@ -254,20 +247,32 @@ class ChannelFamily(_ReadOnly):
         vars(self).update(name=name, domain=domain, value=value, deriv=deriv,
                           fd_step=fd_step, params={} if params is None else params)
 
-    def contains(self, lam: float) -> bool:
+    def check(self, lam: float) -> None:
+        """Raise DomainError unless the family can be evaluated at lam: lam, and
+        lam -+ fd_step without deriv, must lie in the domain widened by 1e-12."""
         lo, hi = self.domain
-        return lo - 1e-12 <= lam <= hi + 1e-12
+        if not lo - 1e-12 <= lam <= hi + 1e-12:
+            raise DomainError(
+                f"lambda={lam:g} outside domain {list(self.domain)} of channel {self.name!r}")
+        h = self.fd_step
+        if self.deriv is None and not lo - 1e-12 <= lam - h <= lam + h <= hi + 1e-12:
+            raise DomainError(
+                f"central difference at {lam} with h={h} leaves domain [{lo}, {hi}]")
+
+    def contains(self, lam: float) -> bool:
+        try:
+            self.check(lam)
+        except DomainError:
+            return False
+        return True
 
     def eval(self, lam: float) -> BlochChannel:
-        if not self.contains(lam):
-            raise DomainError(
-                f"lambda={lam} outside domain {list(self.domain)} of channel {self.name!r}"
-            )
+        self.check(lam)
         M, d = self.value(lam)
         if self.deriv is not None:
             dM, dd = self.deriv(lam)
         else:
-            dM, dd = fd_derivative(self.value, lam, self.fd_step, domain=self.domain)
+            dM, dd = fd_derivative(self.value, lam, self.fd_step)
         return BlochChannel(M, d, dM, dd)
 
 

@@ -72,6 +72,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .bloch import DomainError
 from .fisher import in_eigenbasis, qfi_exact
 from .mstate import PAULI_MATS, _qubit0_maps
 
@@ -154,10 +155,10 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
     1/t, so it is solved with the cutoff eps / t; one with t = 0 (at r = 1
     all but the largest spin, or all but the k = 0 piece) is skipped at
     that purity.  The default cuts pairs at 1e-12 times the largest
-    eigenvalue of the block or piece that holds them.  A ValueError names a
-    qubit count above ``MAX_QUBITS_PIECES`` or ``MAX_QUBITS_BLOCKS``, and
-    then a purity where the weights miss 1 by more than 1e-12, before any
-    block or piece is built.
+    eigenvalue of the block or piece that holds them.  A DomainError names a
+    qubit count above ``MAX_QUBITS_PIECES`` or ``MAX_QUBITS_BLOCKS``, and a
+    ValueError then a purity where the weights miss 1 by more than 1e-12,
+    before any block or piece is built.
     """
     rs = np.asarray(purities, dtype=float)
     if rs.ndim != 1 or not all(0.0 <= r <= 1.0 for r in rs.tolist()):
@@ -167,7 +168,7 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
     limit, solve = ((MAX_QUBITS_PIECES, "4x4 pieces") if pieces
                     else (MAX_QUBITS_BLOCKS, "Schur-Weyl block solve"))
     if spec.n > limit:
-        raise ValueError(f"qubit count {spec.n} outside supported range "
+        raise DomainError(f"qubit count {spec.n} outside supported range "
                          f"1..{limit} for the {solve}")
     if pieces:
         weight = _piece_weights(M, rs)

@@ -11,8 +11,8 @@ Subcommands:
 
 Grids are ``lo:hi:steps``, a single number, or a comma list.  Output is CSV
 (header line, ``%.17g`` floats, LF line endings) or JSON; identical configs
-produce bit-identical files.  Exit codes: 0 ok, 2 config error, 3 numeric
-failure (the message names the failing cell).
+produce bit-identical files.  Exit codes, which ``main`` alone decides from the
+error's class: 0 ok, 2 ``_CONFIG_ERRORS``, 3 ``NumericError``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ EXIT_NUMERIC = 3
 
 _CORRELATED_ONLY = ("bounds", "measure")  # n < 2 is a configuration error
 _MAX_FIT_COND = 1e12
+# an input the program cannot take: exit 2, and a cell's error keeps its class
+_CONFIG_ERRORS = (ConfigError, BranchError, DomainError)
 
 
 class NumericError(RuntimeError):
@@ -177,27 +179,26 @@ def _build_family(channel_cfg: dict) -> ChannelFamily:
 # the family that ``_run_cell`` builds for it
 # ---------------------------------------------------------------------------
 
-def _cell_name(lam: float, r: float | None, n: int) -> str:
-    bits = [f"lambda={lam:g}"]
-    if r is not None:
-        bits.append(f"r={r:g}")
-    bits.append(f"n={n}")
-    return ", ".join(bits)
-
-
 def _eval_at(family: ChannelFamily, lam: float) -> BlochChannel:
     """family.eval(lam); a channel that fails to evaluate there is a numeric failure.
 
-    DomainError passes through; other value and arithmetic errors (a
-    ``custom_diag`` expression such as sqrt(-l)) name the family and lambda.
+    Past ``family.check``, value and arithmetic errors (a ``custom_diag``
+    expression such as sqrt(-l)) name the family and lambda.
     """
+    family.check(lam)
     try:
         return family.eval(lam)
-    except DomainError:
-        raise
     except (ValueError, ArithmeticError) as exc:
         raise NumericError(
             f"channel {family.name!r} failed to evaluate at lambda={lam:g}: {exc}") from exc
+
+
+def _require_unital(command: str, family: ChannelFamily, ch: BlochChannel,
+                    lam: float) -> None:
+    if (kind := classify_unitality(ch)) is not Unitality.UNITAL:
+        raise BranchError(
+            f"{command} need a unital channel; {family.name!r} is {kind.value} "
+            f"at lambda={lam:g} (use the single-qubit closed forms instead)")
 
 
 def _spec_for(family: ChannelFamily, lam: float, r: float, n: int,
@@ -236,8 +237,7 @@ def _fit_cell(family: ChannelFamily, cfg: RunConfig, lam: float, r: None,
     rs = np.asarray(cfg.purities, dtype=float)
     K = cfg.max_order
     ch = family.eval(lam)
-    if classify_unitality(ch) is not Unitality.UNITAL:
-        raise BranchError("order fitting is defined for unital channels")
+    _require_unital("fit-orders", family, ch, lam)
     spec = _spec_for(family, lam, float(rs[-1]), n, cfg.c, cfg.r0, ch)
     # one series per cell: the purity orders do not depend on r
     series = qfi_orders(purity_orders(spec, K), K)
@@ -257,13 +257,15 @@ def _fit_cell(family: ChannelFamily, cfg: RunConfig, lam: float, r: None,
 
 
 def _run_cell(fn, cfg: RunConfig, lam: float, r: float | None, n: int):
-    """fn(family, cfg, lam, r, n) for one grid cell; any failure is a
-    NumericError that names the cell."""
+    """fn(family, cfg, lam, r, n) for one grid cell; a failure names the cell, and
+    is a NumericError unless it is one of ``_CONFIG_ERRORS``."""
     family = _build_family(cfg.channel)
     try:
         return fn(family, cfg, lam, r, n)
     except Exception as exc:
-        raise NumericError(f"cell {_cell_name(lam, r, n)}: {exc}") from exc
+        kind = type(exc) if isinstance(exc, _CONFIG_ERRORS) else NumericError
+        purity = "" if r is None else f"r={r:g}, "
+        raise kind(f"cell lambda={lam:g}, {purity}n={n}: {exc}") from exc
 
 
 def _map_cells(fn, cells: list[tuple], jobs: int) -> list:
@@ -312,10 +314,7 @@ def run_bounds(cfg: RunConfig) -> tuple[list[str], list[list]]:
             raise NumericError(
                 f"channel {family.name!r} has non-finite {', '.join(bad)} "
                 f"at lambda={lam:g}", table=(header, rows))
-        if (kind := classify_unitality(ch)) is not Unitality.UNITAL:
-            raise ConfigError(
-                f"bounds need a unital channel; {family.name!r} is {kind.value} "
-                f"at lambda={lam:g} (use the single-qubit closed forms instead)")
+        _require_unital("bounds", family, ch, lam)
         c_star, r0_star = canonical_directions(ch)
         for n in cfg.qubit_counts():
             lower, upper = corr_bounds(ch, n)
@@ -345,10 +344,7 @@ def run_escher(cfg: RunConfig) -> tuple[list[str], list[list]]:
     lams = cfg.lams if cfg.lams is not None else [float(x) for x in np.linspace(0.05, 0.95, 19)]
     rs = cfg.purities if cfg.purities is not None else [float(x) for x in np.linspace(0.1, 0.9, 9)]
     header = ["lambda", "r", "escher_bound", "exact_qfi", "slack"]
-    try:
-        table = escher_phase_flip_demo(lams, rs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = escher_phase_flip_demo(lams, rs)
     return header, [[row.lam, row.r, row.bound, row.exact, row.slack] for row in table]
 
 
@@ -381,10 +377,7 @@ def run_validate_channel(cfg: RunConfig) -> tuple[list[str], list[list]]:
     rows = []
     failures = []
     for lam in lams:
-        try:
-            report = validate(_eval_at(family, lam))
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        report = validate(_eval_at(family, lam))
         detail = "; ".join(f"{name} (|{mag:.3e}|)" for name, mag in report.failures)
         rows.append([lam, "pass" if report.passed else "fail", detail])
         if not report.passed:
@@ -522,12 +515,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.validate()
     if args.command != "escher":
         family = _build_family(cfg.channel)  # fail fast on bad channel configs
-        if cfg.lams is not None:
-            for lam in cfg.lams:
-                if not family.contains(lam):
-                    raise ConfigError(
-                        f"lambda={lam:g} outside domain {list(family.domain)} "
-                        f"of channel {family.name!r}")
+        for lam in cfg.lams or ():
+            family.check(lam)  # and on a given lambda the family cannot take
     return cfg
 
 
@@ -567,12 +556,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         header, rows = _RUNNERS[cfg.command](cfg)
-    except (ConfigError, BranchError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, DomainError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        if getattr(exc, "table", None) is not None:
+        if exc.table is not None:
             _emit(cfg, *exc.table)
         return EXIT_NUMERIC
     _emit(cfg, header, rows)

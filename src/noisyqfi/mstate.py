@@ -89,7 +89,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bloch import BlochChannel, _ReadOnly, _unit_vector
+from .bloch import BlochChannel, DomainError, _ReadOnly, _unit_vector
 
 __all__ = [
     "PauliStrings",
@@ -127,14 +127,14 @@ PAULI_MATS.flags.writeable = False
 
 def _check_pauli_cap(n: int) -> None:
     if not 1 <= n <= MAX_QUBITS_PAULI:
-        raise ValueError(
+        raise DomainError(
             f"qubit count {n} outside supported range 1..{MAX_QUBITS_PAULI} "
             "for Pauli-coefficient operations")
 
 
 def _check_dense_cap(n: int) -> None:
     if not 1 <= n <= MAX_QUBITS_DENSE:
-        raise ValueError(
+        raise DomainError(
             f"qubit count {n} outside supported range 1..{MAX_QUBITS_DENSE} "
             "for dense-matrix operations")
 

@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import PERPENDICULAR_TOL, exact_qfi
-from .bloch import (BlochChannel, ChannelFamily, Unitality, _as_vector, _nonfinite_parts,
-                    _ReadOnly, _unit_vector, classify_unitality, svd3)
+from .bloch import (BlochChannel, ChannelFamily, DomainError, Unitality, _as_vector,
+                    _nonfinite_parts, _ReadOnly, _unit_vector, classify_unitality, svd3)
 from .fisher import ProbModel, cfi
 from .mstate import (
     PauliStrings,
@@ -416,11 +416,11 @@ def escher_phase_flip_demo(lams, rs) -> tuple[EscherRow, ...]:
     rows = []
     for lam in np.asarray(lams, dtype=float):
         if not 0.0 < lam < 1.0:
-            raise ValueError(f"the bound needs lam strictly inside (0, 1), got {lam}")
+            raise DomainError(f"the bound needs lam strictly inside (0, 1), got {lam}")
         bound = 1.0 / (lam * (1.0 - lam))
         for r in np.asarray(rs, dtype=float):
             if not 0.0 <= r < 1.0:
-                raise ValueError(f"purity must lie in [0, 1), got {r}")
+                raise DomainError(f"purity must lie in [0, 1), got {r}")
             exact = 4.0 * r ** 2 / (1.0 - (1.0 - 2.0 * lam) ** 2 * r ** 2)
             slack = bound - exact
             if slack <= 0.0:
@@ -447,9 +447,9 @@ def nonunital_corr_equals_sqsc_check(family: ChannelFamily, lam: float,
     """Check that correlating qubits buys nothing at zero purity.
 
     For a parameter-dependent shift vector the lowest QFI order is the
-    zeroth one, which is blind to the preparation; the exact QFI at r = 0
-    must therefore agree between the correlated protocol and the single
-    qubit baseline, and both must match the closed form.
+    zeroth one, blind to the preparation: the exact QFIs at r = 0 (no series,
+    so no n <= 10 cap) of the correlated protocol and the single-qubit
+    baseline must agree, and match the closed form.
     """
     ch = family.eval(lam)
     if classify_unitality(ch) is not Unitality.NONUNITAL_PARAM_SHIFT:
@@ -457,8 +457,8 @@ def nonunital_corr_equals_sqsc_check(family: ChannelFamily, lam: float,
             f"channel {family.name!r} does not have a parameter-dependent shift")
     r0 = np.array([1.0, 0.0, 0.0])
     c = np.array([0.0, 0.0, 1.0])
-    q_sqsc = protocol_qfi(sqsc(family, lam, 0.0, r0, ch=ch), K=0).exact
-    q_corr = protocol_qfi(correlated(family, lam, n, 0.0, c, r0, ch=ch), K=0).exact
+    q_sqsc = exact_qfi(sqsc(family, lam, 0.0, r0, ch=ch))
+    q_corr = exact_qfi(correlated(family, lam, n, 0.0, c, r0, ch=ch))
     h0 = sqsc_nonunital_h0(ch)
     scale = max(1.0, abs(q_sqsc))
     return NoGainReport(

@@ -281,11 +281,6 @@ class TestFdDerivative:
         with pytest.raises(ValueError, match="fd step must be finite and positive"):
             fd_derivative(fam.value, 0.3, h=h)
 
-    def test_domain_violation(self):
-        fam = builtin("phase_flip")
-        with pytest.raises(DomainError):
-            fd_derivative(fam.value, 0.0, h=1e-3, domain=fam.domain)
-
     def test_agrees_with_analytic_builtins(self):
         h = 1e-6
         for fam in ALL_BUILTINS:
@@ -381,6 +376,33 @@ class TestFamilyFromCallables:
         with pytest.raises(ValueError, match="fd_step must be positive and finite"):
             ChannelFamily("bad", (0.0, 1.0), lambda lam: (np.eye(3), np.zeros(3)),
                           fd_step=fd_step)
+
+    def test_eval_at_the_stencil_edge_is_a_domain_error(self):
+        # without deriv, lam -+ fd_step must lie in the domain too; the
+        # family refuses before it evaluates anything
+        calls = []
+
+        def value(lam):
+            calls.append(lam)
+            return np.diag([lam, lam, 1.0]), np.zeros(3)
+
+        fam = ChannelFamily("edge", (0.0, 1.0), value, fd_step=1e-3)
+        for lam, message in [
+                (0.0, r"central difference at 0.0 with h=0.001 leaves domain \[0.0, 1.0\]"),
+                (1.0, r"central difference at 1.0 with h=0.001 leaves domain \[0.0, 1.0\]"),
+                (1.5, r"lambda=1.5 outside domain \[0.0, 1.0\] of channel 'edge'")]:
+            assert not fam.contains(lam)
+            with pytest.raises(DomainError, match=message):
+                fam.eval(lam)
+        assert calls == []
+        # the ends take the same 1e-12 of slack as the domain itself
+        for lam in (1e-3, 1e-3 - 1e-13, 1.0 - 1e-3):
+            assert fam.contains(lam)
+            fam.eval(lam)
+        # with deriv the domain's ends are evaluable
+        exact = ChannelFamily("edge", (0.0, 1.0), value, lambda lam: (np.eye(3), np.zeros(3)))
+        assert exact.contains(0.0) and exact.contains(1.0)
+        np.testing.assert_array_equal(exact.eval(0.0).dM, np.eye(3))
 
     def test_fd_fallback_matches_hand_derivative(self):
         def value(lam):

@@ -247,6 +247,16 @@ class TestRunFitOrders:
 
 
 class TestRunMeasure:
+    def test_quarter_turn_is_optimal_at_finite_purity(self):
+        # at lambda = pi/2 the phase_shift measurement reaches the QFI at
+        # every purity, not only at lowest order
+        cfg = RunConfig(command="measure", channel={"name": "phase_shift", "params": {}},
+                        lams=[math.pi / 2], purities=[0.05, 0.5, 0.9], ns=[2, 3, 6])
+        _, rows = run_measure(cfg)
+        assert [(row[0], row[2]) for row in rows] == \
+            [(n, r) for r in (0.05, 0.5, 0.9) for n in (2, 3, 6)]
+        assert all(abs(row[-1] - 1.0) <= 1e-13 for row in rows)
+
     def test_jobs_do_not_change_output(self):
         cfg = RunConfig(command="measure", channel={"name": "phase_flip", "params": {}},
                         lams=[0.2, 0.3, 0.4], purities=[1e-3, 0.1], ns=[2, 3])
@@ -426,9 +436,10 @@ class TestMainExitCodes:
         assert "nan" not in captured.out
 
     def test_series_commands_keep_dense_cap(self, capsys):
+        # a qubit count past a solver's range is an input it cannot take
         for argv in (["qfi", "--purity", "1e-3"], ["fit-orders"]):
             code = main(argv + ["--channel", "phase_flip", "--lambda", "0.3", "--n", "11"])
-            assert code == EXIT_NUMERIC
+            assert code == EXIT_CONFIG
             assert "n=11: qubit count 11 outside supported range 1..10 for dense-matrix " \
                 "operations\n" in capsys.readouterr().err
 
@@ -459,6 +470,7 @@ class TestMainExitCodes:
 
 
 _SUBCOMMANDS = ("qfi", "bounds", "measure", "escher", "fit-orders", "validate-channel")
+_CHANNEL_COMMANDS = ("qfi", "measure", "fit-orders", "bounds", "validate-channel")
 
 # malformed option text -> (extra argv or None, [run] lines or None, option named)
 _MALFORMED = {
@@ -473,11 +485,87 @@ _MALFORMED = {
 }
 
 
+# Inputs a channel command cannot take, each with its lambda given and by
+# default: (case, command, flags, the message after "config error: ", or None
+# where the command succeeds).  A message from inside a grid cell names the
+# cell.  "edge.cfg" is the custom_diag family 1 - l, 1 - l, 1 on [0, 0.5],
+# whose default lambda 0.5 puts the central difference past the domain's end.
+_CUSTOM_DIAG = ["--channel", "custom_diag", "--param", "mx=1-l", "--param", "my=1-l",
+                "--param", "mz=1"]
+_STENCIL = "central difference at {} with h=1e-06 leaves domain [0.0, {}]"
+_NOT_UNITAL = ("{} need a unital channel; 'gad' is nonunital_param_shift at lambda={} "
+               "(use the single-qubit closed forms instead)")
+_CAP = "qubit count {0} outside supported range 1..{1} for {2} operations"
+_QUBIT_RANGE = {  # command: past its cap (n, message), below its range (n, message)
+    "qfi": (("11", _CAP.format(11, 10, "dense-matrix")),
+            ("0", "qubit counts must be >= 1, got [0]")),
+    "measure": (("15", _CAP.format(15, 14, "Pauli-coefficient")),
+                ("1", "measure needs correlated protocols (n >= 2), got n=1")),
+    "fit-orders": (("11", _CAP.format(11, 10, "dense-matrix")),
+                   ("0", "qubit counts must be >= 1, got [0]")),
+    "bounds": (None, ("1", "bounds needs correlated protocols (n >= 2), got n=1")),
+}
+
+
+def _in_cell(command: str, lam: str, n, message: str) -> str:
+    r = "" if command == "fit-orders" else "r=0.001, "
+    return f"cell lambda={lam}, {r}n={n}: {message}"
+
+
+_UNTAKEN = [
+    *[("stencil-edge", command, _CUSTOM_DIAG + ["--lambda", "0"], _STENCIL.format("0.0", "1.0"))
+      for command in _CHANNEL_COMMANDS],
+    *[("stencil-edge", command, ["--config", "edge.cfg"], message)
+      for command, message in [
+          ("qfi", _in_cell("qfi", "0.5", 1, _STENCIL.format("0.5", "0.5"))),
+          ("measure", _in_cell("measure", "0.5", 2, _STENCIL.format("0.5", "0.5"))),
+          ("fit-orders", _in_cell("fit-orders", "0.5", 1, _STENCIL.format("0.5", "0.5"))),
+          ("bounds", _STENCIL.format("0.5", "0.5")),
+          ("validate-channel", None)]],  # its default grid keeps clear of the stencil
+    *[("not-unital", command, ["--channel", "gad", "--param", "p=0.8", *given], message)
+      for given, lam in (([], "0.5"), (["--lambda", "0.4"], "0.4"))
+      for command, message in [
+          ("fit-orders", _in_cell("fit-orders", lam, 1, _NOT_UNITAL.format("fit-orders", lam))),
+          ("bounds", _NOT_UNITAL.format("bounds", lam))]],
+    *[("past-cap", command, ["--channel", "phase_flip", *given, "--n", n],
+       _in_cell(command, lam, n, message))
+      for given, lam in (([], "0.5"), (["--lambda", "0.3"], "0.3"))
+      for command, (past, _) in _QUBIT_RANGE.items() if past is not None
+      for n, message in [past]],
+    *[("below-range", command, ["--channel", "phase_flip", *given, "--n", n], message)
+      for given in ([], ["--lambda", "0.3"])
+      for command, (_, (n, message)) in _QUBIT_RANGE.items()],
+]
+
+
 class TestExitCodeContract:
-    """Malformed option text is exit 2 naming the option, for every subcommand."""
+    """Malformed option text is exit 2 naming the option, for every subcommand;
+    an input a channel command cannot take is exit 2 too, from every command."""
 
     def test_subcommands_are_the_runners(self):
         assert set(_SUBCOMMANDS) == set(cli._RUNNERS)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param(command, flags, message, id="-".join(
+            [case, command, "given" if "--lambda" in flags else "default"]))
+        for case, command, flags, message in _UNTAKEN])
+    def test_input_a_command_cannot_take_is_config_error(self, command, flags, message, jobs,
+                                                         tmp_path, monkeypatch, capsys):
+        # the stencil edge and a qubit count past a cap once failed their
+        # cells with exit 3, and so did fit-orders on a channel that is not
+        # unital; a cell's error crosses the process pool in its class
+        (tmp_path / "edge.cfg").write_text(
+            "[channel]\nname = custom_diag\nlambda_domain = [0, 0.5]\n"
+            "[params]\nmx = 1-l\nmy = 1-l\nmz = 1\n")
+        monkeypatch.chdir(tmp_path)
+        code = main([command, *flags, "--jobs", jobs])
+        captured = capsys.readouterr()
+        if message is None:
+            assert (code, captured.err) == (EXIT_OK, "")
+        else:
+            assert (code, captured.out, captured.err) == \
+                (EXIT_CONFIG, "", f"config error: {message}\n")
 
     @pytest.mark.parametrize("case", sorted(_MALFORMED))
     @pytest.mark.parametrize("command", _SUBCOMMANDS)

@@ -75,3 +75,24 @@ def test_cli_import_loads_no_pool_and_few_dataclasses():
     assert loaded["pool"] == []
     assert loaded["records"] == []
     assert loaded["dataclasses"] == []
+
+
+_DOMAIN_PHRASES = ("outside supported range", "outside domain", "leaves domain")
+
+
+def test_domain_and_range_checks_raise_domain_error():
+    # the CLI maps DomainError to exit 2; a cap or domain check that raised
+    # a bare ValueError would fail its cell with exit 3 instead
+    found, wrong = 0, []
+    for path in sorted(Path(noisyqfi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            text = "".join(part.value for part in ast.walk(node.exc)
+                           if isinstance(part, ast.Constant) and isinstance(part.value, str))
+            if any(phrase in text for phrase in _DOMAIN_PHRASES):
+                found += 1
+                if ast.unparse(node.exc.func) != "DomainError":
+                    wrong.append((path.name, node.lineno))
+    assert not wrong
+    assert found >= 5  # the two lambda rules and the three qubit caps

@@ -504,6 +504,14 @@ class TestNonUnitalNoGain:
         rep = nonunital_corr_equals_sqsc_check(builtin("gad", p=0.8), 0.55, 2)
         assert rep.equal and rep.h0_matches
 
+    @pytest.mark.parametrize("n", [20, 1000])
+    def test_past_the_series_cap(self, n):
+        # only the exact QFIs are read: c = z and r0 = x take the 4x4 pieces,
+        # so the purity series' n <= 10 does not apply
+        rep = nonunital_corr_equals_sqsc_check(builtin("gad", p=0.8), 0.4, n)
+        assert rep.equal and rep.h0_matches
+        assert rep.qfi_corr == pytest.approx(rep.h0_closed_form, rel=1e-14)
+
     def test_evaluates_the_channel_once(self, monkeypatch):
         # the class check, the closed form and both specs' frames share one
         # evaluation; specs built without it evaluated the family twice more

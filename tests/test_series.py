@@ -848,6 +848,19 @@ class TestHigherOrders:
         with pytest.raises(ValueError, match="perpendicular"):
             corr_h3_h4(ch, 3, [1, 0, 0], [1, 0, 0])
 
+    @pytest.mark.parametrize("tilt, perpendicular", [(1e-9, False), (0.5e-9, True)])
+    def test_perpendicular_is_the_pieces_rule(self, tilt, perpendicular):
+        # |c.r0| < blocks.PERPENDICULAR_TOL, as for the pieces and the frame
+        # of c: c.r0 = 1e-9 exactly is oblique there, and so here
+        ch = builtin("depolarizing").eval(0.3)
+        c, r0 = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, tilt])
+        assert c @ r0 == tilt
+        if perpendicular:
+            corr_h3_h4(ch, 3, c, r0)
+        else:
+            with pytest.raises(ValueError, match="perpendicular"):
+                corr_h3_h4(ch, 3, c, r0)
+
     def test_fitted_exact_qfi_matches_corrected_form(self):
         fam = builtin("depolarizing")
         lam, n = 0.25, 3
