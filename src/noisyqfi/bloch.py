@@ -231,7 +231,8 @@ class ChannelFamily(_ReadOnly):
 
     value(lam) gives (M, d) and deriv(lam) (dM, dd); without deriv the
     derivative is a central difference of step fd_step.  The domain must be
-    finite with lo < hi and fd_step finite and positive.  A family carries
+    finite with lo < hi and fd_step finite and positive, and without deriv
+    the stencil, 2 fd_step wide, must fit in the domain.  A family carries
     no unitality class: that is ``classify_unitality(family.eval(lam))``.
     """
 
@@ -244,6 +245,9 @@ class ChannelFamily(_ReadOnly):
             raise ValueError(f"domain must be finite with lo < hi, got {list(domain)}")
         if not 0.0 < fd_step < math.inf:
             raise ValueError(f"fd_step must be positive and finite, got {fd_step}")
+        if deriv is None and 2.0 * fd_step > hi - lo:
+            raise ValueError(f"central difference with fd_step={fd_step} fits nowhere "
+                             f"in domain {list(domain)}")
         vars(self).update(name=name, domain=domain, value=value, deriv=deriv,
                           fd_step=fd_step, params={} if params is None else params)
 

@@ -372,6 +372,11 @@ def run_validate_channel(cfg: RunConfig) -> tuple[list[str], list[list]]:
     else:
         lo, hi = family.domain
         pad = max(2.0 * family.fd_step, (hi - lo) * 1e-9)
+        if not lo + pad < hi - pad:
+            raise ConfigError(
+                f"default lambda grid: padding 2*fd_step={2.0 * family.fd_step:g} at "
+                f"each end leaves no grid in domain {list(family.domain)} of channel "
+                f"{family.name!r}; give a --lambda grid or a smaller fd_step")
         lams = [float(x) for x in np.linspace(lo + pad, hi - pad, 101)]
     header = ["lambda", "status", "violations"]
     rows = []

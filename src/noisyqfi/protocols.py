@@ -39,7 +39,9 @@ from .bloch import (BlochChannel, ChannelFamily, DomainError, Unitality, _as_vec
                     _nonfinite_parts, _ReadOnly, _unit_vector, classify_unitality, svd3)
 from .fisher import ProbModel, cfi
 from .mstate import (
+    OrderedState,
     PauliStrings,
+    _bits_of_digits,
     _check_dense_cap,
     _frame,
     apply_channel,
@@ -175,17 +177,42 @@ def build_state(spec: ProtocolSpec) -> PreparedState:
                          apply_channel_derivative(state, ch))
 
 
+def _strings_the_series_reads(ordered: OrderedState, K: int) -> OrderedState:
+    """The strings of order a with at most K - a spectator flips (X or Y
+    letters on qubits 1..n-1).
+
+    The preparation (diagonal in the frame of c) and the channel (on qubit 0)
+    keep a string's spectator flips, so order j of rho and d(rho)/dlam, and
+    by induction L^(j), has lines of at most j of them.  Every term of H^(k),
+    k <= K, reads rho^(a) and d(rho^(a))/dlam on lines of at most K - a
+    (Tr[d(rho^(a)) L^(b)] and Tr[rho^(a) L^(b) L^(c)] with b + c <= K - a), so
+    the rest are never read.  Orders through K // 2 keep every string.
+    """
+    n, strings, ends = ordered.n, ordered.strings, ordered.ends
+    flips = _bits_of_digits(strings ^ (strings >> 1)) & ((1 << (n - 1)) - 1)
+    order = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
+    kept = order + np.bitwise_count(flips) <= K
+    counts = np.bincount(order[kept], minlength=len(ends) - 1)
+    return OrderedState._adopt(n, strings[kept], ordered.coeffs[kept],
+                               (0, *np.cumsum(counts).tolist()))
+
+
 def purity_orders(spec: ProtocolSpec, max_order: int) -> StateOrders:
     """Purity orders of the channel output in the frame of c, as XOR lines,
     up to min(n, max_order).  They do not depend on the spec's purity.
 
-    The input orders, the preparation and the channel work on the nonzero
-    Pauli strings of all orders at once; the output orders are then
-    transformed to their lines in one pass, and their derivatives in another.
+    Orders through max_order // 2 are whole; a higher order a keeps the
+    strings with at most max_order - a spectator flips
+    (``_strings_the_series_reads``), so the orders serve ``qfi_orders`` at
+    any K <= max_order.  The input orders, the preparation and the channel
+    work on the nonzero Pauli strings of all orders at once; the output
+    orders are then transformed to their lines in one pass, and their
+    derivatives in another.
     """
     _check_dense_cap(spec.n)  # fail before any large allocation
     r0, ch = spec.in_frame
     ordered = initial_state_orders(spec.n, r0, max_order=min(spec.n, max_order))
+    ordered = _strings_the_series_reads(ordered, max_order)
     if spec.c is not None:
         ordered = prep_conjugate(ordered)
     return channel_output_orders(ordered, ch)

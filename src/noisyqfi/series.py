@@ -30,7 +30,8 @@ QFI order through K:
 Every operator of the series is held as its nonzero XOR lines
 D[x + f, x] (+ the bitwise XOR; ``mstate.XorLines``), which the purity
 orders fill sparsely: at n = 9 and the canonical directions orders 0..4
-fill 1, 9, 36, 84 and 126 of the 512 lines.  No 2^n x 2^n matrix is formed,
+fill 1, 9, 36, 84 and 126 of the 512 lines, and a K = 4 series reads 1, 9,
+36, 0 and 0 of them (``qfi_orders``).  No 2^n x 2^n matrix is formed,
 and every step costs (number of lines) 2^n in place of 4^n:
 
 * a map of the qubit-0 2x2 blocks (the products with rho^(0) and L^(0),
@@ -121,7 +122,13 @@ def require_unital(ch: BlochChannel) -> None:
 
 
 class StateOrders(_ReadOnly):
-    """Purity orders of the final state and their lam derivatives, as XOR lines."""
+    """Purity orders of the final state and their lam derivatives, as XOR lines.
+
+    From ``channel_output_orders`` every order is whole.  From
+    ``protocols.purity_orders(spec, K)`` the orders through K // 2 are whole,
+    and a higher order a holds the lines of at most K - a spectator flips,
+    the only ones ``qfi_orders`` reads at any K' <= K.
+    """
 
     def __init__(self, rho, drho):
         rho, drho = tuple(rho), tuple(drho)
@@ -390,10 +397,15 @@ def qfi_orders(orders: StateOrders, K: int) -> QfiSeries:
     rho, drho, last = orders.rho, orders.drho, orders.max_order
     times_h0, times_ell = _left(sld.rho0_factor), _left(sld.sld0_factor)
     H = np.zeros(K + 1)
+    # an order with no line (``protocols.purity_orders`` builds only the
+    # lines read) adds +0.0 to H, which is never -0.0: it is skipped
     for b, Lb in enumerate(L):
         for a in range(min(K - b, last) + 1):
-            H[a + b] += 2.0 * _re_inner(drho[a], Lb)
+            if len(drho[a].flips):
+                H[a + b] += 2.0 * _re_inner(drho[a], Lb)
     for a in range(min(K, last) + 1):
+        if not len(rho[a].flips):
+            continue
         for b in range(min(top, (K - a) // 2) + 1):
             if a == 0:
                 P = times_h0(L[b])

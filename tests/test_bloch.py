@@ -377,6 +377,22 @@ class TestFamilyFromCallables:
             ChannelFamily("bad", (0.0, 1.0), lambda lam: (np.eye(3), np.zeros(3)),
                           fd_step=fd_step)
 
+    def test_stencil_wider_than_the_domain_is_refused(self):
+        # without deriv, a family whose lam -+ fd_step fits nowhere in the
+        # domain could be evaluated nowhere; 2 fd_step = hi - lo fits at the
+        # midpoint alone
+        def value(lam):
+            return np.diag([lam, lam, 1.0]), np.zeros(3)
+
+        with pytest.raises(ValueError, match=r"central difference with fd_step=0.6 "
+                                             r"fits nowhere in domain \[0.0, 1.0\]"):
+            ChannelFamily("wide", (0.0, 1.0), value, fd_step=0.6)
+        fam = ChannelFamily("wide", (0.0, 1.0), value, fd_step=0.5)
+        assert fam.contains(0.5) and not fam.contains(0.4)
+        exact = ChannelFamily("wide", (0.0, 1.0), value,
+                              lambda lam: (np.eye(3), np.zeros(3)), fd_step=0.6)
+        assert exact.contains(0.0)
+
     def test_eval_at_the_stencil_edge_is_a_domain_error(self):
         # without deriv, lam -+ fd_step must lie in the domain too; the
         # family refuses before it evaluates anything

@@ -402,6 +402,36 @@ class TestMainExitCodes:
         assert all(",fail,largest singular value of M <= 1" in row for row in rows)
         assert "failed validation" in captured.err
 
+    @pytest.mark.parametrize("fd_step, message", [
+        ("0.25", "default lambda grid: padding 2*fd_step=0.5 at each end leaves no grid"),
+        ("0.3", "default lambda grid: padding 2*fd_step=0.6 at each end leaves no grid"),
+        ("0.45", "default lambda grid: padding 2*fd_step=0.9 at each end leaves no grid"),
+        ("0.6", "cannot build channel 'custom_diag': central difference with "
+                "fd_step=0.6 fits nowhere in domain [0.0, 1.0]")])
+    def test_validate_channel_default_grid_needs_room(self, fd_step, message, capsys):
+        # the grid pads each end by 2 fd_step: it once ran backwards from
+        # 0.6 to 0.4 at fd_step = 0.3, and named lambda = 0.9 at 0.45
+        argv = ["validate-channel", "--channel", "custom_diag", "--param", "mx=1",
+                "--param", "my=1", "--param", "mz=1", "--param", f"fd_step={fd_step}"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {message}")
+        if "grid" in message:
+            assert captured.err.endswith(
+                " in domain [0.0, 1.0] of channel 'custom_diag'; "
+                "give a --lambda grid or a smaller fd_step\n")
+        # a given grid takes no padding: the midpoint holds every stencil
+        # that fits in the domain
+        fits = fd_step != "0.6"
+        assert main(argv + ["--lambda", "0.5:0.5:1"]) == (EXIT_OK if fits else EXIT_CONFIG)
+        capsys.readouterr()
+        argv[-1] = "fd_step=0.2"  # room left: 101 ascending values from 0.4 to 0.6
+        assert main(argv) == EXIT_OK
+        lams = [float(row.split(",")[0]) for row in capsys.readouterr().out.splitlines()[1:]]
+        assert len(lams) == 101 and lams[0] == 0.4 and lams[-1] == 0.6
+        assert all(a < b for a, b in zip(lams, lams[1:]))
+
     def test_measure_at_domain_end(self, capsys):
         # the outcome derivative is exact, so the domain end lambda = 1 works
         code = main(["measure", "--channel", "phase_flip", "--lambda", "1.0",

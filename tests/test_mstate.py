@@ -7,7 +7,7 @@ import pytest
 
 from noisyqfi import builtin, correlated, mstate as ms, sqsc
 from noisyqfi.blocks import PERPENDICULAR_TOL
-from noisyqfi.protocols import build_state, purity_orders
+from noisyqfi.protocols import _strings_the_series_reads, build_state, purity_orders
 from noisyqfi.mstate import (
     OrderedState,
     PauliStrings,
@@ -889,12 +889,16 @@ def _case_spec(n: int, case: str, r: float = 0.2):
     return spec
 
 
-def _string_output_orders(spec, max_order: int):
+def _string_output_orders(spec, max_order: int, read_only: bool = False):
     """``protocols.purity_orders`` one output order at a time, before
     to_dense: the strings of each input order through the preparation and
-    the channel (and its derivative)."""
+    the channel (and its derivative).  With read_only, each input order
+    keeps the strings that the QFI series through max_order reads, as
+    purity_orders does."""
     r0, ch = spec.in_frame
     ordered = initial_state_orders(spec.n, r0, min(spec.n, max_order))
+    if read_only:
+        ordered = _strings_the_series_reads(ordered, max_order)
     if spec.c is not None:
         ordered = prep_conjugate(ordered)
     for st in ordered.orders:
@@ -920,7 +924,7 @@ class TestStringsAgainstDenseOrders:
     def test_purity_orders_are_the_stages(self):
         spec = _case_spec(6, "oblique")
         orders = purity_orders(spec, 4)
-        for j, (rho, drho) in enumerate(_string_output_orders(spec, 4)):
+        for j, (rho, drho) in enumerate(_string_output_orders(spec, 4, read_only=True)):
             for got, want in ((orders.rho[j], to_dense(rho)), (orders.drho[j], to_dense(drho))):
                 assert np.array_equal(got.flips, want.flips)
                 assert np.array_equal(got.lines, want.lines)

@@ -107,13 +107,14 @@ class TestBuildState:
     def test_first_order_matches_closed_form_after_hadamard_rotation(self):
         # c = z with the initial direction rotated into the x axis: the first
         # order of the channel input is (sum over slots of r0 at one slot and
-        # c elsewhere) / 2^n for perpendicular directions
+        # c elsewhere) / 2^n for perpendicular directions; order 1 is whole
+        # in the orders of a K = 2 series
         c = np.array([0.0, 0.0, 1.0])
         r0 = np.array([1.0, 0.0, 0.0])
         lam = 0.5
         spec = correlated(DEPOL, lam, 2, 0.2, c, r0)
         from support import dense_of, sigma
-        rho1 = dense_of(purity_orders(spec, 1).rho[1])
+        rho1 = dense_of(purity_orders(spec, 2).rho[1])
         want = lam * (np.kron(sigma(r0), sigma(c)) + np.kron(sigma(c), sigma(r0))) / 4.0
         np.testing.assert_allclose(rho1, want, atol=1e-13)
 

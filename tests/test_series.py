@@ -458,8 +458,10 @@ class TestRealLines:
         assert np.array_equal(qfi_orders(orders, K).orders, qfi_orders(cast, K).orders)
 
     def test_canonical_series_memory(self):
-        # real lines take half the bytes of complex ones: gad at n = 9, K = 4
-        # peaked at 3.27 MiB (6.50 MiB with every operator complex)
+        # real lines take half the bytes of complex ones, and orders 3 and 4
+        # hold only the lines the series reads: gad at n = 9, K = 4 peaked at
+        # 1.59 MiB (3.27 MiB with every string, 6.50 MiB with every operator
+        # complex)
         fam = REAL_FAMILIES["gad"]
         ch = fam.eval(0.3)
         spec = correlated(fam, 0.3, 9, 1e-3, *canonical_directions(ch), ch=ch)
@@ -471,7 +473,7 @@ class TestRealLines:
         finally:
             tracemalloc.stop()
         assert np.isfinite(H.orders).all()
-        assert peak <= 4.5 * 2 ** 20
+        assert peak <= 2.5 * 2 ** 20
 
     def test_one_complex_operand_makes_a_complex_result(self):
         rng = np.random.default_rng(150)
@@ -500,6 +502,12 @@ DIRECTIONS = {
 }
 
 
+def _direction_spec(fam, n, direction):
+    """The spec at lam = 0.3, r = 0.1 with the directions named."""
+    pair = DIRECTIONS[direction] or canonical_directions(fam.eval(0.3))
+    return sqsc(fam, 0.3, 0.1, pair[1]) if n == 1 else correlated(fam, 0.3, n, 0.1, *pair)
+
+
 class TestLinesAgainstDenseOracle:
     """sld_orders and qfi_orders on XOR lines against the dense eigenbasis
     solver, for the orders that protocols.purity_orders builds (n <= 10)."""
@@ -507,10 +515,7 @@ class TestLinesAgainstDenseOracle:
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_matches_oracle(self, n, direction):
-        fam, lam = builtin("gad", p=0.8), 0.3
-        pair = DIRECTIONS[direction] or canonical_directions(fam.eval(lam))
-        spec = (sqsc(fam, lam, 0.1, pair[1]) if n == 1
-                else correlated(fam, lam, n, 0.1, *pair))
+        spec = _direction_spec(builtin("gad", p=0.8), n, direction)
         # at n = 10 the dense oracle costs about 0.2 s per product: K <= 4
         ks = (2, 4) if n == 10 else (2, 4, 5, 6)
         orders = protocols_module.purity_orders(spec, max(ks))
@@ -523,6 +528,70 @@ class TestLinesAgainstDenseOracle:
             L_max = max(np.abs(Lk).max() for Lk in L_ref[:K // 2 + 1])
             for k in range(K // 2 + 1):
                 assert np.abs(dense_of(L[k]) - L_ref[k]).max() <= 1e-12 * L_max, (K, k)
+
+
+def _whole_orders(spec, K):
+    """The purity orders of every string: the stages of purity_orders
+    without its selection of the strings the series reads."""
+    r0, ch = spec.in_frame
+    ordered = initial_state_orders(spec.n, r0, max_order=min(spec.n, K))
+    if spec.c is not None:
+        ordered = prep_conjugate(ordered)
+    return channel_output_orders(ordered, ch)
+
+
+class TestOrdersTheSeriesReads:
+    """purity_orders keeps order a's strings with at most K - a spectator
+    flips: the QFI series on them equals the series on every string, bit for
+    bit, and orders through K // 2 are whole."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("name", REAL_FAMILIES)
+    def test_series_equals_the_series_on_every_string(self, name, n):
+        fam = REAL_FAMILIES[name]
+        for direction in (["canonical"] if n == 1 else DIRECTIONS):
+            spec = _direction_spec(fam, n, direction)
+            whole = _whole_orders(spec, 8)  # every order through 8 is whole
+            for K in (2, 3, 4, 5, 6, 8):
+                orders = protocols_module.purity_orders(spec, K)
+                for a in range(min(n, K // 2) + 1):
+                    assert _same_lines(orders.rho[a], whole.rho[a]), (direction, K, a)
+                    assert _same_lines(orders.drho[a], whole.drho[a]), (direction, K, a)
+                assert np.array_equal(qfi_orders(orders, K).orders,
+                                      qfi_orders(whole, K).orders), (direction, K)
+
+    def test_canonical_line_counts(self):
+        # n = 9, K = 4: orders 3 and 4 hold 84 and 126 lines of rho, none read
+        counts = {}
+        for name in ("phase_flip", "gad"):
+            fam = REAL_FAMILIES[name]
+            orders = protocols_module.purity_orders(_direction_spec(fam, 9, "canonical"), 4)
+            counts[name] = ([len(A.flips) for A in orders.rho],
+                            [len(A.flips) for A in orders.drho])
+        assert counts == {"phase_flip": ([1, 9, 36, 0, 0], [0, 9, 0, 0, 0]),
+                          "gad": ([1, 9, 36, 0, 0], [1, 9, 36, 0, 0])}
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_orders_serve_every_lower_k(self, direction):
+        for name, fam in REAL_FAMILIES.items():
+            for n in (3, 6):
+                spec = _direction_spec(fam, n, direction)
+                orders = protocols_module.purity_orders(spec, 8)
+                for K in range(9):
+                    want = qfi_orders(protocols_module.purity_orders(spec, K), K).orders
+                    assert np.array_equal(qfi_orders(orders, K).orders, want), (name, n, K)
+
+    @pytest.mark.parametrize("name", REAL_FAMILIES)
+    def test_one_qubit_and_parallel_keep_every_string(self, name):
+        # no spectator (n = 1), or r0 along c: no string flips a spectator
+        fam = REAL_FAMILIES[name]
+        for n, direction in ((1, "canonical"), (4, "parallel"), (7, "parallel")):
+            spec = _direction_spec(fam, n, direction)
+            for K in (1, 2, 4):
+                orders, whole = protocols_module.purity_orders(spec, K), _whole_orders(spec, K)
+                for got, want in zip(orders.rho + orders.drho, whole.rho + whole.drho,
+                                     strict=True):
+                    assert _same_lines(got, want), (n, K)
 
 
 class TestQfiOrders:
