@@ -15,7 +15,6 @@ from .bloch import (
     DomainError,
     SvdDecomp,
     Unitality,
-    apply_bloch,
     builtin,
     classify_unitality,
     fd_derivative,

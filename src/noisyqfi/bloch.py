@@ -28,7 +28,6 @@ __all__ = [
     "ChannelFamily",
     "DomainError",
     "validate",
-    "apply_bloch",
     "svd3",
     "fd_derivative",
     "builtin",
@@ -38,6 +37,14 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _ZERO_TOL = 1e-12  # d or dd of a smaller norm counts as identically zero
+
+PAULI_MATS = np.array([
+    [[1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex)
+PAULI_MATS.flags.writeable = False
 
 
 class DomainError(ValueError):
@@ -108,6 +115,16 @@ class BlochChannel(_ReadOnly):
                           dM=_as_matrix(dM, "dM"), dd=_as_vector(dd, "dd"))
 
 
+def _pauli_maps(ch: BlochChannel) -> np.ndarray:
+    """The channel and its derivative as (2, 4, 4) maps of the Pauli components
+    I, X, Y, Z: I -> I + d.sigma, a.sigma -> (M a).sigma; (dM, dd) keeps no I."""
+    F = np.zeros((2, 4, 4))
+    F[0, 0, 0] = 1.0
+    F[0, 1:, 0], F[0, 1:, 1:] = ch.d, ch.M
+    F[1, 1:, 0], F[1, 1:, 1:] = ch.dd, ch.dM
+    return F
+
+
 def _nonfinite_parts(ch: BlochChannel) -> list[str]:
     """The names of the channel's arrays (M, d, dM, dd) with a non-finite entry."""
     return [name for name in ("M", "d", "dM", "dd")
@@ -153,16 +170,9 @@ def validate(channel: BlochChannel) -> ValidationReport:
 
 def _unit_vector(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
+    if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= DEFAULT_TOL:  # NaN fails too
         raise ValueError(f"{name} must be a unit 3-vector, got {v!r}")
     return v
-
-
-def apply_bloch(channel: BlochChannel, r: float, r_i: np.ndarray) -> np.ndarray:
-    """Map a Bloch vector of purity r and unit direction r_i through the channel."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"purity must lie in [0, 1], got {r}")
-    return r * (channel.M @ _unit_vector(r_i, "r_i")) + channel.d
 
 
 class SvdDecomp(NamedTuple):

@@ -25,7 +25,8 @@ a, b = (1 +- r)/2 and J the spin-j matrices in the J_z basis:
 
 Only the weights a^(j+nu) b^(j-nu) and qubit 0's Bloch vector r r0 depend on
 the purity.  ``exact_qfis`` therefore solves a purity sweep at once: the
-channel in the frame, the qubit-0 maps and the eigenvectors W are built once,
+channel in the frame, the qubit-0 maps (``_qubit0_maps``) and the
+eigenvectors W are built once,
 and the normalised blocks rho_j / t_j of one spin at every purity where the
 trace t_j is nonzero form one (P, 2(2j+1), 2(2j+1)) stack, decomposed once
 (``fisher.in_eigenbasis``) and summed by one call of the stacked
@@ -34,7 +35,7 @@ carried as logs, so no t_j underflows.  The single-qubit protocol is the
 M = 0 case: one 2x2 block.  PIQS uses the same decomposition (Shammah et
 al., PRA 98, 063815 (2018)).  A dense eigh per spin costs about n^4 in all.
 
-When c is perpendicular to r0 no spin block is needed.  On the whole state
+When c is ``perpendicular`` to r0 no spin block is needed.  On the whole state
 C = D (|0><0| (x) 1 + |1><1| (x) Z), with D the spectators' own CZ phases and
 Z = sigma_z^(x)M.  D does not depend on lambda and commutes with the channel
 on qubit 0, so it drops out of the QFI.  In the frame of c, r0' lies in the
@@ -57,11 +58,11 @@ W_k = B(k) + B(M - k) of the state and the C(M, M/2)/2 pieces of k = M/2
     QFI = sum_{k <= M/2} W_k Q_k,
 
 with Q_k the QFI of piece k at unit trace.  All pieces of a sweep, M//2 + 1
-per purity, go through one ``in_eigenbasis`` and one ``qfi_exact`` call.  The
-W_k come from Loader's saddle-point form of the binomial pmf (C. Loader,
-"Fast and Accurate Computation of Binomial Probabilities", 2000), which
-forms neither log C(M, k) nor the powers, so they keep sum_k W_k = 1 to
-rounding at any M here.
+per purity, are solved in one ``_stack_qfis`` call, as each spin's blocks
+are.  The W_k come from Loader's saddle-point form of the binomial pmf (C.
+Loader, "Fast and Accurate Computation of Binomial Probabilities", 2000),
+which forms neither log C(M, k) nor the powers, so they keep sum_k W_k = 1
+to rounding at any M here.
 """
 
 from __future__ import annotations
@@ -72,15 +73,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bloch import DomainError
+from .bloch import PAULI_MATS, BlochChannel, DomainError, _pauli_maps
 from .fisher import in_eigenbasis, qfi_exact
-from .mstate import PAULI_MATS, _qubit0_maps
 
 if TYPE_CHECKING:  # protocols imports this module
     from .protocols import ProtocolSpec
 
 __all__ = ["MAX_QUBITS_BLOCKS", "MAX_QUBITS_PIECES", "PERPENDICULAR_TOL",
-           "spin_blocks", "exact_qfi", "exact_qfis"]
+           "perpendicular", "spin_blocks", "exact_qfi", "exact_qfis"]
 
 # dense eigh of every spin block, about n^4: one purity at n = 400 takes
 # 50 s on one core (0.33 s at n = 100, 16 s at n = 300)
@@ -108,6 +108,25 @@ _a, _b, _t, _u = np.indices((2, 2, 2, 2))
 _PAIR_INDEX = _u ^ _b
 _PAIR_MASK = (_t ^ _a == _u ^ _b).astype(float)
 del _a, _b, _t, _u
+
+# A 2x2 operator X as the row-major vector vec(X): vec(X) = _FROM_PAULI @ x
+# for X = sum_l x_l sigma_l / 2, and x_k = Tr[sigma_k X] = _TO_PAULI[k] @ vec(X).
+_FROM_PAULI = PAULI_MATS.reshape(4, 4).T / 2.0
+_TO_PAULI = PAULI_MATS.transpose(0, 2, 1).reshape(4, 4)
+
+
+def perpendicular(c: np.ndarray, r0: np.ndarray) -> bool:
+    """|c.r0| < ``PERPENDICULAR_TOL`` (NaN is not): the one rule of the pieces,
+    the frame's exact r0' = (1, 0, 0) and the closed-form higher orders."""
+    return abs(float(c @ r0)) < PERPENDICULAR_TOL
+
+
+def _qubit0_maps(ch: BlochChannel) -> np.ndarray:
+    """The channel and its derivative on one qubit, as (8, 4).
+
+    Rows 0..3 map vec(X) to vec(channel(X)), rows 4..7 to vec(derivative(X)).
+    """
+    return (_FROM_PAULI @ _pauli_maps(ch) @ _TO_PAULI).reshape(8, 4)
 
 
 def spin_blocks(M: int) -> list[tuple[int, int]]:
@@ -141,7 +160,7 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
                eps: float | None = None) -> np.ndarray:
     """Exact QFI of the spec's output state at each purity (spec.r is not used).
 
-    For n >= 2 with |c.r0| < ``PERPENDICULAR_TOL`` the state is solved as
+    For n >= 2 with c ``perpendicular`` to r0 the state is solved as
     4x4 pieces, otherwise as Schur-Weyl blocks.  The channel in the frame of
     c and the qubit-0 maps are built once per sweep, and so are each spin's
     r0'.J eigenvectors; all pieces of the sweep, or the blocks of one spin
@@ -164,7 +183,7 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
     if rs.ndim != 1 or not all(0.0 <= r <= 1.0 for r in rs.tolist()):
         raise ValueError(f"purities must lie in [0, 1], got {purities}")
     M = spec.n - 1
-    pieces = M > 0 and abs(float(spec.c @ spec.r0)) < PERPENDICULAR_TOL
+    pieces = M > 0 and perpendicular(spec.c, spec.r0)
     limit, solve = ((MAX_QUBITS_PIECES, "4x4 pieces") if pieces
                     else (MAX_QUBITS_BLOCKS, "Schur-Weyl block solve"))
     if spec.n > limit:
@@ -210,10 +229,7 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
         phase = np.array([sign[low:low + dim], sign[low + 1:low + dim + 1]])
         x = (qubit0[live] * phase[:, None, :, None] * phase[None, :, None, :]
              * S[:, None, None])
-        p, G = in_eigenbasis(*_channel_output(maps, x))
-        with np.errstate(over="ignore"):  # a cut above every pair sum may be inf
-            cut = None if eps is None else np.exp(log(eps) - log_t[live, s])
-        qfi[live] += weight[live, s] * qfi_exact(p, G, cut)
+        qfi[live] += weight[live, s] * _stack_qfis(maps, x, eps, log_t[live, s])
     return qfi
 
 
@@ -226,15 +242,23 @@ def _check_weights(n: int, rs: np.ndarray, weight: np.ndarray, parts: str) -> No
                          f"weight {kept[p]:.17g}, not 1 to {_WEIGHT_TOL:g}")
 
 
-def _channel_output(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """rho and drho, (2, stack, 2d, 2d), of the channel on qubit 0 of x.
+def _stack_qfis(maps: np.ndarray, x: np.ndarray, eps: float | None,
+                log_t: np.ndarray | None) -> np.ndarray:
+    """The QFI of each normalised block or piece of x at the cutoff eps / t.
 
-    x is a stack of inputs (stack, 2, 2, d, d), indexed qubit-0 row and
-    column, then the rest's row and column; maps is ``_qubit0_maps``.
+    x is a stack of channel inputs (stack, 2, 2, d, d), indexed qubit-0 row
+    and column, then the rest's row and column; maps is ``_qubit0_maps`` and
+    log_t each input's log trace t in the whole state, read when eps is given.
+    Neither the inputs nor the channel output are held past their last use.
     """
     dim = x.shape[-1]
-    y = (maps @ x.reshape(-1, 4, dim * dim)).reshape(-1, 2, 2, 2, dim, dim)
-    return y.transpose(1, 0, 2, 4, 3, 5).reshape(2, -1, 2 * dim, 2 * dim)
+    x = ((maps @ x.reshape(-1, 4, dim * dim)).reshape(-1, 2, 2, 2, dim, dim)
+         .transpose(1, 0, 2, 4, 3, 5).reshape(2, -1, 2 * dim, 2 * dim))  # rho, drho
+    p, G = in_eigenbasis(*x)
+    del x
+    with np.errstate(over="ignore"):  # a cut above every pair sum may be inf
+        cut = None if eps is None else np.exp(log(eps) - log_t)
+    return qfi_exact(p, G, cut)
 
 
 def _piece_qfis(M: int, rs: np.ndarray, weight: np.ndarray, qubit0: np.ndarray,
@@ -247,18 +271,15 @@ def _piece_qfis(M: int, rs: np.ndarray, weight: np.ndarray, qubit0: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(m == 0, 1.0, np.exp(-2.0 * m * np.arctanh(rs[at])))
     w = np.stack([x, np.ones_like(x)], axis=-1) / (1.0 + x)[:, None]  # (w_s, w_s') / t
-    p, G = in_eigenbasis(*_channel_output(maps, qubit0[at] * w[:, _PAIR_INDEX]
-                                          * _PAIR_MASK))
-    cut = None
+    log_t = None
     if eps is not None:
         # a piece's trace t = w_s' (1 + x), w_s' = a^(M - k) b^k
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # log b = -inf at r = 1; a cut above every pair sum may be inf
-            la, lb = np.log1p(rs[at]) - log(2.0), np.log1p(-rs[at]) - log(2.0)
-            log_t = (M - k) * la + np.where(k > 0, k * lb, 0.0) + np.log1p(x)
-            cut = np.exp(log(eps) - log_t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # log b = -inf at r = 1
+            log_t = ((M - k) * (np.log1p(rs[at]) - log(2.0))
+                     + np.where(k > 0, k * (np.log1p(-rs[at]) - log(2.0)), 0.0) + np.log1p(x))
+    qfi = weight[live] * _stack_qfis(maps, qubit0[at] * w[:, _PAIR_INDEX] * _PAIR_MASK, eps, log_t)
     terms = np.zeros(live.shape)
-    terms[live] = weight[live] * qfi_exact(p, G, cut)
+    terms[live] = qfi
     return terms.sum(axis=1)
 
 

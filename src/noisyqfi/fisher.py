@@ -126,11 +126,12 @@ class ProbModel(_ReadOnly):
         vars(self).update(p=p, dp=dp)
 
     def validate(self) -> None:
-        if abs(float(np.sum(self.p)) - 1.0) > 1e-10:
+        """A ValueError unless p sums to 1, dp to 0 and no p is negative; a NaN fails."""
+        if not abs(float(np.sum(self.p)) - 1.0) <= 1e-10:
             raise ValueError(f"probabilities must sum to 1, got {np.sum(self.p)}")
-        if abs(float(np.sum(self.dp))) > 1e-8:
+        if not abs(float(np.sum(self.dp))) <= 1e-8:
             raise ValueError(f"probability derivatives must sum to 0, got {np.sum(self.dp)}")
-        if float(np.min(self.p)) < -1e-12:
+        if not float(np.min(self.p)) >= -1e-12:
             raise ValueError(f"negative probability {np.min(self.p)}")
 
 

@@ -11,12 +11,13 @@ the one qubit the channel acts on.
 
 Every operator is a ``PauliStrings``: read-only arrays of its nonzero
 strings and their coefficients.  The states are built in the frame of c
-(``_frame``), where r0 has no v component, so a product state's slot holds
-at most the letters I, X and Z.  The state at fixed purity holds (1 + k)^n
-strings for k nonzero components of r0 in that frame: at most 3^n, and 2^n
-when c is perpendicular to r0.  An ``OrderedState`` holds the coefficient
-operators orders[j] of r^j end to end in one strings/coeffs pair, so the
-physical state is sum_j r^j orders[j].
+(``protocols.ProtocolSpec.in_frame``), where r0 has no v component, so a
+product state's slot holds at most the letters I, X and Z.  The state at
+fixed purity holds (1 + k)^n strings for k nonzero components of r0 in that
+frame: at most 3^n, and 2^n when c is perpendicular to r0.  An
+``OrderedState`` holds the coefficient operators orders[j] of r^j end to
+end in one strings/coeffs pair, so the physical state is sum_j r^j
+orders[j].
 Order j of the product input holds the strings with j letters drawn from
 r0.sigma, C(n, j) k^j of them, so orders 0..K hold sum_{j<=K} C(n, j) k^j
 strings in place of (K + 1) 4^n entries: at n = 9 order 4 holds 126
@@ -29,12 +30,10 @@ qubit 0.
 
 A single-qubit channel (M, d) acts on qubit 0 by the affine rule
 I -> I + d.sigma and a.sigma -> (M a).sigma; the derivative pass applies
-(dM, dd) with no identity pass-through.  ``_pauli_maps`` writes both as
-(4, 4) maps of qubit 0's Pauli components, and a pass multiplies a map with
-the coefficients viewed as (4, 4^(n-1)), the leading digit first, in the
-columns of the qubit-1..n-1 tails that each order's strings occupy.
-``_qubit0_maps`` writes them as one (8, 4) map on 2x2 matrices, for the
-Schur-Weyl blocks, which apply the channel to qubit 0's 2x2 blocks.
+(dM, dd) with no identity pass-through.  ``bloch._pauli_maps`` writes both
+as (4, 4) maps of qubit 0's Pauli components, and a pass multiplies a map
+with the coefficients viewed as (4, 4^(n-1)), the leading digit first, in
+the columns of the qubit-1..n-1 tails that each order's strings occupy.
 The pairwise preparation gate with control direction c,
 
     U_c = (I8I + I8(c.sigma) + (c.sigma)8I - (c.sigma)8(c.sigma)) / 2,
@@ -43,11 +42,11 @@ is Hermitian and self-inverse.  It is the controlled-Z gate in a frame whose
 z axis is c, U_c = V8V CZ V+8V+ with V sigma_z V+ = c.sigma, so the full
 preparation (one U_c per qubit pair; the factors commute) is V^(8n) times
 the complete-graph CZ circuit times V+^(8n).  The protocols build their
-states in the frame of c (``_frame``), where the preparation is that circuit
-alone.  It is a Clifford conjugation: X_i -> X_i prod_{j!=i} Z_j, Z_i -> Z_i,
-so it sends every Pauli string to plus or minus one Pauli string (Hein,
-Eisert & Briegel, PRA 69, 062311 (2004); Aaronson & Gottesman, PRA 70,
-052328 (2004)).  With w the number of X or Y letters of a string:
+states in the frame of c, where the preparation is that circuit alone.  It
+is a Clifford conjugation: X_i -> X_i prod_{j!=i} Z_j, Z_i -> Z_i, so it
+sends every Pauli string to plus or minus one Pauli string (Hein, Eisert &
+Briegel, PRA 69, 062311 (2004); Aaronson & Gottesman, PRA 70, 052328
+(2004)).  With w the number of X or Y letters of a string:
 
 * w even: every X becomes Y and every Y becomes -X; I and Z stay;
 * w odd:  every I becomes Z and every Z becomes I; X and Y stay, and the
@@ -89,7 +88,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bloch import BlochChannel, DomainError, _ReadOnly, _unit_vector
+from .bloch import BlochChannel, DomainError, _pauli_maps, _ReadOnly, _unit_vector
 
 __all__ = [
     "PauliStrings",
@@ -112,17 +111,6 @@ MAX_QUBITS_PAULI = 14
 MAX_QUBITS_DENSE = 10   # the purity series: up to 2^n lines of 2^n entries
 # real entries of the per-block transform arrays in ``to_dense`` (512 KiB)
 _BLOCK_ENTRIES = 1 << 16
-
-# r0's part perpendicular to c at or below this is rounding: r0 is along c
-_PARALLEL = 1e-15
-
-PAULI_MATS = np.array([
-    [[1, 0], [0, 1]],
-    [[0, 1], [1, 0]],
-    [[0, -1j], [1j, 0]],
-    [[1, 0], [0, -1]],
-], dtype=complex)
-PAULI_MATS.flags.writeable = False
 
 
 def _check_pauli_cap(n: int) -> None:
@@ -382,34 +370,6 @@ def to_dense(state: PauliStrings) -> XorLines | tuple[XorLines, ...]:
     return out if isinstance(state, OrderedState) else out[0]
 
 
-def _frame(c, r0) -> np.ndarray:
-    """A rotation with columns (u, v, c): it takes z to c, and r0 into its
-    u-z plane.
-
-    u is the part of r0 perpendicular to c, normalised and made orthogonal
-    to c once more.  When that part is no larger than rounding (r0 along c)
-    u is the coordinate axis least aligned with c, made orthogonal to it.
-    For c and r0 along coordinate axes the rotation is a signed permutation,
-    and r0 and the channel enter the frame exactly.
-    """
-    c = _unit_vector(c, "c")
-    r0 = _unit_vector(r0, "r0")
-    u = r0 - (c @ r0) * c
-    norm = np.linalg.norm(u)
-    if norm > _PARALLEL:
-        u /= norm
-        u -= (c @ u) * c
-    else:
-        a = int(np.argmin(np.abs(c)))
-        u = -c[a] * c
-        u[a] += 1.0
-    u /= np.linalg.norm(u)
-    # c x u written out: np.cross costs more than the rest of the frame
-    v = np.array([c[1] * u[2] - c[2] * u[1], c[2] * u[0] - c[0] * u[2],
-                  c[0] * u[1] - c[1] * u[0]])
-    return np.column_stack([u, v, c])
-
-
 def prep_conjugate(state: PauliStrings) -> PauliStrings:
     """Conjugate by the complete-graph CZ circuit (the preparation in the frame
     of c): each string's image and sign decoded in place from its digits, for
@@ -469,30 +429,6 @@ def _channel_pass(state: PauliStrings, F: np.ndarray) -> PauliStrings:
     nonzero = out != 0.0
     ends = None if count == 1 else (0, *accumulate(map(np.count_nonzero, nonzero)))
     return type(state)._adopt(n, strings[nonzero], out[nonzero], ends)
-
-
-# A 2x2 operator X as the row-major vector vec(X): vec(X) = _FROM_PAULI @ x
-# for X = sum_l x_l sigma_l / 2, and x_k = Tr[sigma_k X] = _TO_PAULI[k] @ vec(X).
-_FROM_PAULI = PAULI_MATS.reshape(4, 4).T / 2.0
-_TO_PAULI = PAULI_MATS.transpose(0, 2, 1).reshape(4, 4)
-
-
-def _pauli_maps(ch: BlochChannel) -> np.ndarray:
-    """The channel and its derivative as (2, 4, 4) maps of Pauli components,
-    with the rules of ``apply_channel`` and ``apply_channel_derivative``."""
-    F = np.zeros((2, 4, 4))
-    F[0, 0, 0] = 1.0
-    F[0, 1:, 0], F[0, 1:, 1:] = ch.d, ch.M
-    F[1, 1:, 0], F[1, 1:, 1:] = ch.dd, ch.dM
-    return F
-
-
-def _qubit0_maps(ch: BlochChannel) -> np.ndarray:
-    """The channel and its derivative on one qubit, as (8, 4).
-
-    Rows 0..3 map vec(X) to vec(channel(X)), rows 4..7 to vec(derivative(X)).
-    """
-    return (_FROM_PAULI @ _pauli_maps(ch) @ _TO_PAULI).reshape(8, 4)
 
 
 def apply_channel(state: PauliStrings, ch: BlochChannel) -> PauliStrings:

@@ -9,13 +9,13 @@ Two protocol shapes are supported, told apart by the qubit count n:
   gate applied to every qubit pair, then one channel invocation on qubit 0.
 
 No view changes under one rotation of every qubit, so each protocol is
-built in the frame of c (``ProtocolSpec.in_frame``), where the preparation
-is the complete-graph CZ circuit and r0 has no v component.  The state
-comes from two builders, both on nonzero Pauli strings: ``build_state`` at
-fixed purity (at most 3^n strings, for the measurement) and
-``purity_orders`` (for the series coefficients, which do not depend on the
-purity; each order is kept as strings until it is transformed to its XOR
-lines).  The exact QFI comes from the state's 4x4 pieces
+built in the frame of c (``ProtocolSpec.in_frame``, the rotation
+``_frame``), where the preparation is the complete-graph CZ circuit and r0
+has no v component.  The state comes from two builders, both on nonzero
+Pauli strings: ``build_state`` at fixed purity (at most 3^n strings, for the
+measurement) and ``purity_orders`` (for the series coefficients, which do
+not depend on the purity; each order is kept as strings until it is
+transformed to its XOR lines).  The exact QFI comes from the state's 4x4 pieces
 when c is perpendicular to r0, and from its Schur-Weyl blocks otherwise
 (``blocks.exact_qfi``, or ``blocks.exact_qfis`` for a purity sweep): small
 eigensystems in place of the 2^n one.  The local measurement scheme
@@ -34,16 +34,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import PERPENDICULAR_TOL, exact_qfi
+from .blocks import exact_qfi, perpendicular
 from .bloch import (BlochChannel, ChannelFamily, DomainError, Unitality, _as_vector,
                     _nonfinite_parts, _ReadOnly, _unit_vector, classify_unitality, svd3)
 from .fisher import ProbModel, cfi
 from .mstate import (
     OrderedState,
     PauliStrings,
-    _bits_of_digits,
     _check_dense_cap,
-    _frame,
     apply_channel,
     apply_channel_derivative,
     initial_state,
@@ -69,6 +67,8 @@ _GAIN_MARGIN = 0.02     # relative slack of ``compare``'s gain-bound check
 # QFIs, and the zeroth-order closed form against them
 _NO_GAIN_TOL = 1e-8
 _NO_GAIN_H0_TOL = 1e-7
+# r0's part perpendicular to c at or below this is rounding: r0 is along c
+_PARALLEL = 1e-15
 
 __all__ = [
     "ProtocolSpec",
@@ -118,13 +118,13 @@ class ProtocolSpec(_ReadOnly):
     def in_frame(self) -> tuple[np.ndarray, BlochChannel]:
         """r0 and the channel at lam in the frame of c, where the preparation is CZ.
 
-        With R = ``mstate._frame(c, r0)`` (R z = c, r0 in the plane of R x
-        and c): r0 -> R^T r0 = (|r0 - (c.r0) c|, 0, c.r0), M -> R^T M R,
-        d -> R^T d, and so for the derivative.  For |c.r0| below
-        ``blocks.PERPENDICULAR_TOL``, where the exact QFI takes the 4x4
-        pieces, r0' is (1, 0, 0) exactly, so the series and the measured
-        state hold the strings of perpendicular directions too.  The single-qubit protocol has
-        no c; its r0 and channel come unrotated.  Without ch the family is
+        With R = ``_frame(c, r0)`` (R z = c, r0 in the plane of R x and c):
+        r0 -> R^T r0 = (|r0 - (c.r0) c|, 0, c.r0), M -> R^T M R, d -> R^T d,
+        and so for the derivative.  For c ``blocks.perpendicular`` to r0,
+        where the exact QFI takes the 4x4 pieces, r0' is (1, 0, 0) exactly,
+        so the series and the measured state hold the strings of
+        perpendicular directions too.  The single-qubit protocol has no c;
+        its r0 and channel come unrotated.  Without ch the family is
         evaluated on first use only, and every view of the spec reads the
         same read-only result.
         """
@@ -135,13 +135,39 @@ class ProtocolSpec(_ReadOnly):
         if self.c is None:
             return self.r0, ch
         R = _frame(self.c, self.r0)
-        if abs(float(self.c @ self.r0)) < PERPENDICULAR_TOL:
+        if perpendicular(self.c, self.r0):
             r0 = np.array([1.0, 0.0, 0.0])  # perpendicular, as for the pieces
         else:
             r0 = R.T @ self.r0
             r0[1] = 0.0  # rounding: r0 lies in the frame's u-z plane
         r0.flags.writeable = False
         return r0, BlochChannel(R.T @ ch.M @ R, R.T @ ch.d, R.T @ ch.dM @ R, R.T @ ch.dd)
+
+
+def _frame(c, r0) -> np.ndarray:
+    """A rotation with columns (u, v, c): it takes z to c, and r0 into its
+    u-z plane.  c and r0 are unit vectors, as ``ProtocolSpec`` holds them.
+
+    u is the part of r0 perpendicular to c, normalised and made orthogonal
+    to c once more.  When that part is no larger than rounding (r0 along c)
+    u is the coordinate axis least aligned with c, made orthogonal to it.
+    For c and r0 along coordinate axes the rotation is a signed permutation,
+    and r0 and the channel enter the frame exactly.
+    """
+    u = r0 - (c @ r0) * c
+    norm = np.linalg.norm(u)
+    if norm > _PARALLEL:
+        u /= norm
+        u -= (c @ u) * c
+    else:
+        a = int(np.argmin(np.abs(c)))
+        u = -c[a] * c
+        u[a] += 1.0
+    u /= np.linalg.norm(u)
+    # c x u written out: np.cross costs more than the rest of the frame
+    v = np.array([c[1] * u[2] - c[2] * u[1], c[2] * u[0] - c[0] * u[2],
+                  c[0] * u[1] - c[1] * u[0]])
+    return np.column_stack([u, v, c])
 
 
 def sqsc(family: ChannelFamily, lam: float, r: float, r0,
@@ -177,6 +203,11 @@ def build_state(spec: ProtocolSpec) -> PreparedState:
                          apply_channel_derivative(state, ch))
 
 
+def _tail_digits(n: int) -> int:
+    """The low bit of every base-4 digit of qubits 1..n-1 (the string's tail)."""
+    return (4 ** (n - 1) - 1) // 3
+
+
 def _strings_the_series_reads(ordered: OrderedState, K: int) -> OrderedState:
     """The strings of order a with at most K - a spectator flips (X or Y
     letters on qubits 1..n-1).
@@ -189,9 +220,10 @@ def _strings_the_series_reads(ordered: OrderedState, K: int) -> OrderedState:
     the rest are never read.  Orders through K // 2 keep every string.
     """
     n, strings, ends = ordered.n, ordered.strings, ordered.ends
-    flips = _bits_of_digits(strings ^ (strings >> 1)) & ((1 << (n - 1)) - 1)
+    # the two bits of a digit differ on X and Y only
+    flips = np.bitwise_count((strings ^ (strings >> 1)) & _tail_digits(n))
     order = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
-    kept = order + np.bitwise_count(flips) <= K
+    kept = order + flips <= K
     counts = np.bincount(order[kept], minlength=len(ends) - 1)
     return OrderedState._adopt(n, strings[kept], ordered.coeffs[kept],
                                (0, *np.cumsum(counts).tolist()))
@@ -267,7 +299,7 @@ def _outcomes(st: PauliStrings, axis: np.ndarray, counts: np.ndarray) -> np.ndar
     """
     n = st.n
     shift = 2 * (n - 1)
-    ones = (4 ** (n - 1) - 1) // 3          # the low bit of each digit of the tail
+    ones = _tail_digits(n)
     low, high = st.strings & ones, (st.strings >> 1) & ones
     nz = np.bitwise_count(low & high)       # Z is 3: both bits set
     nx, ny = np.bitwise_count(low) - nz, np.bitwise_count(high) - nz

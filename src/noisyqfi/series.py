@@ -76,7 +76,7 @@ import numpy as np
 
 from .bloch import (BlochChannel, Unitality, _ReadOnly, _unit_vector, classify_unitality,
                     svd3)
-from .blocks import PERPENDICULAR_TOL
+from .blocks import perpendicular
 from .mstate import (OrderedState, XorLines, _group, apply_channel, apply_channel_derivative,
                      to_dense)
 
@@ -546,7 +546,7 @@ def corr_h3_h4(ch: BlochChannel, n: int, c, r0) -> tuple[float, float]:
         raise ValueError("closed-form fourth order needs n >= 3; use the generic solver")
     c = _unit_vector(c, "c")
     r0 = _unit_vector(r0, "r0")
-    if not abs(float(c @ r0)) < PERPENDICULAR_TOL:
+    if not perpendicular(c, r0):
         raise ValueError("closed-form higher orders require c perpendicular to r0")
     Md, M = ch.dM, ch.M
     dG = Md.T @ M + M.T @ Md

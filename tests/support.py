@@ -9,9 +9,8 @@ from functools import lru_cache
 import numpy as np
 
 from noisyqfi import bloch, builtin
-from noisyqfi.bloch import ChannelFamily, _unit_vector
+from noisyqfi.bloch import PAULI_MATS, BlochChannel, ChannelFamily, _unit_vector
 from noisyqfi.mstate import (
-    PAULI_MATS,
     OrderedState,
     PauliStrings,
     XorLines,
@@ -34,6 +33,13 @@ PAULI = {
 def sigma(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     return v[0] * PAULI["X"] + v[1] * PAULI["Y"] + v[2] * PAULI["Z"]
+
+
+def apply_bloch(channel: BlochChannel, r: float, r_i: np.ndarray) -> np.ndarray:
+    """Map a Bloch vector of purity r and unit direction r_i through the channel."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"purity must lie in [0, 1], got {r}")
+    return r * (channel.M @ _unit_vector(r_i, "r_i")) + channel.d
 
 
 def random_unit(rng) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin
-from noisyqfi.bloch import apply_bloch, svd3, validate
+from noisyqfi.bloch import svd3, validate
 from noisyqfi.cli import RunConfig, run_fit_orders
 from noisyqfi.fisher import ProbModel, cfi
 from noisyqfi.mstate import (
@@ -53,6 +53,7 @@ from noisyqfi.series import (
 
 from support import (
     PAULI,
+    apply_bloch,
     as_dense,
     as_strings,
     at_purity,

@@ -10,22 +10,24 @@ from noisyqfi.bloch import (
     ChannelFamily,
     DomainError,
     Unitality,
-    apply_bloch,
     builtin,
     classify_unitality,
     fd_derivative,
     svd3,
     validate,
 )
+from noisyqfi.blocks import exact_qfi
+from noisyqfi.protocols import correlated, sqsc
 from noisyqfi.series import (
     BranchError,
+    corr_h2,
     require_unital,
     sqsc_nonunital_const_h2,
     sqsc_nonunital_h0,
     sqsc_unital_h2,
 )
 
-from support import random_unit
+from support import apply_bloch, random_unit
 
 
 def _channel(M, d, dM=None, dd=None):
@@ -106,6 +108,19 @@ class TestApplyBloch:
         shifted = BlochChannel(0.5 * np.eye(3), [0.0, 0.0, 0.3], np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match="unit 3-vector"):
             sqsc_nonunital_const_h2(shifted, [1, 1, 0])
+
+    @pytest.mark.parametrize("entry", [
+        lambda nan: exact_qfi(sqsc(builtin("phase_flip"), 0.3, 0.01, nan)),
+        lambda nan: corr_h2(builtin("phase_flip").eval(0.3), 3, [0, 0, 1], nan),
+        lambda nan: sqsc_unital_h2(builtin("phase_flip").eval(0.3), nan),
+        lambda nan: exact_qfi(correlated(builtin("phase_flip"), 0.3, 3, 0.01, nan, [1, 0, 0])),
+    ], ids=["exact_qfi-sqsc-r0", "corr_h2-r0", "sqsc_unital_h2-r0", "exact_qfi-correlated-c"])
+    def test_nan_direction_rejected(self, entry):
+        # a NaN norm fails every comparison: the check is written so that it
+        # fails, where abs(norm - 1) > tol let the direction through to a QFI
+        # of 0, a NaN coefficient, or a LinAlgError in eigh
+        with pytest.raises(ValueError, match="must be a unit 3-vector"):
+            entry([np.nan, 0.0, 0.0])
 
     def test_contraction_over_builtins(self):
         rng = np.random.default_rng(11)

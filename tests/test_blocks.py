@@ -135,7 +135,7 @@ def test_default_cutoff_is_relative_to_the_whole_state(n):
 def _blocks(spec, purities, eps=None):
     """``exact_qfis`` on the Schur-Weyl blocks, also where c is perpendicular to r0."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(blocks, "PERPENDICULAR_TOL", 0.0)
+        m.setattr(blocks, "perpendicular", lambda c, r0: False)
         return exact_qfis(spec, purities, eps)
 
 

@@ -233,6 +233,14 @@ class TestCfi:
             cfi(ProbModel([0.5, 0.5], [0.5, 0.1]))
         with pytest.raises(ValueError):
             cfi(ProbModel([1.1, -0.1], [1.0, -1.0]))
+        # a NaN fails every comparison, so each check is written to fail on
+        # it: an all-NaN model gave 0, and a NaN outcome was skipped by the
+        # p >= 1e-14 cut (0.02 here) instead of failing the model
+        for p in ([np.nan, np.nan], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="must sum to 1"):
+                cfi(ProbModel(p, [0.1, -0.1]))
+        with pytest.raises(ValueError, match="must sum to 0"):
+            cfi(ProbModel([0.5, 0.5], [np.nan, -0.1]))
 
     def test_quantum_bound_random_measurements(self):
         # classical information from any projective measurement stays below the QFI

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from noisyqfi import builtin, correlated, mstate as ms, sqsc
+from noisyqfi.bloch import _pauli_maps
 from noisyqfi.blocks import PERPENDICULAR_TOL
-from noisyqfi.protocols import _strings_the_series_reads, build_state, purity_orders
+from noisyqfi.protocols import _frame, _strings_the_series_reads, build_state, purity_orders
 from noisyqfi.mstate import (
     OrderedState,
     PauliStrings,
@@ -819,7 +820,7 @@ class TestStringPassesInOneCall:
                              random_unit(rng)).in_frame[1]
         passes = [(prep_conjugate, None)] if n > 1 else []
         for ch in (builtin("phase_flip").eval(0.3), oblique):
-            F, dF = ms._pauli_maps(ch)
+            F, dF = _pauli_maps(ch)
             passes += [(lambda st, ch=ch: apply_channel(st, ch), F),
                        (lambda st, ch=ch: apply_channel_derivative(st, ch), dF)]
         for label, ordered in _ordered_cases(n):
@@ -1014,7 +1015,7 @@ class TestFixedPurityStrings:
 
 
 class TestFrame:
-    """``mstate._frame(c, r0)``: a rotation that takes z to c and r0 into
+    """``protocols._frame(c, r0)``: a rotation that takes z to c and r0 into
     its u-z plane, and ``ProtocolSpec.in_frame``'s r0' = (|r0 - (c.r0) c|, 0, c.r0)."""
 
     # phase_shift is left out: its canonical pair turns with lambda in the xy plane
@@ -1025,7 +1026,7 @@ class TestFrame:
 
     @staticmethod
     def _check_rotation(c, r0):
-        R = ms._frame(c, r0)
+        R = _frame(c, r0)
         assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-15
         assert np.array_equal(R[:, 2], c)
         r0_frame = correlated(builtin("phase_flip"), 0.3, 2, 0.1, c, r0).in_frame[0]

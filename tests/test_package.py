@@ -96,3 +96,32 @@ def test_domain_and_range_checks_raise_domain_error():
                     wrong.append((path.name, node.lineno))
     assert not wrong
     assert found >= 5  # the two lambda rules and the three qubit caps
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The noisyqfi modules that a source file imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module.split(".")[0]} if node.module else {
+                alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("noisyqfi"):
+            parts = node.module.split(".")
+            found |= {parts[1]} if len(parts) > 1 else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("noisyqfi.")}
+    return found
+
+
+def test_what_outlives_the_pauli_engine_does_not_import_it():
+    # the 4^n / 2^n Pauli engine (mstate and the line operations of series)
+    # is to become a test oracle; the channel forms, the Fisher sums and the
+    # exact QFI must not reach into it, so that retiring it is a deletion,
+    # and mstate itself reads nothing but the channel forms
+    src = Path(noisyqfi.__file__).parent
+    imports = {path.stem: _package_imports(path) for path in src.glob("*.py")}
+    reach = {name: sorted(imports[name] & {"mstate", "series"})
+             for name in ("bloch", "expr", "config", "fisher", "blocks")}
+    assert not any(reach.values()), reach
+    assert imports["mstate"] == {"bloch"}

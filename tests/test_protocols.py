@@ -363,6 +363,20 @@ class TestMeasurementLowestOrder:
         rec = local_measurement_sim(correlated(builtin("phase_shift"), lam, 3, 1e-3, c, r0))
         assert rec.cfi / 1e-6 == pytest.approx(want, rel=1e-3)
 
+    @pytest.mark.parametrize("n", (3, 6))
+    @pytest.mark.parametrize("lam", (0.3, 0.4, 1.0))
+    def test_phase_shift_simulation_matches_the_general_form(self, lam, n):
+        # at the canonical directions, both in the plane of rotation,
+        # r0^T dM r0 = c^T dM c = -sin(lam), so the general form is
+        # n sin^2(lam); the simulation at r = 1e-3 agrees to about 1e-5
+        fam, r = builtin("phase_shift"), 1e-3
+        ch = fam.eval(lam)
+        c, r0 = canonical_directions(ch)
+        want = measurement_cfi_lowest_order_general(ch, n, c, r0)
+        assert want == pytest.approx(n * np.sin(lam) ** 2, rel=1e-12)
+        rec = local_measurement_sim(correlated(fam, lam, n, r, c, r0))
+        assert rec.cfi == pytest.approx(want * r ** 2, rel=1e-4)
+
     def test_non_canonical_directions_rejected(self):
         ch = DEPOL.eval(0.5)
         c, r0 = canonical_directions(ch)
