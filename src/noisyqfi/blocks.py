@@ -174,14 +174,17 @@ def exact_qfis(spec: ProtocolSpec, purities: Sequence[float] | np.ndarray,
     1/t, so it is solved with the cutoff eps / t; one with t = 0 (at r = 1
     all but the largest spin, or all but the k = 0 piece) is skipped at
     that purity.  The default cuts pairs at 1e-12 times the largest
-    eigenvalue of the block or piece that holds them.  A DomainError names a
-    qubit count above ``MAX_QUBITS_PIECES`` or ``MAX_QUBITS_BLOCKS``, and a
-    ValueError then a purity where the weights miss 1 by more than 1e-12,
-    before any block or piece is built.
+    eigenvalue of the block or piece that holds them; a given eps must be
+    positive and finite, as the CLI's ``--eps``, or a ValueError names it.
+    A DomainError names a qubit count above ``MAX_QUBITS_PIECES`` or
+    ``MAX_QUBITS_BLOCKS``, and a ValueError then a purity where the weights
+    miss 1 by more than 1e-12, before any block or piece is built.
     """
     rs = np.asarray(purities, dtype=float)
     if rs.ndim != 1 or not all(0.0 <= r <= 1.0 for r in rs.tolist()):
         raise ValueError(f"purities must lie in [0, 1], got {purities}")
+    if eps is not None and not 0.0 < eps < np.inf:  # NaN fails too
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     M = spec.n - 1
     pieces = M > 0 and perpendicular(spec.c, spec.r0)
     limit, solve = ((MAX_QUBITS_PIECES, "4x4 pieces") if pieces

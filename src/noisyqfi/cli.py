@@ -530,6 +530,7 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
+@cache
 def _keep_freed_memory() -> None:
     """Let glibc keep freed blocks of up to 32 MiB in the heap for reuse.
 
@@ -539,8 +540,8 @@ def _keep_freed_memory() -> None:
     cell at n >= 8 frees line-sized arrays and asks for them again, within
     its own series and from one cell to the next, and each time faults the
     memory in anew.  Setting the thresholds keeps that memory for reuse;
-    it holds for the whole process.  On any other C library this does
-    nothing.
+    it holds for the whole process, so it is made once per process.  On any
+    other C library this does nothing.
     """
     try:
         libc = ctypes.CDLL(None)

@@ -105,12 +105,16 @@ def qfi_exact(p: np.ndarray, G: np.ndarray,
     (..., d, d), as ``in_eigenbasis`` returns them after its checks; they
     are not checked again.  eps is the null-pair cutoff, one for all
     matrices or one per matrix (shape ``p.shape[:-1]``); the default is
-    1e-12 times each matrix's largest eigenvalue.  A stack gives an array
-    of shape p.shape[:-1], each entry equal to the call on that matrix alone.
+    1e-12 times each matrix's largest eigenvalue.  A given cutoff may be 0
+    or +inf (which keeps no pair), and a ValueError names a negative or NaN
+    one.  A stack gives an array of shape p.shape[:-1], each entry equal to
+    the call on that matrix alone.
     """
     p, G = np.asarray(p, dtype=float), np.asarray(G)
     if p.shape != G.shape[:-1]:
         raise ValueError("eigenvalues and drho must have matching shapes")
+    if eps is not None and not np.all(np.asarray(eps) >= 0.0):  # NaN fails too
+        raise ValueError(f"eps must be a nonnegative cutoff, got {eps}")
     qfi = _pair_sum(G, *_pairs(p, eps))
     return float(qfi) if qfi.ndim == 0 else qfi
 

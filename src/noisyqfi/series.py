@@ -36,9 +36,12 @@ and every step costs (number of lines) 2^n in place of 4^n:
 
 * a map of the qubit-0 2x2 blocks (the products with rho^(0) and L^(0),
   and the 2x2 inverse of the solve) mixes line f with f + 2^(n-1) only;
-* the adjoint is line f read at x + f and conjugated;
-* Re Tr[A^dagger B] sums over the lines A and B share;
-* a product costs 2^n per pair of lines (``_product``).
+* the adjoint is line f read at x + f and conjugated, one flat gather;
+* Re Tr[A^dagger B] sums the entry products over the lines A and B share
+  in one pairwise float64 reduction, whose order does not depend on the
+  dtype of the lines (``_re_inner``);
+* a product costs 2^n per pair of lines (``_product``), and one that only
+  traces read costs 2^n per pair that meets a line they read.
 
 The lines of an operator are float64 when every entry is real, which
 ``to_dense`` decides from the strings (an odd number of Y letters makes
@@ -47,10 +50,12 @@ operation takes its dtype from its operands, so the series stays in the
 dtype of its input orders, and a complex operand makes the result complex.
 
 At K = 4 only two products remain: L^(1) rho^(1), formed in the SLD solve
-and reused by the traces, and L^(1) rho^(2) in the traces.  The channel and
-its derivative each make one pass over the nonzero Pauli strings of all
-input orders, and the output orders are then transformed to their lines in
-one pass, and their derivatives in another (``channel_output_orders``).
+and reused by the traces, and L^(1) rho^(2) in the traces, formed only on
+the lines of L^(1) (n of them at the canonical directions, not n + C(n, 3);
+72 of its 324 pairs at n = 9).  The channel and its derivative each make
+one pass over the nonzero Pauli strings of all input orders, and the
+output orders are then transformed to their lines in one pass, and their
+derivatives in another (``channel_output_orders``).
 
 The closed-form lowest orders implemented below, with Mdot = dM/dlam and
 s1 >= s2 >= s3 its singular values:
@@ -190,22 +195,32 @@ def _at(A: XorLines, flips: np.ndarray) -> np.ndarray:
 
 def _sum(n: int, terms: list) -> XorLines:
     """sum of w A over the (w, A) terms, on the union of their flips, added
-    in the order given; real weights keep the dtype of the lines."""
+    in the order given; real weights keep the dtype of the lines.  A term
+    whose lines are a run of the union's (every line of it, say) is added
+    in place on that run, and only the others through their rows."""
     if not terms:
         return XorLines(n, np.zeros(0, dtype=np.intp), np.zeros((0, 2 ** n)))
     flips, rows = _group(np.concatenate([A.flips for _, A in terms]), 2 ** n)
     out = np.zeros((len(flips), 2 ** n), dtype=np.result_type(*(A.lines for _, A in terms)))
     start = 0
     for w, A in terms:
-        out[rows[start:start + len(A.flips)]] += w * A.lines
-        start += len(A.flips)
+        at = rows[start:start + len(A.flips)]
+        start += len(at)
+        if len(at) and at[-1] - at[0] == len(at) - 1:  # ascending, so a run
+            out[at[0]:at[-1] + 1] += w * A.lines
+        elif len(at):
+            out[at] += w * A.lines
     return XorLines(n, flips, out)
 
 
 def _adjoint(A: XorLines) -> XorLines:
-    """A^dagger: line f of A read at x + f and conjugated."""
-    rows = np.arange(len(A.flips))[:, None]
-    return XorLines(A.n, A.flips, A.lines[rows, A.flips[:, None] ^ np.arange(2 ** A.n)].conj())
+    """A^dagger: line f of A read at x + f and conjugated, one flat gather."""
+    at = np.arange(A.lines.size).reshape(A.lines.shape)
+    at ^= A.flips[:, None]  # x + f on row f of the flat lines
+    lines = A.lines.take(at)
+    if lines.dtype.kind == "c":
+        np.conjugate(lines, out=lines)
+    return XorLines(A.n, A.flips, lines)
 
 
 # T[i, j, k, l] read at (t, j, u, s), for an output line with top bit t at
@@ -293,41 +308,64 @@ def _zeroth_order_inverse(h: np.ndarray, m: int) -> np.ndarray:
 
 
 def _re_inner(A: XorLines, B: XorLines) -> float:
-    """Re Tr[A^dagger B] over the flips A and B share, summed in runs of
-    2^(n // 2) entries and then pairwise: one running sum over a line drifts
-    by about 1e-15 relative at n = 10 on h0 (and one over every entry by
-    3e-14 at n = 9 on an order-4 trace).  Real lines are summed as complex
-    ones: numpy reduces a real run in another order, which moves the last
-    digits of a trace with the dtype of its operands."""
-    if A.flips is B.flips:
-        a, b = A.lines, B.lines
+    """Re Tr[A^dagger B] over the flips A and B share.
+
+    The entry products a.real b.real, plus a.imag b.imag when both operands
+    are complex, are summed in one pairwise reduction of a float64 array,
+    so the sum takes the same order whatever the dtype of the lines: real
+    lines and the same lines held as complex give the same bits.  Its
+    rounding error is within 2^-52 sum |a b| (one running sum over a line
+    drifts by about 1e-15 relative at n = 10 on h0).
+    """
+    at = B.rank[A.flips]
+    if at.min(initial=0) >= 0:  # every line of A is one of B
+        a = A.lines
+        b = B.lines if len(at) == len(B.flips) else B.lines.take(at, axis=0)
     else:
-        at = B.rank[A.flips]
-        common = at >= 0
-        a, b = A.lines[common], B.lines[at[common]]
-    run = 2 ** (A.n // 2)
-    a, b = (np.asarray(v, dtype=complex).reshape(-1, run) for v in (a, b))
-    return float(np.vecdot(a, b).sum().real)
+        common = np.flatnonzero(at >= 0)
+        a, b = A.lines.take(common, axis=0), B.lines.take(at[common], axis=0)
+    terms = a.real * b.real
+    if a.dtype.kind == b.dtype.kind == "c":
+        terms += a.imag * b.imag
+    return float(terms.sum())
 
 
-def _product(A: XorLines, B: XorLines) -> XorLines:
-    """A B from the XOR lines of its factors.
+def _product(A: XorLines, B: XorLines, keep: np.ndarray | None = None) -> XorLines:
+    """A B from the XOR lines of its factors, or only its lines at the flips keep.
 
     With a_f[x] = A[x + f, x] and b_g[x] = B[x + g, x] (+ the bitwise XOR),
 
         (AB)[x + f + g, x] = sum over (f, g) of a_f[x + g] b_g[x],
 
-    so every pair of lines costs 2^n work.  One pass per line f of A: the
-    lines of B meet distinct output lines f + g, so each += adds to
-    distinct rows.
+    so every pair of lines costs 2^n work.  One pass per line f of A, which
+    gathers a_f at x + g for the lines g of B it pairs with in one flat
+    ``take``: the lines of B meet distinct output lines f + g, so each +=
+    adds to distinct rows.  With keep, a pair adds only when f + g is in keep, and
+    each kept line sums the same pairs in the same order as the whole
+    product: its bits do not change.
     """
-    n = A.n
-    flips, rows = _group((A.flips[:, None] ^ B.flips).ravel(), 2 ** n)
-    rows = rows.reshape(len(A.flips), len(B.flips))
-    out = np.zeros((len(flips), 2 ** n), dtype=np.result_type(A.lines, B.lines))
-    shifted = B.flips[:, None] ^ np.arange(2 ** n)
-    for to, af in zip(rows, A.lines):
-        out[to] += af[shifted] * B.lines
+    n, dim = A.n, 2 ** A.n
+    pairs = A.flips[:, None] ^ B.flips
+    if keep is None:
+        kept = np.ones(pairs.shape, dtype=bool)
+    else:
+        wanted = np.zeros(dim, dtype=bool)
+        wanted[keep] = True
+        kept = wanted[pairs]
+    # the kept pairs (i, j), by line i of A, and where each line's run ends
+    i, j = np.nonzero(kept)
+    ends = np.searchsorted(i, np.arange(1, len(A.flips) + 1)).tolist()
+    flips, rows = _group(pairs[i, j], dim)
+    out = np.zeros((len(flips), dim), dtype=np.result_type(A.lines, B.lines))
+    shifted = B.flips[:, None] ^ np.arange(dim)
+    start = 0
+    for af, end in zip(A.lines, ends):
+        if end - start == len(B.flips):  # every pair of this line is kept
+            out[rows[start:end]] += af.take(shifted) * B.lines
+        elif end > start:
+            js = j[start:end]
+            out[rows[start:end]] += af.take(shifted[js]) * B.lines[js]
+        start = end
     return XorLines(n, flips, out)
 
 
@@ -388,8 +426,9 @@ def qfi_orders(orders: StateOrders, K: int) -> QfiSeries:
     qubit-0 blocks; only P = L^(b) rho^(a) with a, b >= 1 is a line product
     (L^(1) rho^(1) and L^(1) rho^(2) at K = 4).  A product that the SLD
     solve already formed is taken out of its series (L^(1) rho^(1) at
-    K = 4), so a K = 4 cell makes two products in all, and each is dropped
-    after its last trace.
+    K = 4); one it did not form is read only by the traces, so only its
+    lines at the flips of the L^(c) it meets are formed.  A K = 4 cell
+    makes two products in all, and each is dropped after its last trace.
     """
     top = K // 2
     sld = sld_orders(orders, top)
@@ -414,7 +453,10 @@ def qfi_orders(orders: StateOrders, K: int) -> QfiSeries:
             else:
                 P = shared.pop((b, a), None)
                 if P is None:
-                    P = _product(L[b], rho[a])
+                    # only the traces read it: its lines at the flips of
+                    # the L^(c) it meets
+                    P = _product(L[b], rho[a], np.concatenate(
+                        [L[c].flips for c in range(b, min(top, K - a - b) + 1)]))
             for c in range(b, min(top, K - a - b) + 1):
                 t = _re_inner(P, L[c])
                 H[a + b + c] -= t if b == c else 2.0 * t

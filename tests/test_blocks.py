@@ -118,6 +118,20 @@ def test_explicit_eps_between_pair_sums():
         _assert_matches(spec, eps=eps)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")])
+@pytest.mark.parametrize("n", (1, 3))
+def test_eps_must_be_positive_and_finite(n, eps):
+    # the CLI's --eps rule: a NaN cutoff kept no pair (QFI 0.0) and one <= 0
+    # failed in log with an unnamed "math domain error"
+    fam = builtin("phase_flip")
+    for c, r0 in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]), ([0.0, 0.0, 1.0], [0.0, 0.6, 0.8]):
+        spec = _spec(fam, 0.3, n, 0.5, np.array(c), np.array(r0))
+        with pytest.raises(ValueError, match=r"^eps must be positive and finite, got"):
+            exact_qfis(spec, PURITIES, eps)
+        with pytest.raises(ValueError, match=r"^eps must be positive and finite, got"):
+            exact_qfi(spec, eps)
+
+
 @pytest.mark.parametrize("n", (2, 3, 5))
 def test_default_cutoff_is_relative_to_the_whole_state(n):
     # at few qubits every block's largest eigenvalue sits near the whole

@@ -257,6 +257,19 @@ class TestRunMeasure:
             [(n, r) for r in (0.05, 0.5, 0.9) for n in (2, 3, 6)]
         assert all(abs(row[-1] - 1.0) <= 1e-13 for row in rows)
 
+    def test_phase_shift_ratio_is_sin_squared_at_low_purity(self):
+        # to lowest order the CFI is n r^2 sin^2(lambda) (c^T dM c = -sin(lambda)
+        # for every c in the plane of rotation) and the QFI n r^2 (both
+        # singular values of dM are 1), so the measurement reads sin^2(lambda)
+        # of the QFI; the worst deviation seen at r = 1e-3 is 1.5e-5
+        lams = [0.3, 1.0, 1.3]
+        cfg = RunConfig(command="measure", channel={"name": "phase_shift", "params": {}},
+                        lams=lams, purities=[1e-3], ns=[3, 6])
+        _, rows = run_measure(cfg)
+        assert [(row[0], row[1]) for row in rows] == [(n, lam) for lam in lams for n in (3, 6)]
+        for n, lam, _, _, _, ratio in rows:
+            assert ratio == pytest.approx(math.sin(lam) ** 2, rel=1e-4), (n, lam)
+
     def test_jobs_do_not_change_output(self):
         cfg = RunConfig(command="measure", channel={"name": "phase_flip", "params": {}},
                         lams=[0.2, 0.3, 0.4], purities=[1e-3, 0.1], ns=[2, 3])
@@ -810,18 +823,23 @@ class TestWorkPerCell:
         # L^(1) rho^(2); every other product is a 2x2 contraction on qubit 0.
         # Both are formed from the XOR lines of their factors at every n: at
         # the canonical directions L^(1) fills the n lines of weight-1 flips
-        # and rho^(j) those of weight j
+        # and rho^(j) those of weight j.  Only the traces read L^(1) rho^(2),
+        # all with L^(1): it forms L^(1)'s n lines, not the n + C(n, 3) of
+        # the whole product
         products = []
         original = series._product
 
-        def counted(A, B):
-            products.append((A.n, len(A.flips), len(B.flips)))
-            return original(A, B)
+        def counted(A, B, *keep):
+            out = original(A, B, *keep)
+            products.append((A.n, len(A.flips), len(B.flips), len(out.flips)))
+            return out
 
         monkeypatch.setattr(series, "_product", counted)
         assert main(["qfi", "--channel", "phase_flip", "--lambda", "0.3",
                      "--purity", "1e-3", "--n", "2,3,5,7,9"]) == EXIT_OK
-        assert products == [(n, n, math.comb(n, j)) for n in (2, 3, 5, 7, 9) for j in (1, 2)]
+        assert products == [
+            (n, n, math.comb(n, j), 1 + math.comb(n, 2) if j == 1 else n)
+            for n in (2, 3, 5, 7, 9) for j in (1, 2)]
 
     def test_qfi_cell_holds_no_dense_matrix(self, capsys):
         # the purity series runs on XOR lines: an n = 9 cell peaked at
@@ -1001,6 +1019,38 @@ class TestAllocatorSetting:
         assert main(["qfi", "--channel", "gad", "--param", "p=0.8", "--lambda", "0.3",
                      "--purity", "1e-3", "--n", "2"]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    @pytest.mark.parametrize("library", ["glibc", "missing", "no mallopt", "not glibc"])
+    def test_set_once_a_process(self, library, monkeypatch, capsys):
+        # the C library is opened on the first main call only: two calls open
+        # it once, set glibc's two thresholds once, and set nothing elsewhere
+        opened, calls = [], []
+
+        class Libc:
+            def __init__(self):
+                if library == "glibc":
+                    self.gnu_get_libc_version = lambda: b"2.36"
+                if library != "no mallopt":
+                    self.mallopt = lambda *a: calls.append(a) or 1
+
+        def cdll(name, *args, **kwargs):
+            opened.append(name)
+            if library == "missing":
+                raise OSError("no C library")
+            return Libc()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._keep_freed_memory.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["qfi", "--channel", "gad", "--param", "p=0.8", "--lambda", "0.3",
+                             "--purity", "1e-3", "--n", "2"]) == EXIT_OK
+        finally:
+            # the next main call sets this process's own allocator again
+            cli._keep_freed_memory.cache_clear()
+        assert opened == [None]
+        assert calls == ([(-3, 32 << 20), (-1, 256 << 20)] if library == "glibc" else [])
+        assert len(capsys.readouterr().out.splitlines()) == 4
 
     def test_import_sets_nothing(self):
         # a library user's allocator is left alone: only main sets it

@@ -130,6 +130,28 @@ class TestStackedQfi:
         want = [(t[k] / d[k]).sum() for t, d, k in zip(terms, denom, keep)]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    def test_cutoff_zero_and_inf_are_taken(self):
+        rho, drho = _stack(np.random.default_rng(45))
+        p, G = in_eigenbasis(rho, drho)
+        # 0 keeps every pair with a positive sum, as the default does here
+        # except on the last matrix's null pairs; +inf (a stacked block of
+        # trace 0) keeps none
+        assert qfi_exact(p[:-1], G[:-1], 0.0).tolist() == qfi_exact(p[:-1], G[:-1]).tolist()
+        cuts = np.array([0.0, 0.2, np.inf, 1e-3, np.inf, 0.5])
+        got = qfi_exact(p, G, cuts)
+        assert got[2] == got[4] == 0.0
+        assert got.tolist() == [qfi_exact(q, g, e) for q, g, e in zip(p, G, cuts)]
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1.0, -1e-300])
+    def test_nan_or_negative_cutoff_is_named(self, eps):
+        # a NaN cutoff kept no pair and gave 0.0; a negative one kept the
+        # pairs of sum 0
+        rho, drho = _stack(np.random.default_rng(46))
+        p, G = in_eigenbasis(rho, drho)
+        for cut in (eps, np.array([0.1, 0.0, eps, 0.2, 0.3, 0.4])):
+            with pytest.raises(ValueError, match=r"^eps must be a nonnegative cutoff"):
+                qfi_exact(p, G, cut)
+
     def test_stack_of_stacks_keeps_its_shape(self):
         rho, drho = _stack(np.random.default_rng(42))
         got = dense_qfi(rho.reshape(2, 3, 4, 4), drho.reshape(2, 3, 4, 4))
